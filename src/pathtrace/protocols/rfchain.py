@@ -10,6 +10,13 @@ system secrets walks the signature chain from the tag, recomputes every
 step key, and checks that each chain level has its ledger record before
 announcing the path claim.
 
+In the default mode a record matches a step exactly when it equals the
+record the verifier recomputes, so the ledger keeps a set of its records
+and each claimed step costs one O(1) lookup.  Patched records carry a
+salt that only the record itself reveals, so no expected record can be
+computed in advance: the verifier scans the ledger, O(ledger) per claimed
+step.  That scan is a measured cost of the privacy patch.
+
 Reusing H(h_i) as both mask and pseudo-identity key is what the linking
 attack exploits.  The "patched" mode stores a fresh per-step salt in the
 record and derives separate keys for mask and pseudo-identity from it,
@@ -37,9 +44,14 @@ class SharedLedger:
 
     def __init__(self) -> None:
         self._records: list[tuple[bytes, bytes]] = []
+        self._record_set: set[tuple[bytes, bytes]] = set()
 
     def add(self, pseudo_id: bytes, payload: bytes) -> None:
         self._records.append((pseudo_id, payload))
+        self._record_set.add((pseudo_id, payload))
+
+    def __contains__(self, record: tuple[bytes, bytes]) -> bool:
+        return record in self._record_set
 
     def records(self) -> list[tuple[bytes, bytes]]:
         return list(self._records)
@@ -113,27 +125,51 @@ class RfChain(ProtocolModel):
             pseudo = crypto.sym_enc(pid_key, identity)
             payload = crypto.concat_length_prefixed(salt, crypto.sym_enc(mask_key, prev_chain))
             return pseudo, payload
+        return self._default_record(identity, index, prev_chain)
+
+    def _default_record(self, identity: bytes, index: int, prev_chain: bytes) -> tuple[bytes, bytes]:
+        """The one default-mode record that mirrors chain level ``prev_chain``."""
         key = self.step_key(identity, index)
         return crypto.sym_enc(key, identity), crypto.xor_stream(prev_chain, key)
 
     def _record_matches(
         self, pseudo: bytes, payload: bytes, identity: bytes, index: int, prev_chain: bytes
     ) -> bool:
+        """Does the single record (pseudo, payload) mirror ``prev_chain`` at
+        step ``index``?  Runs the same checks as the verifier."""
         if self.config.mode == "patched":
             try:
                 salt, body = crypto.split_length_prefixed(payload)
             except (crypto.CryptoError, ValueError):
                 return False
-            h = step_input(identity, self.f, self.pwd, self.nonce, index)
+            return self._scan_salted([(pseudo, salt, body)], identity, index, prev_chain)
+        return (pseudo, payload) == self._default_record(identity, index, prev_chain)
+
+    def _split_records(self) -> list[tuple[bytes, bytes, bytes]]:
+        """(pseudo, salt, body) of every ledger record, skipping malformed ones."""
+        out = []
+        for pseudo, payload in self.ledger.records():
+            try:
+                salt, body = crypto.split_length_prefixed(payload)
+            except (crypto.CryptoError, ValueError):
+                continue
+            out.append((pseudo, salt, body))
+        return out
+
+    def _scan_salted(
+        self, salted: list[tuple[bytes, bytes, bytes]], identity: bytes, index: int, prev_chain: bytes
+    ) -> bool:
+        """Does some patched record mirror ``prev_chain`` at step ``index``?
+        Accepts exactly the records ``_record_matches`` accepts."""
+        h = step_input(identity, self.f, self.pwd, self.nonce, index)
+        for pseudo, salt, body in salted:
             pid_key = crypto.hash_bytes(crypto.concat_raw(h, salt, b"pid"))
+            if pseudo != crypto.sym_enc(pid_key, identity):
+                continue
             mask_key = crypto.hash_bytes(crypto.concat_raw(h, salt, b"mask"))
-            return pseudo == crypto.sym_enc(pid_key, identity) and body == crypto.sym_enc(
-                mask_key, prev_chain
-            )
-        key = self.step_key(identity, index)
-        return pseudo == crypto.sym_enc(key, identity) and payload == crypto.xor_stream(
-            prev_chain, key
-        )
+            if body == crypto.sym_enc(mask_key, prev_chain):
+                return True
+        return False
 
     def _process_arrival(self, tag_token: str, reader_token: str) -> bool:
         mem = self.run.memory(tag_token)
@@ -215,13 +251,15 @@ class RfChain(ProtocolModel):
             return False
         path = tuple(reversed(signers))
         # levels holds a_n .. a_0; record i must mirror a_{i-1}
-        records = self.ledger.records()
+        patched = self.config.mode == "patched"
+        salted = self._split_records() if patched else []
         for i in range(1, len(path) + 1):
             prev_chain = levels[len(path) - (i - 1)]
-            if not any(
-                self._record_matches(pseudo, payload, identity, i, prev_chain)
-                for pseudo, payload in records
-            ):
+            if patched:
+                found = self._scan_salted(salted, identity, i, prev_chain)
+            else:
+                found = self._default_record(identity, i, prev_chain) in self.ledger
+            if not found:
                 self.net.log_anomaly(
                     f"rfchain verifier: missing ledger record for step {i} of {tag_token}"
                 )

@@ -19,11 +19,16 @@ A claim is judged against the trace prefix strictly before it:
 
 Mismatched claims are classified against a set of valid paths into the
 attack labels of :class:`AttackLabel`.
+
+:class:`Trace` indexes each tag's Moves and ValidPaths as they are
+appended, so judging or classifying one claim costs O(moves and valid
+paths of that tag), independent of trace length and of other tags.
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
@@ -90,11 +95,24 @@ class PathClaim:
 Event = Move | ValidPath | PathClaim
 
 
+class _TagIndex:
+    """One tag's Moves and ValidPaths, each with its event index, ascending."""
+
+    __slots__ = ("move_at", "readers", "valid_at", "valid_paths")
+
+    def __init__(self) -> None:
+        self.move_at: list[int] = []
+        self.readers: list[Identifier] = []
+        self.valid_at: list[int] = []
+        self.valid_paths: list[tuple[Identifier, ...]] = []
+
+
 class Trace:
     """Append-only ordered sequence of events with dense indices."""
 
     def __init__(self, events: Iterable[Event] = ()) -> None:
         self._events: list[Event] = []
+        self._by_tag: dict[Identifier, _TagIndex] = {}
         for e in events:
             self.append(e)
 
@@ -102,8 +120,37 @@ class Trace:
         """Append an event, returning its index."""
         if not isinstance(event, (Move, ValidPath, PathClaim)):
             raise TypeError(f"not a trace event: {event!r}")
+        index = len(self._events)
         self._events.append(event)
-        return len(self._events) - 1
+        if isinstance(event, Move):
+            entry = self._tag_index(event.tag)
+            entry.move_at.append(index)
+            entry.readers.append(event.reader)
+        elif isinstance(event, ValidPath):
+            entry = self._tag_index(event.tag)
+            entry.valid_at.append(index)
+            entry.valid_paths.append(event.path)
+        return index
+
+    def _tag_index(self, tag: Identifier) -> _TagIndex:
+        entry = self._by_tag.get(tag)
+        if entry is None:
+            entry = self._by_tag[tag] = _TagIndex()
+        return entry
+
+    def _visits_before(self, tag: Identifier, end: int) -> list[Identifier]:
+        """Readers of the tag's Moves at indices below ``end``, in order."""
+        entry = self._by_tag.get(tag)
+        if entry is None:
+            return []
+        return entry.readers[: bisect_left(entry.move_at, end)]
+
+    def _valid_paths_before(self, tag: Identifier, end: int) -> list[tuple[Identifier, ...]]:
+        """Paths of the tag's ValidPaths at indices below ``end``, in order."""
+        entry = self._by_tag.get(tag)
+        if entry is None:
+            return []
+        return entry.valid_paths[: bisect_left(entry.valid_at, end)]
 
     def __len__(self) -> int:
         return len(self._events)
@@ -145,11 +192,14 @@ def physical_path(trace: Trace, tag: Identifier, upto: int | None = None) -> tup
     """The tag's physical path from Move events strictly before ``upto``.
 
     ``upto=None`` uses the whole trace.  Consecutive repeats collapse; an
-    empty result means the tag never moved in the window.
+    empty result means the tag never moved in the window.  A negative
+    ``upto`` raises ValueError.
     """
-    end = len(trace) if upto is None else upto
-    visits = [e.reader for e in trace.events[:end] if isinstance(e, Move) and e.tag == tag]
-    return collapse(visits)
+    if upto is None:
+        upto = len(trace)
+    elif upto < 0:
+        raise ValueError(f"upto must be non-negative, got {upto}")
+    return collapse(trace._visits_before(tag, upto))
 
 
 def is_subsequence(needle: Sequence[Identifier], hay: Sequence[Identifier]) -> bool:
@@ -172,29 +222,27 @@ class CheckResult:
 
 
 def _claim_at(trace: Trace, claim_index: int) -> PathClaim:
+    if claim_index < 0:
+        raise ValueError(f"claim index must be non-negative, got {claim_index}")
     event = trace[claim_index]
     if not isinstance(event, PathClaim):
         raise ValueError(f"event {claim_index} is not a PathClaim: {event!r}")
     return event
 
 
-def check_sound(trace: Trace, claim_index: int) -> CheckResult:
-    """Claimed readers are a subset of the physically visited readers."""
-    claim = _claim_at(trace, claim_index)
-    phys = set(physical_path(trace, claim.tag, upto=claim_index))
+def _sound(phys_set: set[Identifier], claim: PathClaim) -> CheckResult:
     for r in claim.path:
-        if r not in phys:
+        if r not in phys_set:
             return CheckResult(False, f"claimed reader {r} never visited")
     return CheckResult(True)
 
 
-def check_complete(trace: Trace, claim_index: int) -> CheckResult:
-    """Claimed and physical reader sets are equal."""
-    claim = _claim_at(trace, claim_index)
-    phys = set(physical_path(trace, claim.tag, upto=claim_index))
+def _complete(
+    phys: tuple[Identifier, ...], phys_set: set[Identifier], claim: PathClaim
+) -> CheckResult:
     claimed = set(claim.path)
-    missing = [r for r in physical_path(trace, claim.tag, upto=claim_index) if r not in claimed]
-    extra = [r for r in claim.path if r not in phys]
+    extra = [r for r in claim.path if r not in phys_set]
+    missing = [r for r in phys if r not in claimed]
     if extra:
         return CheckResult(False, f"claimed reader {extra[0]} never visited")
     if missing:
@@ -202,10 +250,7 @@ def check_complete(trace: Trace, claim_index: int) -> CheckResult:
     return CheckResult(True)
 
 
-def check_sorted(trace: Trace, claim_index: int) -> CheckResult:
-    """The claimed path is a subsequence of the physical path."""
-    claim = _claim_at(trace, claim_index)
-    phys = physical_path(trace, claim.tag, upto=claim_index)
+def _sorted(phys: tuple[Identifier, ...], claim: PathClaim) -> CheckResult:
     if is_subsequence(claim.path, phys):
         return CheckResult(True)
     # find the first claimed reader that cannot be matched in order
@@ -220,13 +265,35 @@ def check_sorted(trace: Trace, claim_index: int) -> CheckResult:
     return CheckResult(False, "claim not a subsequence of physical path")
 
 
-def check_authorized(trace: Trace, claim_index: int) -> CheckResult:
-    """Some strictly earlier ValidPath for the tag has the claim as a prefix."""
-    claim = _claim_at(trace, claim_index)
-    for e in trace.events[:claim_index]:
-        if isinstance(e, ValidPath) and e.tag == claim.tag and is_prefix(claim.path, e.path):
+def _authorized(trace: Trace, claim_index: int, claim: PathClaim) -> CheckResult:
+    for path in trace._valid_paths_before(claim.tag, claim_index):
+        if is_prefix(claim.path, path):
             return CheckResult(True)
     return CheckResult(False, "no earlier ValidPath has the claim as a prefix")
+
+
+def check_sound(trace: Trace, claim_index: int) -> CheckResult:
+    """Claimed readers are a subset of the physically visited readers."""
+    claim = _claim_at(trace, claim_index)
+    return _sound(set(physical_path(trace, claim.tag, claim_index)), claim)
+
+
+def check_complete(trace: Trace, claim_index: int) -> CheckResult:
+    """Claimed and physical reader sets are equal."""
+    claim = _claim_at(trace, claim_index)
+    phys = physical_path(trace, claim.tag, claim_index)
+    return _complete(phys, set(phys), claim)
+
+
+def check_sorted(trace: Trace, claim_index: int) -> CheckResult:
+    """The claimed path is a subsequence of the physical path."""
+    claim = _claim_at(trace, claim_index)
+    return _sorted(physical_path(trace, claim.tag, claim_index), claim)
+
+
+def check_authorized(trace: Trace, claim_index: int) -> CheckResult:
+    """Some strictly earlier ValidPath for the tag has the claim as a prefix."""
+    return _authorized(trace, claim_index, _claim_at(trace, claim_index))
 
 
 @dataclass(frozen=True)
@@ -255,11 +322,14 @@ def verdict_for(trace: Trace, claim_index: int) -> Verdict:
     ``witness`` carries the explanation of the first failing check, in the
     order sound, complete, sorted, authorized.
     """
+    claim = _claim_at(trace, claim_index)
+    phys = physical_path(trace, claim.tag, claim_index)
+    phys_set = set(phys)
     checks = {
-        "sound": check_sound(trace, claim_index),
-        "complete": check_complete(trace, claim_index),
-        "sorted": check_sorted(trace, claim_index),
-        "authorized": check_authorized(trace, claim_index),
+        "sound": _sound(phys_set, claim),
+        "complete": _complete(phys, phys_set, claim),
+        "sorted": _sorted(phys, claim),
+        "authorized": _authorized(trace, claim_index, claim),
     }
     witness = None
     for name, res in checks.items():
@@ -369,11 +439,7 @@ def classify(
 def classify_claim(trace: Trace, claim_index: int) -> frozenset[AttackLabel]:
     """Classify one in-trace claim against the movement that preceded it."""
     claim = _claim_at(trace, claim_index)
-    valid = [
-        e.path
-        for e in trace.events[:claim_index]
-        if isinstance(e, ValidPath) and e.tag == claim.tag
-    ]
+    valid = trace._valid_paths_before(claim.tag, claim_index)
     return classify(physical_path(trace, claim.tag, claim_index), claim.path, valid)
 
 

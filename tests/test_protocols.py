@@ -308,6 +308,69 @@ class TestRfChain:
         assert not res.verdicts
         assert res.anomalies
 
+    @staticmethod
+    def _visited_run(mode: str, tags=("t1",)):
+        """An rfchain run after every tag visited r1, r2, r3, before any claim."""
+        cfg = honest_config("rfchain")
+        cfg.mode = mode
+        cfg.tags = list(tags)
+        cfg.capacities = {t: 1024 for t in tags}
+        cfg.script = [("move", t, r) for r in ("r1", "r2", "r3") for t in tags]
+        protocol, run = build_run(cfg)
+        for step in cfg.script:
+            protocol.visit(step[1], step[2])
+        return protocol, run
+
+    @staticmethod
+    def _levels(run, tag_token):
+        """(identity, [a_0, a_1, ...]) read back from the tag's chain."""
+        mem = run.memory(tag_token)
+        levels = [mem.load("chain")]
+        while (sig := crypto.parse_signature(levels[0])) is not None:
+            levels.insert(0, sig.message)
+        return mem.load("id"), levels
+
+    @pytest.mark.parametrize("mode", ["default", "patched"])
+    @pytest.mark.parametrize("field", ["pseudo", "payload"])
+    def test_tampered_record_is_missing(self, mode, field):
+        # step 2's record keeps one half and has the other half tampered
+        protocol, run = self._visited_run(mode)
+        honest = protocol.ledger.records()
+        protocol.ledger = rfchain_mod.SharedLedger()
+        for step, (pseudo, payload) in enumerate(honest, start=1):
+            if step == 2 and field == "pseudo":
+                pseudo = pseudo[:-1] + bytes([pseudo[-1] ^ 0x01])
+            elif step == 2:
+                payload = payload[:-1] + bytes([payload[-1] ^ 0x01])
+            protocol.ledger.add(pseudo, payload)
+        protocol.claim("t1")
+        res = finalize(protocol, run)
+        assert not res.verdicts
+        assert res.anomalies == ["rfchain verifier: missing ledger record for step 2 of t1"]
+
+    @pytest.mark.parametrize("mode", ["default", "patched"])
+    def test_record_matches_accepts_what_verifier_accepts(self, mode):
+        # the verifier finds every honest record of three interleaved tags,
+        # and _record_matches accepts each of those records for exactly the
+        # (tag, step) that wrote it and rejects every other pairing
+        protocol, run = self._visited_run(mode, tags=("t1", "t2", "t3"))
+        records = protocol.ledger.records()
+        truth = list(protocol.ledger_truth)
+        for tag_token in ("t1", "t2", "t3"):
+            identity, levels = self._levels(run, tag_token)
+            for i in range(1, len(levels)):
+                accepted = [
+                    n
+                    for n, (pseudo, payload) in enumerate(records)
+                    if protocol._record_matches(pseudo, payload, identity, i, levels[i - 1])
+                ]
+                assert accepted == [truth.index((tag_token, i))]
+            protocol.claim(tag_token)
+        res = finalize(protocol, run)
+        assert not res.anomalies
+        assert len(res.verdicts) == 3
+        assert len(records) == 9
+
 
 class TestRay:
     def test_any_visit_order_is_accepted(self):

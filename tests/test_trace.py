@@ -51,6 +51,12 @@ class TestPhysicalPath:
         t = Trace(moves(T1, "r1", "r2", "r3"))
         assert physical_path(t, T1, upto=2) == path("r1", "r2")
         assert physical_path(t, T1, upto=0) == ()
+        assert physical_path(t, T1, upto=10) == path("r1", "r2", "r3")
+
+    def test_negative_upto_raises(self):
+        t = Trace(moves(T1, "r1", "r2", "r3"))
+        with pytest.raises(ValueError, match="non-negative"):
+            physical_path(t, T1, upto=-1)
 
     def test_other_tags_ignored(self):
         t2 = tag("t2")
@@ -144,6 +150,23 @@ class TestChecks:
         t = Trace(moves(T1, "r1"))
         with pytest.raises(ValueError):
             verdict_for(t, 0)
+
+    @pytest.mark.parametrize(
+        "judge",
+        [
+            verdict_for,
+            tr.classify_claim,
+            tr.check_sound,
+            tr.check_complete,
+            tr.check_sorted,
+            tr.check_authorized,
+        ],
+    )
+    def test_negative_claim_index_raises(self, judge):
+        # index -1 names the final event, a claim, yet is refused
+        t, _ = self.make(["r1"], ["r1"], valid=[("r1",)])
+        with pytest.raises(ValueError, match="non-negative"):
+            judge(t, -1)
 
 
 class TestEvaluateSystem:

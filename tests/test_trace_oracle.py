@@ -7,6 +7,8 @@ regressions surface close to the code.
 
 from __future__ import annotations
 
+import random
+
 from oracles import (
     enumerate_sequences,
     oracle_authorized,
@@ -28,9 +30,12 @@ from pathtrace.trace import (
     check_sorted,
     check_sound,
     classify_claim,
+    dump_trace,
+    parse_trace,
     physical_path,
     reader,
     tag,
+    verdict_for,
 )
 
 T1 = tag("t")
@@ -84,3 +89,97 @@ def test_oracle_sorted_self_check():
     assert not oracle_sorted("abc", "acb")
     assert oracle_sorted("abc", "")
     assert not oracle_sorted("", "a")
+
+
+# --- interleaved multi-tag traces ------------------------------------------
+
+MULTI_TAGS = ("t0", "t1", "t2", "idle")  # "idle" is claimed but never moves
+
+
+def random_events(rng: random.Random) -> list:
+    """Interleaved events for several tags: revisits and repeated readers
+    come from the small alphabet and from sticky moves; claims and valid
+    paths land anywhere, including before a tag's first Move or ValidPath.
+    A claim copies the head of the tag's visits or of its last valid path,
+    or is random, so that every property is seen holding and failing."""
+    events = []
+    visited: dict[str, list[str]] = {name: [] for name in MULTI_TAGS}
+    registered: dict[str, list[str]] = {name: [] for name in MULTI_TAGS}
+    for _ in range(rng.randint(1, 30)):
+        name = rng.choice(MULTI_TAGS)
+        roll = rng.random()
+        if roll < 0.5 and name != "idle":
+            sticky = visited[name] and rng.random() < 0.3
+            r = visited[name][-1] if sticky else rng.choice("abcd")
+            visited[name].append(r)
+            events.append(Move(tag(name), reader(r)))
+        elif roll < 0.7:
+            registered[name] = [rng.choice("abcd") for _ in range(rng.randint(1, 4))]
+            events.append(ValidPath(tag(name), tuple(reader(r) for r in registered[name])))
+        else:
+            source = rng.choice([visited[name], registered[name], []])
+            # the dump format has no empty claim
+            claimed = source[: rng.randint(1, 4)] or [rng.choice("abcd") for _ in range(rng.randint(1, 4))]
+            events.append(PathClaim(tag(name), tuple(reader(r) for r in claimed), B1))
+    return events
+
+
+def three_builds(events: list) -> list[Trace]:
+    """The same events as a Trace built by constructor, by append, and by
+    a round trip through the dump format."""
+    appended = Trace()
+    for e in events:
+        appended.append(e)
+    return [Trace(events), appended, parse_trace(dump_trace(appended))]
+
+
+def test_multi_tag_traces_agree_with_oracles():
+    rng = random.Random(20240611)
+    outcomes: set[tuple[str, bool]] = set()
+    early_claims = 0
+    for _ in range(400):
+        events = random_events(rng)
+        for t in three_builds(events):
+            for name in MULTI_TAGS:
+                visits = [e.reader.value for e in events if isinstance(e, Move) and e.tag.value == name]
+                got = tuple(r.value for r in physical_path(t, tag(name)))
+                assert got == oracle_physical(visits), (events, name)
+            for idx, e in enumerate(events):
+                before = events[:idx]
+                visits = [m.reader.value for m in before if isinstance(m, Move) and m.tag == e.tag]
+                phys = oracle_physical(visits)
+                got = tuple(r.value for r in physical_path(t, e.tag, idx))
+                assert got == phys, (events, idx)
+                if not isinstance(e, PathClaim):
+                    continue
+                valid = [
+                    tuple(r.value for r in v.path)
+                    for v in before
+                    if isinstance(v, ValidPath) and v.tag == e.tag
+                ]
+                claimed = tuple(r.value for r in e.path)
+                checks = {
+                    "sound": check_sound(t, idx),
+                    "complete": check_complete(t, idx),
+                    "sorted": check_sorted(t, idx),
+                    "authorized": check_authorized(t, idx),
+                }
+                expected = {
+                    "sound": oracle_sound(phys, claimed),
+                    "complete": oracle_complete(phys, claimed),
+                    "sorted": oracle_sorted(phys, claimed),
+                    "authorized": oracle_authorized(valid, claimed),
+                }
+                assert {k: bool(v) for k, v in checks.items()} == expected, (events, idx)
+                verdict = verdict_for(t, idx)
+                assert verdict.properties() == expected, (events, idx)
+                first_failure = next((k for k, v in checks.items() if not v), None)
+                witness = None if first_failure is None else f"{first_failure}: {checks[first_failure].witness}"
+                assert verdict.witness == witness, (events, idx)
+                labels = frozenset(label.value for label in classify_claim(t, idx))
+                assert labels == oracle_classify(visits, claimed, valid), (events, idx)
+                outcomes.update(expected.items())
+                early_claims += not visits or not valid
+    assert len(outcomes) == 8, outcomes
+    # the sample reaches claims made before the tag's first Move or ValidPath
+    assert early_claims > 100
