@@ -21,11 +21,11 @@ from typing import Any
 
 from pathtrace import crypto
 from pathtrace import trace as tr
-from pathtrace.network import AdvModel
+from pathtrace.network import AdvModel, snapshot_fields
 from pathtrace.protocols import RunConfig, build_run, finalize, run_protocol
 from pathtrace.protocols.base import Run, RunResult, register_strategy
 from pathtrace.protocols.ray import Ray
-from pathtrace.protocols.rfchain import step_input
+from pathtrace.protocols.rfchain import salted_key, split_salted, step_input
 from pathtrace.protocols.resc import storage_bits
 from pathtrace.stats import wilson_interval
 
@@ -84,11 +84,6 @@ def _drop_to_tags_factory(run: Run):
     return strategy
 
 
-def _snapshot_fields(snapshot: bytes) -> dict[str, bytes]:
-    parts = crypto.split_length_prefixed(snapshot)
-    return {parts[i].decode(): parts[i + 1] for i in range(0, len(parts), 2)}
-
-
 def _claim_verdict(result: RunResult) -> tr.Verdict | None:
     return result.verdicts[-1] if result.verdicts else None
 
@@ -102,6 +97,51 @@ def _labels(result: RunResult) -> list[str]:
 
 
 # --- RF-Chain: ledger linking via the shared step key ----------------------
+
+def read_rfchain_tag(snapshot: bytes) -> tuple[bytes, list[bytes]]:
+    """Identity and chain levels a_0 .. a_{n-1} of a skimmed RF-Chain tag:
+    the chain value a_n carries a_{n-1} under a signature, and so on down
+    to a_0, and stripping signatures needs no key."""
+    fields = snapshot_fields(snapshot)
+    levels = [fields["chain"]]
+    while (sig := crypto.parse_signature(levels[-1])) is not None:
+        levels.append(sig.message)
+    return fields["id"], levels[:0:-1]
+
+
+def link_record(pseudo: bytes, payload: bytes, identity: bytes, prev_levels: list[bytes]) -> int | None:
+    """The step i whose chain level a_{i-1} = ``prev_levels[i - 1]`` confirms
+    the record, or None.  XORing the payload prefix against the level prefix
+    proposes a step key; the pseudo-identity and the payload confirm it."""
+    for i, prev in enumerate(prev_levels, start=1):
+        if len(payload) < 32 or len(prev) < 32:
+            continue
+        candidate = crypto.xor_bytes(payload[:32], prev[:32])
+        if pseudo == crypto.sym_enc(candidate, identity) and payload == crypto.xor_stream(
+            prev, candidate
+        ):
+            return i
+    return None
+
+
+def _insider_link(
+    pseudo: bytes, payload: bytes, identity: bytes, secrets: dict[str, bytes], mode: str, steps: int
+) -> int | None:
+    """The step whose pseudo-identity key, recomputed from the system
+    secrets, produced the record, or None."""
+    salt = None
+    if mode == "patched":
+        split = split_salted(payload)
+        if split is None:
+            return None
+        salt = split[0]
+    for i in range(1, steps + 1):
+        h = step_input(identity, secrets["f"], secrets["pwd"], secrets["r"], i)
+        key = crypto.hash_bytes(h) if salt is None else salted_key(h, salt, b"pid")
+        if pseudo == crypto.sym_enc(key, identity):
+            return i
+    return None
+
 
 def attack_rfchain_linking(
     seed: int = 0, mode: str = "default", decoys: int = 10, insider: bool = False
@@ -143,16 +183,8 @@ def attack_rfchain_linking(
         else:
             protocol.claim(step[1])
 
-    fields = _snapshot_fields(run.adv.read_tag(target))
-    identity = fields["id"]
-    levels = [fields["chain"]]
-    cursor = fields["chain"]
-    while (sig := crypto.parse_signature(cursor)) is not None:
-        cursor = sig.message
-        levels.append(cursor)
-    # levels now holds a_n .. a_0; record i embeds a_{i-1}
-    prev_values = levels[1:]
-    steps = len(prev_values)
+    identity, prev_levels = read_rfchain_tag(run.adv.read_tag(target))
+    steps = len(prev_levels)
 
     secrets: dict[str, bytes] | None = None
     if insider:
@@ -161,30 +193,12 @@ def attack_rfchain_linking(
     records = protocol.ledger.records()
     linked: dict[int, int] = {}
     for j, (pseudo, payload) in enumerate(records):
-        for i in range(1, steps + 1):
-            prev = prev_values[steps - i]
-            if secrets is not None:
-                h = step_input(identity, secrets["f"], secrets["pwd"], secrets["r"], i)
-                if mode == "patched":
-                    try:
-                        salt, body = crypto.split_length_prefixed(payload)
-                    except (crypto.CryptoError, ValueError):
-                        continue
-                    pid_key = crypto.hash_bytes(crypto.concat_raw(h, salt, b"pid"))
-                    matched = pseudo == crypto.sym_enc(pid_key, identity)
-                else:
-                    key = crypto.hash_bytes(h)
-                    matched = pseudo == crypto.sym_enc(key, identity)
-            else:
-                if len(payload) < 32 or len(prev) < 32:
-                    continue
-                candidate = crypto.xor_bytes(payload[:32], prev[:32])
-                matched = pseudo == crypto.sym_enc(candidate, identity) and payload == crypto.xor_stream(
-                    prev, candidate
-                )
-            if matched:
-                linked[j] = i
-                break
+        if secrets is None:
+            step = link_record(pseudo, payload, identity, prev_levels)
+        else:
+            step = _insider_link(pseudo, payload, identity, secrets, mode, steps)
+        if step is not None:
+            linked[j] = step
 
     result = finalize(protocol, run)
     truth = result.artifacts["ledger_truth"]
@@ -230,7 +244,7 @@ def probe_rfchain_length_extension(seed: int = 0) -> AttackOutcome:
         script=[("move", "t1", "r1")],
     )
     protocol, run = build_run(cfg)
-    fields = _snapshot_fields(run.adv.read_tag("t1"))
+    fields = snapshot_fields(run.adv.read_tag("t1"))
     identity = fields["id"]
     base = fields["chain"]  # a_0 = H(ID || f || pwd || r), secrets unknown
     secret_len = len(identity) + 48  # ID plus three 16-byte system values
@@ -318,11 +332,11 @@ def attack_ray_out_of_order(
     for token in readers:
         protocol.visit("t1", token)  # radio suppressed; Move still recorded
 
-    observed: dict[str, bytes] = {}
-    for direction, payload in run.net.observations:
-        for token in readers:
-            if direction == f"{token}->t1":
-                observed[token] = payload
+    observed = {
+        m.sender: m.seen
+        for m in run.net.log
+        if m.receiver == "t1" and m.sender in readers and m.seen is not None
+    }
     accepted = []
     for idx in order:
         token = readers[idx]
@@ -378,9 +392,9 @@ def attack_ray_impersonation(
     obs_token = readers[observed_index]
     protocol.visit("t1", obs_token)  # the single over-the-air observation
     observed = next(
-        payload
-        for direction, payload in run.net.observations
-        if direction == f"{obs_token}->t1"
+        m.seen
+        for m in run.net.log
+        if m.sender == obs_token and m.receiver == "t1" and m.seen is not None
     )
     # PID values are public; c xor term is path-level, so it cancels
     pid = lambda token: crypto.hash_bytes(b"pid-" + token.encode())
@@ -495,7 +509,7 @@ def attack_resc_key_disclosure(
     for token in readers[:honest_steps]:
         protocol.visit("t1", token)
 
-    fields = _snapshot_fields(run.adv.read_tag("t1"))
+    fields = snapshot_fields(run.adv.read_tag("t1"))
     tid = fields["tid"]
     remaining = list(range(honest_steps + 1, path_len + 1))
     if not remaining:

@@ -11,6 +11,14 @@ Two capability levels:
 * AdvT - full network control plus reading and writing tag memory;
 * AdvR - additionally compromises readers, obtaining their secrets.
 
+Each network message - transmissions, tag reads and writes, compromises
+and injections - is written once, by ``Network._record``, to an
+append-only log of ``Message`` records; the same call feeds what the
+adversary saw into its knowledge.  ``Network.transcript`` (hex lines) and
+``Network.observations`` (direction and bytes) are read-only views of that
+log.  ``decompose`` is the one definition of what can be read out of a
+payload without a key.
+
 Tag memory is modelled with nominal bit accounting so that protocol storage
 formulas and capacity violations are observable.
 """
@@ -18,9 +26,9 @@ formulas and capacity violations are observable.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from pathtrace import crypto
 
@@ -88,52 +96,66 @@ class TagMemory:
         if bits > self.capacity_bits:
             raise TagCapacityError(f"{bits} bits exceed tag capacity of {self.capacity_bits}")
         try:
-            parts = crypto.split_length_prefixed(data)
-            if len(parts) % 2 != 0:
-                raise crypto.CryptoError("odd field count")
-            fields = {parts[i].decode(): parts[i + 1] for i in range(0, len(parts), 2)}
+            fields = snapshot_fields(data)
         except (crypto.CryptoError, UnicodeDecodeError):
             fields = {"__raw__": data}
-        self._fields = dict(fields)
+        self._fields = fields
         self._nominal = {name: len(value) * 8 for name, value in fields.items()}
+
+
+def snapshot_fields(snapshot: bytes) -> dict[str, bytes]:
+    """Field names and values of a ``TagMemory.snapshot``; raises
+    ``CryptoError`` or ``UnicodeDecodeError`` on bytes of another shape."""
+    parts = crypto.split_length_prefixed(snapshot)
+    if len(parts) % 2 != 0:
+        raise crypto.CryptoError("odd field count")
+    return {parts[i].decode(): parts[i + 1] for i in range(0, len(parts), 2)}
+
+
+def decompose(blobs: Iterable[bytes], known: dict[bytes, None] | None = None) -> dict[bytes, None]:
+    """Every blob plus every field readable out of it without a key.
+
+    Each blob is split once: a signature blob yields its message and tag,
+    any other blob of two or more length-prefixed fields yields its
+    non-empty fields, and the fields are read the same way in turn.  New
+    atoms join ``known`` (a fresh dict when omitted) in depth-first order;
+    an atom already there is not read again.  Returns ``known``.
+    """
+    seen: dict[bytes, None] = {} if known is None else known
+    stack = list(blobs)[::-1]
+    while stack:
+        data = stack.pop()
+        if data in seen:
+            continue
+        seen[data] = None
+        # two fields need two 4-byte prefixes, and the first must fit
+        if len(data) < 8 or int.from_bytes(data[:4], "big") > len(data) - 4:
+            continue
+        try:
+            parts = crypto.split_length_prefixed(data)
+        except crypto.CryptoError:
+            continue
+        if len(parts) == 4 and parts[0] == b"SIG":
+            stack += (parts[3], parts[2])
+        elif len(parts) >= 2:
+            stack.extend(part for part in reversed(parts) if part)
+    return seen
 
 
 class Knowledge:
     """Ordered set of observed byte strings with bounded deduction.
 
-    Observation decomposes structured payloads (length-prefixed fields and
-    signature blobs) into atoms.  ``can_derive`` additionally closes over
-    XOR of equal-length knowns, hashing, signature stripping and symmetric
-    decryption under known 32-byte keys, up to a small depth.
+    Observation adds a payload and every field ``decompose`` reads out of
+    it.  ``can_derive`` additionally closes over XOR of equal-length
+    knowns, hashing, signature stripping and symmetric decryption under
+    known 32-byte keys, up to a small depth.
     """
 
     def __init__(self) -> None:
         self._atoms: dict[bytes, None] = {}
 
     def observe(self, data: bytes) -> None:
-        if data in self._atoms:
-            return
-        self._atoms[data] = None
-        self._decompose(data)
-
-    def _decompose(self, data: bytes) -> None:
-        sig = crypto.parse_signature(data)
-        if sig is not None:
-            self.observe(sig.message)
-            self.observe(sig.tag)
-            return
-        try:
-            parts = crypto.split_length_prefixed(data)
-        except crypto.CryptoError:
-            return
-        if len(parts) >= 2:
-            for part in parts:
-                if part:
-                    self.observe(part)
-
-    def observe_all(self, items: Iterable[bytes]) -> None:
-        for item in items:
-            self.observe(item)
+        decompose((data,), self._atoms)
 
     def atoms(self) -> list[bytes]:
         return list(self._atoms)
@@ -195,6 +217,21 @@ class Envelope:
     payload: bytes
 
 
+class Message(NamedTuple):
+    """One logged message: the payload as it arrived (or, when dropped, as
+    it was sent) and the bytes the adversary saw, None when it saw none."""
+
+    seq: int
+    sender: str
+    receiver: str
+    payload: bytes
+    action: str
+    seen: bytes | None
+
+    def line(self) -> str:
+        return f"{self.seq} {self.sender}->{self.receiver} {self.payload.hex()} {self.action}"
+
+
 # A strategy sees each untrusted envelope and returns the payload to deliver,
 # or None to drop it.  Stateful strategies are objects with __call__.
 Strategy = Callable[[Envelope, "Network"], "bytes | None"]
@@ -205,7 +242,7 @@ def null_strategy(env: Envelope, net: "Network") -> bytes | None:
 
 
 class Network:
-    """Message fabric, transcript and adversary state for one run."""
+    """Message fabric, message log and adversary state for one run."""
 
     def __init__(
         self,
@@ -217,8 +254,7 @@ class Network:
         self.model = model
         self.strategy: Strategy = strategy if strategy is not None else null_strategy
         self.knowledge = Knowledge()
-        self.transcript: list[str] = []
-        self.observations: list[tuple[str, bytes]] = []  # (direction, payload) seen by adversary
+        self.log: list[Message] = []
         self.anomalies: list[str] = []
         self._seq = 0
         self._tags: dict[str, TagMemory] = {}
@@ -243,35 +279,59 @@ class Network:
     def log_anomaly(self, text: str) -> None:
         self.anomalies.append(text)
 
-    # --- transmission ---------------------------------------------------
+    # --- the message log ------------------------------------------------
+
+    @property
+    def transcript(self) -> list[str]:
+        """One ``seq sender->receiver hex action`` line per message."""
+        return [m.line() for m in self.log]
+
+    @property
+    def observations(self) -> list[tuple[str, bytes]]:
+        """(``sender->receiver``, bytes) of every message the adversary saw."""
+        return [(f"{m.sender}->{m.receiver}", m.seen) for m in self.log if m.seen is not None]
+
+    def _record(
+        self,
+        sender: str,
+        receiver: str,
+        payload: bytes,
+        action: str,
+        seen: bytes | None = None,
+        seq: int | None = None,
+    ) -> None:
+        """Append one message; what the adversary saw joins its knowledge."""
+        if seq is None:
+            seq = self._next_seq()
+        if seen is not None:
+            self.knowledge.observe(seen)
+        self.log.append(Message(seq, sender, receiver, payload, action, seen))
 
     def _next_seq(self) -> int:
         self._seq += 1
         return self._seq
 
-    def _log(self, seq: int, sender: str, receiver: str, payload: bytes, action: str) -> None:
-        self.transcript.append(f"{seq} {sender}->{receiver} {payload.hex()} {action}")
+    # --- transmission ---------------------------------------------------
 
     def transmit(self, sender: str, receiver: str, payload: bytes, trusted: bool = False) -> bytes | None:
         """Send one message; returns what arrives, or None when dropped.
 
         Trusted channels bypass the adversary entirely (registration links
         between issuers and backends); everything else is observed and may
-        be tampered with.
+        be tampered with.  The message is logged once the strategy has
+        decided, so anything the strategy injects is logged before it.
         """
-        seq = self._next_seq()
         if trusted:
-            self._log(seq, sender, receiver, payload, "trusted")
+            self._record(sender, receiver, payload, "trusted")
             return payload
-        env = Envelope(seq, sender, receiver, payload)
-        self.knowledge.observe(payload)
-        self.observations.append((f"{sender}->{receiver}", payload))
-        delivered = self.strategy(env, self)
+        seq = self._next_seq()
+        self.knowledge.observe(payload)  # the strategy may consult it
+        delivered = self.strategy(Envelope(seq, sender, receiver, payload), self)
         if delivered is None:
-            self._log(seq, sender, receiver, payload, "dropped")
+            self._record(sender, receiver, payload, "dropped", payload, seq)
             return None
         action = "delivered" if delivered == payload else "modified"
-        self._log(seq, sender, receiver, delivered, action)
+        self._record(sender, receiver, delivered, action, payload, seq)
         return delivered
 
     def request(self, sender: str, receiver: str, payload: bytes) -> bytes | None:
@@ -310,16 +370,12 @@ class AdversaryContext:
     def read_tag(self, token: str) -> bytes:
         """Skim the tag's memory contents (both adversary models)."""
         snapshot = self.net.tag_memory(token).snapshot()
-        seq = self.net._next_seq()
-        self.net._log(seq, "adv", token, snapshot, "read_tag")
-        self.net.knowledge.observe(snapshot)
-        self.net.observations.append((f"adv<-{token}", snapshot))
+        self.net._record("adv", token, snapshot, "read_tag", snapshot)
         return snapshot
 
     def write_tag(self, token: str, data: bytes) -> None:
         """Overwrite tag memory (both adversary models, capacity checked)."""
-        seq = self.net._next_seq()
-        self.net._log(seq, "adv", token, data, "write_tag")
+        self.net._record("adv", token, data, "write_tag")
         self.net.tag_memory(token).overwrite(data)
 
     def compromise(self, token: str) -> dict[str, bytes]:
@@ -330,29 +386,23 @@ class AdversaryContext:
         if provider is None:
             raise CapabilityError(f"no compromisable secrets registered for {token}")
         secrets = provider()
-        seq = self.net._next_seq()
         blob = crypto.concat_length_prefixed(
             *(part for name, value in secrets.items() for part in (name.encode(), value))
         )
-        self.net._log(seq, "adv", token, blob, "compromise")
-        self.net.knowledge.observe(blob)
+        self.net._record("adv", token, blob, "compromise", blob)
         if token not in self.net.compromised:
             self.net.compromised.append(token)
         return secrets
 
     def inject(self, sender: str, receiver: str, payload: bytes) -> bytes | None:
         """Deliver an adversary-made message to a registered handler."""
-        seq = self.net._next_seq()
-        self.net._log(seq, sender, receiver, payload, "injected")
+        self.net._record(sender, receiver, payload, "injected")
         handler = self.net._handlers.get(receiver)
         if handler is None:
             return None
         response = handler(payload, sender)
         if response is not None:
-            self.net.knowledge.observe(response)
-            self.net.observations.append((f"{receiver}->{sender}", response))
-            rseq = self.net._next_seq()
-            self.net._log(rseq, receiver, sender, response, "delivered")
+            self.net._record(receiver, sender, response, "delivered", response)
         return response
 
     def store(self, env: Envelope) -> None:

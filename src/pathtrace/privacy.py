@@ -33,7 +33,8 @@ from random import Random
 from typing import Any, Callable
 
 from pathtrace import crypto
-from pathtrace.network import AdvModel
+from pathtrace.attacks import link_record, read_rfchain_tag
+from pathtrace.network import AdvModel, decompose
 from pathtrace.protocols import PROTOCOLS, RunConfig, build_run
 from pathtrace.protocols.ray import Ray
 from pathtrace.protocols.resc import storage_bits
@@ -171,10 +172,11 @@ def _build_world(
     length = max(len(p) for p in paths.values())
     for step in range(length):
         for tag_token in cfg.tags:
-            start = len(run.net.observations)
+            start = len(run.net.log)
             protocol.visit(tag_token, paths[tag_token][step])
-            payloads = tuple(p for _, p in run.net.observations[start:])
-            world.transcripts[(tag_token, step)] = payloads
+            world.transcripts[(tag_token, step)] = tuple(
+                m.seen for m in run.net.log[start:] if m.seen is not None
+            )
     if run.stalled:
         raise RuntimeError(f"challenge world for {game.protocol} stalled")
     world.context = context
@@ -245,25 +247,7 @@ _MIN_ATOM = 8  # ignore short framing atoms (greetings, acks, entity tokens)
 
 
 def _atoms(payloads: tuple[bytes, ...]) -> set[bytes]:
-    seen: set[bytes] = set()
-    stack = list(payloads)
-    while stack:
-        data = stack.pop()
-        if len(data) < _MIN_ATOM or data in seen:
-            continue
-        seen.add(data)
-        sig = crypto.parse_signature(data)
-        if sig is not None:
-            stack.append(sig.message)
-            stack.append(sig.tag)
-            continue
-        try:
-            parts = crypto.split_length_prefixed(data)
-        except crypto.CryptoError:
-            continue
-        if len(parts) >= 2:
-            stack.extend(parts)
-    return seen
+    return {atom for atom in decompose(payloads) if len(atom) >= _MIN_ATOM}
 
 
 def _guess_random(context, t1, t2, rng: Random) -> bool:
@@ -325,36 +309,15 @@ def _guess_xor_structure(context, t1, t2, rng: Random) -> bool:
     return any(s1 & s2 for s1 in sets1 for s2 in sets2)
 
 
-def _link_record_to_snapshot(
-    pseudo: bytes, payload: bytes, snapshot: bytes
-) -> bool:
-    parts = crypto.split_length_prefixed(snapshot)
-    fields = {parts[i].decode(): parts[i + 1] for i in range(0, len(parts), 2)}
-    identity = fields["id"]
-    levels = [fields["chain"]]
-    cursor = fields["chain"]
-    while (sig := crypto.parse_signature(cursor)) is not None:
-        cursor = sig.message
-        levels.append(cursor)
-    for prev in levels[1:]:
-        if len(payload) < 32 or len(prev) < 32:
-            continue
-        candidate = crypto.xor_bytes(payload[:32], prev[:32])
-        if pseudo == crypto.sym_enc(candidate, identity) and payload == crypto.xor_stream(
-            prev, candidate
-        ):
-            return True
-    return False
-
-
 def _guess_record_linking(context, t1, t2, rng: Random) -> bool:
     """One tag read anchors the linking algebra; guess `same` iff both
     challenge records confirm against the read tag's chain levels."""
     snapshot = context.get("snapshot")
     if snapshot is None:
         return bool(rng.getrandbits(1))
-    linked1 = _link_record_to_snapshot(t1[0], t1[1], snapshot)
-    linked2 = _link_record_to_snapshot(t2[0], t2[1], snapshot)
+    identity, levels = read_rfchain_tag(snapshot)
+    linked1 = link_record(t1[0], t1[1], identity, levels) is not None
+    linked2 = link_record(t2[0], t2[1], identity, levels) is not None
     if linked1 and linked2:
         return True
     if linked1 != linked2:

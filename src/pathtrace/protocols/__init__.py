@@ -1,12 +1,9 @@
 """Executable models of the seven traceability schemes.
 
-Importing this package registers every scheme in ``PROTOCOLS``; the
-``<scheme>_run`` helpers run a scripted scenario pinned to one scheme.
+Importing this package registers every scheme in ``PROTOCOLS``.
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 from pathtrace.protocols.base import (
     DEFAULT_TAG_CAPACITY,
@@ -31,41 +28,6 @@ from pathtrace.protocols.rfchain import RfChain
 from pathtrace.protocols.stepauth import StepAuth
 from pathtrace.protocols.tracker import Tracker
 
-
-def _run_as(name: str, config: RunConfig) -> RunResult:
-    if config.protocol != name:
-        config = replace(config, protocol=name)
-    return run_protocol(config)
-
-
-def tracker_run(config: RunConfig) -> RunResult:
-    return _run_as("tracker", config)
-
-
-def checker_run(config: RunConfig) -> RunResult:
-    return _run_as("checker", config)
-
-
-def stepauth_run(config: RunConfig) -> RunResult:
-    return _run_as("stepauth", config)
-
-
-def rfchain_run(config: RunConfig) -> RunResult:
-    return _run_as("rfchain", config)
-
-
-def ray_run(config: RunConfig) -> RunResult:
-    return _run_as("ray", config)
-
-
-def resc_run(config: RunConfig) -> RunResult:
-    return _run_as("resc", config)
-
-
-def burbridge_run(config: RunConfig) -> RunResult:
-    return _run_as("burbridge", config)
-
-
 __all__ = [
     "DEFAULT_TAG_CAPACITY",
     "PROTOCOLS",
@@ -87,11 +49,4 @@ __all__ = [
     "register_protocol",
     "register_strategy",
     "run_protocol",
-    "tracker_run",
-    "checker_run",
-    "stepauth_run",
-    "rfchain_run",
-    "ray_run",
-    "resc_run",
-    "burbridge_run",
 ]

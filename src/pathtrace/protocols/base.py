@@ -17,7 +17,7 @@ from random import Random
 from typing import Any, Callable, Iterable
 
 from pathtrace import trace as tr
-from pathtrace.network import AdvModel, AdversaryContext, Network, TagMemory
+from pathtrace.network import AdvModel, AdversaryContext, Message, Network, TagMemory
 
 DEFAULT_TAG_CAPACITY = 512
 
@@ -93,7 +93,6 @@ class ProtocolModel:
 
     name = "abstract"
     architecture = "offline"  # or "online"
-    verifier_policy = "backend"
 
     def __init__(self, run: Run) -> None:
         self.run = run
@@ -140,7 +139,8 @@ class ProtocolModel:
         raise NotImplementedError
 
     def reader_secrets(self, reader_token: str) -> dict[str, bytes]:
-        """Secrets surrendered when this reader is compromised."""
+        """Secrets surrendered when this reader is compromised; ``setup``
+        registers it per compromisable reader with ``attach_secrets``."""
         raise NotImplementedError
 
     def artifacts(self) -> dict[str, Any]:
@@ -162,7 +162,7 @@ class RunResult:
     config: RunConfig
     trace: tr.Trace
     verdicts: list[tr.Verdict]
-    transcript: list[str]
+    log: list[Message]
     anomalies: list[str]
     step_log: list[str]
     stalled: bool
@@ -171,9 +171,6 @@ class RunResult:
 
     def claims(self) -> list[tr.PathClaim]:
         return [claim for _, claim in self.trace.claims()]
-
-    def verdict_map(self) -> dict[int, tr.Verdict]:
-        return {v.claim_index: v for v in self.verdicts}
 
     def all_claims_satisfy(self, prop: str) -> bool:
         return all(v.properties()[prop] for v in self.verdicts)
@@ -205,7 +202,7 @@ class RunResult:
         lines.extend(tr.dump_trace(self.trace).splitlines())
         lines.append("trace-end")
         lines.append("transcript-begin")
-        lines.extend(self.transcript)
+        lines.extend(m.line() for m in self.log)
         lines.append("transcript-end")
         return lines
 
@@ -263,7 +260,7 @@ def finalize(protocol: ProtocolModel, run: Run) -> RunResult:
         config=run.config,
         trace=run.trace,
         verdicts=verdicts,
-        transcript=list(run.net.transcript),
+        log=list(run.net.log),
         anomalies=list(run.net.anomalies),
         step_log=list(run.step_log),
         stalled=run.stalled,

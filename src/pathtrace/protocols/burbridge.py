@@ -23,6 +23,8 @@ an onward document.
 
 from __future__ import annotations
 
+from functools import partial
+
 from pathtrace import crypto
 from pathtrace.protocols.base import ProtocolModel, VerifierPolicyError, register_protocol
 from pathtrace.trace import PathClaim, backend
@@ -34,7 +36,6 @@ DOC_BITS = 256
 class Burbridge(ProtocolModel):
     name = "burbridge"
     architecture = "offline"
-    verifier_policy = "controller"
 
     def setup(self) -> None:
         self.scc_token = self.config.params.get("scc", "scc")
@@ -71,7 +72,7 @@ class Burbridge(ProtocolModel):
             self._location[tag_token] = self.scc_token
 
         for token, _ in self.config.readers:
-            self.net.attach_secrets(token, self._secret_provider(token))
+            self.net.attach_secrets(token, partial(self.reader_secrets, token))
         self._accepted: set[tuple[str, str]] = set()
 
     # --- documents ------------------------------------------------------
@@ -114,9 +115,6 @@ class Burbridge(ProtocolModel):
         if stage is None or (stage, reader_token) not in self.edges[tag_token]:
             return None
         return self._issue(tag_token, reader_token)
-
-    def _secret_provider(self, token: str):
-        return lambda: self.reader_secrets(token)
 
     def reader_secrets(self, reader_token: str) -> dict[str, bytes]:
         policy = crypto.concat_length_prefixed(

@@ -17,6 +17,8 @@ can check but not decrypt.
 
 from __future__ import annotations
 
+from functools import partial
+
 from pathtrace import crypto
 from pathtrace.protocols.base import ProtocolModel, VerifierPolicyError, register_protocol
 from pathtrace.protocols.tracker import group_params
@@ -27,7 +29,6 @@ from pathtrace.trace import PathClaim
 class Checker(ProtocolModel):
     name = "checker"
     architecture = "offline"
-    verifier_policy = "any_reader"
 
     CT_BITS = 128
 
@@ -64,28 +65,22 @@ class Checker(ProtocolModel):
             self._init_tag(tag_token)
 
         for token in reader_tokens:
-            self.net.attach_secrets(token, self._secret_provider(token))
+            self.net.attach_secrets(token, partial(self.reader_secrets, token))
 
     def _eval(self, path: tuple[str, ...]) -> int:
         return crypto.path_poly_eval(
             self.field, self.a0, [self.coeffs[t] for t in path], self.x0
         )
 
-    def _secret_provider(self, token: str):
-        def provide() -> dict[str, bytes]:
-            keys = crypto.concat_length_prefixed(
-                *(crypto.int_to_bytes(k) for _, k in self.prefix_keys[token])
-            ) if self.prefix_keys[token] else b""
-            return {
-                "coeff": crypto.int_to_bytes(self.coeffs[token]),
-                "x0": crypto.int_to_bytes(self.x0),
-                "prefix_keys": keys,
-            }
-
-        return provide
-
     def reader_secrets(self, reader_token: str) -> dict[str, bytes]:
-        return self._secret_provider(reader_token)()
+        keys = crypto.concat_length_prefixed(
+            *(crypto.int_to_bytes(k) for _, k in self.prefix_keys[reader_token])
+        ) if self.prefix_keys[reader_token] else b""
+        return {
+            "coeff": crypto.int_to_bytes(self.coeffs[reader_token]),
+            "x0": crypto.int_to_bytes(self.x0),
+            "prefix_keys": keys,
+        }
 
     def _init_tag(self, tag_token: str) -> None:
         h = self.h_of[tag_token]

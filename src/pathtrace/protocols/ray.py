@@ -16,6 +16,8 @@ with it every other participant's challenge.
 
 from __future__ import annotations
 
+from functools import partial
+
 from pathtrace import crypto
 from pathtrace.protocols.base import ProtocolModel, VerifierPolicyError, register_protocol
 from pathtrace.trace import PathClaim, backend
@@ -25,7 +27,6 @@ from pathtrace.trace import PathClaim, backend
 class Ray(ProtocolModel):
     name = "ray"
     architecture = "offline"
-    verifier_policy = "backend"
 
     CHALLENGE_BITS = 256
 
@@ -85,24 +86,18 @@ class Ray(ProtocolModel):
             self.net.register_handler(tag_token, self._tag_handler(tag_token))
 
         for token in reader_tokens:
-            self.net.attach_secrets(token, self._secret_provider(token))
-
-    def _secret_provider(self, token: str):
-        def provide() -> dict[str, bytes]:
-            secrets: dict[str, bytes] = {}
-            for tag_token, path in self.path_of.items():
-                if token not in path:
-                    continue
-                secrets[f"challenge.{tag_token}"] = self.challenges[(tag_token, token)]
-                secrets[f"c.{tag_token}"] = self.code_of[tag_token]
-                if self.config.mode == "prf":
-                    secrets[f"prf.{tag_token}"] = self.term_of[tag_token]
-            return secrets
-
-        return provide
+            self.net.attach_secrets(token, partial(self.reader_secrets, token))
 
     def reader_secrets(self, reader_token: str) -> dict[str, bytes]:
-        return self._secret_provider(reader_token)()
+        secrets: dict[str, bytes] = {}
+        for tag_token, path in self.path_of.items():
+            if reader_token not in path:
+                continue
+            secrets[f"challenge.{tag_token}"] = self.challenges[(tag_token, reader_token)]
+            secrets[f"c.{tag_token}"] = self.code_of[tag_token]
+            if self.config.mode == "prf":
+                secrets[f"prf.{tag_token}"] = self.term_of[tag_token]
+        return secrets
 
     def _tag_handler(self, tag_token: str):
         def handle(payload: bytes, sender: str) -> bytes | None:

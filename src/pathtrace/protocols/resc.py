@@ -21,6 +21,8 @@ uses, since the keys sit in readable tag memory for the whole journey.
 
 from __future__ import annotations
 
+from functools import partial
+
 from pathtrace import crypto
 from pathtrace.protocols.base import ProtocolModel, VerifierPolicyError, register_protocol
 from pathtrace.trace import PathClaim, backend
@@ -43,7 +45,6 @@ def storage_bits(path_length: int) -> int:
 class Resc(ProtocolModel):
     name = "resc"
     architecture = "online"
-    verifier_policy = "backend"
 
     def setup(self) -> None:
         self.db_token = self.config.params.get("db", "db")
@@ -51,7 +52,7 @@ class Resc(ProtocolModel):
         self.reader_keys: dict[str, bytes] = {}
         for token in reader_tokens:
             self.reader_keys[token] = self.rng.randbytes(32)
-            self.net.attach_secrets(token, self._secret_provider(token))
+            self.net.attach_secrets(token, partial(self.reader_secrets, token))
 
         self._clock = 0
         self.tids: dict[str, bytes] = {}
@@ -88,11 +89,8 @@ class Resc(ProtocolModel):
     def session_key(self, reader_token: str, tid: bytes) -> bytes:
         return crypto.sym_enc(self.reader_keys[reader_token], tid)
 
-    def _secret_provider(self, token: str):
-        return lambda: {"k_r": self.reader_keys[token]}
-
     def reader_secrets(self, reader_token: str) -> dict[str, bytes]:
-        return self._secret_provider(reader_token)()
+        return {"k_r": self.reader_keys[reader_token]}
 
     # --- tag side -------------------------------------------------------
 

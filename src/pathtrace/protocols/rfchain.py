@@ -29,6 +29,8 @@ The scheme registers no valid paths, so its claims are never authorized.
 
 from __future__ import annotations
 
+from functools import partial
+
 from pathtrace import crypto
 from pathtrace.protocols.base import ProtocolModel, VerifierPolicyError, register_protocol
 from pathtrace.trace import PathClaim, backend
@@ -65,11 +67,25 @@ def step_input(identity: bytes, f: bytes, pwd: bytes, nonce: bytes, index: int) 
     return crypto.concat_raw(identity, f, pwd, nonce, str(index).encode())
 
 
+def salted_key(h: bytes, salt: bytes, purpose: bytes) -> bytes:
+    """Patched-mode key for ``purpose`` (b"pid" or b"mask") of the record
+    with this salt at step input ``h``."""
+    return crypto.hash_bytes(crypto.concat_raw(h, salt, purpose))
+
+
+def split_salted(payload: bytes) -> tuple[bytes, bytes] | None:
+    """(salt, body) of a patched record payload; None when malformed."""
+    try:
+        salt, body = crypto.split_length_prefixed(payload)
+    except (crypto.CryptoError, ValueError):
+        return None
+    return salt, body
+
+
 @register_protocol
 class RfChain(ProtocolModel):
     name = "rfchain"
     architecture = "online"
-    verifier_policy = "backend"
 
     def setup(self) -> None:
         self.f = self.rng.randbytes(16)
@@ -86,7 +102,7 @@ class RfChain(ProtocolModel):
             sk, vk = crypto.new_signing_keypair(token, self.rng)
             self.sign_sk[token] = sk
             self.sign_vk[token] = vk
-            self.net.attach_secrets(token, self._secret_provider(token))
+            self.net.attach_secrets(token, partial(self.reader_secrets, token))
 
         self.ids: dict[str, bytes] = {}
         self._steps: dict[str, list[str]] = {}
@@ -99,16 +115,13 @@ class RfChain(ProtocolModel):
             mem.store("id", identity, nominal_bits=ID_BITS)
             mem.store("chain", self._initial_secret(identity), nominal_bits=CHAIN_BITS)
 
-    def _secret_provider(self, token: str):
-        return lambda: {
+    def reader_secrets(self, reader_token: str) -> dict[str, bytes]:
+        return {
             "f": self.f,
             "pwd": self.pwd,
             "r": self.nonce,
-            "sign": self.sign_sk[token].secret,
+            "sign": self.sign_sk[reader_token].secret,
         }
-
-    def reader_secrets(self, reader_token: str) -> dict[str, bytes]:
-        return self._secret_provider(reader_token)()
 
     def _initial_secret(self, identity: bytes) -> bytes:
         return crypto.hash_bytes(crypto.concat_raw(identity, self.f, self.pwd, self.nonce))
@@ -120,10 +133,9 @@ class RfChain(ProtocolModel):
         if self.config.mode == "patched":
             salt = self.rng.randbytes(8)
             h = step_input(identity, self.f, self.pwd, self.nonce, index)
-            pid_key = crypto.hash_bytes(crypto.concat_raw(h, salt, b"pid"))
-            mask_key = crypto.hash_bytes(crypto.concat_raw(h, salt, b"mask"))
-            pseudo = crypto.sym_enc(pid_key, identity)
-            payload = crypto.concat_length_prefixed(salt, crypto.sym_enc(mask_key, prev_chain))
+            pseudo = crypto.sym_enc(salted_key(h, salt, b"pid"), identity)
+            body = crypto.sym_enc(salted_key(h, salt, b"mask"), prev_chain)
+            payload = crypto.concat_length_prefixed(salt, body)
             return pseudo, payload
         return self._default_record(identity, index, prev_chain)
 
@@ -138,23 +150,19 @@ class RfChain(ProtocolModel):
         """Does the single record (pseudo, payload) mirror ``prev_chain`` at
         step ``index``?  Runs the same checks as the verifier."""
         if self.config.mode == "patched":
-            try:
-                salt, body = crypto.split_length_prefixed(payload)
-            except (crypto.CryptoError, ValueError):
-                return False
-            return self._scan_salted([(pseudo, salt, body)], identity, index, prev_chain)
+            split = split_salted(payload)
+            return split is not None and self._scan_salted(
+                [(pseudo, *split)], identity, index, prev_chain
+            )
         return (pseudo, payload) == self._default_record(identity, index, prev_chain)
 
     def _split_records(self) -> list[tuple[bytes, bytes, bytes]]:
         """(pseudo, salt, body) of every ledger record, skipping malformed ones."""
-        out = []
-        for pseudo, payload in self.ledger.records():
-            try:
-                salt, body = crypto.split_length_prefixed(payload)
-            except (crypto.CryptoError, ValueError):
-                continue
-            out.append((pseudo, salt, body))
-        return out
+        return [
+            (pseudo, *split)
+            for pseudo, payload in self.ledger.records()
+            if (split := split_salted(payload)) is not None
+        ]
 
     def _scan_salted(
         self, salted: list[tuple[bytes, bytes, bytes]], identity: bytes, index: int, prev_chain: bytes
@@ -163,11 +171,9 @@ class RfChain(ProtocolModel):
         Accepts exactly the records ``_record_matches`` accepts."""
         h = step_input(identity, self.f, self.pwd, self.nonce, index)
         for pseudo, salt, body in salted:
-            pid_key = crypto.hash_bytes(crypto.concat_raw(h, salt, b"pid"))
-            if pseudo != crypto.sym_enc(pid_key, identity):
+            if pseudo != crypto.sym_enc(salted_key(h, salt, b"pid"), identity):
                 continue
-            mask_key = crypto.hash_bytes(crypto.concat_raw(h, salt, b"mask"))
-            if body == crypto.sym_enc(mask_key, prev_chain):
+            if body == crypto.sym_enc(salted_key(h, salt, b"mask"), prev_chain):
                 return True
         return False
 

@@ -20,6 +20,8 @@ Storage grows with path length l: one signed layer costs 896 nominal bits
 
 from __future__ import annotations
 
+from functools import partial
+
 from pathtrace import crypto
 from pathtrace.protocols.base import ProtocolModel, VerifierPolicyError, register_protocol
 from pathtrace.trace import PathClaim
@@ -42,7 +44,6 @@ def secret_size_bits(path_length: int) -> int:
 class StepAuth(ProtocolModel):
     name = "stepauth"
     architecture = "offline"
-    verifier_policy = "checkpoint"
 
     def setup(self) -> None:
         self.sign_sk, self.sign_vk = crypto.new_signing_keypair("mgr", self.rng)
@@ -53,7 +54,7 @@ class StepAuth(ProtocolModel):
             priv, pub = crypto.new_box_keypair(token, self.rng)
             self.box_priv[token] = priv
             self.box_pub[token] = pub
-            self.net.attach_secrets(token, self._secret_provider(token))
+            self.net.attach_secrets(token, partial(self.reader_secrets, token))
 
         self.path_of: dict[str, tuple[str, ...]] = {}
         for tag_token in self.config.tags:
@@ -67,11 +68,8 @@ class StepAuth(ProtocolModel):
                 "secret", blob, nominal_bits=secret_size_bits(len(paths[0]))
             )
 
-    def _secret_provider(self, token: str):
-        return lambda: {"box_x": crypto.int_to_bytes(self.box_priv[token].priv.x, 16)}
-
     def reader_secrets(self, reader_token: str) -> dict[str, bytes]:
-        return self._secret_provider(reader_token)()
+        return {"box_x": crypto.int_to_bytes(self.box_priv[reader_token].priv.x, 16)}
 
     def _build_secret(self, tag_token: str, path: tuple[str, ...]) -> bytes:
         inner = crypto.concat_length_prefixed(

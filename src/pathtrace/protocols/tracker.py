@@ -11,6 +11,8 @@ that a non-registered path was taken but never which one.
 
 from __future__ import annotations
 
+from functools import partial
+
 from pathtrace import crypto
 from pathtrace.protocols.base import ProtocolModel, VerifierPolicyError, register_protocol
 from pathtrace.trace import PathClaim
@@ -24,7 +26,6 @@ def group_params(name: str) -> crypto.ElgamalParams:
 class Tracker(ProtocolModel):
     name = "tracker"
     architecture = "offline"
-    verifier_policy = "manager_only"
 
     CT_BITS = 128  # two 8-byte group elements per ciphertext
 
@@ -71,21 +72,18 @@ class Tracker(ProtocolModel):
 
         for token in reader_tokens:
             if token != self.manager_token:
-                self.net.attach_secrets(token, self._secret_provider(token))
+                self.net.attach_secrets(token, partial(self.reader_secrets, token))
 
     def _path_eval(self, path: tuple[str, ...]) -> int:
         return crypto.path_poly_eval(
             self.field, self.a0, [self.coeffs[t] for t in path], self.x0
         )
 
-    def _secret_provider(self, token: str):
-        return lambda: {
-            "coeff": crypto.int_to_bytes(self.coeffs[token]),
+    def reader_secrets(self, reader_token: str) -> dict[str, bytes]:
+        return {
+            "coeff": crypto.int_to_bytes(self.coeffs[reader_token]),
             "x0": crypto.int_to_bytes(self.x0),
         }
-
-    def reader_secrets(self, reader_token: str) -> dict[str, bytes]:
-        return self._secret_provider(reader_token)()
 
     def _init_tag(self, tag_token: str) -> None:
         mem = self.run.memory(tag_token)

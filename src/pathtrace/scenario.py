@@ -29,13 +29,14 @@ counts as evidence only when every `expect` line of its scenario holds.
 
 Exit codes: 0 all expectations hold, 1 some expectation failed, 2 the
 file does not parse, 3 the scenario demands a capability the configured
-model or verifier policy refuses.
+model or verifier policy refuses.  In a corpus run, a file whose execution
+raises any other exception also comes back as exit 2, with a
+``file: Type: message`` failure line.
 """
 
 from __future__ import annotations
 
 import inspect
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -153,9 +154,23 @@ def parse_scenario(path: Path) -> Scenario:
     def err(lineno: int, message: str) -> ScenarioError:
         return ScenarioError(f"{scn.path.name}:{lineno}: {message}")
 
+    def single(lineno: int, key: str, args: list[str]) -> str:
+        if len(args) != 1:
+            raise err(lineno, f"{key} needs exactly one value")
+        return args[0]
+
+    def integer(lineno: int, key: str, token: str, minimum: int | None = None) -> int:
+        try:
+            value = int(token)
+        except ValueError:
+            raise err(lineno, f"{key} {token!r} is not an integer") from None
+        if minimum is not None and value < minimum:
+            raise err(lineno, f"{key} must be at least {minimum}")
+        return value
+
     try:
         text = scn.path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -174,18 +189,20 @@ def parse_scenario(path: Path) -> Scenario:
                 raise err(lineno, "kind must be run, attack, privacy or probe")
             scn.kind = "attack" if args[0] == "probe" else args[0]
         elif key == "seed":
-            scn.seed = int(args[0])
+            scn.seed = integer(lineno, key, single(lineno, key, args))
         elif key == "mode":
-            scn.mode = args[0]
+            scn.mode = single(lineno, key, args)
         elif key == "adversary":
             if len(args) != 1 or args[0] not in _MODELS:
                 raise err(lineno, "adversary must be AdvT or AdvR")
             scn.adversary = _MODELS[args[0]]
         elif key == "strategy":
-            scn.strategy = args[0]
+            scn.strategy = single(lineno, key, args)
         elif key == "compromise":
             scn.compromise.extend(args)
         elif key == "reader":
+            if len(args) not in (1, 2):
+                raise err(lineno, "reader needs a token and at most one participant")
             scn.readers.append((args[0], args[1] if len(args) > 1 else None))
         elif key == "transit":
             scn.transits.extend(args)
@@ -196,7 +213,9 @@ def parse_scenario(path: Path) -> Scenario:
                 raise err(lineno, "validpath needs a tag and at least one reader")
             scn.valid_paths.append((args[0], tuple(args[1:])))
         elif key == "capacity":
-            scn.capacities[args[0]] = int(args[1])
+            if len(args) != 2:
+                raise err(lineno, "capacity needs a tag and a bit count")
+            scn.capacities[args[0]] = integer(lineno, key, args[1])
         elif key == "param":
             if len(args) < 2:
                 raise err(lineno, "param needs a key and a value")
@@ -217,18 +236,21 @@ def parse_scenario(path: Path) -> Scenario:
                 if "=" not in pair:
                     raise err(lineno, f"attack argument {pair!r} is not key=value")
                 k, v = pair.split("=", 1)
-                scn.attack_args[k] = _attack_value(v)
+                try:
+                    scn.attack_args[k] = _attack_value(v)
+                except ValueError:
+                    raise err(lineno, f"attack argument {pair!r} is not a list of integers") from None
         elif key == "game":
             kinds = {k.value: k for k in GameKind}
             if len(args) != 1 or args[0] not in kinds:
                 raise err(lineno, f"game must be one of {sorted(kinds)}")
             scn.game = kinds[args[0]]
         elif key == "distinguisher":
-            scn.distinguisher = args[0]
+            scn.distinguisher = single(lineno, key, args)
         elif key == "trials":
-            scn.trials = int(args[0])
+            scn.trials = integer(lineno, key, single(lineno, key, args), minimum=1)
         elif key == "worlds":
-            scn.worlds = int(args[0])
+            scn.worlds = integer(lineno, key, single(lineno, key, args), minimum=1)
         elif key == "expect":
             if len(args) != 2:
                 raise err(lineno, "expect needs a key and a value")
@@ -463,13 +485,16 @@ def run_scenario(path: Path | str) -> ScenarioResult:
 
 
 def run_corpus(directory: Path | str) -> list[ScenarioResult]:
-    """Execute every .scn file; parallel execution, deterministic order."""
-    files = sorted(Path(directory).glob("*.scn"))
-    if not files:
-        return []
-    with ThreadPoolExecutor(max_workers=min(8, len(files))) as pool:
-        results = list(pool.map(run_scenario, files))
-    return sorted(results, key=lambda r: r.scenario.name)
+    """Execute every .scn file in name order.  An exception from one file
+    becomes that file's exit-2 result, so the rest of the corpus still runs."""
+    results = []
+    for path in sorted(Path(directory).glob("*.scn"), key=lambda p: p.stem):
+        try:
+            results.append(run_scenario(path))
+        except Exception as exc:
+            failure = f"{path.name}: {type(exc).__name__}: {exc}"
+            results.append(ScenarioResult(Scenario(path=path), EXIT_PARSE, [failure]))
+    return results
 
 
 def corpus_dir() -> Path:

@@ -56,6 +56,24 @@ class TestMatrix:
         assert main(["matrix", str(tmp_path)]) == 1
         assert "incomplete matrix" in capsys.readouterr().out
 
+    def test_malformed_file_is_listed(self, tmp_path, capsys):
+        for scn in corpus_dir().glob("*.scn"):
+            (tmp_path / scn.name).write_text(scn.read_text())
+        (tmp_path / "bad-trials.scn").write_text(
+            "protocol tracker\nkind privacy\ngame tag-unlinkability\ntrials abc\n"
+        )
+        (tmp_path / "bad-strategy.scn").write_text(
+            HONEST.read_text().replace("protocol tracker", "protocol tracker\nstrategy nosuch")
+        )
+        assert main(["matrix", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert "corpus scenarios=27" in captured.out
+        assert "table-begin" in captured.out and "table-end" in captured.out
+        assert "scenario bad-trials protocol= kind=run adversary=AdvT exit=2" in captured.out
+        assert "expect-failed bad-trials.scn:4: trials 'abc' is not an integer" in captured.out
+        assert "expect-failed bad-strategy.scn: ValueError: unknown strategy: nosuch" in captured.out
+
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "matrix.txt"
         main(["matrix", "--out", str(target)])

@@ -13,9 +13,11 @@ from pathtrace.network import (
     CapabilityError,
     Envelope,
     Knowledge,
+    Message,
     Network,
     TagCapacityError,
     TagMemory,
+    decompose,
 )
 
 
@@ -107,6 +109,22 @@ class TestKnowledge:
         k.observe(rng.randbytes(32))
         assert not k.can_derive(rng.randbytes(32))
 
+    def test_decompose_reads_nested_fields_depth_first(self):
+        rng = random.Random(4)
+        sk, _ = crypto.new_signing_keypair("r1", rng)
+        inner = crypto.concat_length_prefixed(b"alpha", b"", b"beta")
+        sig = crypto.sign(sk, inner)
+        blob = crypto.concat_length_prefixed(sig.to_bytes(), b"gamma")
+        assert list(decompose([blob])) == [
+            blob, sig.to_bytes(), inner, b"alpha", b"beta", sig.tag, b"gamma"
+        ]
+
+    def test_decompose_extends_known_without_rereading(self):
+        pair = crypto.concat_length_prefixed(b"alpha", b"beta")
+        known = {pair: None}
+        assert decompose([pair, b"gamma"], known) is known
+        assert list(known) == [pair, b"gamma"]
+
     def test_atoms_order_stable(self):
         k = Knowledge()
         k.observe(b"one")
@@ -161,6 +179,68 @@ class TestNetwork:
             return net.transcript
 
         assert run() == run()
+
+
+class TestMessageLog:
+    def test_one_record_per_message_in_seq_order(self):
+        net = make_net(model=AdvModel.ADV_R)
+        net.attach_tag("t1", TagMemory(capacity_bits=1024))
+        net.attach_secrets("r1", lambda: {"key": b"\x01" * 32})
+        net.register_handler("t1", lambda payload, sender: b"ack")
+        adv = AdversaryContext(net)
+        net.transmit("issuer", "db", b"reg", trusted=True)
+        net.transmit("r1", "t1", b"ping")
+        snap = adv.read_tag("t1")
+        adv.write_tag("t1", snap)
+        adv.compromise("r1")
+        adv.inject("r2", "t1", b"spoof")
+        assert [(m.seq, m.action) for m in net.log] == [
+            (1, "trusted"), (2, "delivered"), (3, "read_tag"), (4, "write_tag"),
+            (5, "compromise"), (6, "injected"), (7, "delivered"),
+        ]
+        assert net.transcript == [m.line() for m in net.log]
+        assert [d for d, _ in net.observations] == ["r1->t1", "adv->t1", "adv->r1", "t1->r2"]
+
+    def test_views_are_read_only(self):
+        net = make_net()
+        net.transmit("r1", "t1", b"ping")
+        with pytest.raises(AttributeError):
+            net.transcript = []
+        with pytest.raises(AttributeError):
+            net.observations = []
+        net.transcript.append("forged")
+        net.observations.clear()
+        assert len(net.transcript) == 1 and len(net.observations) == 1
+
+    def test_strategy_injection_logged_before_its_envelope(self):
+        seen_by_strategy = []
+
+        def strategy(env, net):
+            seen_by_strategy.append(net.knowledge.knows(env.payload))
+            if env.receiver == "t1":
+                AdversaryContext(net).inject("r9", "t2", b"extra")
+            return env.payload
+
+        net = make_net(strategy=strategy)
+        net.register_handler("t2", lambda payload, sender: b"reply")
+        net.transmit("r1", "t1", b"ping")
+        assert seen_by_strategy == [True]
+        assert [(m.seq, m.sender, m.receiver, m.action) for m in net.log] == [
+            (2, "r9", "t2", "injected"),
+            (3, "t2", "r9", "delivered"),
+            (1, "r1", "t1", "delivered"),
+        ]
+
+    def test_dropped_and_modified_keep_what_was_seen(self):
+        net = make_net(strategy=lambda env, net: env.payload + b"!")
+        net.transmit("r1", "t1", b"ping")
+        net.strategy = lambda env, net: None
+        net.transmit("r1", "t1", b"pong")
+        assert net.log == [
+            Message(1, "r1", "t1", b"ping!", "modified", b"ping"),
+            Message(2, "r1", "t1", b"pong", "dropped", b"pong"),
+        ]
+        assert not net.knowledge.knows(b"ping!")
 
 
 class TestAdversaryContext:

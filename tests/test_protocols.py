@@ -17,9 +17,7 @@ from pathtrace.protocols import (
     VerifierPolicyError,
     build_run,
     finalize,
-    ray_run,
     run_protocol,
-    tracker_run,
 )
 from pathtrace.protocols import rfchain as rfchain_mod
 from pathtrace.protocols.resc import SLOT_BITS, storage_bits
@@ -531,15 +529,3 @@ class TestBurbridge:
         with pytest.raises(VerifierPolicyError):
             run_protocol(cfg)
 
-
-class TestWrappers:
-    def test_wrapper_pins_the_scheme(self):
-        cfg = honest_config("ray")
-        cfg.protocol = "something-else"
-        res = ray_run(cfg)
-        assert res.config.protocol == "ray"
-        assert res.verdicts
-
-    def test_wrapper_runs_matching_config(self):
-        res = tracker_run(honest_config("tracker"))
-        assert res.verdicts and res.verdicts[0].sound

@@ -151,6 +151,35 @@ class TestParsing:
         with pytest.raises(ScenarioError, match=fragment):
             parse_scenario(write(tmp_path, text))
 
+    @pytest.mark.parametrize(
+        "body,fragment",
+        [
+            ("seed\n", "seed needs exactly one value"),
+            ("seed 1 2\n", "seed needs exactly one value"),
+            ("seed x\n", "seed 'x' is not an integer"),
+            ("mode\n", "mode needs exactly one value"),
+            ("strategy\n", "strategy needs exactly one value"),
+            ("distinguisher a b\n", "distinguisher needs exactly one value"),
+            ("reader\n", "reader needs a token"),
+            ("reader r1 acme extra\n", "reader needs a token"),
+            ("capacity t1\n", "capacity needs a tag and a bit count"),
+            ("capacity t1 big\n", "capacity 'big' is not an integer"),
+            ("trials\n", "trials needs exactly one value"),
+            ("trials abc\n", "trials 'abc' is not an integer"),
+            ("trials 0\n", "trials must be at least 1"),
+            ("worlds -2\n", "worlds must be at least 1"),
+            ("worlds 1.5\n", "worlds '1.5' is not an integer"),
+            ("attack ray-out-of-order order=1,x\n", "attack argument 'order=1,x' is not a list"),
+        ],
+    )
+    def test_malformed_values_fail_closed(self, tmp_path, body, fragment):
+        path = write(tmp_path, "protocol tracker\n" + body)
+        with pytest.raises(ScenarioError, match=r"case\.scn:2: " + fragment):
+            parse_scenario(path)
+        result = run_scenario(path)
+        assert result.exit_code == EXIT_PARSE
+        assert result.failures[0].startswith("case.scn:2: ")
+
     def test_parse_error_carries_line_number(self, tmp_path):
         with pytest.raises(ScenarioError, match=r"case\.scn:3"):
             parse_scenario(write(tmp_path, "protocol tracker\nseed 1\nfrobnicate\n"))
@@ -202,6 +231,11 @@ class TestExecution:
 
     def test_missing_file_is_parse_error(self, tmp_path):
         assert run_scenario(tmp_path / "absent.scn").exit_code == EXIT_PARSE
+
+    def test_non_text_file_is_parse_error(self, tmp_path):
+        path = tmp_path / "binary.scn"
+        path.write_bytes(b"protocol tracker\n\xff\xfe\n")
+        assert run_scenario(path).exit_code == EXIT_PARSE
 
     def test_verifier_policy_exit(self, tmp_path):
         text = (
@@ -283,6 +317,15 @@ class TestCorpus:
 
     def test_empty_directory(self, tmp_path):
         assert run_corpus(tmp_path) == []
+
+    def test_execution_error_becomes_that_files_result(self, tmp_path):
+        write(tmp_path, TRACKER_RUN, name="a-good.scn")
+        write(tmp_path, TRACKER_RUN.replace("seed 7", "strategy nosuch"), name="b-bad.scn")
+        write(tmp_path, TRACKER_RUN, name="c-good.scn")
+        results = run_corpus(tmp_path)
+        assert [r.scenario.name for r in results] == ["a-good", "b-bad", "c-good"]
+        assert [r.exit_code for r in results] == [EXIT_OK, EXIT_PARSE, EXIT_OK]
+        assert results[1].failures == ["b-bad.scn: ValueError: unknown strategy: nosuch"]
 
 
 def _result(name, protocol, adversary, exit_code=EXIT_OK, directives=()):
