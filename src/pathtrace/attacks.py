@@ -528,10 +528,8 @@ def attack_resc_key_disclosure(
         key = fields[f"k{slot}"]
         hello = run.adv.inject(readers[slot - 1], "t1", b"HELLO")
         _, nonce, _ = crypto.split_length_prefixed(hello)
-        idx_bytes = crypto.int_to_bytes(slot, 3)
         last_ts += 1
-        ts_bytes = crypto.int_to_bytes(last_ts, 3)
-        sig = crypto.mac(key, crypto.concat_length_prefixed(tid, idx_bytes, ts_bytes))
+        idx_bytes, ts_bytes, sig = protocol.deposit_record(tid, slot, last_ts, key)
         auth = crypto.mac(
             key, crypto.concat_length_prefixed(nonce, idx_bytes, ts_bytes, sig)
         )

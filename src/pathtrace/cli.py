@@ -27,7 +27,7 @@ from pathtrace.matrix import emit_matrix
 from pathtrace.network import AdvModel, CapabilityError
 from pathtrace.privacy import GameKind, PrivacyGame, UnsupportedGameError, run_game
 from pathtrace.protocols.base import VerifierPolicyError
-from pathtrace.scenario import EXIT_CAPABILITY, corpus_dir, run_scenario
+from pathtrace.scenario import EXIT_CAPABILITY, EXIT_PARSE, corpus_dir, run_scenario
 
 _MODELS = {"AdvT": AdvModel.ADV_T, "AdvR": AdvModel.ADV_R}
 
@@ -89,6 +89,9 @@ def _cmd_privacy(args: argparse.Namespace) -> int:
     except UnsupportedGameError as exc:
         print(f"capability: {exc}", file=sys.stderr)
         return EXIT_CAPABILITY
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     lines = result.report_lines()
     if args.trials < 100:
         lines.append("warning: fewer than 100 trials; not a reportable result")

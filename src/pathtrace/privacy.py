@@ -370,6 +370,14 @@ def _validate(game: PrivacyGame) -> Distinguisher:
         raise UnsupportedGameError(
             f"{game.distinguisher} targets challenge-set transcripts, not {game.protocol}"
         )
+    if game.distinguisher == "xor-structure" and game.kind is not GameKind.STEP:
+        raise UnsupportedGameError(
+            f"{game.distinguisher} reads step pseudo-ids; it plays {GameKind.STEP} only"
+        )
+    if game.distinguisher in _RECORD_GAMES and game.kind is not GameKind.TAG:
+        raise UnsupportedGameError(
+            f"{game.distinguisher} compares ledger records; it plays {GameKind.TAG} only"
+        )
     if game.trials < 1:
         raise ValueError("trials must be positive")
     if game.worlds < 1:

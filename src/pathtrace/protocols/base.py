@@ -5,6 +5,8 @@ or manager) to a Dolev-Yao network and an event trace.  Running a scenario
 means: set up keys and registered paths, walk tags along a movement script
 (each arrival at a protocol reader runs the scheme's step logic and always
 records a Move), then let the scheme's verifier attempt path claims.
+Schemes put registered paths and claims on the trace only through
+``emit_valid_path`` and ``emit_claim``.
 
 All verdicts are computed afterwards from the trace alone, so a protocol
 cannot grade its own homework.
@@ -152,6 +154,12 @@ class ProtocolModel:
     def emit_valid_path(self, tag_token: str, path_tokens: Iterable[str]) -> None:
         path = tuple(self.run.reader_id(t) for t in path_tokens)
         self.trace.append(tr.ValidPath(self.run.tag_id(tag_token), path))
+
+    def emit_claim(
+        self, tag_token: str, path_tokens: Iterable[str], claimant: tr.Identifier
+    ) -> None:
+        path = tuple(self.run.reader_id(t) for t in path_tokens)
+        self.trace.append(tr.PathClaim(self.run.tag_id(tag_token), path, claimant))
 
     def declared_paths(self, tag_token: str) -> list[tuple[str, ...]]:
         return [p for t, p in self.config.valid_paths if t == tag_token]

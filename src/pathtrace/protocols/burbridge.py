@@ -27,7 +27,7 @@ from functools import partial
 
 from pathtrace import crypto
 from pathtrace.protocols.base import ProtocolModel, VerifierPolicyError, register_protocol
-from pathtrace.trace import PathClaim, backend
+from pathtrace.trace import backend
 
 DOC_BITS = 256
 
@@ -162,13 +162,7 @@ class Burbridge(ProtocolModel):
             )
         for path in self.paths_of[tag_token]:
             if (tag_token, path[-1]) in self._accepted:
-                self.trace.append(
-                    PathClaim(
-                        self.run.tag_id(tag_token),
-                        tuple(self.run.reader_id(t) for t in path),
-                        backend(self.scc_token),
-                    )
-                )
+                self.emit_claim(tag_token, path, backend(self.scc_token))
                 return True
         self.net.log_anomaly(f"burbridge controller: no completed journey for {tag_token}")
         return False

@@ -20,7 +20,7 @@ from functools import partial
 
 from pathtrace import crypto
 from pathtrace.protocols.base import ProtocolModel, VerifierPolicyError, register_protocol
-from pathtrace.trace import PathClaim, backend
+from pathtrace.trace import backend
 
 
 @register_protocol
@@ -148,13 +148,7 @@ class Ray(ProtocolModel):
             self.net.log_anomaly(f"ray owner: {tag_token} has unconsumed or foreign challenges")
             return False
         order = tuple(owner[v] for v in values)
-        self.trace.append(
-            PathClaim(
-                self.run.tag_id(tag_token),
-                tuple(self.run.reader_id(t) for t in order),
-                backend(self.co_token),
-            )
-        )
+        self.emit_claim(tag_token, order, backend(self.co_token))
         return True
 
     def artifacts(self) -> dict:

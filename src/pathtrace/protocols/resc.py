@@ -24,8 +24,9 @@ from __future__ import annotations
 from functools import partial
 
 from pathtrace import crypto
+from pathtrace.network import snapshot_fields
 from pathtrace.protocols.base import ProtocolModel, VerifierPolicyError, register_protocol
-from pathtrace.trace import PathClaim, backend
+from pathtrace.trace import backend
 
 KEY_BITS = 128
 INDEX_BITS = 20
@@ -182,9 +183,8 @@ class Resc(ProtocolModel):
         if presented is None:
             return False
         try:
-            parts = crypto.split_length_prefixed(presented)
-            fields = {parts[i].decode(): parts[i + 1] for i in range(0, len(parts), 2)}
-        except (crypto.CryptoError, ValueError, IndexError, UnicodeDecodeError):
+            fields = snapshot_fields(presented)
+        except (crypto.CryptoError, UnicodeDecodeError):
             self.net.log_anomaly("resc database got a malformed tag image")
             return False
         path = self.path_of[tag_token]
@@ -210,13 +210,7 @@ class Resc(ProtocolModel):
                 self.net.log_anomaly(f"resc database: timestamps of {tag_token} out of order")
                 return False
             last_ts = ts
-        self.trace.append(
-            PathClaim(
-                self.run.tag_id(tag_token),
-                tuple(self.run.reader_id(t) for t in path),
-                backend(self.db_token),
-            )
-        )
+        self.emit_claim(tag_token, path, backend(self.db_token))
         return True
 
     def artifacts(self) -> dict:

@@ -33,7 +33,7 @@ from functools import partial
 
 from pathtrace import crypto
 from pathtrace.protocols.base import ProtocolModel, VerifierPolicyError, register_protocol
-from pathtrace.trace import PathClaim, backend
+from pathtrace.trace import backend
 
 # Nominal on-tag sizes: an EPC identifier and one fixed-width signature
 # (the model blob embeds its message, so the byte length is larger).
@@ -270,13 +270,7 @@ class RfChain(ProtocolModel):
                     f"rfchain verifier: missing ledger record for step {i} of {tag_token}"
                 )
                 return False
-        self.trace.append(
-            PathClaim(
-                self.run.tag_id(tag_token),
-                tuple(self.run.reader_id(t) for t in path),
-                backend(self.verifier_token),
-            )
-        )
+        self.emit_claim(tag_token, path, backend(self.verifier_token))
         return True
 
     def artifacts(self) -> dict:

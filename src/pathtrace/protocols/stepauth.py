@@ -24,7 +24,6 @@ from functools import partial
 
 from pathtrace import crypto
 from pathtrace.protocols.base import ProtocolModel, VerifierPolicyError, register_protocol
-from pathtrace.trace import PathClaim
 
 KEM_BITS = 512
 SYM_BITS = 256
@@ -145,13 +144,7 @@ class StepAuth(ProtocolModel):
                 return False
             mem.store("secret", written, nominal_bits=TERMINAL_BITS)
             claimed_tag, claimed_path = terminal
-            self.trace.append(
-                PathClaim(
-                    self.run.tag_id(claimed_tag),
-                    tuple(self.run.reader_id(t) for t in claimed_path),
-                    self.run.reader_id(reader_token),
-                )
-            )
+            self.emit_claim(claimed_tag, claimed_path, self.run.reader_id(reader_token))
             return True
         written = self.net.transmit(reader_token, tag_token, inner)
         if written is None:
@@ -171,13 +164,7 @@ class StepAuth(ProtocolModel):
             self.net.log_anomaly(f"stepauth checkpoint: {tag_token} has not finished its path")
             return False
         claimed_tag, claimed_path = terminal
-        self.trace.append(
-            PathClaim(
-                self.run.tag_id(claimed_tag),
-                tuple(self.run.reader_id(t) for t in claimed_path),
-                self.run.reader_id(checkpoint),
-            )
-        )
+        self.emit_claim(claimed_tag, claimed_path, self.run.reader_id(checkpoint))
         return True
 
     def artifacts(self) -> dict:

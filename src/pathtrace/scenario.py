@@ -29,9 +29,9 @@ counts as evidence only when every `expect` line of its scenario holds.
 
 Exit codes: 0 all expectations hold, 1 some expectation failed, 2 the
 file does not parse, 3 the scenario demands a capability the configured
-model or verifier policy refuses.  In a corpus run, a file whose execution
-raises any other exception also comes back as exit 2, with a
-``file: Type: message`` failure line.
+model or verifier policy refuses (a tag too small for the scheme's state
+included).  A file whose execution raises any other exception also comes
+back as exit 2, with a ``file: Type: message`` failure line.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from pathlib import Path
 
 from pathtrace import trace as tr
 from pathtrace.attacks import ATTACKS, AttackOutcome, BoundedSearchError
-from pathtrace.network import AdvModel, CapabilityError
+from pathtrace.network import AdvModel, CapabilityError, TagCapacityError
 from pathtrace.privacy import (
     GameKind,
     PrivacyGame,
@@ -463,7 +463,13 @@ def execute_scenario(scn: Scenario) -> ScenarioResult:
         if scn.kind == "attack":
             return _execute_attack(scn)
         return _execute_privacy(scn)
-    except (CapabilityError, VerifierPolicyError, BoundedSearchError, UnsupportedGameError) as exc:
+    except (
+        CapabilityError,
+        TagCapacityError,
+        VerifierPolicyError,
+        BoundedSearchError,
+        UnsupportedGameError,
+    ) as exc:
         return ScenarioResult(
             scenario=scn,
             exit_code=EXIT_CAPABILITY,
@@ -472,29 +478,29 @@ def execute_scenario(scn: Scenario) -> ScenarioResult:
 
 
 def run_scenario(path: Path | str) -> ScenarioResult:
-    """Parse + execute; parse problems come back as exit 2 results."""
+    """Parse + execute.  Parse problems come back as exit 2 results, and so
+    does any other exception execution raises, as a ``file: Type: message``
+    failure: one bad file never ends a run or a corpus in a traceback."""
+    path = Path(path)
     try:
-        scn = parse_scenario(Path(path))
+        scn = parse_scenario(path)
     except ScenarioError as exc:
         return ScenarioResult(
-            scenario=Scenario(path=Path(path)),
+            scenario=Scenario(path=path),
             exit_code=EXIT_PARSE,
             failures=[str(exc)],
         )
-    return execute_scenario(scn)
+    try:
+        return execute_scenario(scn)
+    except Exception as exc:
+        failure = f"{path.name}: {type(exc).__name__}: {exc}"
+        return ScenarioResult(scenario=scn, exit_code=EXIT_PARSE, failures=[failure])
 
 
 def run_corpus(directory: Path | str) -> list[ScenarioResult]:
-    """Execute every .scn file in name order.  An exception from one file
-    becomes that file's exit-2 result, so the rest of the corpus still runs."""
-    results = []
-    for path in sorted(Path(directory).glob("*.scn"), key=lambda p: p.stem):
-        try:
-            results.append(run_scenario(path))
-        except Exception as exc:
-            failure = f"{path.name}: {type(exc).__name__}: {exc}"
-            results.append(ScenarioResult(Scenario(path=path), EXIT_PARSE, [failure]))
-    return results
+    """Execute every .scn file in name order."""
+    paths = sorted(Path(directory).glob("*.scn"), key=lambda p: p.stem)
+    return [run_scenario(path) for path in paths]
 
 
 def corpus_dir() -> Path:

@@ -33,6 +33,15 @@ class TestRun:
         assert main(["run", str(scn)]) == 2
         assert "broken.scn:2" in capsys.readouterr().out
 
+    def test_execution_error_is_reported(self, tmp_path, capsys):
+        scn = tmp_path / "stray.scn"
+        scn.write_text(HONEST.read_text().replace("move t1 r2", "move t1 r9"))
+        assert main(["run", str(scn)]) == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert "scenario stray" in captured.out
+        assert "expect-failed stray.scn: KeyError: 'r9'" in captured.out
+
     def test_capability_failure(self, tmp_path):
         scn = tmp_path / "cap.scn"
         scn.write_text(
@@ -139,6 +148,22 @@ class TestPrivacy:
     def test_unsupported_combination(self, capsys):
         code = main(
             ["privacy", "tracker", "step-unlinkability", "--distinguisher", "xor-structure"]
+        )
+        assert code == 3
+        assert "capability" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag,message", [("--trials", "trials must be positive"), ("--worlds", "world pool")]
+    )
+    def test_bad_sizes_exit_two(self, flag, message, capsys):
+        assert main(["privacy", "tracker", "tag-unlinkability", flag, "0"]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
+    def test_distinguisher_for_other_game(self, capsys):
+        code = main(
+            ["privacy", "ray", "tag-unlinkability", "--distinguisher", "xor-structure"]
         )
         assert code == 3
         assert "capability" in capsys.readouterr().err

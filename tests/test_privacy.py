@@ -61,6 +61,17 @@ class TestGameValidation:
                 )
             )
 
+    def test_xor_structure_plays_step_game_only(self):
+        with pytest.raises(UnsupportedGameError, match="step-unlinkability only"):
+            run_game(
+                PrivacyGame(kind=GameKind.TAG, protocol="ray", distinguisher="xor-structure")
+            )
+
+    @pytest.mark.parametrize("name", ["record-linking", "record-algebra"])
+    def test_record_games_play_tag_game_only(self, name):
+        with pytest.raises(UnsupportedGameError, match="tag-unlinkability only"):
+            run_game(PrivacyGame(kind=GameKind.STEP, protocol="rfchain", distinguisher=name))
+
     def test_bad_sizes_rejected(self):
         with pytest.raises(ValueError):
             run_game(PrivacyGame(kind=GameKind.TAG, protocol="tracker", trials=0))

@@ -8,6 +8,8 @@ documented weakness or rejection behavior.
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from pathtrace import crypto
@@ -61,6 +63,44 @@ def honest_config(protocol: str, seed: int = 7) -> RunConfig:
 
 ALL_PROTOCOLS = ["tracker", "checker", "stepauth", "rfchain", "ray", "resc", "burbridge"]
 
+MULTI_PATHS = {"t1": ("r1", "r2", "r3"), "t2": ("r2", "r4", "r1"), "t3": ("r4", "r3", "r2")}
+
+
+def multi_tag_config(protocol: str, mode: str = "default") -> RunConfig:
+    """Three tags on their own 3-hop paths over four readers; the visits
+    interleave hop by hop, then every tag is claimed in a fixed order."""
+    tags = sorted(MULTI_PATHS)
+    script = [("move", t, MULTI_PATHS[t][hop]) for hop in range(3) for t in tags]
+    script += [("claim", t) for t in ("t2", "t3", "t1")]
+    cfg = RunConfig(
+        protocol=protocol,
+        seed=29,
+        mode=mode,
+        readers=[("r1", "acme"), ("r2", "bolt"), ("r3", "crate"), ("r4", "dock")],
+        tags=tags,
+        valid_paths=[] if protocol == "rfchain" else sorted(MULTI_PATHS.items()),
+        script=script,
+        capacities={t: 8192 for t in tags},
+    )
+    if protocol == "tracker":
+        cfg.readers.append(("m", None))
+        cfg.params["manager"] = "m"
+    return cfg
+
+
+# SHA-256 of the report of each multi-tag world.  A change in the order of
+# any RNG draw changes the report, which two runs of the same code cannot show.
+REPORT_SHA256 = {
+    ("tracker", "default"): "a17ad45ef1105cf94ebc91047f6ff3da579bffa3349155a68c690c60d9c6c300",
+    ("checker", "default"): "f7caabf3d754f1a541a5c35a3e6f983dbb6ea685b602edfbf59b92b9768a6e81",
+    ("stepauth", "default"): "571275d14a2d3bde14c279896cc27b82830c752fd15c332de8f60dee5a345b8b",
+    ("rfchain", "default"): "c56e9742a93bcc2918f372426c4a0ffd58f33732ffd8591dc9e916a975728ee0",
+    ("rfchain", "patched"): "33d08a4d18fb611e3acf9ace91b416b8ece694f5752ad076753377934354ce3e",
+    ("ray", "default"): "057b622c799800d9ea35df1e12f863850ddd869ff4f7850861d4ffb45110afde",
+    ("resc", "default"): "d372b419121279fa96e993aec39f1022c1a0ace0b6375e568d2c0ee8970bb3d0",
+    ("burbridge", "default"): "799d9ee7703f60c8c7d727665e1c6de49f89ccdeba3407ae305e41358452d828",
+}
+
 
 class TestHonestRuns:
     @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
@@ -112,6 +152,68 @@ class TestHonestRuns:
         first = run_protocol(honest_config(protocol, seed=11))
         second = run_protocol(honest_config(protocol, seed=11))
         assert first.report_lines() == second.report_lines()
+
+    @pytest.mark.parametrize("protocol,mode", sorted(REPORT_SHA256))
+    def test_multi_tag_report_pinned(self, protocol, mode):
+        res = run_protocol(multi_tag_config(protocol, mode))
+        assert not res.stalled
+        assert len(res.verdicts) == {"checker": 12, "stepauth": 6}.get(protocol, 3)
+        digest = hashlib.sha256("\n".join(res.report_lines()).encode()).hexdigest()
+        assert digest == REPORT_SHA256[(protocol, mode)]
+
+
+def truncating(sender: str, receiver: str):
+    """Strategy that cuts the last byte off every sender->receiver message."""
+
+    def strategy(env, net):
+        if (env.sender, env.receiver) == (sender, receiver):
+            return env.payload[:-1]
+        return env.payload
+
+    return strategy
+
+
+class TestMalformedPathState:
+    """The shared ElGamal tag state of Tracker and Checker rejects a
+    corrupted state (tag->reader) or update (reader->tag) and says which."""
+
+    @pytest.mark.parametrize(
+        "protocol,sender,receiver,anomaly",
+        [
+            ("tracker", "t1", "r2", "tracker r2 got malformed state from t1"),
+            ("tracker", "r2", "t1", "tracker t1 got malformed update from r2"),
+            ("checker", "t1", "r2", "checker r2 got malformed state from t1"),
+            ("checker", "r2", "t1", "checker t1 got malformed update from r2"),
+        ],
+    )
+    def test_visit_stalls(self, protocol, sender, receiver, anomaly):
+        model, run = build_run(honest_config(protocol))
+        model.visit("t1", "r1")
+        run.net.strategy = truncating(sender, receiver)
+        model.visit("t1", "r2")
+        res = finalize(model, run)
+        assert res.stalled
+        assert res.anomalies == [anomaly]
+        assert res.step_log[-1] == "visit t1 r2 failed"
+
+    @pytest.mark.parametrize(
+        "protocol,verifier,anomaly",
+        [
+            ("tracker", "m", "tracker manager got malformed state"),
+            ("checker", "r3", "checker r3 got malformed state from t1"),
+        ],
+    )
+    def test_claim_rejected(self, protocol, verifier, anomaly):
+        model, run = build_run(honest_config(protocol))
+        for reader in ("r1", "r2", "r3"):
+            model.visit("t1", reader)
+        claims_before = len(list(run.trace.claims()))
+        run.net.strategy = truncating("t1", verifier)
+        model.claim("t1")
+        res = finalize(model, run)
+        assert res.anomalies == [anomaly]
+        assert res.step_log[-1] == "claim t1 rejected"
+        assert len(res.verdicts) == claims_before
 
 
 class TestTracker:
@@ -454,6 +556,16 @@ class TestResc:
         res = run_protocol(cfg)
         assert not res.verdicts
         assert any("not in place" in a for a in res.anomalies)
+
+    def test_malformed_tag_image_rejected(self):
+        model, run = build_run(honest_config("resc"))
+        for reader in ("r1", "r2", "r3"):
+            model.visit("t1", reader)
+        run.net.strategy = truncating("t1", "db")
+        model.claim("t1")
+        res = finalize(model, run)
+        assert res.anomalies == ["resc database got a malformed tag image"]
+        assert not res.verdicts
 
     def test_database_only_verifies(self):
         cfg = honest_config("resc")

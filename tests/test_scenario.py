@@ -265,6 +265,46 @@ class TestExecution:
         )
         assert run_scenario(write(tmp_path, text)).exit_code == EXIT_CAPABILITY
 
+    @pytest.mark.parametrize(
+        "text,exit_code,failure",
+        [
+            (
+                TRACKER_RUN.replace("capacity t1 512", "capacity t1 8"),
+                EXIT_CAPABILITY,
+                "capability: 128 bits exceed tag capacity of 8",
+            ),
+            (
+                TRACKER_RUN.replace("protocol tracker", "protocol ray").replace(
+                    "validpath t1 r1 r2\n", ""
+                ),
+                EXIT_PARSE,
+                "case.scn: ValueError: ray needs exactly one pre-defined path for t1",
+            ),
+            (
+                TRACKER_RUN.replace("seed 7", "seed 7\nstrategy nosuch"),
+                EXIT_PARSE,
+                "case.scn: ValueError: unknown strategy: nosuch",
+            ),
+            (
+                TRACKER_RUN.replace("move t1 r2", "move t1 r9"),
+                EXIT_PARSE,
+                "case.scn: KeyError: 'r9'",
+            ),
+            (
+                "protocol ray\nkind attack\nattack ray-out-of-order bogus=1\n",
+                EXIT_PARSE,
+                "case.scn: TypeError: attack_ray_out_of_order() got an unexpected"
+                " keyword argument 'bogus'",
+            ),
+        ],
+        ids=["tag-capacity", "ray-without-path", "unknown-strategy", "undeclared-reader",
+             "unknown-attack-keyword"],
+    )
+    def test_execution_error_is_a_result(self, tmp_path, text, exit_code, failure):
+        result = run_scenario(write(tmp_path, text))
+        assert result.exit_code == exit_code
+        assert result.failures == [failure]
+
     def test_attack_adversary_consistency(self, tmp_path):
         # the key-disclosure replay runs under AdvR; declaring AdvT is a lie
         text = (
