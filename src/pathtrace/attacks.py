@@ -117,7 +117,7 @@ def link_record(pseudo: bytes, payload: bytes, identity: bytes, prev_levels: lis
         if len(payload) < 32 or len(prev) < 32:
             continue
         candidate = crypto.xor_bytes(payload[:32], prev[:32])
-        if pseudo == crypto.sym_enc(candidate, identity) and payload == crypto.xor_stream(
+        if crypto.sym_matches(candidate, identity, pseudo) and payload == crypto.xor_stream(
             prev, candidate
         ):
             return i
@@ -138,7 +138,7 @@ def _insider_link(
     for i in range(1, steps + 1):
         h = step_input(identity, secrets["f"], secrets["pwd"], secrets["r"], i)
         key = crypto.hash_bytes(h) if salt is None else salted_key(h, salt, b"pid")
-        if pseudo == crypto.sym_enc(key, identity):
+        if crypto.sym_matches(key, identity, pseudo):
             return i
     return None
 

@@ -252,7 +252,7 @@ def strip_signature(blob: bytes) -> bytes:
 def xor_bytes(a: bytes, b: bytes) -> bytes:
     if len(a) != len(b):
         raise CryptoError(f"xor length mismatch: {len(a)} vs {len(b)}")
-    return bytes(x ^ y for x, y in zip(a, b))
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
 
 
 def expand_key(key: bytes, length: int) -> bytes:
@@ -287,6 +287,15 @@ def sym_enc(key: bytes, plaintext: bytes) -> bytes:
     siv = mac(key, b"siv" + plaintext)[:_SIV_LEN]
     stream = expand_key(mac(key, b"enc" + siv), len(plaintext))
     return siv + xor_bytes(plaintext, stream)
+
+
+def sym_matches(key: bytes, plaintext: bytes, ciphertext: bytes) -> bool:
+    """``ciphertext == sym_enc(key, plaintext)``, rejecting on the synthetic
+    IV before any keystream is derived: a wrong key or plaintext costs one
+    MAC instead of a full encryption."""
+    if ciphertext[:_SIV_LEN] != mac(key, b"siv" + plaintext)[:_SIV_LEN]:
+        return False
+    return ciphertext == sym_enc(key, plaintext)
 
 
 def sym_dec(key: bytes, ciphertext: bytes) -> bytes:

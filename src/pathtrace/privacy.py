@@ -334,8 +334,8 @@ def _guess_record_algebra(context, t1, t2, rng: Random) -> bool:
         return True
     if len(payload1) >= 32 and len(payload2) >= 32:
         candidate = crypto.xor_bytes(payload1[:32], payload2[:32])
-        if pseudo1 == crypto.sym_enc(candidate, payload2[:16]) or pseudo2 == crypto.sym_enc(
-            candidate, payload1[:16]
+        if crypto.sym_matches(candidate, payload2[:16], pseudo1) or crypto.sym_matches(
+            candidate, payload1[:16], pseudo2
         ):
             return True
     return bool(rng.getrandbits(1))

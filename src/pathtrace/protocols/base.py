@@ -95,6 +95,7 @@ class ProtocolModel:
 
     name = "abstract"
     architecture = "offline"  # or "online"
+    modes: tuple[str, ...] = ("default",)  # accepted ``RunConfig.mode`` values
 
     def __init__(self, run: Run) -> None:
         self.run = run
@@ -250,6 +251,11 @@ def build_run(config: RunConfig) -> tuple[ProtocolModel, Run]:
     """Construct the world and run protocol setup (no movement yet)."""
     if config.protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol: {config.protocol}")
+    modes = PROTOCOLS[config.protocol].modes
+    if config.mode not in modes:
+        raise ValueError(
+            f"{config.protocol} does not know mode {config.mode}; its modes are {', '.join(modes)}"
+        )
     run = Run(config)
     protocol = PROTOCOLS[config.protocol](run)
     if config.strategy not in STRATEGIES:

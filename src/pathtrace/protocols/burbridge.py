@@ -36,12 +36,11 @@ DOC_BITS = 256
 class Burbridge(ProtocolModel):
     name = "burbridge"
     architecture = "offline"
+    modes = ("default", "shared", "per_tag")
 
     def setup(self) -> None:
         self.scc_token = self.config.params.get("scc", "scc")
         self.per_tag_keys = self.config.mode == "per_tag"
-        if self.config.mode not in ("default", "shared", "per_tag"):
-            raise ValueError(f"burbridge does not know mode {self.config.mode}")
 
         self.paths_of: dict[str, list[tuple[str, ...]]] = {}
         self.edges: dict[str, set[tuple[str, str]]] = {}

@@ -27,6 +27,7 @@ from pathtrace.trace import backend
 class Ray(ProtocolModel):
     name = "ray"
     architecture = "offline"
+    modes = ("default", "prf")
 
     CHALLENGE_BITS = 256
 

@@ -15,7 +15,10 @@ record the verifier recomputes, so the ledger keeps a set of its records
 and each claimed step costs one O(1) lookup.  Patched records carry a
 salt that only the record itself reveals, so no expected record can be
 computed in advance: the verifier scans the ledger, O(ledger) per claimed
-step.  That scan is a measured cost of the privacy patch.
+step.  That scan is a measured cost of the privacy patch.  The ledger
+splits each patched payload into (salt, body) once, when it is added,
+and a wrong record is rejected on the synthetic IV of its pseudo-identity:
+one hash for the salted key and one MAC, with no keystream derived.
 
 Reusing H(h_i) as both mask and pseudo-identity key is what the linking
 attack exploits.  The "patched" mode stores a fresh per-step salt in the
@@ -42,15 +45,23 @@ CHAIN_BITS = 512
 
 
 class SharedLedger:
-    """Append-only (pseudo_id, payload) records; no deletion, no mutation."""
+    """Append-only (pseudo_id, payload) records; no deletion, no mutation.
+
+    ``salted`` holds (pseudo, salt, body) of every record whose payload
+    splits as a patched one, in ledger order; malformed payloads are left
+    out of it."""
 
     def __init__(self) -> None:
         self._records: list[tuple[bytes, bytes]] = []
         self._record_set: set[tuple[bytes, bytes]] = set()
+        self.salted: list[tuple[bytes, bytes, bytes]] = []
 
     def add(self, pseudo_id: bytes, payload: bytes) -> None:
         self._records.append((pseudo_id, payload))
         self._record_set.add((pseudo_id, payload))
+        split = split_salted(payload)
+        if split is not None:
+            self.salted.append((pseudo_id, *split))
 
     def __contains__(self, record: tuple[bytes, bytes]) -> bool:
         return record in self._record_set
@@ -86,6 +97,7 @@ def split_salted(payload: bytes) -> tuple[bytes, bytes] | None:
 class RfChain(ProtocolModel):
     name = "rfchain"
     architecture = "online"
+    modes = ("default", "patched")
 
     def setup(self) -> None:
         self.f = self.rng.randbytes(16)
@@ -156,14 +168,6 @@ class RfChain(ProtocolModel):
             )
         return (pseudo, payload) == self._default_record(identity, index, prev_chain)
 
-    def _split_records(self) -> list[tuple[bytes, bytes, bytes]]:
-        """(pseudo, salt, body) of every ledger record, skipping malformed ones."""
-        return [
-            (pseudo, *split)
-            for pseudo, payload in self.ledger.records()
-            if (split := split_salted(payload)) is not None
-        ]
-
     def _scan_salted(
         self, salted: list[tuple[bytes, bytes, bytes]], identity: bytes, index: int, prev_chain: bytes
     ) -> bool:
@@ -171,9 +175,9 @@ class RfChain(ProtocolModel):
         Accepts exactly the records ``_record_matches`` accepts."""
         h = step_input(identity, self.f, self.pwd, self.nonce, index)
         for pseudo, salt, body in salted:
-            if pseudo != crypto.sym_enc(salted_key(h, salt, b"pid"), identity):
+            if not crypto.sym_matches(salted_key(h, salt, b"pid"), identity, pseudo):
                 continue
-            if body == crypto.sym_enc(salted_key(h, salt, b"mask"), prev_chain):
+            if crypto.sym_matches(salted_key(h, salt, b"mask"), prev_chain, body):
                 return True
         return False
 
@@ -258,11 +262,10 @@ class RfChain(ProtocolModel):
         path = tuple(reversed(signers))
         # levels holds a_n .. a_0; record i must mirror a_{i-1}
         patched = self.config.mode == "patched"
-        salted = self._split_records() if patched else []
         for i in range(1, len(path) + 1):
             prev_chain = levels[len(path) - (i - 1)]
             if patched:
-                found = self._scan_salted(salted, identity, i, prev_chain)
+                found = self._scan_salted(self.ledger.salted, identity, i, prev_chain)
             else:
                 found = self._default_record(identity, i, prev_chain) in self.ledger
             if not found:

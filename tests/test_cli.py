@@ -42,6 +42,17 @@ class TestRun:
         assert "scenario stray" in captured.out
         assert "expect-failed stray.scn: KeyError: 'r9'" in captured.out
 
+    def test_unknown_mode_is_reported(self, tmp_path, capsys):
+        scn = tmp_path / "bogus.scn"
+        scn.write_text(HONEST.read_text().replace("seed 11", "seed 11\nmode bogus"))
+        assert main(["run", str(scn)]) == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert (
+            "expect-failed bogus.scn: ValueError: tracker does not know mode bogus;"
+            " its modes are default"
+        ) in captured.out
+
     def test_capability_failure(self, tmp_path):
         scn = tmp_path / "cap.scn"
         scn.write_text(
@@ -159,6 +170,13 @@ class TestPrivacy:
         assert main(["privacy", "tracker", "tag-unlinkability", flag, "0"]) == 2
         captured = capsys.readouterr()
         assert message in captured.err
+        assert captured.out == ""
+
+    def test_unknown_mode_exit_two(self, capsys):
+        code = main(["privacy", "tracker", "tag-unlinkability", "--mode", "patched"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "tracker does not know mode patched" in captured.err
         assert captured.out == ""
 
     def test_distinguisher_for_other_game(self, capsys):

@@ -115,6 +115,14 @@ def test_xor_bytes_strict_length():
         c.xor_bytes(b"a", b"ab")
 
 
+def test_xor_bytes_matches_bytewise_definition():
+    rng = random.Random(11)
+    for n in range(301):
+        a, b = rng.randbytes(n), rng.randbytes(n)
+        assert c.xor_bytes(a, b) == bytes(x ^ y for x, y in zip(a, b))
+        assert c.xor_bytes(a, a) == bytes(n)  # leading zero bytes survive
+
+
 def test_expand_key_prefix_is_the_key():
     key = bytes(range(32))
     assert c.expand_key(key, 80)[:32] == key
@@ -145,6 +153,85 @@ def test_sym_dec_rejects_tampering_and_wrong_key():
         c.sym_dec(key, bytes(ct))
     with pytest.raises(c.AuthenticationError):
         c.sym_dec(c.hash_bytes(b"other"), c.sym_enc(key, b"m"))
+
+
+def _sym_matches_cases():
+    """Seeded (key, plaintext, ciphertext) triples around the true one."""
+    rng = random.Random(12)
+    cases = []
+    for n in (0, 1, 7, 16, 32, 33, 100):
+        key, pt = rng.randbytes(32), rng.randbytes(n)
+        ct = c.sym_enc(key, pt)
+        variants = {
+            "exact": (key, pt, ct),
+            "truncated": (key, pt, ct[:-1]),
+            "extended": (key, pt, ct + b"\x00"),
+            "siv-only": (key, pt, ct[:16]),
+            "empty-ciphertext": (key, pt, b""),
+            "wrong-key": (rng.randbytes(32), pt, ct),
+            "wrong-plaintext": (key, rng.randbytes(n), ct),
+        }
+        if n:
+            body = bytearray(ct)
+            body[16 + rng.randrange(n)] ^= 1 << rng.randrange(8)
+            variants["flipped-body"] = (key, pt, bytes(body))
+        cases += [pytest.param(*case, id=f"{n}B-{name}") for name, case in variants.items()]
+    return cases
+
+
+@pytest.mark.parametrize("key,pt,ct", _sym_matches_cases())
+def test_sym_matches_is_equality_with_sym_enc(key, pt, ct):
+    assert c.sym_matches(key, pt, ct) == (ct == c.sym_enc(key, pt))
+
+
+def test_sym_matches_rejects_on_the_siv_without_a_keystream(monkeypatch):
+    key = c.hash_bytes(b"k")
+    ct = c.sym_enc(key, b"secret value")
+
+    def no_stream(*args):
+        raise AssertionError("keystream derived for a wrong SIV")
+
+    monkeypatch.setattr(c, "expand_key", no_stream)
+    assert not c.sym_matches(c.hash_bytes(b"other"), b"secret value", ct)
+    assert not c.sym_matches(key, b"other value", ct)
+
+
+# Outputs pinned when the kernels were byte-wise loops; a rewritten kernel
+# must reproduce them exactly.
+_KAT_KEY = bytes(range(32))
+_KAT_PLAINTEXT = b"pathtrace known-answer plaintext, 45 bytes.."
+KNOWN_ANSWERS = {
+    "mac": (
+        lambda: c.mac(_KAT_KEY, _KAT_PLAINTEXT),
+        "88ed5b0dcaefd9222c253d321dc82a3f7b6d36e3cc2d277c336df0d61523e32d",
+    ),
+    "sym_enc": (
+        lambda: c.sym_enc(_KAT_KEY, _KAT_PLAINTEXT),
+        "24b38758cd4e4060f276e10afe6dbc549a52c6e7f3c5ff71d3686415594b9aae"
+        "52b94784b188380abe90e0b281638198ec90db457f8bbb8bd817f91e",
+    ),
+    "sym_enc-empty": (
+        lambda: c.sym_enc(_KAT_KEY, b""),
+        "629541528120a24b2759eaaef75b2c3c",
+    ),
+    "xor_stream": (
+        lambda: c.xor_stream(_KAT_PLAINTEXT, b"stream-key"),
+        "0315060d151f4c080059d1eeccc3e6faecc9353b0575348c25b33050d7aac077"
+        "c5a97d014abd8dd2c5978b77",
+    ),
+    "expand_key": (
+        lambda: c.expand_key(b"short-key", 80),
+        "73686f72742d6b65799dbabd8def13309a625116de99be0bb327f68c887ef01d"
+        "5e7c2865591b900e0693e235a3ad85499c32847aed3e9ebc086da3a169afc487"
+        "3093df10b864fe898c8578003d6b0671",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KNOWN_ANSWERS))
+def test_known_answer(name):
+    compute, expect = KNOWN_ANSWERS[name]
+    assert compute().hex() == expect
 
 
 # --- ElGamal ---------------------------------------------------------------

@@ -102,6 +102,30 @@ REPORT_SHA256 = {
 }
 
 
+class TestModes:
+    @pytest.mark.parametrize(
+        "protocol,modes",
+        [
+            ("tracker", ("default",)),
+            ("ray", ("default", "prf")),
+            ("rfchain", ("default", "patched")),
+            ("burbridge", ("default", "shared", "per_tag")),
+        ],
+    )
+    def test_declared_modes_build_and_others_are_refused(self, protocol, modes):
+        for mode in modes:
+            cfg = honest_config(protocol)
+            cfg.mode = mode
+            build_run(cfg)
+        cfg = honest_config(protocol)
+        cfg.mode = "bogus"
+        with pytest.raises(ValueError) as err:
+            build_run(cfg)
+        assert str(err.value) == (
+            f"{protocol} does not know mode bogus; its modes are {', '.join(modes)}"
+        )
+
+
 class TestHonestRuns:
     @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
     def test_sound_and_sorted(self, protocol):
@@ -470,6 +494,53 @@ class TestRfChain:
         assert not res.anomalies
         assert len(res.verdicts) == 3
         assert len(records) == 9
+
+    @staticmethod
+    def _patched_run(tags):
+        cfg = honest_config("rfchain")
+        cfg.mode = "patched"
+        cfg.tags = list(tags)
+        cfg.capacities = {t: 1024 for t in tags}
+        return build_run(cfg)
+
+    def test_patched_ledger_sees_records_added_after_a_claim(self):
+        protocol, run = self._patched_run(("t1", "t2"))
+        for tag_token, reader_token in (("t1", "r1"), ("t2", "r1"), ("t1", "r2")):
+            protocol.visit(tag_token, reader_token)
+        protocol.claim("t1")
+        for tag_token, reader_token in (("t2", "r2"), ("t1", "r3"), ("t2", "r3")):
+            protocol.visit(tag_token, reader_token)
+        protocol.claim("t1")
+        protocol.claim("t2")
+        res = finalize(protocol, run)
+        assert not res.anomalies
+        assert [s for s in run.step_log if s.startswith("claim")] == [
+            "claim t1 ok",
+            "claim t1 ok",
+            "claim t2 ok",
+        ]
+        claimed = [(claim.tag.value, tuple(r.value for r in claim.path)) for claim in res.claims()]
+        assert claimed == [
+            ("t1", ("r1", "r2")),
+            ("t1", ("r1", "r2", "r3")),
+            ("t2", ("r1", "r2", "r3")),
+        ]
+        assert all(v.sound and v.sorted for v in res.verdicts)
+
+    def test_patched_ledger_skips_a_malformed_payload(self):
+        protocol, run = self._patched_run(("t1",))
+        protocol.visit("t1", "r1")
+        protocol.visit("t1", "r2")
+        protocol.ledger.add(b"pseudo", b"\x00\x00\x00\xffshort")
+        protocol.visit("t1", "r3")
+        protocol.claim("t1")
+        res = finalize(protocol, run)
+        assert not res.anomalies
+        assert len(protocol.ledger) == 4
+        assert len(protocol.ledger.salted) == 3
+        assert [tuple(r.value for r in claim.path) for claim in res.claims()] == [
+            ("r1", "r2", "r3")
+        ]
 
 
 class TestRay:
