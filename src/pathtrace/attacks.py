@@ -201,7 +201,7 @@ def attack_rfchain_linking(
             linked[j] = step
 
     result = finalize(protocol, run)
-    truth = result.artifacts["ledger_truth"]
+    truth = protocol.ledger_truth
     target_positions = {j for j, (token, _) in enumerate(truth) if token == target}
     false_positives = sorted(set(linked) - target_positions)
     succeeded = bool(target_positions) and set(linked) == target_positions

@@ -29,8 +29,6 @@ from pathtrace.privacy import GameKind, PrivacyGame, UnsupportedGameError, run_g
 from pathtrace.protocols.base import VerifierPolicyError
 from pathtrace.scenario import EXIT_CAPABILITY, EXIT_PARSE, corpus_dir, run_scenario
 
-_MODELS = {"AdvT": AdvModel.ADV_T, "AdvR": AdvModel.ADV_R}
-
 
 def _emit(lines: list[str], out: str | None) -> None:
     text = "\n".join(lines)
@@ -81,7 +79,7 @@ def _cmd_privacy(args: argparse.Namespace) -> int:
         trials=args.trials,
         seed=args.seed,
         mode=args.mode,
-        adversary=_MODELS[args.adversary],
+        adversary=AdvModel(args.adversary),
         worlds=args.worlds,
     )
     try:
@@ -131,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_priv.add_argument("--trials", type=int, default=500)
     p_priv.add_argument("--seed", type=int, default=0)
     p_priv.add_argument("--mode", default="default")
-    p_priv.add_argument("--adversary", choices=sorted(_MODELS), default="AdvT")
+    p_priv.add_argument("--adversary", choices=sorted(m.value for m in AdvModel), default="AdvT")
     p_priv.add_argument("--worlds", type=int, default=32)
     p_priv.add_argument("--out", help="also write the report to this file")
     p_priv.set_defaults(func=_cmd_privacy)

@@ -239,14 +239,6 @@ def parse_signature(blob: bytes) -> Signature | None:
     return Signature(parts[1].decode(), parts[2], parts[3])
 
 
-def strip_signature(blob: bytes) -> bytes:
-    """Recover the carried message from a signature blob (no key needed)."""
-    sig = parse_signature(blob)
-    if sig is None:
-        raise CryptoError("not a signature blob")
-    return sig.message
-
-
 # --- XOR helpers -----------------------------------------------------------
 
 def xor_bytes(a: bytes, b: bytes) -> bytes:
@@ -434,7 +426,7 @@ def pk_dec(box: BoxPrivate, blob: bytes) -> bytes:
 # --- prime field and path polynomials --------------------------------------
 
 class PrimeField:
-    """Arithmetic modulo a prime, with inversion via Fermat."""
+    """Arithmetic modulo a prime."""
 
     def __init__(self, p: int) -> None:
         if p < 2:
@@ -444,22 +436,8 @@ class PrimeField:
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
 
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.p
-
-    def pow(self, a: int, e: int) -> int:
-        return pow(a, e, self.p)
-
-    def inv(self, a: int) -> int:
-        if a % self.p == 0:
-            raise ZeroDivisionError("no inverse of zero")
-        return pow(a, -1, self.p)
-
-    def rand(self, rng: Random) -> int:
-        return rng.randrange(self.p)
 
     def rand_nonzero(self, rng: Random) -> int:
         return rng.randrange(1, self.p)

@@ -1,10 +1,9 @@
 """Dolev-Yao network model with two adversary strengths.
 
 Every untrusted transmission passes through an adversary strategy that may
-deliver, modify, drop, store for later replay, or inject messages, and every
-observed payload feeds a knowledge set closed under a bounded deduction
-relation (decompose fields, strip signatures, XOR and hash known terms,
-decrypt under known keys).
+deliver, modify, drop or inject messages, and every observed payload feeds
+the adversary's knowledge: the payload and every field ``decompose`` reads
+out of it.
 
 Two capability levels:
 
@@ -14,10 +13,9 @@ Two capability levels:
 Each network message - transmissions, tag reads and writes, compromises
 and injections - is written once, by ``Network._record``, to an
 append-only log of ``Message`` records; the same call feeds what the
-adversary saw into its knowledge.  ``Network.transcript`` (hex lines) and
-``Network.observations`` (direction and bytes) are read-only views of that
-log.  ``decompose`` is the one definition of what can be read out of a
-payload without a key.
+adversary saw into its knowledge; ``Message.line`` renders one record as
+a transcript line.  ``decompose`` is the one definition of what can be
+read out of a payload without a key.
 
 Tag memory is modelled with nominal bit accounting so that protocol storage
 formulas and capacity violations are observable.
@@ -75,10 +73,6 @@ class TagMemory:
 
     def get(self, name: str, default: bytes | None = None) -> bytes | None:
         return self._fields.get(name, default)
-
-    def delete(self, name: str) -> None:
-        self._fields.pop(name, None)
-        self._nominal.pop(name, None)
 
     def names(self) -> list[str]:
         return list(self._fields)
@@ -143,12 +137,10 @@ def decompose(blobs: Iterable[bytes], known: dict[bytes, None] | None = None) ->
 
 
 class Knowledge:
-    """Ordered set of observed byte strings with bounded deduction.
+    """Ordered set of the byte strings the adversary has observed.
 
     Observation adds a payload and every field ``decompose`` reads out of
-    it.  ``can_derive`` additionally closes over XOR of equal-length
-    knowns, hashing, signature stripping and symmetric decryption under
-    known 32-byte keys, up to a small depth.
+    it; nothing is derived beyond that.
     """
 
     def __init__(self) -> None:
@@ -165,48 +157,6 @@ class Knowledge:
 
     def __len__(self) -> int:
         return len(self._atoms)
-
-    def can_derive(self, target: bytes, depth: int = 2) -> bool:
-        """Bounded closure: is the target reachable from current atoms?"""
-        known: dict[bytes, None] = dict.fromkeys(self._atoms)
-        if target in known:
-            return True
-        for _ in range(depth):
-            new: list[bytes] = []
-            items = list(known)
-            by_len: dict[int, list[bytes]] = {}
-            for a in items:
-                by_len.setdefault(len(a), []).append(a)
-            for a in items:
-                h = crypto.hash_bytes(a)
-                if h not in known:
-                    new.append(h)
-                stripped = crypto.parse_signature(a)
-                if stripped is not None and stripped.message not in known:
-                    new.append(stripped.message)
-            for length, group in by_len.items():
-                for i, a in enumerate(group):
-                    for b in group[i + 1 :]:
-                        x = crypto.xor_bytes(a, b)
-                        if x not in known:
-                            new.append(x)
-            keys = [a for a in items if len(a) == 32]
-            cts = [a for a in items if len(a) > crypto._SIV_LEN]
-            for key in keys:
-                for ct in cts:
-                    try:
-                        pt = crypto.sym_dec(key, ct)
-                    except crypto.AuthenticationError:
-                        continue
-                    if pt not in known:
-                        new.append(pt)
-            for item in new:
-                known[item] = None
-            if target in known:
-                return True
-            if not new:
-                break
-        return target in known
 
 
 @dataclass(frozen=True)
@@ -281,16 +231,6 @@ class Network:
 
     # --- the message log ------------------------------------------------
 
-    @property
-    def transcript(self) -> list[str]:
-        """One ``seq sender->receiver hex action`` line per message."""
-        return [m.line() for m in self.log]
-
-    @property
-    def observations(self) -> list[tuple[str, bytes]]:
-        """(``sender->receiver``, bytes) of every message the adversary saw."""
-        return [(f"{m.sender}->{m.receiver}", m.seen) for m in self.log if m.seen is not None]
-
     def _record(
         self,
         sender: str,
@@ -353,7 +293,6 @@ class AdversaryContext:
 
     def __init__(self, net: Network) -> None:
         self.net = net
-        self.stored: list[Envelope] = []
 
     @property
     def model(self) -> AdvModel:
@@ -404,10 +343,3 @@ class AdversaryContext:
         if response is not None:
             self.net._record(receiver, sender, response, "delivered", response)
         return response
-
-    def store(self, env: Envelope) -> None:
-        self.stored.append(env)
-
-    def replay(self, env: Envelope) -> bytes | None:
-        """Re-deliver a stored envelope to its original receiver."""
-        return self.inject(env.sender, env.receiver, env.payload)

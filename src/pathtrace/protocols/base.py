@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from random import Random
-from typing import Any, Callable, Iterable
+from typing import Callable, Iterable
 
 from pathtrace import trace as tr
 from pathtrace.network import AdvModel, AdversaryContext, Message, Network, TagMemory
@@ -146,10 +146,6 @@ class ProtocolModel:
         registers it per compromisable reader with ``attach_secrets``."""
         raise NotImplementedError
 
-    def artifacts(self) -> dict[str, Any]:
-        """Protocol-specific outputs for attacks and reports."""
-        return {}
-
     # --- helpers --------------------------------------------------------
 
     def emit_valid_path(self, tag_token: str, path_tokens: Iterable[str]) -> None:
@@ -176,13 +172,9 @@ class RunResult:
     step_log: list[str]
     stalled: bool
     compromised: list[str]
-    artifacts: dict[str, Any]
 
     def claims(self) -> list[tr.PathClaim]:
         return [claim for _, claim in self.trace.claims()]
-
-    def all_claims_satisfy(self, prop: str) -> bool:
-        return all(v.properties()[prop] for v in self.verdicts)
 
     def report_lines(self) -> list[str]:
         """Deterministic, line-oriented run report."""
@@ -268,7 +260,8 @@ def build_run(config: RunConfig) -> tuple[ProtocolModel, Run]:
 
 
 def finalize(protocol: ProtocolModel, run: Run) -> RunResult:
-    """Judge every emitted claim against the trace."""
+    """Judge every emitted claim against the trace.  Only ``run`` is read;
+    ``protocol`` stays in the signature for the callers that pass it."""
     verdicts = [tr.verdict_for(run.trace, idx) for idx, _ in run.trace.claims()]
     return RunResult(
         config=run.config,
@@ -279,7 +272,6 @@ def finalize(protocol: ProtocolModel, run: Run) -> RunResult:
         step_log=list(run.step_log),
         stalled=run.stalled,
         compromised=list(run.net.compromised),
-        artifacts=protocol.artifacts(),
     )
 
 

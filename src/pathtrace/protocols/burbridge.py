@@ -165,18 +165,3 @@ class Burbridge(ProtocolModel):
                 return True
         self.net.log_anomaly(f"burbridge controller: no completed journey for {tag_token}")
         return False
-
-    def artifacts(self) -> dict:
-        stages = {}
-        for tag_token in self.config.tags:
-            sig = crypto.parse_signature(self.run.memory(tag_token).load("doc"))
-            stages[tag_token] = self._doc_stage(tag_token, sig)
-        return {
-            "mode": "per_tag" if self.per_tag_keys else "shared",
-            "scc": self.scc_token,
-            "paths": dict(self.paths_of),
-            "edges": {t: sorted(e) for t, e in self.edges.items()},
-            "accepted": sorted(self._accepted),
-            "stages": stages,
-            "locations": dict(self._location),
-        }

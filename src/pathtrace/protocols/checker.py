@@ -95,11 +95,3 @@ class Checker(PathPolyModel):
             raise VerifierPolicyError(f"{reader_token} is not a verifying reader")
         state = self._present(tag_token, reader_token)
         return state is not None and self._check_on_site(tag_token, reader_token, state)
-
-    def artifacts(self) -> dict:
-        return {
-            **super().artifacts(),
-            "prefix_lists": {
-                t: [list(p) for p, _ in entries] for t, entries in self.prefix_keys.items()
-            },
-        }

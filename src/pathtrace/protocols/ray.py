@@ -151,15 +151,3 @@ class Ray(ProtocolModel):
         order = tuple(owner[v] for v in values)
         self.emit_claim(tag_token, order, backend(self.co_token))
         return True
-
-    def artifacts(self) -> dict:
-        return {
-            "mode": self.config.mode,
-            "co": self.co_token,
-            "pids": dict(self.pids),
-            "rid_co": self.rid_co,
-            "paths": dict(self.path_of),
-            "challenges": dict(self.challenges),
-            "terms": dict(self.term_of),
-            "consumed": {t: list(v) for t, v in self._consumed.items()},
-        }

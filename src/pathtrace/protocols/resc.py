@@ -58,7 +58,6 @@ class Resc(ProtocolModel):
         self._clock = 0
         self.tids: dict[str, bytes] = {}
         self.path_of: dict[str, tuple[str, ...]] = {}
-        self.pufs: dict[str, crypto.PufDevice] = {}
         self._nonce: dict[str, bytes | None] = {}
 
         for tag_token in self.config.tags:
@@ -70,9 +69,7 @@ class Resc(ProtocolModel):
             self.emit_valid_path(tag_token, path)
             tid = b"tid-" + tag_token.encode()
             self.tids[tag_token] = tid
-            puf = crypto.PufDevice(tag_token, self.rng)
-            self.pufs[tag_token] = puf
-            ccid = puf.respond(b"ccid")
+            ccid = crypto.PufDevice(tag_token, self.rng).respond(b"ccid")
             self.net.transmit(
                 tag_token, self.db_token, crypto.concat_length_prefixed(ccid, tid), trusted=True
             )
@@ -212,14 +209,3 @@ class Resc(ProtocolModel):
             last_ts = ts
         self.emit_claim(tag_token, path, backend(self.db_token))
         return True
-
-    def artifacts(self) -> dict:
-        return {
-            "db": self.db_token,
-            "paths": dict(self.path_of),
-            "tids": dict(self.tids),
-            "storage_bits": {
-                t: self.run.memory(t).used_bits() for t in self.config.tags
-            },
-            "clock": self._clock,
-        }

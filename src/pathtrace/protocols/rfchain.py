@@ -116,11 +116,9 @@ class RfChain(ProtocolModel):
             self.sign_vk[token] = vk
             self.net.attach_secrets(token, partial(self.reader_secrets, token))
 
-        self.ids: dict[str, bytes] = {}
         self._steps: dict[str, list[str]] = {}
         for tag_token in self.config.tags:
             identity = b"epc-" + tag_token.encode()
-            self.ids[tag_token] = identity
             self._steps[tag_token] = []
             self.net.transmit(tag_token, self.verifier_token, identity, trusted=True)
             mem = self.run.memory(tag_token)
@@ -275,13 +273,3 @@ class RfChain(ProtocolModel):
                 return False
         self.emit_claim(tag_token, path, backend(self.verifier_token))
         return True
-
-    def artifacts(self) -> dict:
-        return {
-            "mode": self.config.mode,
-            "verifier": self.verifier_token,
-            "ledger": self.ledger,
-            "ledger_truth": list(self.ledger_truth),
-            "ids": dict(self.ids),
-            "chain_lengths": {t: len(s) for t, s in self._steps.items()},
-        }

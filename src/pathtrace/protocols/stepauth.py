@@ -166,12 +166,3 @@ class StepAuth(ProtocolModel):
         claimed_tag, claimed_path = terminal
         self.emit_claim(claimed_tag, claimed_path, self.run.reader_id(checkpoint))
         return True
-
-    def artifacts(self) -> dict:
-        return {
-            "paths": dict(self.path_of),
-            "storage_bits": {t: self.run.memory(t).used_bits() for t in self.config.tags},
-            "secret_bits": {
-                t: secret_size_bits(len(p)) for t, p in self.path_of.items()
-            },
-        }

@@ -130,15 +130,6 @@ class PathPolyModel(ProtocolModel):
         self._store_state(tag_token, new_state)
         return new_state
 
-    def artifacts(self) -> dict:
-        return {
-            "group": "test" if self.params == crypto.TEST_PARAMS else "default",
-            "x0": self.x0,
-            "coeffs": dict(self.coeffs),
-            "public_key": self.pub,
-            "storage_bits": {t: self.run.memory(t).used_bits() for t in self.config.tags},
-        }
-
 
 @register_protocol
 class Tracker(PathPolyModel):
@@ -218,6 +209,3 @@ class Tracker(PathPolyModel):
             return False
         self.emit_claim(tag_token, path, self.run.reader_id(self.manager_token))
         return True
-
-    def artifacts(self) -> dict:
-        return {**super().artifacts(), "manager": self.manager_token}

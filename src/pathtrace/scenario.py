@@ -65,7 +65,6 @@ MATRIX_PROPERTIES = {
 }
 MATRIX_ACTIONS = ("hold", "break", "weakness", "caveat")
 KNOWN_FOOTNOTES = (1, 2, 4)
-_MODELS = {"AdvT": AdvModel.ADV_T, "AdvR": AdvModel.ADV_R}
 
 
 class ScenarioError(Exception):
@@ -150,6 +149,7 @@ def _attack_value(token: str) -> object:
 def parse_scenario(path: Path) -> Scenario:
     scn = Scenario(path=Path(path))
     seen_protocol = False
+    mode_lineno: int | None = None
 
     def err(lineno: int, message: str) -> ScenarioError:
         return ScenarioError(f"{scn.path.name}:{lineno}: {message}")
@@ -158,6 +158,11 @@ def parse_scenario(path: Path) -> Scenario:
         if len(args) != 1:
             raise err(lineno, f"{key} needs exactly one value")
         return args[0]
+
+    def nonempty(lineno: int, key: str, what: str, args: list[str]) -> list[str]:
+        if not args:
+            raise err(lineno, f"{key} needs at least one {what}")
+        return args
 
     def integer(lineno: int, key: str, token: str, minimum: int | None = None) -> int:
         try:
@@ -192,22 +197,24 @@ def parse_scenario(path: Path) -> Scenario:
             scn.seed = integer(lineno, key, single(lineno, key, args))
         elif key == "mode":
             scn.mode = single(lineno, key, args)
+            mode_lineno = lineno
         elif key == "adversary":
-            if len(args) != 1 or args[0] not in _MODELS:
-                raise err(lineno, "adversary must be AdvT or AdvR")
-            scn.adversary = _MODELS[args[0]]
+            try:
+                scn.adversary = AdvModel(" ".join(args))
+            except ValueError:
+                raise err(lineno, "adversary must be AdvT or AdvR") from None
         elif key == "strategy":
             scn.strategy = single(lineno, key, args)
         elif key == "compromise":
-            scn.compromise.extend(args)
+            scn.compromise.extend(nonempty(lineno, key, "reader", args))
         elif key == "reader":
             if len(args) not in (1, 2):
                 raise err(lineno, "reader needs a token and at most one participant")
             scn.readers.append((args[0], args[1] if len(args) > 1 else None))
         elif key == "transit":
-            scn.transits.extend(args)
+            scn.transits.extend(nonempty(lineno, key, "reader", args))
         elif key == "tag":
-            scn.tags.extend(args)
+            scn.tags.extend(nonempty(lineno, key, "tag", args))
         elif key == "validpath":
             if len(args) < 2:
                 raise err(lineno, "validpath needs a tag and at least one reader")
@@ -225,8 +232,8 @@ def parse_scenario(path: Path) -> Scenario:
                 raise err(lineno, "move needs a tag and a reader")
             scn.script.append(("move", args[0], args[1]))
         elif key == "claim":
-            if not args:
-                raise err(lineno, "claim needs a tag")
+            if len(args) not in (1, 2):
+                raise err(lineno, "claim needs a tag and at most one verifier")
             scn.script.append(("claim", *args))
         elif key == "attack":
             if not args or args[0] not in ATTACKS:
@@ -262,6 +269,12 @@ def parse_scenario(path: Path) -> Scenario:
 
     if not seen_protocol:
         raise ScenarioError(f"{scn.path.name}: missing protocol directive")
+    modes = PROTOCOLS[scn.protocol].modes
+    if mode_lineno is not None and scn.mode not in modes:
+        raise err(
+            mode_lineno,
+            f"{scn.protocol} does not know mode {scn.mode}; its modes are {', '.join(modes)}",
+        )
     if scn.kind == "attack" and scn.attack is None:
         raise ScenarioError(f"{scn.path.name}: attack scenario without attack directive")
     if scn.kind == "privacy" and scn.game is None:
@@ -275,7 +288,7 @@ def _parse_matrix(err, lineno: int, args: list[str]) -> MatrixDirective:
     prop = MATRIX_PROPERTIES[args[0]]
     action = args[1]
     if action == "hold":
-        if len(args) != 3 or args[2] not in _MODELS:
+        if len(args) != 3 or args[2] not in [m.value for m in AdvModel]:
             raise err(lineno, "matrix hold needs a model, AdvT or AdvR")
         return MatrixDirective(prop=prop, action=action, model=args[2])
     footnote = 1 if len(args) == 2 else None

@@ -21,9 +21,20 @@ from pathtrace.attacks import (
     tracker_collision_rate,
 )
 from pathtrace.network import AdvModel, CapabilityError
-from pathtrace.protocols.base import STRATEGIES
+from pathtrace.protocols.base import STRATEGIES, build_run
 from pathtrace.stats import binomial_acceptance
 from pathtrace.trace import AttackLabel, classify_claim
+
+
+def ledger_truth(outcome):
+    """(tag, step) of each ledger record, from a replay of the outcome's
+    run; runs are deterministic, so the replay adds the same records."""
+    cfg = outcome.run_result().config
+    protocol, _ = build_run(cfg)
+    for step in cfg.script:
+        if step[0] == "move":
+            protocol.visit(step[1], step[2])
+    return protocol.ledger_truth
 
 
 def test_drop_to_tags_strategy_registered():
@@ -42,7 +53,7 @@ class TestRfChainLinking:
 
     def test_linked_steps_match_ledger_ground_truth(self):
         o = attack_rfchain_linking(seed=5)
-        truth = o.run_result().artifacts["ledger_truth"]
+        truth = ledger_truth(o)
         assert o.evidence["linked"]
         for position, step in o.evidence["linked"].items():
             assert truth[position] == ("t0", step)
@@ -246,7 +257,7 @@ class TestEvidenceReverification:
 
     def test_privacy_violation_recomputes_from_ledger_truth(self):
         outcome = attack_rfchain_linking(seed=6)
-        truth = outcome.run_result().artifacts["ledger_truth"]
+        truth = ledger_truth(outcome)
         expected = {
             position: step
             for position, (token, step) in enumerate(truth)

@@ -49,7 +49,7 @@ class TestRun:
         captured = capsys.readouterr()
         assert "Traceback" not in captured.out + captured.err
         assert (
-            "expect-failed bogus.scn: ValueError: tracker does not know mode bogus;"
+            "expect-failed bogus.scn:7: tracker does not know mode bogus;"
             " its modes are default"
         ) in captured.out
 

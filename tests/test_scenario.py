@@ -170,6 +170,13 @@ class TestParsing:
             ("worlds -2\n", "worlds must be at least 1"),
             ("worlds 1.5\n", "worlds '1.5' is not an integer"),
             ("attack ray-out-of-order order=1,x\n", "attack argument 'order=1,x' is not a list"),
+            ("claim\n", "claim needs a tag and at most one verifier"),
+            ("claim t1 r1 junk\n", "claim needs a tag and at most one verifier"),
+            ("tag\n", "tag needs at least one tag"),
+            ("transit\n", "transit needs at least one reader"),
+            ("compromise\n", "compromise needs at least one reader"),
+            ("adversary AdvT AdvR\n", "adversary must be AdvT or AdvR"),
+            ("mode bogus\n", "tracker does not know mode bogus; its modes are default"),
         ],
     )
     def test_malformed_values_fail_closed(self, tmp_path, body, fragment):
