@@ -5,8 +5,11 @@ sized for simulation rather than real security:
 
 * hashing is SHA-256, with a from-scratch compression core so that
   length-extension on raw concatenation can be demonstrated;
-* MACs are HMAC-SHA256; "signatures" are MACs with appendix carrying the
-  signer id, mirroring schemes where verification is idealized;
+* MACs are HMAC-SHA256 (RFC 2104), computed over ``hashlib.sha256``
+  directly rather than through the ``hmac`` module, whose per-call set-up
+  costs more than the two hashes; "signatures" are MACs with appendix
+  carrying the signer id, mirroring schemes where verification is
+  idealized;
 * symmetric encryption is a deterministic SIV-style construction (same key
   and plaintext give the same ciphertext, which several protocols rely on);
 * public-key encryption is a KEM built on the ElGamal group;
@@ -169,8 +172,19 @@ def extend_sha256(digest: bytes, message_len: int, suffix: bytes) -> tuple[bytes
 
 # --- MACs, PRFs, signatures with appendix ----------------------------------
 
+_HMAC_BLOCK = 64
+_HMAC_IPAD = bytes(b ^ 0x36 for b in range(256))
+_HMAC_OPAD = bytes(b ^ 0x5C for b in range(256))
+
+
 def mac(key: bytes, data: bytes) -> bytes:
-    return _hmac.new(key, data, hashlib.sha256).digest()
+    """HMAC-SHA256: sha256(k^opad || sha256(k^ipad || data)), with the key
+    hashed when longer than a block and zero-padded to the block."""
+    if len(key) > _HMAC_BLOCK:
+        key = hashlib.sha256(key).digest()
+    key = key.ljust(_HMAC_BLOCK, b"\0")
+    inner = hashlib.sha256(key.translate(_HMAC_IPAD) + data).digest()
+    return hashlib.sha256(key.translate(_HMAC_OPAD) + inner).digest()
 
 
 def prf(key: bytes, data: bytes) -> bytes:

@@ -13,6 +13,15 @@ The relation test (does the state encode exponent factor K?) is idealized:
 the model performs the comparison internally and hands the reader only the
 yes/no outcome plus the matched prefix, mirroring a scheme where readers
 can check but not decrypt.
+
+The test costs O(1) per state, not one exponentiation per prefix key.  The
+group has prime order q, so for v1 = g^h with h != 0 mod q the relation
+v2 == v1^K holds exactly when v2 lies in <g> and v2^(h^-1 mod q) == g^K.
+Setup therefore maps each tag's g^h to h^-1 and, per reader, each g^K to
+its prefix.  A state whose v1 is some tag's g^h costs one exponentiation
+and a lookup, and a hit is confirmed by v1^K == v2, which also refuses a
+v2 outside <g>.  Any other v1 (a forged state, or one built for no
+registered tag) falls back to trying every key in bucket order.
 """
 
 from __future__ import annotations
@@ -39,23 +48,35 @@ class Checker(PathPolyModel):
         reader_tokens = [token for token, _ in self.config.readers]
         self.coeffs = {t: self.field.rand_nonzero(self.rng) for t in reader_tokens}
 
-        # per-reader lists of (registered prefix ending here, its evaluation)
+        # per-reader lists of (registered prefix ending here, its evaluation),
+        # and per reader g^K -> the first such entry with that K in list order
         self.prefix_keys: dict[str, list[tuple[tuple[str, ...], int]]] = {
             t: [] for t in reader_tokens
+        }
+        self._key_of: dict[str, dict[int, tuple[tuple[str, ...], int]]] = {
+            t: {} for t in reader_tokens
         }
         for tag_token in self.config.tags:
             for path in self.declared_paths(tag_token):
                 self.emit_valid_path(tag_token, path)
                 for i in range(len(path)):
                     prefix = path[: i + 1]
-                    entry = (prefix, self._path_eval(prefix))
+                    key = self._path_eval(prefix)
+                    entry = (prefix, key)
                     bucket = self.prefix_keys[path[i]]
                     if entry not in bucket:
                         bucket.append(entry)
+                        elem = crypto.encode_exponent(self.params, key)
+                        self._key_of[path[i]].setdefault(elem, entry)
 
         self._location: dict[str, str | None] = dict.fromkeys(self.config.tags)
+        self._inverse_of: dict[int, int] = {}  # g^h -> h^-1 mod q, for h != 0
+        q = self.params.q
         for tag_token in self.config.tags:
-            self._init_state(tag_token, crypto.hash_int(b"id" + tag_token.encode(), self.params.q))
+            h = crypto.hash_int(b"id" + tag_token.encode(), q)
+            if h:
+                self._inverse_of[crypto.encode_exponent(self.params, h)] = pow(h, -1, q)
+            self._init_state(tag_token, h)
 
         for token in reader_tokens:
             self.net.attach_secrets(token, partial(self.reader_secrets, token))
@@ -69,15 +90,30 @@ class Checker(PathPolyModel):
     def _check_on_site(
         self, tag_token: str, reader_token: str, state: tuple[crypto.Ciphertext, ...]
     ) -> bool:
-        """Idealized on-site relation test against the reader's key list;
-        the matched prefix is claimed by that reader."""
+        """Idealized on-site relation test, v2 == v1^K for a key K of the
+        reader; the first matching prefix is claimed by that reader.
+
+        A v1 that is some tag's g^h is tested by one lookup of
+        v2^(h^-1) among the reader's g^K, confirmed by v1^K == v2; any
+        other v1 tries the reader's keys in order."""
+        p = self.params.p
         v1, v2 = (crypto.elg_decrypt(self.priv, ct) for ct in state)
-        for prefix, key in self.prefix_keys[reader_token]:
-            if pow(v1, key, self.params.p) == v2:
-                self.emit_claim(tag_token, prefix, self.run.reader_id(reader_token))
-                return True
-        self.net.log_anomaly(f"checker {reader_token} rejects {tag_token}: no prefix key matches")
-        return False
+        inverse = self._inverse_of.get(v1)
+        if inverse is not None:
+            hit = self._key_of[reader_token].get(pow(v2, inverse, p))
+            match = hit if hit is not None and pow(v1, hit[1], p) == v2 else None
+        else:
+            match = next(
+                (entry for entry in self.prefix_keys[reader_token] if pow(v1, entry[1], p) == v2),
+                None,
+            )
+        if match is None:
+            self.net.log_anomaly(
+                f"checker {reader_token} rejects {tag_token}: no prefix key matches"
+            )
+            return False
+        self.emit_claim(tag_token, match[0], self.run.reader_id(reader_token))
+        return True
 
     def _process_arrival(self, tag_token: str, reader_token: str) -> bool:
         state = self._reader_step(tag_token, reader_token)

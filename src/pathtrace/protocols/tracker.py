@@ -69,18 +69,24 @@ class PathPolyModel(ProtocolModel):
             mem.store(name, ct.to_bytes(), nominal_bits=self.CT_BITS)
 
     def _read_state(self, blob: bytes) -> tuple[crypto.Ciphertext, ...] | None:
+        """The ciphertexts in ``blob``; None unless it holds one per name in
+        ``STATE``, each two 8-byte components in 1..p-1."""
         try:
             parts = crypto.split_length_prefixed(blob)
         except crypto.CryptoError:
             return None
         if len(parts) != len(self.STATE) or any(len(p) != 16 for p in parts):
             return None
-        return tuple(
+        state = tuple(
             crypto.Ciphertext(
                 self.params, crypto.bytes_to_int(p[:8]), crypto.bytes_to_int(p[8:])
             )
             for p in parts
         )
+        # a component outside 1..p-1 is no group element and cannot decrypt
+        if not all(0 < c < self.params.p for ct in state for c in (ct.c1, ct.c2)):
+            return None
+        return state
 
     def _state_blob(self, tag_token: str) -> bytes:
         mem = self.run.memory(tag_token)

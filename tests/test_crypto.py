@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import hmac
 import random
 
 import pytest
@@ -66,6 +67,20 @@ def test_extend_sha256_needs_full_digest():
 def test_mac_is_keyed():
     assert c.mac(b"k1", b"m") != c.mac(b"k2", b"m")
     assert c.mac(b"k1", b"m") == c.mac(b"k1", b"m")
+
+
+@pytest.mark.parametrize("key_len", [0, 1, 32, 63, 64, 65, 200])
+def test_mac_equals_the_hmac_module(key_len):
+    # keys up to a block are zero-padded and longer ones hashed first, so
+    # the lengths around the 64-byte block take different branches
+    rng = random.Random(key_len)
+    for _ in range(40):
+        key = rng.randbytes(key_len)
+        data = rng.randbytes(rng.randrange(0, 301))
+        assert c.mac(key, data) == hmac.new(key, data, hashlib.sha256).digest()
+    for data_len in (0, 1, 55, 56, 63, 64, 65, 119, 128, 300):
+        key, data = rng.randbytes(key_len), rng.randbytes(data_len)
+        assert c.mac(key, data) == hmac.new(key, data, hashlib.sha256).digest()
 
 
 def test_sign_verify_round_trip():

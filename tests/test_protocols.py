@@ -9,6 +9,7 @@ documented weakness or rejection behavior.
 from __future__ import annotations
 
 import hashlib
+import random
 
 import pytest
 
@@ -240,6 +241,20 @@ class TestMalformedPathState:
         assert len(res.verdicts) == claims_before
 
 
+    @pytest.mark.parametrize("protocol", ["tracker", "checker"])
+    @pytest.mark.parametrize("field", ["c1", "c2"])
+    def test_zero_component_stalls(self, protocol, field):
+        # 0 is no group element: decrypting it would invert 0 mod p
+        model, run = build_run(honest_config(protocol))
+        model.visit("t1", "r1")
+        run.memory("t1").store(field, crypto.int_to_bytes(0) + crypto.int_to_bytes(5))
+        model.visit("t1", "r2")
+        res = finalize(model, run)
+        assert res.stalled
+        assert res.anomalies == [f"{protocol} r2 got malformed state from t1"]
+        assert res.step_log[-1] == "visit t1 r2 failed"
+
+
 class TestTracker:
     def test_manager_only_verifies(self):
         cfg = honest_config("tracker")
@@ -314,6 +329,102 @@ class TestChecker:
         cfg.script[-1] = ("claim", "t1", "db")
         with pytest.raises(VerifierPolicyError):
             run_protocol(cfg)
+
+
+    # The on-site test looks a state up by v2^(h^-1) when v1 is some tag's
+    # g^h and tries every key otherwise; both must decide as the loop over
+    # the reader's keys does.
+
+    @staticmethod
+    def store_state(run, tag_token, state):
+        for name, ct in zip(("c1", "c2"), state):
+            run.memory(tag_token).store(name, ct.to_bytes())
+
+    @staticmethod
+    def forged_state(model, y, key):
+        """(E(g^y), E(g^(y*key))) under the model's public key."""
+        rng = random.Random(y)
+        return [
+            crypto.elg_encrypt(model.pub, crypto.encode_exponent(model.params, e), rng)
+            for e in (y, y * key)
+        ]
+
+    def test_negated_accumulator_rejected(self):
+        # -x lies outside the order-q subgroup, yet (-x)^(h^-1) == x^(h^-1)
+        # for an even h^-1: only the confirmation v1^K == v2 refuses it
+        params = crypto.DEFAULT_PARAMS
+        h = crypto.hash_int(b"idt1", params.q)
+        assert pow(h, -1, params.q) % 2 == 0
+
+        def negating(env, net):
+            if (env.sender, env.receiver) != ("t1", "r3"):
+                return env.payload
+            *rest, last = crypto.split_length_prefixed(env.payload)
+            c2 = params.p - crypto.bytes_to_int(last[8:])
+            return crypto.concat_length_prefixed(*rest, last[:8] + crypto.int_to_bytes(c2))
+
+        model, run = build_run(honest_config("checker"))
+        for reader in ("r1", "r2", "r3"):
+            model.visit("t1", reader)
+        run.net.strategy = negating
+        model.claim("t1")
+        res = finalize(model, run)
+        assert res.anomalies == ["checker r3 rejects t1: no prefix key matches"]
+        assert res.step_log == [
+            "visit t1 r1 ok",
+            "visit t1 r2 ok",
+            "visit t1 r3 ok",
+            "claim t1 rejected",
+        ]
+        assert [tuple(i.value for i in c.path) for c in res.claims()] == [
+            ("r1",),
+            ("r1", "r2"),
+            ("r1", "r2", "r3"),
+        ]
+
+    def test_state_for_no_tag_falls_back_to_every_key(self):
+        model, run = build_run(honest_config("checker"))
+        y = 12345
+        assert y != crypto.hash_int(b"idt1", model.params.q)
+        (key,) = [k for prefix, k in model.prefix_keys["r3"] if prefix == ("r1", "r2", "r3")]
+        self.store_state(run, "t1", self.forged_state(model, y, key))
+        model.claim("t1", "r3")
+        res = finalize(model, run)
+        assert res.anomalies == []
+        assert res.step_log == ["claim t1 ok"]
+        assert [tuple(i.value for i in c.path) for c in res.claims()] == [("r1", "r2", "r3")]
+
+    def test_state_for_no_tag_without_a_key_rejected(self):
+        model, run = build_run(honest_config("checker"))
+        every_key = {k for bucket in model.prefix_keys.values() for _, k in bucket}
+        key = next(k for k in range(1, 100) if k not in every_key)
+        self.store_state(run, "t1", self.forged_state(model, 12345, key))
+        model.claim("t1", "r3")
+        res = finalize(model, run)
+        assert res.anomalies == ["checker r3 rejects t1: no prefix key matches"]
+        assert res.step_log == ["claim t1 rejected"]
+        assert not res.verdicts
+
+    def test_other_tags_state_claims_its_prefix(self):
+        # the key test binds the state to a prefix, not to the presenting
+        # tag: t2 showing t1's state at r3 is claimed on t1's path
+        cfg = honest_config("checker")
+        cfg.tags.append("t2")
+        cfg.valid_paths.append(("t2", ("r2", "r1")))
+        cfg.script = []
+        model, run = build_run(cfg)
+        for reader in ("r1", "r2", "r3"):
+            model.visit("t1", reader)
+        for name in ("c1", "c2"):
+            run.memory("t2").store(name, run.memory("t1").load(name))
+        model.claim("t2", "r3")
+        model.claim("t2", "r1")
+        res = finalize(model, run)
+        assert res.anomalies == ["checker r1 rejects t2: no prefix key matches"]
+        assert res.step_log[-2:] == ["claim t2 ok", "claim t2 rejected"]
+        claim = res.claims()[-1]
+        assert (claim.tag.value, tuple(i.value for i in claim.path)) == ("t2", ("r1", "r2", "r3"))
+        assert not res.verdicts[-1].sound
 
 
 class TestStepAuth:
