@@ -1,11 +1,26 @@
 """Command-line interface: exit codes, output, --out files."""
 
+import hashlib
+
 import pytest
 
+from pathtrace.attacks import ATTACKS
 from pathtrace.cli import main
 from pathtrace.scenario import corpus_dir
 
 HONEST = corpus_dir() / "tracker-honest.scn"
+
+# (exit code, SHA-256 of stdout) of ``pathtrace attack <name>`` at its
+# default seed.
+ATTACK_STDOUT_SHA256 = {
+    "burbridge-bypass": (0, "9eca8ba5f8a646e64a8d71624b79c4e6661b66941bb2f64a91a804c9dec7598e"),
+    "ray-impersonation": (0, "fa3ae77d4cdaaef5fce887b0e7cc663ccc1feb4c473e07baa78d1fb8ba08d0db"),
+    "ray-out-of-order": (0, "c8f55a18a37e64938b32c50a16ad404206e9ddb866af1dde4346ad39fdf31f44"),
+    "resc-key-disclosure": (0, "1795dc56de086ee1038e25dbf651c3d6fbc186d0a7df4c1e1cd1fa4b58e7acc1"),
+    "rfchain-length-extension": (1, "faeedd74647a2dfddfbfdfee229731b22f903796a8f356d9403fd98d3a00deb1"),
+    "rfchain-linking": (0, "8242372348a8a906afe675c075564d7168f85ea7d1d42b3c4c2df6fa0e07cfee"),
+    "tracker-order-search": (0, "e90edacc6724e36cbc548c4268ea47a63a3b84be77bca45d4176614da8642f66"),
+}
 
 
 class TestRun:
@@ -125,6 +140,15 @@ class TestAttack:
         with pytest.raises(SystemExit) as exc:
             main(["attack", "nosuch-attack"])
         assert exc.value.code == 2
+
+    def test_every_attack_is_pinned(self):
+        assert sorted(ATTACKS) == sorted(ATTACK_STDOUT_SHA256)
+
+    @pytest.mark.parametrize("name", sorted(ATTACK_STDOUT_SHA256))
+    def test_stdout_pinned(self, name, capsys):
+        code = main(["attack", name])
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert (code, digest) == ATTACK_STDOUT_SHA256[name]
 
 
 class TestPrivacy:

@@ -127,6 +127,28 @@ class TestModes:
         )
 
 
+class TestCompromisableReaders:
+    """Under AdvR every configured reader that holds a secret surrenders
+    exactly ``reader_secrets``; Tracker's manager, which holds no
+    coefficient, and a bare transit reader have nothing registered."""
+
+    @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
+    def test_build_run_registers_reader_secrets(self, protocol):
+        cfg = honest_config(protocol)
+        cfg.adversary = AdvModel.ADV_R
+        model, run = build_run(cfg)
+        manager = cfg.params.get("manager")
+        holders = [token for token, _ in cfg.readers if token != manager]
+        for token in holders:
+            assert run.adv.compromise(token) == model.reader_secrets(token)
+        assert run.net.compromised == holders
+        for token in ["w"] + ([manager] if manager else []):
+            with pytest.raises(
+                CapabilityError, match=f"^no compromisable secrets registered for {token}$"
+            ):
+                run.adv.compromise(token)
+
+
 class TestHonestRuns:
     @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
     def test_sound_and_sorted(self, protocol):
