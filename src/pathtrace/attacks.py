@@ -66,6 +66,11 @@ class AttackOutcome:
             lines.append(f"evidence {key}={value}")
         return lines
 
+    def report_lines(self) -> list[str]:
+        """The summary, then the finalized run's report if there is one."""
+        run = self.run_result()
+        return self.summary_lines() + (run.report_lines() if run is not None else [])
+
 
 @register_strategy("drop_to_tags")
 def _drop_to_tags_factory(run: Run):

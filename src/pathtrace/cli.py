@@ -12,6 +12,8 @@ Four commands:
 * ``privacy <protocol> <game>`` — run an unlinkability game and print
   the result record.
 
+``attack`` and ``privacy`` exit 3 on any of ``scenario.CAPABILITY_ERRORS``,
+as ``run`` does; the exit codes are defined in ``scenario``.
 ``--out FILE`` additionally writes the printed report to a file.
 """
 
@@ -22,12 +24,11 @@ import inspect
 import sys
 from pathlib import Path
 
-from pathtrace.attacks import ATTACKS, BoundedSearchError
+from pathtrace.attacks import ATTACKS
 from pathtrace.matrix import emit_matrix
-from pathtrace.network import AdvModel, CapabilityError
-from pathtrace.privacy import GameKind, PrivacyGame, UnsupportedGameError, run_game
-from pathtrace.protocols.base import VerifierPolicyError
-from pathtrace.scenario import EXIT_CAPABILITY, EXIT_PARSE, corpus_dir, run_scenario
+from pathtrace.network import AdvModel
+from pathtrace.privacy import GameKind, PrivacyGame, run_game
+from pathtrace.scenario import CAPABILITY_ERRORS, EXIT_CAPABILITY, EXIT_PARSE, corpus_dir, run_scenario
 
 
 def _emit(lines: list[str], out: str | None) -> None:
@@ -60,14 +61,10 @@ def _cmd_attack(args: argparse.Namespace) -> int:
         kwargs["seed"] = args.seed
     try:
         outcome = op(**kwargs)
-    except (CapabilityError, VerifierPolicyError, BoundedSearchError) as exc:
+    except CAPABILITY_ERRORS as exc:
         print(f"capability: {exc}", file=sys.stderr)
         return EXIT_CAPABILITY
-    lines = outcome.summary_lines()
-    run = outcome.run_result()
-    if run is not None:
-        lines += run.report_lines()
-    _emit(lines, args.out)
+    _emit(outcome.report_lines(), args.out)
     return 0 if outcome.succeeded else 1
 
 
@@ -84,7 +81,7 @@ def _cmd_privacy(args: argparse.Namespace) -> int:
     )
     try:
         result = run_game(game)
-    except UnsupportedGameError as exc:
+    except CAPABILITY_ERRORS as exc:
         print(f"capability: {exc}", file=sys.stderr)
         return EXIT_CAPABILITY
     except ValueError as exc:

@@ -73,13 +73,13 @@ def build_matrix(results: list[ScenarioResult]) -> tuple[list[MatrixRow], list[s
 
     for result in sorted(results, key=lambda r: r.scenario.name):
         name = result.scenario.name
-        protocol = result.scenario.protocol
+        protocol = result.scenario.config.protocol
         if result.exit_code != EXIT_OK:
             warnings.append(
                 f"warning: scenario {name} exit={result.exit_code}; evidence ignored"
             )
             continue
-        exercised.setdefault(protocol, set()).add(str(result.scenario.adversary))
+        exercised.setdefault(protocol, set()).add(str(result.scenario.config.adversary))
         for directive in result.validated_directives:
             key = (protocol, directive.prop)
             if directive.action == "hold":
@@ -163,9 +163,9 @@ def emit_matrix(directory: Path | str) -> tuple[int, list[str]]:
     for result in results:
         lines.append(
             f"scenario {result.scenario.name}"
-            f" protocol={result.scenario.protocol}"
+            f" protocol={result.scenario.config.protocol}"
             f" kind={result.scenario.kind}"
-            f" adversary={result.scenario.adversary}"
+            f" adversary={result.scenario.config.adversary}"
             f" exit={result.exit_code}"
         )
         lines += [f"  expect-failed {f}" for f in result.failures]

@@ -140,7 +140,7 @@ def _world_config(
         adversary=adversary,
         readers=[(t, None) for t in tokens],
         tags=sorted(paths),
-        valid_paths=[] if protocol == "rfchain" else sorted(paths.items()),
+        valid_paths=sorted(paths.items()),
         script=[],
         params=params,
     )

@@ -15,6 +15,7 @@ cannot grade its own homework.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from random import Random
 from typing import Callable, Iterable
 
@@ -142,9 +143,14 @@ class ProtocolModel:
         raise NotImplementedError
 
     def reader_secrets(self, reader_token: str) -> dict[str, bytes]:
-        """Secrets surrendered when this reader is compromised; ``setup``
-        registers it per compromisable reader with ``attach_secrets``."""
+        """Secrets surrendered when this reader is compromised; ``build_run``
+        registers it, after ``setup``, for each ``compromisable`` reader."""
         raise NotImplementedError
+
+    def compromisable(self) -> list[str]:
+        """Readers whose ``reader_secrets`` ``build_run`` registers: every
+        configured reader (a bare transit reader is not one)."""
+        return [token for token, _ in self.config.readers]
 
     # --- helpers --------------------------------------------------------
 
@@ -239,21 +245,27 @@ def _drop_all_factory(run: Run):
     return lambda env, net: None
 
 
+def check_mode(protocol: str, mode: str) -> None:
+    """Refuse a mode the registered scheme does not declare."""
+    modes = PROTOCOLS[protocol].modes
+    if mode not in modes:
+        raise ValueError(f"{protocol} does not know mode {mode}; its modes are {', '.join(modes)}")
+
+
 def build_run(config: RunConfig) -> tuple[ProtocolModel, Run]:
-    """Construct the world and run protocol setup (no movement yet)."""
+    """Construct the world, run protocol setup and register each
+    compromisable reader's secrets (no movement yet)."""
     if config.protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol: {config.protocol}")
-    modes = PROTOCOLS[config.protocol].modes
-    if config.mode not in modes:
-        raise ValueError(
-            f"{config.protocol} does not know mode {config.mode}; its modes are {', '.join(modes)}"
-        )
+    check_mode(config.protocol, config.mode)
     run = Run(config)
     protocol = PROTOCOLS[config.protocol](run)
     if config.strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy: {config.strategy}")
     run.net.strategy = STRATEGIES[config.strategy](run)
     protocol.setup()
+    for token in protocol.compromisable():
+        run.net.attach_secrets(token, partial(protocol.reader_secrets, token))
     for reader_token in config.compromise:
         run.adv.compromise(reader_token)
     return protocol, run

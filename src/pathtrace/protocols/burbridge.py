@@ -23,8 +23,6 @@ an onward document.
 
 from __future__ import annotations
 
-from functools import partial
-
 from pathtrace import crypto
 from pathtrace.protocols.base import ProtocolModel, VerifierPolicyError, register_protocol
 from pathtrace.trace import backend
@@ -70,8 +68,6 @@ class Burbridge(ProtocolModel):
             self.run.memory(tag_token).store("doc", doc, nominal_bits=DOC_BITS)
             self._location[tag_token] = self.scc_token
 
-        for token, _ in self.config.readers:
-            self.net.attach_secrets(token, partial(self.reader_secrets, token))
         self._accepted: set[tuple[str, str]] = set()
 
     # --- documents ------------------------------------------------------

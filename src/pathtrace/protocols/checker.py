@@ -26,8 +26,6 @@ registered tag) falls back to trying every key in bucket order.
 
 from __future__ import annotations
 
-from functools import partial
-
 from pathtrace import crypto
 from pathtrace.protocols.base import VerifierPolicyError, register_protocol
 from pathtrace.protocols.tracker import PathPolyModel
@@ -77,9 +75,6 @@ class Checker(PathPolyModel):
             if h:
                 self._inverse_of[crypto.encode_exponent(self.params, h)] = pow(h, -1, q)
             self._init_state(tag_token, h)
-
-        for token in reader_tokens:
-            self.net.attach_secrets(token, partial(self.reader_secrets, token))
 
     def reader_secrets(self, reader_token: str) -> dict[str, bytes]:
         keys = crypto.concat_length_prefixed(

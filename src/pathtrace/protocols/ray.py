@@ -16,8 +16,6 @@ with it every other participant's challenge.
 
 from __future__ import annotations
 
-from functools import partial
-
 from pathtrace import crypto
 from pathtrace.protocols.base import ProtocolModel, VerifierPolicyError, register_protocol
 from pathtrace.trace import backend
@@ -85,9 +83,6 @@ class Ray(ProtocolModel):
             mem.store("pending", loaded, nominal_bits=self.CHALLENGE_BITS * len(values))
             mem.store("consumed", b"", nominal_bits=0)
             self.net.register_handler(tag_token, self._tag_handler(tag_token))
-
-        for token in reader_tokens:
-            self.net.attach_secrets(token, partial(self.reader_secrets, token))
 
     def reader_secrets(self, reader_token: str) -> dict[str, bytes]:
         secrets: dict[str, bytes] = {}

@@ -21,8 +21,6 @@ uses, since the keys sit in readable tag memory for the whole journey.
 
 from __future__ import annotations
 
-from functools import partial
-
 from pathtrace import crypto
 from pathtrace.network import snapshot_fields
 from pathtrace.protocols.base import ProtocolModel, VerifierPolicyError, register_protocol
@@ -53,7 +51,6 @@ class Resc(ProtocolModel):
         self.reader_keys: dict[str, bytes] = {}
         for token in reader_tokens:
             self.reader_keys[token] = self.rng.randbytes(32)
-            self.net.attach_secrets(token, partial(self.reader_secrets, token))
 
         self._clock = 0
         self.tids: dict[str, bytes] = {}

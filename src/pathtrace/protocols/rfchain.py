@@ -32,8 +32,6 @@ The scheme registers no valid paths, so its claims are never authorized.
 
 from __future__ import annotations
 
-from functools import partial
-
 from pathtrace import crypto
 from pathtrace.protocols.base import ProtocolModel, VerifierPolicyError, register_protocol
 from pathtrace.trace import backend
@@ -114,7 +112,6 @@ class RfChain(ProtocolModel):
             sk, vk = crypto.new_signing_keypair(token, self.rng)
             self.sign_sk[token] = sk
             self.sign_vk[token] = vk
-            self.net.attach_secrets(token, partial(self.reader_secrets, token))
 
         self._steps: dict[str, list[str]] = {}
         for tag_token in self.config.tags:

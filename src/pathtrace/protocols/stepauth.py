@@ -20,8 +20,6 @@ Storage grows with path length l: one signed layer costs 896 nominal bits
 
 from __future__ import annotations
 
-from functools import partial
-
 from pathtrace import crypto
 from pathtrace.protocols.base import ProtocolModel, VerifierPolicyError, register_protocol
 
@@ -36,7 +34,7 @@ def secret_size_bits(path_length: int) -> int:
     """Nominal storage for the nested secret of a length-l path."""
     if path_length < 1:
         raise ValueError("path length must be at least 1")
-    return 1024 + 896 * (path_length - 1)
+    return TERMINAL_BITS + LAYER_BITS * path_length
 
 
 @register_protocol
@@ -53,7 +51,6 @@ class StepAuth(ProtocolModel):
             priv, pub = crypto.new_box_keypair(token, self.rng)
             self.box_priv[token] = priv
             self.box_pub[token] = pub
-            self.net.attach_secrets(token, partial(self.reader_secrets, token))
 
         self.path_of: dict[str, tuple[str, ...]] = {}
         for tag_token in self.config.tags:

@@ -12,7 +12,6 @@ that a non-registered path was taken but never which one.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from functools import partial
 
 from pathtrace import crypto
 from pathtrace.protocols.base import ProtocolModel, VerifierPolicyError, register_protocol
@@ -181,9 +180,9 @@ class Tracker(PathPolyModel):
             self.accept[tag_token] = table
             self._init_state(tag_token, id_t, mac_t)
 
-        for token in reader_tokens:
-            if token != self.manager_token:
-                self.net.attach_secrets(token, partial(self.reader_secrets, token))
+    def compromisable(self) -> list[str]:
+        """The manager only verifies; it holds no coefficient to surrender."""
+        return [t for t in super().compromisable() if t != self.manager_token]
 
     def _process_arrival(self, tag_token: str, reader_token: str) -> bool:
         if reader_token == self.manager_token:

@@ -22,6 +22,10 @@ optional `matrix` evidence directives.  Example::
     expect complete false
     matrix ss hold AdvT
 
+The run settings (protocol, seed, mode, adversary, readers, script, ...)
+parse straight into the scenario's ``RunConfig``; the rest of the
+scenario says what to execute with them and what to expect.
+
 Matrix directives feed the solution table: `matrix <prop> hold <model>`
 claims the property held in this scenario's adversary model, while
 `break`/`weakness`/`caveat` attach a numbered footnote.  A directive
@@ -29,9 +33,10 @@ counts as evidence only when every `expect` line of its scenario holds.
 
 Exit codes: 0 all expectations hold, 1 some expectation failed, 2 the
 file does not parse, 3 the scenario demands a capability the configured
-model or verifier policy refuses (a tag too small for the scheme's state
-included).  A file whose execution raises any other exception also comes
-back as exit 2, with a ``file: Type: message`` failure line.
+model or verifier policy refuses (any of ``CAPABILITY_ERRORS``, a tag too
+small for the scheme's state included).  A file whose execution raises
+any other exception also comes back as exit 2, with a
+``file: Type: message`` failure line.
 """
 
 from __future__ import annotations
@@ -50,12 +55,21 @@ from pathtrace.privacy import (
     run_game,
 )
 from pathtrace.protocols import PROTOCOLS, RunConfig, run_protocol
-from pathtrace.protocols.base import RunResult, VerifierPolicyError
+from pathtrace.protocols.base import RunResult, VerifierPolicyError, check_mode
 
 EXIT_OK = 0
 EXIT_EXPECT = 1
 EXIT_PARSE = 2
 EXIT_CAPABILITY = 3
+
+# What a scenario may demand that the configured model refuses: exit 3.
+CAPABILITY_ERRORS = (
+    CapabilityError,
+    TagCapacityError,
+    VerifierPolicyError,
+    BoundedSearchError,
+    UnsupportedGameError,
+)
 
 MATRIX_PROPERTIES = {
     "ss": "sound_sorted",
@@ -81,21 +95,12 @@ class MatrixDirective:
 
 @dataclass
 class Scenario:
+    """One parsed file: the ``RunConfig`` it holds, what to execute with it
+    (a run, an attack or a game) and the expectations over the outcome."""
+
     path: Path
-    protocol: str = ""
+    config: RunConfig = field(default_factory=lambda: RunConfig(protocol=""))
     kind: str = "run"
-    seed: int = 0
-    mode: str = "default"
-    adversary: AdvModel = AdvModel.ADV_T
-    strategy: str = "null"
-    compromise: list[str] = field(default_factory=list)
-    readers: list[tuple[str, str | None]] = field(default_factory=list)
-    transits: list[str] = field(default_factory=list)
-    tags: list[str] = field(default_factory=list)
-    valid_paths: list[tuple[str, tuple[str, ...]]] = field(default_factory=list)
-    capacities: dict[str, int] = field(default_factory=dict)
-    params: dict[str, str] = field(default_factory=dict)
-    script: list[tuple[str, ...]] = field(default_factory=list)
     attack: str | None = None
     attack_args: dict[str, object] = field(default_factory=dict)
     game: GameKind | None = None
@@ -124,7 +129,7 @@ class ScenarioResult:
     def report_lines(self) -> list[str]:
         head = [
             f"scenario {self.scenario.name}",
-            f"protocol={self.scenario.protocol}",
+            f"protocol={self.scenario.config.protocol}",
             f"kind={self.scenario.kind}",
             f"exit={self.exit_code}",
         ]
@@ -148,6 +153,7 @@ def _attack_value(token: str) -> object:
 
 def parse_scenario(path: Path) -> Scenario:
     scn = Scenario(path=Path(path))
+    cfg = scn.config
     seen_protocol = False
     mode_lineno: int | None = None
 
@@ -187,54 +193,54 @@ def parse_scenario(path: Path) -> Scenario:
         if key == "protocol":
             if len(args) != 1 or args[0] not in PROTOCOLS:
                 raise err(lineno, f"unknown protocol {' '.join(args) or '?'}")
-            scn.protocol = args[0]
+            cfg.protocol = args[0]
             seen_protocol = True
         elif key == "kind":
             if len(args) != 1 or args[0] not in ("run", "attack", "privacy", "probe"):
                 raise err(lineno, "kind must be run, attack, privacy or probe")
             scn.kind = "attack" if args[0] == "probe" else args[0]
         elif key == "seed":
-            scn.seed = integer(lineno, key, single(lineno, key, args))
+            cfg.seed = integer(lineno, key, single(lineno, key, args))
         elif key == "mode":
-            scn.mode = single(lineno, key, args)
+            cfg.mode = single(lineno, key, args)
             mode_lineno = lineno
         elif key == "adversary":
             try:
-                scn.adversary = AdvModel(" ".join(args))
+                cfg.adversary = AdvModel(" ".join(args))
             except ValueError:
                 raise err(lineno, "adversary must be AdvT or AdvR") from None
         elif key == "strategy":
-            scn.strategy = single(lineno, key, args)
+            cfg.strategy = single(lineno, key, args)
         elif key == "compromise":
-            scn.compromise.extend(nonempty(lineno, key, "reader", args))
+            cfg.compromise.extend(nonempty(lineno, key, "reader", args))
         elif key == "reader":
             if len(args) not in (1, 2):
                 raise err(lineno, "reader needs a token and at most one participant")
-            scn.readers.append((args[0], args[1] if len(args) > 1 else None))
+            cfg.readers.append((args[0], args[1] if len(args) > 1 else None))
         elif key == "transit":
-            scn.transits.extend(nonempty(lineno, key, "reader", args))
+            cfg.transits.extend(nonempty(lineno, key, "reader", args))
         elif key == "tag":
-            scn.tags.extend(nonempty(lineno, key, "tag", args))
+            cfg.tags.extend(nonempty(lineno, key, "tag", args))
         elif key == "validpath":
             if len(args) < 2:
                 raise err(lineno, "validpath needs a tag and at least one reader")
-            scn.valid_paths.append((args[0], tuple(args[1:])))
+            cfg.valid_paths.append((args[0], tuple(args[1:])))
         elif key == "capacity":
             if len(args) != 2:
                 raise err(lineno, "capacity needs a tag and a bit count")
-            scn.capacities[args[0]] = integer(lineno, key, args[1])
+            cfg.capacities[args[0]] = integer(lineno, key, args[1], minimum=0)
         elif key == "param":
             if len(args) < 2:
                 raise err(lineno, "param needs a key and a value")
-            scn.params[args[0]] = " ".join(args[1:])
+            cfg.params[args[0]] = " ".join(args[1:])
         elif key == "move":
             if len(args) != 2:
                 raise err(lineno, "move needs a tag and a reader")
-            scn.script.append(("move", args[0], args[1]))
+            cfg.script.append(("move", args[0], args[1]))
         elif key == "claim":
             if len(args) not in (1, 2):
                 raise err(lineno, "claim needs a tag and at most one verifier")
-            scn.script.append(("claim", *args))
+            cfg.script.append(("claim", *args))
         elif key == "attack":
             if not args or args[0] not in ATTACKS:
                 raise err(lineno, f"unknown attack {' '.join(args[:1]) or '?'}")
@@ -269,12 +275,11 @@ def parse_scenario(path: Path) -> Scenario:
 
     if not seen_protocol:
         raise ScenarioError(f"{scn.path.name}: missing protocol directive")
-    modes = PROTOCOLS[scn.protocol].modes
-    if mode_lineno is not None and scn.mode not in modes:
-        raise err(
-            mode_lineno,
-            f"{scn.protocol} does not know mode {scn.mode}; its modes are {', '.join(modes)}",
-        )
+    if mode_lineno is not None:
+        try:
+            check_mode(cfg.protocol, cfg.mode)
+        except ValueError as exc:
+            raise err(mode_lineno, str(exc)) from None
     if scn.kind == "attack" and scn.attack is None:
         raise ScenarioError(f"{scn.path.name}: attack scenario without attack directive")
     if scn.kind == "privacy" and scn.game is None:
@@ -367,31 +372,10 @@ def _run_facts(result: RunResult) -> tuple[dict[str, str], dict[str, list[str]]]
     return facts, membership
 
 
-def _execute_run(scn: Scenario) -> ScenarioResult:
-    config = RunConfig(
-        protocol=scn.protocol,
-        seed=scn.seed,
-        mode=scn.mode,
-        adversary=scn.adversary,
-        strategy=scn.strategy,
-        compromise=list(scn.compromise),
-        readers=list(scn.readers),
-        transits=list(scn.transits),
-        tags=list(scn.tags),
-        valid_paths=list(scn.valid_paths),
-        script=list(scn.script),
-        capacities=dict(scn.capacities),
-        params=dict(scn.params),
-    )
-    result = run_protocol(config)
+def _execute_run(scn: Scenario) -> tuple[list[str], list[str]]:
+    result = run_protocol(scn.config)
     facts, membership = _run_facts(result)
-    failures = _check_expects(scn.expects, facts, membership)
-    return ScenarioResult(
-        scenario=scn,
-        exit_code=EXIT_OK if not failures else EXIT_EXPECT,
-        failures=failures,
-        lines=result.report_lines(),
-    )
+    return _check_expects(scn.expects, facts, membership), result.report_lines()
 
 
 def _attack_facts(outcome: AttackOutcome) -> tuple[dict[str, str], dict[str, list[str]]]:
@@ -412,82 +396,60 @@ def _attack_facts(outcome: AttackOutcome) -> tuple[dict[str, str], dict[str, lis
     return facts, membership
 
 
-def _execute_attack(scn: Scenario) -> ScenarioResult:
+def _execute_attack(scn: Scenario) -> tuple[list[str], list[str]]:
+    cfg = scn.config
     op = ATTACKS[scn.attack]
     kwargs = dict(scn.attack_args)
     accepted = inspect.signature(op).parameters
-    for name, value in (
-        ("seed", scn.seed),
-        ("mode", scn.mode),
-        ("adversary", scn.adversary),
-    ):
+    for name in ("seed", "mode", "adversary"):
         if name in accepted and name not in kwargs:
-            kwargs[name] = value
+            kwargs[name] = getattr(cfg, name)
     outcome = op(**kwargs)
     facts, membership = _attack_facts(outcome)
     failures = _check_expects(scn.expects, facts, membership)
     run = outcome.run_result()
-    if run is not None and run.config.adversary is not scn.adversary:
+    if run is not None and run.config.adversary is not cfg.adversary:
         failures.append(
-            f"adversary: scenario declares {scn.adversary}, run used {run.config.adversary}"
+            f"adversary: scenario declares {cfg.adversary}, run used {run.config.adversary}"
         )
-    lines = outcome.summary_lines()
-    if run is not None:
-        lines += run.report_lines()
-    return ScenarioResult(
-        scenario=scn,
-        exit_code=EXIT_OK if not failures else EXIT_EXPECT,
-        failures=failures,
-        lines=lines,
-    )
+    return failures, outcome.report_lines()
 
 
-def _execute_privacy(scn: Scenario) -> ScenarioResult:
+def _execute_privacy(scn: Scenario) -> tuple[list[str], list[str]]:
+    cfg = scn.config
     game = PrivacyGame(
         kind=scn.game,
-        protocol=scn.protocol,
+        protocol=cfg.protocol,
         distinguisher=scn.distinguisher,
         trials=scn.trials,
-        seed=scn.seed,
-        mode=scn.mode,
-        adversary=scn.adversary,
+        seed=cfg.seed,
+        mode=cfg.mode,
+        adversary=cfg.adversary,
         worlds=scn.worlds,
     )
     result = run_game(game)
-    facts = {
-        "wins": str(result.wins),
-        "trials": str(result.trials),
-    }
+    facts = {"wins": str(result.wins), "trials": str(result.trials)}
     plain = [e for e in scn.expects if e[0] not in _THRESHOLD_KEYS]
     failures = _check_expects(plain, facts, {})
     failures += _float_expects(scn.expects, result.advantage)
-    return ScenarioResult(
-        scenario=scn,
-        exit_code=EXIT_OK if not failures else EXIT_EXPECT,
-        failures=failures,
-        lines=result.report_lines(),
-    )
+    return failures, result.report_lines()
 
 
 def execute_scenario(scn: Scenario) -> ScenarioResult:
+    # Called by module name, not through a table, so that wrapping a
+    # module attribute (as a tracer does) sees every call.
     try:
         if scn.kind == "run":
-            return _execute_run(scn)
-        if scn.kind == "attack":
-            return _execute_attack(scn)
-        return _execute_privacy(scn)
-    except (
-        CapabilityError,
-        TagCapacityError,
-        VerifierPolicyError,
-        BoundedSearchError,
-        UnsupportedGameError,
-    ) as exc:
-        return ScenarioResult(
-            scenario=scn,
-            exit_code=EXIT_CAPABILITY,
-            failures=[f"capability: {exc}"],
-        )
+            failures, lines = _execute_run(scn)
+        elif scn.kind == "attack":
+            failures, lines = _execute_attack(scn)
+        else:
+            failures, lines = _execute_privacy(scn)
+    except CAPABILITY_ERRORS as exc:
+        code, failures, lines = EXIT_CAPABILITY, [f"capability: {exc}"], []
+    else:
+        code = EXIT_EXPECT if failures else EXIT_OK
+    return ScenarioResult(scenario=scn, exit_code=code, failures=failures, lines=lines)
 
 
 def run_scenario(path: Path | str) -> ScenarioResult:

@@ -96,17 +96,17 @@ def write(tmp_path, text, name="case.scn"):
 class TestParsing:
     def test_full_run_scenario(self, tmp_path):
         scn = parse_scenario(write(tmp_path, TRACKER_RUN))
-        assert scn.protocol == "tracker"
+        assert scn.config.protocol == "tracker"
         assert scn.kind == "run"
-        assert scn.seed == 7
-        assert scn.adversary is AdvModel.ADV_T
-        assert scn.readers == [("r1", "acme"), ("r2", None), ("m", None)]
-        assert scn.transits == ["w"]
-        assert scn.tags == ["t1"]
-        assert scn.valid_paths == [("t1", ("r1", "r2"))]
-        assert scn.capacities == {"t1": 512}
-        assert scn.params == {"manager": "m"}
-        assert scn.script == [
+        assert scn.config.seed == 7
+        assert scn.config.adversary is AdvModel.ADV_T
+        assert scn.config.readers == [("r1", "acme"), ("r2", None), ("m", None)]
+        assert scn.config.transits == ["w"]
+        assert scn.config.tags == ["t1"]
+        assert scn.config.valid_paths == [("t1", ("r1", "r2"))]
+        assert scn.config.capacities == {"t1": 512}
+        assert scn.config.params == {"manager": "m"}
+        assert scn.config.script == [
             ("move", "t1", "r1"),
             ("move", "t1", "w"),
             ("move", "t1", "r2"),
@@ -197,6 +197,7 @@ class TestParsing:
             ("reader r1 acme extra\n", "reader needs a token"),
             ("capacity t1\n", "capacity needs a tag and a bit count"),
             ("capacity t1 big\n", "capacity 'big' is not an integer"),
+            ("capacity t1 -5\n", "capacity must be at least 0"),
             ("trials\n", "trials needs exactly one value"),
             ("trials abc\n", "trials 'abc' is not an integer"),
             ("trials 0\n", "trials must be at least 1"),
@@ -419,8 +420,8 @@ class TestCorpus:
 
 def _result(name, protocol, adversary, exit_code=EXIT_OK, directives=()):
     scn = Scenario(path=corpus_dir() / f"{name}.scn")
-    scn.protocol = protocol
-    scn.adversary = adversary
+    scn.config.protocol = protocol
+    scn.config.adversary = adversary
     scn.directives = list(directives)
     return ScenarioResult(scenario=scn, exit_code=exit_code)
 
