@@ -14,6 +14,7 @@ Four commands:
 
 ``attack`` and ``privacy`` exit 3 on any of ``scenario.CAPABILITY_ERRORS``,
 as ``run`` does; the exit codes are defined in ``scenario``.
+
 ``--out FILE`` additionally writes the printed report to a file.
 """
 

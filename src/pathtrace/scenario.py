@@ -428,7 +428,10 @@ def _execute_privacy(scn: Scenario) -> tuple[list[str], list[str]]:
         worlds=scn.worlds,
     )
     result = run_game(game)
-    facts = {"wins": str(result.wins), "trials": str(result.trials)}
+    facts = {
+        "wins": str(result.wins),
+        "trials": str(result.trials),
+    }
     plain = [e for e in scn.expects if e[0] not in _THRESHOLD_KEYS]
     failures = _check_expects(plain, facts, {})
     failures += _float_expects(scn.expects, result.advantage)
