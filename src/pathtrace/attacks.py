@@ -402,14 +402,13 @@ def attack_ray_impersonation(
         if m.sender == obs_token and m.receiver == "t1" and m.seen is not None
     )
     # PID values are public; c xor term is path-level, so it cancels
-    pid = lambda token: crypto.hash_bytes(b"pid-" + token.encode())
-    shared = crypto.xor_bytes(observed, pid(obs_token))
+    shared = crypto.xor_bytes(observed, Ray.pid(obs_token))
     accepted = []
     derived = []
     for token in readers:
         if token == obs_token:
             continue
-        value = crypto.xor_bytes(shared, pid(token))
+        value = crypto.xor_bytes(shared, Ray.pid(token))
         derived.append(token)
         reply = run.adv.inject(token, "t1", value)
         accepted.append(reply == b"ok")

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import os
 import sys
 from pathlib import Path
 
@@ -34,7 +35,12 @@ from pathtrace.scenario import CAPABILITY_ERRORS, EXIT_CAPABILITY, EXIT_PARSE, c
 
 def _emit(lines: list[str], out: str | None) -> None:
     text = "\n".join(lines)
-    print(text)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader has gone: send the rest to devnull, so the flush at exit
+        # stays quiet and the exit code still tells the outcome
+        sys.stdout = open(os.devnull, "w")
     if out:
         Path(out).write_text(text + "\n")
 

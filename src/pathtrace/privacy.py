@@ -18,6 +18,13 @@ gets a ledger-eye variant where the two windows are single ledger
 records, optionally with one tag read as auxiliary input, which is the
 setting of the record-linking attack.
 
+A distinguisher is handed the two windows and a view that holds only
+what the adversary knows: a compromised reader's ``secrets`` (AdvR tag
+game), the public participant ``pids`` (step game) and the read tag's
+``snapshot`` (record game, except for the ledger-only observer).  The
+hidden bit, the ledger's ground truth and the game settings stay with
+the challenger.
+
 Challenge worlds are pre-built in a small pool and re-drawn across
 trials; every trial's world choice, hidden bit and any distinguisher
 coin come from one seeded stream, so results reproduce bit-exactly.
@@ -102,15 +109,22 @@ TAG_PATH_LEN = 4
 TAG_WINDOW_1 = (0, 1)
 TAG_WINDOW_2 = (3,)  # step 2 stays unobserved: the gap between windows
 STEP_PATH_LEN = 3
+STEP_WINDOW = tuple(range(STEP_PATH_LEN))  # each tag's whole journey
 STEP_UNIVERSE = 6
 
 
 @dataclass
 class ChallengeWorld:
+    """One pre-built world.  ``view`` is everything a distinguisher sees
+    besides the two windows; an RF-Chain record world's ``ledger`` and
+    ``truth`` (who wrote each record) stay with the challenger."""
+
     tags: list[str]
     paths: dict[str, tuple[str, ...]]
     transcripts: dict[tuple[str, int], tuple[bytes, ...]]
-    context: dict[str, Any] = field(default_factory=dict)
+    view: dict[str, Any] = field(default_factory=dict)
+    ledger: list[tuple[bytes, bytes]] = field(default_factory=list)
+    truth: list[tuple[str, int]] = field(default_factory=list)
 
     def window(self, tag_token: str, steps: tuple[int, ...]) -> tuple[bytes, ...]:
         out: list[bytes] = []
@@ -120,13 +134,9 @@ class ChallengeWorld:
 
 
 def _world_config(
-    protocol: str,
-    seed: int,
-    mode: str,
-    adversary: AdvModel,
-    readers: list[str],
-    paths: dict[str, tuple[str, ...]],
+    game: PrivacyGame, seed: int, readers: list[str], paths: dict[str, tuple[str, ...]]
 ) -> RunConfig:
+    protocol = game.protocol
     length = max(len(p) for p in paths.values())
     tokens = list(readers)
     params: dict[str, str] = {}
@@ -136,8 +146,8 @@ def _world_config(
     cfg = RunConfig(
         protocol=protocol,
         seed=seed,
-        mode=mode,
-        adversary=adversary,
+        mode=game.mode,
+        adversary=game.adversary,
         readers=[(t, None) for t in tokens],
         tags=sorted(paths),
         valid_paths=sorted(paths.items()),
@@ -163,12 +173,11 @@ def _build_world(
     paths: dict[str, tuple[str, ...]],
     compromise: str | None = None,
 ) -> ChallengeWorld:
-    cfg = _world_config(game.protocol, seed, game.mode, game.adversary, readers, paths)
+    cfg = _world_config(game, seed, readers, paths)
     protocol, run = build_run(cfg)
-    context: dict[str, Any] = {"mode": game.mode}
-    if compromise is not None:
-        context["secrets"] = run.adv.compromise(compromise)
     world = ChallengeWorld(tags=cfg.tags, paths=dict(paths), transcripts={})
+    if compromise is not None:
+        world.view["secrets"] = run.adv.compromise(compromise)
     length = max(len(p) for p in paths.values())
     for step in range(length):
         for tag_token in cfg.tags:
@@ -179,7 +188,6 @@ def _build_world(
             )
     if run.stalled:
         raise RuntimeError(f"challenge world for {game.protocol} stalled")
-    world.context = context
     return world
 
 
@@ -190,9 +198,7 @@ def _tag_world(game: PrivacyGame, seed: int) -> ChallengeWorld:
     # any compromised reader sits at the unobserved gap step, so the game
     # measures linkability of windows the corrupted party did not handle
     compromise = readers[2] if game.adversary is AdvModel.ADV_R else None
-    return _build_world(
-        game, seed, readers, {"ta": path, "tb": path}, compromise=compromise
-    )
+    return _build_world(game, seed, readers, {"ta": path, "tb": path}, compromise)
 
 
 def _step_world(game: PrivacyGame, seed: int, shared: bool) -> ChallengeWorld:
@@ -207,38 +213,28 @@ def _step_world(game: PrivacyGame, seed: int, shared: bool) -> ChallengeWorld:
         rng.shuffle(second)
     else:
         second = rng.sample(rest, STEP_PATH_LEN)
-    world = _build_world(
-        game, seed, universe, {"ta": tuple(first), "tb": tuple(second)}
-    )
-    world.context["pids"] = {
-        t: crypto.hash_bytes(b"pid-" + t.encode()) for t in universe
-    }
-    world.context["shared"] = shared
+    world = _build_world(game, seed, universe, {"ta": tuple(first), "tb": tuple(second)})
+    world.view["pids"] = {t: Ray.pid(t) for t in universe}
     return world
 
 
 def _rfchain_record_world(game: PrivacyGame, seed: int) -> ChallengeWorld:
-    """Full two-tag RF-Chain journey plus the public ledger; tag `ta` is
-    additionally read once, which is the linking attack's whole input."""
+    """Full two-tag RF-Chain journey plus the public ledger.  Tag `ta` is
+    read once, which is the linking attack's whole input, except for the
+    ledger-only observer, which sees no tag."""
     readers = ["r1", "r2", "r3"]
     path = tuple(readers)
     paths = {"ta": path, "tb": path}
-    cfg = _world_config(game.protocol, seed, game.mode, game.adversary, readers, paths)
+    cfg = _world_config(game, seed, readers, paths)
     protocol, run = build_run(cfg)
     for step in range(len(path)):
         for tag_token in cfg.tags:
             protocol.visit(tag_token, path[step])
     if run.stalled:
         raise RuntimeError("rfchain record world stalled")
-    snapshot = run.adv.read_tag("ta")
-    world = ChallengeWorld(tags=cfg.tags, paths=dict(paths), transcripts={})
-    world.context = {
-        "mode": game.mode,
-        "ledger": protocol.ledger.records(),
-        "truth": list(protocol.ledger_truth),
-        "snapshot": snapshot,
-    }
-    return world
+    view = {} if game.distinguisher == "record-algebra" else {"snapshot": run.adv.read_tag("ta")}
+    ledger, truth = protocol.ledger.records(), list(protocol.ledger_truth)
+    return ChallengeWorld(cfg.tags, paths, {}, view, ledger=ledger, truth=truth)
 
 
 # --- distinguishers ---------------------------------------------------------
@@ -250,21 +246,21 @@ def _atoms(payloads: tuple[bytes, ...]) -> set[bytes]:
     return {atom for atom in decompose(payloads) if len(atom) >= _MIN_ATOM}
 
 
-def _guess_random(context, t1, t2, rng: Random) -> bool:
+def _guess_random(view, t1, t2, rng: Random) -> bool:
     return bool(rng.getrandbits(1))
 
 
-def _guess_shared_atom(context, t1, t2, rng: Random) -> bool:
+def _guess_shared_atom(view, t1, t2, rng: Random) -> bool:
     if _atoms(t1) & _atoms(t2):
         return True
     return bool(rng.getrandbits(1))
 
 
-def _guess_full_transcript(context, t1, t2, rng: Random) -> bool:
+def _guess_full_transcript(view, t1, t2, rng: Random) -> bool:
     """Shared-atom search, additionally decrypting under any compromised
     32-byte secrets before comparing."""
     sides = []
-    secrets = [v for v in context.get("secrets", {}).values() if len(v) == 32]
+    secrets = [v for v in view.get("secrets", {}).values() if len(v) == 32]
     for t in (t1, t2):
         atoms = _atoms(t)
         opened: set[bytes] = set()
@@ -295,11 +291,11 @@ def _pid_candidates(values: list[bytes], pids: set[bytes]) -> list[frozenset[byt
     return out
 
 
-def _guess_xor_structure(context, t1, t2, rng: Random) -> bool:
+def _guess_xor_structure(view, t1, t2, rng: Random) -> bool:
     """Challenge values differ from each other only by public participant
     identifiers, so each window's participant set can be recovered up to
     an anchor guess; shared steps show up as intersecting sets."""
-    pids = set(context["pids"].values())
+    pids = set(view["pids"].values())
     values1 = [p for p in t1 if len(p) == 32]
     values2 = [p for p in t2 if len(p) == 32]
     sets1 = _pid_candidates(values1, pids)
@@ -309,10 +305,10 @@ def _guess_xor_structure(context, t1, t2, rng: Random) -> bool:
     return any(s1 & s2 for s1 in sets1 for s2 in sets2)
 
 
-def _guess_record_linking(context, t1, t2, rng: Random) -> bool:
+def _guess_record_linking(view, t1, t2, rng: Random) -> bool:
     """One tag read anchors the linking algebra; guess `same` iff both
     challenge records confirm against the read tag's chain levels."""
-    snapshot = context.get("snapshot")
+    snapshot = view.get("snapshot")
     if snapshot is None:
         return bool(rng.getrandbits(1))
     identity, levels = read_rfchain_tag(snapshot)
@@ -325,7 +321,7 @@ def _guess_record_linking(context, t1, t2, rng: Random) -> bool:
     return bool(rng.getrandbits(1))
 
 
-def _guess_record_algebra(context, t1, t2, rng: Random) -> bool:
+def _guess_record_algebra(view, t1, t2, rng: Random) -> bool:
     """Ledger-only observer: tries the same confirmation algebra between
     the two records without any chain level to anchor on."""
     pseudo1, payload1 = t1[0], t1[1]
@@ -352,7 +348,14 @@ DISTINGUISHERS: dict[str, Distinguisher] = {
     "record-algebra": _guess_record_algebra,
 }
 
-_RECORD_GAMES = {"record-linking", "record-algebra"}
+# The one scheme and the one game kind a distinguisher is limited to; one
+# that is not listed plays every game.  The two limited to RF-Chain read
+# its ledger records, so their game is played on record worlds.
+SCOPES: dict[str, tuple[str, GameKind]] = {
+    "xor-structure": ("ray", GameKind.STEP),
+    "record-linking": ("rfchain", GameKind.TAG),
+    "record-algebra": ("rfchain", GameKind.TAG),
+}
 
 
 # --- game execution ---------------------------------------------------------
@@ -362,22 +365,13 @@ def _validate(game: PrivacyGame) -> Distinguisher:
         raise UnsupportedGameError(f"no games for unknown protocol {game.protocol!r}")
     if game.distinguisher not in DISTINGUISHERS:
         raise UnsupportedGameError(f"unknown distinguisher {game.distinguisher!r}")
-    if game.distinguisher in _RECORD_GAMES and game.protocol != "rfchain":
+    protocol, kind = SCOPES.get(game.distinguisher, (game.protocol, game.kind))
+    if protocol != game.protocol:
         raise UnsupportedGameError(
-            f"{game.distinguisher} needs a shared ledger; {game.protocol} has none"
+            f"{game.distinguisher} needs protocol {protocol}, not {game.protocol}"
         )
-    if game.distinguisher == "xor-structure" and game.protocol != "ray":
-        raise UnsupportedGameError(
-            f"{game.distinguisher} targets challenge-set transcripts, not {game.protocol}"
-        )
-    if game.distinguisher == "xor-structure" and game.kind is not GameKind.STEP:
-        raise UnsupportedGameError(
-            f"{game.distinguisher} reads step pseudo-ids; it plays {GameKind.STEP} only"
-        )
-    if game.distinguisher in _RECORD_GAMES and game.kind is not GameKind.TAG:
-        raise UnsupportedGameError(
-            f"{game.distinguisher} compares ledger records; it plays {GameKind.TAG} only"
-        )
+    if kind is not game.kind:
+        raise UnsupportedGameError(f"{game.distinguisher} plays {kind} only, not {game.kind}")
     if game.trials < 1:
         raise ValueError("trials must be positive")
     if game.worlds < 1:
@@ -385,81 +379,50 @@ def _validate(game: PrivacyGame) -> Distinguisher:
     return DISTINGUISHERS[game.distinguisher]
 
 
-def run_tag_unlinkability(game: PrivacyGame) -> GameResult:
-    """Same tag or two tags?  Windows are separated journey slices."""
-    if game.kind is not GameKind.TAG:
-        raise ValueError("game kind must be tag unlinkability")
-    guess_fn = _validate(game)
-    rng = Random(game.seed)
-    world_seeds = [rng.getrandbits(32) for _ in range(game.worlds)]
-    if game.protocol == "rfchain" and game.distinguisher in _RECORD_GAMES:
-        return _run_record_game(game, guess_fn, rng, world_seeds)
-
-    pool: list[ChallengeWorld | None] = [None] * game.worlds
-    wins = 0
-    for _ in range(game.trials):
-        idx = rng.randrange(game.worlds)
-        if pool[idx] is None:
-            pool[idx] = _tag_world(game, world_seeds[idx])
-        world = pool[idx]
-        same = bool(rng.getrandbits(1))
-        t1 = world.window("ta", TAG_WINDOW_1)
-        t2 = world.window("ta" if same else "tb", TAG_WINDOW_2)
-        wins += guess_fn(world.context, t1, t2, rng) == same
-    return GameResult(game=game, trials=game.trials, wins=wins)
-
-
-def _run_record_game(
-    game: PrivacyGame, guess_fn: Distinguisher, rng: Random, world_seeds: list[int]
-) -> GameResult:
-    pool: list[ChallengeWorld | None] = [None] * game.worlds
-    wins = 0
-    for _ in range(game.trials):
-        idx = rng.randrange(game.worlds)
-        if pool[idx] is None:
-            pool[idx] = _rfchain_record_world(game, world_seeds[idx])
-        world = pool[idx]
-        truth = world.context["truth"]
-        ledger = world.context["ledger"]
-        a_positions = [j for j, (token, _) in enumerate(truth) if token == "ta"]
-        b_positions = [j for j, (token, _) in enumerate(truth) if token == "tb"]
-        same = bool(rng.getrandbits(1))
+def _windows(
+    game: PrivacyGame, world: ChallengeWorld, bit: bool, rng: Random
+) -> tuple[tuple, tuple]:
+    """The round's two windows; ``bit`` is its hidden answer."""
+    if world.truth:  # two ledger records: both by `ta`, or one each
+        a_positions = [j for j, (token, _) in enumerate(world.truth) if token == "ta"]
+        b_positions = [j for j, (token, _) in enumerate(world.truth) if token == "tb"]
         i = rng.choice(a_positions)
-        j = rng.choice([p for p in a_positions if p != i]) if same else rng.choice(b_positions)
-        context = dict(world.context)
-        if game.distinguisher == "record-algebra":
-            context.pop("snapshot")  # ledger-only observation scope
-        wins += guess_fn(context, ledger[i], ledger[j], rng) == same
-    return GameResult(game=game, trials=game.trials, wins=wins)
-
-
-def run_step_unlinkability(game: PrivacyGame) -> GameResult:
-    """Do the two journeys share a reader?  One window per tag."""
-    if game.kind is not GameKind.STEP:
-        raise ValueError("game kind must be step unlinkability")
-    guess_fn = _validate(game)
-    rng = Random(game.seed)
-    arm = game.worlds // 2 or 1
-    shared_seeds = [rng.getrandbits(32) for _ in range(arm)]
-    disjoint_seeds = [rng.getrandbits(32) for _ in range(arm)]
-    shared_pool: list[ChallengeWorld | None] = [None] * arm
-    disjoint_pool: list[ChallengeWorld | None] = [None] * arm
-    steps = tuple(range(STEP_PATH_LEN))
-    wins = 0
-    for _ in range(game.trials):
-        shared = bool(rng.getrandbits(1))
-        idx = rng.randrange(arm)
-        pool, seeds = (shared_pool, shared_seeds) if shared else (disjoint_pool, disjoint_seeds)
-        if pool[idx] is None:
-            pool[idx] = _step_world(game, seeds[idx], shared)
-        world = pool[idx]
-        t1 = world.window("ta", steps)
-        t2 = world.window("tb", steps)
-        wins += guess_fn(world.context, t1, t2, rng) == shared
-    return GameResult(game=game, trials=game.trials, wins=wins)
+        j = rng.choice([p for p in a_positions if p != i]) if bit else rng.choice(b_positions)
+        return world.ledger[i], world.ledger[j]
+    if game.kind is GameKind.STEP:
+        return world.window("ta", STEP_WINDOW), world.window("tb", STEP_WINDOW)
+    return world.window("ta", TAG_WINDOW_1), world.window("ta" if bit else "tb", TAG_WINDOW_2)
 
 
 def run_game(game: PrivacyGame) -> GameResult:
-    if game.kind is GameKind.TAG:
-        return run_tag_unlinkability(game)
-    return run_step_unlinkability(game)
+    """Play ``game.trials`` rounds over a pool of worlds, each built on
+    first draw.  A round draws a world, a hidden bit and two windows; the
+    distinguisher wins it by guessing the bit.  The step game's pool is an
+    arm of shared-path worlds and an arm of disjoint ones, so its round
+    draws the bit ("the paths share a reader") before the world."""
+    guess = _validate(game)
+    step = game.kind is GameKind.STEP
+    on_ledger = SCOPES.get(game.distinguisher, ("",))[0] == "rfchain"
+    rng = Random(game.seed)
+    arm = (game.worlds // 2 or 1) if step else game.worlds
+    seeds = [rng.getrandbits(32) for _ in range(2 * arm if step else arm)]
+    pool: list[ChallengeWorld | None] = [None] * len(seeds)
+    wins = 0
+    for _ in range(game.trials):
+        if step:
+            bit = bool(rng.getrandbits(1))
+            idx = rng.randrange(arm) + (0 if bit else arm)
+        else:
+            idx = rng.randrange(arm)
+            bit = bool(rng.getrandbits(1))
+        world = pool[idx]
+        if world is None:
+            if step:
+                world = _step_world(game, seeds[idx], bit)
+            elif on_ledger:
+                world = _rfchain_record_world(game, seeds[idx])
+            else:
+                world = _tag_world(game, seeds[idx])
+            pool[idx] = world
+        wins += guess(world.view, *_windows(game, world, bit, rng), rng) == bit
+    return GameResult(game=game, trials=game.trials, wins=wins)

@@ -97,6 +97,7 @@ class ProtocolModel:
     name = "abstract"
     architecture = "offline"  # or "online"
     modes: tuple[str, ...] = ("default",)  # accepted ``RunConfig.mode`` values
+    param_keys: tuple[str, ...] = ()  # the ``RunConfig.params`` keys setup reads
 
     def __init__(self, run: Run) -> None:
         self.run = run
@@ -245,11 +246,14 @@ def _drop_all_factory(run: Run):
     return lambda env, net: None
 
 
-def check_mode(protocol: str, mode: str) -> None:
-    """Refuse a mode the registered scheme does not declare."""
-    modes = PROTOCOLS[protocol].modes
-    if mode not in modes:
-        raise ValueError(f"{protocol} does not know mode {mode}; its modes are {', '.join(modes)}")
+def check_setting(protocol: str, setting: str, value: str) -> None:
+    """Refuse a ``mode`` or a ``param`` key the registered scheme does not
+    declare in its ``modes`` or ``param_keys``."""
+    scheme = PROTOCOLS[protocol]
+    known = scheme.modes if setting == "mode" else scheme.param_keys
+    if value not in known:
+        listed = ", ".join(known) or "none"
+        raise ValueError(f"{protocol} does not know {setting} {value}; its {setting}s are {listed}")
 
 
 def build_run(config: RunConfig) -> tuple[ProtocolModel, Run]:
@@ -257,7 +261,9 @@ def build_run(config: RunConfig) -> tuple[ProtocolModel, Run]:
     compromisable reader's secrets (no movement yet)."""
     if config.protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol: {config.protocol}")
-    check_mode(config.protocol, config.mode)
+    check_setting(config.protocol, "mode", config.mode)
+    for key in config.params:
+        check_setting(config.protocol, "param", key)
     run = Run(config)
     protocol = PROTOCOLS[config.protocol](run)
     if config.strategy not in STRATEGIES:

@@ -35,9 +35,9 @@ class Burbridge(ProtocolModel):
     name = "burbridge"
     architecture = "offline"
     modes = ("default", "shared", "per_tag")
+    scc_token = "scc"  # the supply-chain controller, which issues and attributes
 
     def setup(self) -> None:
-        self.scc_token = self.config.params.get("scc", "scc")
         self.per_tag_keys = self.config.mode == "per_tag"
 
         self.paths_of: dict[str, list[tuple[str, ...]]] = {}

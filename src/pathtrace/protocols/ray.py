@@ -28,13 +28,16 @@ class Ray(ProtocolModel):
     modes = ("default", "prf")
 
     CHALLENGE_BITS = 256
+    co_token = "co"  # the current owner, which loads tags and verifies
+
+    @staticmethod
+    def pid(token: str) -> bytes:
+        """A participant's public identifier."""
+        return crypto.hash_bytes(b"pid-" + token.encode())
 
     def setup(self) -> None:
-        self.co_token = self.config.params.get("co", "co")
         reader_tokens = [token for token, _ in self.config.readers]
-        self.pids: dict[str, bytes] = {
-            t: crypto.hash_bytes(b"pid-" + t.encode()) for t in reader_tokens
-        }
+        self.pids: dict[str, bytes] = {t: self.pid(t) for t in reader_tokens}
         self.rid_co = crypto.hash_bytes(b"rid-" + self.co_token.encode())
         # participant identifiers are public knowledge
         for pid in self.pids.values():

@@ -44,9 +44,9 @@ def storage_bits(path_length: int) -> int:
 class Resc(ProtocolModel):
     name = "resc"
     architecture = "online"
+    db_token = "db"  # the back-end database, the only verifier
 
     def setup(self) -> None:
-        self.db_token = self.config.params.get("db", "db")
         reader_tokens = [token for token, _ in self.config.readers]
         self.reader_keys: dict[str, bytes] = {}
         for token in reader_tokens:

@@ -96,12 +96,12 @@ class RfChain(ProtocolModel):
     name = "rfchain"
     architecture = "online"
     modes = ("default", "patched")
+    verifier_token = "bc"  # the blockchain verifier that holds the ledger
 
     def setup(self) -> None:
         self.f = self.rng.randbytes(16)
         self.pwd = self.rng.randbytes(16)
         self.nonce = self.rng.randbytes(16)
-        self.verifier_token = self.config.params.get("verifier", "bc")
         self.ledger = SharedLedger()
         self.ledger_truth: list[tuple[str, int]] = []
 

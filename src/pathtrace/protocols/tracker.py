@@ -17,10 +17,6 @@ from pathtrace import crypto
 from pathtrace.protocols.base import ProtocolModel, VerifierPolicyError, register_protocol
 
 
-def group_params(name: str) -> crypto.ElgamalParams:
-    return crypto.TEST_PARAMS if name == "test" else crypto.DEFAULT_PARAMS
-
-
 class PathPolyModel(ProtocolModel):
     """Tag state shared by the two path-polynomial schemes.
 
@@ -37,7 +33,7 @@ class PathPolyModel(ProtocolModel):
     coeffs: dict[str, int]
 
     def _setup_group(self) -> None:
-        self.params = group_params(self.config.params.get("group", "default"))
+        self.params = crypto.DEFAULT_PARAMS
         self.field = crypto.PrimeField(self.params.q)
         self.priv = crypto.elg_keygen(self.rng, self.params)
         self.pub = self.priv.public
@@ -140,6 +136,7 @@ class PathPolyModel(ProtocolModel):
 class Tracker(PathPolyModel):
     name = "tracker"
     architecture = "offline"
+    param_keys = ("manager", "equal")
 
     STATE = ("c1", "c2", "c3")
 

@@ -26,6 +26,13 @@ The run settings (protocol, seed, mode, adversary, readers, script, ...)
 parse straight into the scenario's ``RunConfig``; the rest of the
 scenario says what to execute with them and what to expect.
 
+Each kind accepts ``COMMON_DIRECTIVES`` and its own ``KIND_DIRECTIVES``:
+a run the world and script, an attack or probe ``attack``, a privacy
+game ``game``, ``distinguisher``, ``trials`` and ``worlds``.  Any other
+directive fails at its line, and so does a ``param`` key outside the
+scheme's ``param_keys``: only Tracker reads any, ``manager`` (the
+verifying reader) and ``equal`` (readers sharing one coefficient).
+
 Matrix directives feed the solution table: `matrix <prop> hold <model>`
 claims the property held in this scenario's adversary model, while
 `break`/`weakness`/`caveat` attach a numbered footnote.  A directive
@@ -55,7 +62,7 @@ from pathtrace.privacy import (
     run_game,
 )
 from pathtrace.protocols import PROTOCOLS, RunConfig, run_protocol
-from pathtrace.protocols.base import RunResult, VerifierPolicyError, check_mode
+from pathtrace.protocols.base import RunResult, VerifierPolicyError, check_setting
 
 EXIT_OK = 0
 EXIT_EXPECT = 1
@@ -70,6 +77,14 @@ CAPABILITY_ERRORS = (
     BoundedSearchError,
     UnsupportedGameError,
 )
+
+COMMON_DIRECTIVES = ("protocol", "kind", "seed", "mode", "adversary", "expect", "matrix")
+KIND_DIRECTIVES = {
+    "run": ("strategy", "compromise", "reader", "transit", "tag", "validpath", "capacity",
+            "param", "move", "claim"),
+    "attack": ("attack",),
+    "privacy": ("game", "distinguisher", "trials", "worlds"),
+}
 
 MATRIX_PROPERTIES = {
     "ss": "sound_sorted",
@@ -154,8 +169,10 @@ def _attack_value(token: str) -> object:
 def parse_scenario(path: Path) -> Scenario:
     scn = Scenario(path=Path(path))
     cfg = scn.config
-    seen_protocol = False
-    mode_lineno: int | None = None
+    line_of: dict[str, int] = {}  # the last line of each directive
+    # (line, setting, value) of each mode and param key: checking them
+    # needs the protocol, which may come last
+    settings: list[tuple[int, str, str]] = []
 
     def err(lineno: int, message: str) -> ScenarioError:
         return ScenarioError(f"{scn.path.name}:{lineno}: {message}")
@@ -190,11 +207,11 @@ def parse_scenario(path: Path) -> Scenario:
             continue
         words = line.split()
         key, args = words[0], words[1:]
+        line_of[key] = lineno
         if key == "protocol":
             if len(args) != 1 or args[0] not in PROTOCOLS:
                 raise err(lineno, f"unknown protocol {' '.join(args) or '?'}")
             cfg.protocol = args[0]
-            seen_protocol = True
         elif key == "kind":
             if len(args) != 1 or args[0] not in ("run", "attack", "privacy", "probe"):
                 raise err(lineno, "kind must be run, attack, privacy or probe")
@@ -203,7 +220,7 @@ def parse_scenario(path: Path) -> Scenario:
             cfg.seed = integer(lineno, key, single(lineno, key, args))
         elif key == "mode":
             cfg.mode = single(lineno, key, args)
-            mode_lineno = lineno
+            settings.append((lineno, key, cfg.mode))
         elif key == "adversary":
             try:
                 cfg.adversary = AdvModel(" ".join(args))
@@ -233,6 +250,7 @@ def parse_scenario(path: Path) -> Scenario:
             if len(args) < 2:
                 raise err(lineno, "param needs a key and a value")
             cfg.params[args[0]] = " ".join(args[1:])
+            settings.append((lineno, key, args[0]))
         elif key == "move":
             if len(args) != 2:
                 raise err(lineno, "move needs a tag and a reader")
@@ -273,13 +291,17 @@ def parse_scenario(path: Path) -> Scenario:
         else:
             raise err(lineno, f"unknown directive {key!r}")
 
-    if not seen_protocol:
+    if "protocol" not in line_of:
         raise ScenarioError(f"{scn.path.name}: missing protocol directive")
-    if mode_lineno is not None:
+    for key, lineno in line_of.items():
+        if key not in COMMON_DIRECTIVES and key not in KIND_DIRECTIVES[scn.kind]:
+            article = "an" if scn.kind == "attack" else "a"
+            raise err(lineno, f"{key} does not apply to {article} {scn.kind} scenario")
+    for lineno, setting, value in settings:
         try:
-            check_mode(cfg.protocol, cfg.mode)
+            check_setting(cfg.protocol, setting, value)
         except ValueError as exc:
-            raise err(mode_lineno, str(exc)) from None
+            raise err(lineno, str(exc)) from None
     if scn.kind == "attack" and scn.attack is None:
         raise ScenarioError(f"{scn.path.name}: attack scenario without attack directive")
     if scn.kind == "privacy" and scn.game is None:

@@ -1,12 +1,15 @@
 """Command-line interface: exit codes, output, --out files."""
 
 import hashlib
+import io
+import os
+import sys
 
 import pytest
 
 from pathtrace.attacks import ATTACKS
 from pathtrace.cli import main
-from pathtrace.scenario import corpus_dir
+from pathtrace.scenario import corpus_dir, run_scenario
 
 HONEST = corpus_dir() / "tracker-honest.scn"
 
@@ -74,6 +77,26 @@ class TestRun:
             "protocol tracker\nkind attack\nattack tracker-order-search q=2003\n"
         )
         assert main(["run", str(scn)]) == 3
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has already exited."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestBrokenPipe:
+    @pytest.mark.parametrize("expect,code", [("true", 0), ("false", 1)])
+    def test_command_keeps_its_exit_code(self, tmp_path, monkeypatch, expect, code):
+        scn = tmp_path / "case.scn"
+        scn.write_text(HONEST.read_text().replace("expect sound true", f"expect sound {expect}"))
+        target = tmp_path / "report.txt"
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+        assert main(["run", str(scn), "--out", str(target)]) == code
+        assert sys.stdout.name == os.devnull
+        sys.stdout.close()
+        assert target.read_text() == "\n".join(run_scenario(scn).report_lines()) + "\n"
 
 
 class TestMatrix:

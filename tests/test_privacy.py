@@ -20,8 +20,6 @@ from pathtrace.privacy import (
     PrivacyGame,
     UnsupportedGameError,
     run_game,
-    run_step_unlinkability,
-    run_tag_unlinkability,
 )
 from pathtrace.privacy import _atoms, _rfchain_record_world, _step_world, _tag_world
 from pathtrace.protocols import PROTOCOLS
@@ -31,14 +29,6 @@ ALL_PROTOCOLS = ["tracker", "checker", "stepauth", "rfchain", "ray", "resc", "bu
 
 
 class TestGameValidation:
-    def test_kind_mismatch_rejected(self):
-        tag_game = PrivacyGame(kind=GameKind.TAG, protocol="tracker")
-        step_game = PrivacyGame(kind=GameKind.STEP, protocol="tracker")
-        with pytest.raises(ValueError):
-            run_tag_unlinkability(step_game)
-        with pytest.raises(ValueError):
-            run_step_unlinkability(tag_game)
-
     def test_unknown_protocol_unsupported(self):
         with pytest.raises(UnsupportedGameError):
             run_game(PrivacyGame(kind=GameKind.TAG, protocol="nosuch"))
@@ -156,7 +146,7 @@ class TestBaselines:
                 kind=GameKind.TAG, protocol=protocol, distinguisher="random",
                 trials=2000, seed=5,
             )
-            result = run_tag_unlinkability(game)
+            result = run_game(game)
             assert result.advantage < 0.05, (protocol, result.advantage)
 
     def test_step_game_baseline(self):
@@ -165,7 +155,7 @@ class TestBaselines:
                 kind=GameKind.STEP, protocol=protocol, distinguisher="random",
                 trials=1000, seed=5, worlds=8,
             )
-            result = run_step_unlinkability(game)
+            result = run_game(game)
             assert result.advantage < 0.06, (protocol, result.advantage)
 
 
@@ -248,7 +238,7 @@ class TestRayXorStructure:
                 world = _step_world(game, 1000 + seed, shared)
                 t1 = world.window("ta", steps)
                 t2 = world.window("tb", steps)
-                assert guess(world.context, t1, t2, Random(0)) is shared, (seed, shared)
+                assert guess(world.view, t1, t2, Random(0)) is shared, (seed, shared)
 
 
 class TestChallengeWorlds:
@@ -268,9 +258,9 @@ class TestChallengeWorlds:
             kind=GameKind.TAG, protocol="stepauth", adversary=AdvModel.ADV_R
         )
         world = _tag_world(game, 99)
-        assert world.context["secrets"]
+        assert world.view["secrets"]
         plain = _tag_world(PrivacyGame(kind=GameKind.TAG, protocol="stepauth"), 99)
-        assert "secrets" not in plain.context
+        assert "secrets" not in plain.view
 
     def test_step_world_overlap_matches_arm(self):
         game = PrivacyGame(kind=GameKind.STEP, protocol="ray")
@@ -286,13 +276,44 @@ class TestChallengeWorlds:
     def test_rfchain_record_world(self):
         game = PrivacyGame(kind=GameKind.TAG, protocol="rfchain")
         world = _rfchain_record_world(game, 55)
-        truth = world.context["truth"]
-        ledger = world.context["ledger"]
+        truth = world.truth
+        ledger = world.ledger
         assert len(ledger) == len(truth) == 6
         assert [t for t, _ in truth].count("ta") == 3
-        parts = crypto.split_length_prefixed(world.context["snapshot"])
+        parts = crypto.split_length_prefixed(world.view["snapshot"])
         fields = {parts[i].decode(): parts[i + 1] for i in range(0, len(parts), 2)}
         assert fields["id"] == b"epc-ta"
+
+
+class TestAdversaryView:
+    @pytest.mark.parametrize(
+        "kind,protocol,distinguisher,adversary,keys",
+        [
+            (GameKind.TAG, "stepauth", "full-transcript", AdvModel.ADV_R, {"secrets"}),
+            (GameKind.TAG, "stepauth", "shared-atom", AdvModel.ADV_T, set()),
+            (GameKind.STEP, "ray", "xor-structure", AdvModel.ADV_T, {"pids"}),
+            (GameKind.TAG, "rfchain", "record-linking", AdvModel.ADV_T, {"snapshot"}),
+            (GameKind.TAG, "rfchain", "record-algebra", AdvModel.ADV_T, set()),
+        ],
+        ids=["secrets", "nothing", "pids", "snapshot", "ledger-only"],
+    )
+    def test_distinguisher_sees_only_the_adversary_view(
+        self, monkeypatch, kind, protocol, distinguisher, adversary, keys
+    ):
+        seen = set()
+        real = DISTINGUISHERS[distinguisher]
+
+        def spy(view, t1, t2, rng):
+            seen.add(frozenset(view))
+            return real(view, t1, t2, rng)
+
+        monkeypatch.setitem(DISTINGUISHERS, distinguisher, spy)
+        game = PrivacyGame(
+            kind=kind, protocol=protocol, distinguisher=distinguisher,
+            trials=40, seed=3, adversary=adversary, worlds=4,
+        )
+        run_game(game)
+        assert seen == {frozenset(keys)}
 
 
 class TestAtomDecomposition:

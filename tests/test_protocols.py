@@ -127,6 +127,26 @@ class TestModes:
         )
 
 
+class TestParamKeys:
+    @pytest.mark.parametrize(
+        "protocol,key,message",
+        [
+            ("ray", "co", "ray does not know param co; its params are none"),
+            ("burbridge", "scc", "burbridge does not know param scc; its params are none"),
+            ("resc", "db", "resc does not know param db; its params are none"),
+            ("rfchain", "verifier", "rfchain does not know param verifier; its params are none"),
+            ("checker", "group", "checker does not know param group; its params are none"),
+            ("tracker", "group", "tracker does not know param group; its params are manager, equal"),
+        ],
+    )
+    def test_unread_key_refused(self, protocol, key, message):
+        cfg = honest_config(protocol)
+        cfg.params[key] = "x"
+        with pytest.raises(ValueError) as err:
+            build_run(cfg)
+        assert str(err.value) == message
+
+
 class TestCompromisableReaders:
     """Under AdvR every configured reader that holds a secret surrenders
     exactly ``reader_secrets``; Tracker's manager, which holds no

@@ -211,6 +211,25 @@ class TestParsing:
             ("compromise\n", "compromise needs at least one reader"),
             ("adversary AdvT AdvR\n", "adversary must be AdvT or AdvR"),
             ("mode bogus\n", "tracker does not know mode bogus; its modes are default"),
+            # a directive the scenario's kind ignores; `kind` may come after it
+            ("strategy nosuch\nkind attack\nattack ray-out-of-order\n",
+             "strategy does not apply to an attack scenario"),
+            ("move t9 r9\nkind probe\nattack ray-out-of-order\n",
+             "move does not apply to an attack scenario"),
+            ("compromise r9\nkind privacy\ngame tag-unlinkability\n",
+             "compromise does not apply to a privacy scenario"),
+            ("reader zz\nkind privacy\ngame tag-unlinkability\n",
+             "reader does not apply to a privacy scenario"),
+            ("attack ray-out-of-order\nkind privacy\ngame tag-unlinkability\n",
+             "attack does not apply to a privacy scenario"),
+            ("game tag-unlinkability\n", "game does not apply to a run scenario"),
+            ("trials 3\n", "trials does not apply to a run scenario"),
+            # a param key the scheme does not read; `protocol` may come after it
+            ("param bogus 1\n", "tracker does not know param bogus; its params are manager, equal"),
+            ("param bogus 1\nprotocol ray\n", "ray does not know param bogus; its params are none"),
+            ("param manager r1\nprotocol checker\n",
+             "checker does not know param manager; its params are none"),
+            ("param group test\n", "tracker does not know param group"),
         ],
     )
     def test_malformed_values_fail_closed(self, tmp_path, body, fragment):
@@ -315,9 +334,9 @@ class TestExecution:
                 "capability: 128 bits exceed tag capacity of 8",
             ),
             (
-                TRACKER_RUN.replace("protocol tracker", "protocol ray").replace(
-                    "validpath t1 r1 r2\n", ""
-                ),
+                TRACKER_RUN.replace("protocol tracker", "protocol ray")
+                .replace("param manager m\n", "")
+                .replace("validpath t1 r1 r2\n", ""),
                 EXIT_PARSE,
                 "case.scn: ValueError: ray needs exactly one pre-defined path for t1",
             ),
