@@ -360,6 +360,12 @@ SCOPES: dict[str, tuple[str, GameKind]] = {
 
 # --- game execution ---------------------------------------------------------
 
+# The largest world pool a game accepts.  ``run_game`` draws one seed per
+# pool world before its first round, so the pool costs time and memory in
+# proportion to its size however few worlds the rounds build.
+MAX_WORLDS = 4096
+
+
 def _validate(game: PrivacyGame) -> Distinguisher:
     if game.protocol not in PROTOCOLS:
         raise UnsupportedGameError(f"no games for unknown protocol {game.protocol!r}")
@@ -376,6 +382,8 @@ def _validate(game: PrivacyGame) -> Distinguisher:
         raise ValueError("trials must be positive")
     if game.worlds < 1:
         raise ValueError("world pool must be positive")
+    if game.worlds > MAX_WORLDS:
+        raise ValueError(f"world pool must be at most {MAX_WORLDS}")
     return DISTINGUISHERS[game.distinguisher]
 
 

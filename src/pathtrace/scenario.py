@@ -49,6 +49,7 @@ any other exception also comes back as exit 2, with a
 from __future__ import annotations
 
 import inspect
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -56,6 +57,7 @@ from pathtrace import trace as tr
 from pathtrace.attacks import ATTACKS, AttackOutcome, BoundedSearchError
 from pathtrace.network import AdvModel, CapabilityError, TagCapacityError
 from pathtrace.privacy import (
+    MAX_WORLDS,
     GameKind,
     PrivacyGame,
     UnsupportedGameError,
@@ -85,6 +87,9 @@ KIND_DIRECTIVES = {
     "attack": ("attack",),
     "privacy": ("game", "distinguisher", "trials", "worlds"),
 }
+
+# expect keys whose value is a float threshold on a game's advantage
+_THRESHOLD_KEYS = ("advantage_min", "advantage_max")
 
 MATRIX_PROPERTIES = {
     "ss": "sound_sorted",
@@ -187,13 +192,17 @@ def parse_scenario(path: Path) -> Scenario:
             raise err(lineno, f"{key} needs at least one {what}")
         return args
 
-    def integer(lineno: int, key: str, token: str, minimum: int | None = None) -> int:
+    def integer(
+        lineno: int, key: str, token: str, minimum: int | None = None, maximum: int | None = None
+    ) -> int:
         try:
             value = int(token)
         except ValueError:
             raise err(lineno, f"{key} {token!r} is not an integer") from None
         if minimum is not None and value < minimum:
             raise err(lineno, f"{key} must be at least {minimum}")
+        if maximum is not None and value > maximum:
+            raise err(lineno, f"{key} must be at most {maximum}")
         return value
 
     try:
@@ -281,10 +290,20 @@ def parse_scenario(path: Path) -> Scenario:
         elif key == "trials":
             scn.trials = integer(lineno, key, single(lineno, key, args), minimum=1)
         elif key == "worlds":
-            scn.worlds = integer(lineno, key, single(lineno, key, args), minimum=1)
+            scn.worlds = integer(
+                lineno, key, single(lineno, key, args), minimum=1, maximum=MAX_WORLDS
+            )
         elif key == "expect":
             if len(args) != 2:
                 raise err(lineno, "expect needs a key and a value")
+            if args[0] in _THRESHOLD_KEYS:
+                try:
+                    threshold = float(args[1])
+                except ValueError:
+                    threshold = math.nan
+                # a nan threshold would hold whatever the advantage
+                if not math.isfinite(threshold):
+                    raise err(lineno, f"{args[0]} {args[1]!r} is not a finite number")
             scn.expects.append((args[0], args[1]))
         elif key == "matrix":
             scn.directives.append(_parse_matrix(err, lineno, args))
@@ -358,9 +377,6 @@ def _check_expects(
         elif got != want:
             failures.append(f"{key}: expected {want!r}, got {got!r}")
     return failures
-
-
-_THRESHOLD_KEYS = ("advantage_min", "advantage_max")
 
 
 def _float_expects(expects: list[tuple[str, str]], advantage: float) -> list[str]:

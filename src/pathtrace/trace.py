@@ -31,6 +31,7 @@ import enum
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 
@@ -41,34 +42,57 @@ class IdKind(enum.Enum):
     BACKEND = "backend"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Identifier:
     """A named entity.  Equality and hashing use (kind, value) only.
 
     ``participant`` records which supply-chain party operates a reader; it is
-    descriptive metadata and never takes part in comparisons.
+    descriptive metadata and never takes part in comparisons.  The hash is
+    computed once, because identifiers key every set, dict and ``Counter``
+    the checkers build.
     """
 
     kind: IdKind
     value: str
-    participant: str | None = field(default=None, compare=False)
+    participant: str | None = None
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.value or any(c.isspace() for c in self.value):
             raise ValueError(f"identifier must be a non-empty token: {self.value!r}")
+        object.__setattr__(self, "_hash", hash((self.kind.value, self.value)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.value == other.value and self.kind is other.kind
 
     def __str__(self) -> str:
         return self.value
 
 
+# The constructors intern: one instance per argument tuple, so equal
+# identifiers are mostly the same object and compare by identity.  They
+# are frozen, so sharing them is safe; the caches grow with the number of
+# distinct tokens.  A bad token raises on every call (exceptions are not
+# cached).
+
+@lru_cache(maxsize=None)
 def reader(value: str, participant: str | None = None) -> Identifier:
     return Identifier(IdKind.READER, value, participant)
 
 
+@lru_cache(maxsize=None)
 def tag(value: str) -> Identifier:
     return Identifier(IdKind.TAG, value)
 
 
+@lru_cache(maxsize=None)
 def backend(value: str) -> Identifier:
     return Identifier(IdKind.BACKEND, value)
 
@@ -205,7 +229,10 @@ def physical_path(trace: Trace, tag: Identifier, upto: int | None = None) -> tup
 def is_subsequence(needle: Sequence[Identifier], hay: Sequence[Identifier]) -> bool:
     """True when ``needle`` appears in ``hay`` in order (gaps allowed)."""
     it = iter(hay)
-    return all(any(x == y for y in it) for x in needle)
+    for x in needle:
+        if x not in it:  # consumes the iterator up to and including a match
+            return False
+    return True
 
 
 def is_prefix(prefix: Sequence[Identifier], whole: Sequence[Identifier]) -> bool:
@@ -466,8 +493,12 @@ class TraceParseError(ValueError):
 
 def parse_trace(text: str) -> Trace:
     """Parse a trace dump.  Claimant kind is inferred: a token that also
-    occurs as a reader parses as a reader, otherwise as a backend."""
-    rows: list[tuple[str, list[str]]] = []
+    occurs as a reader anywhere in the dump parses as a reader, otherwise
+    as a backend."""
+    events: list[Event | None] = []
+    # (position, tag, path, claimant token): a claimant is resolved once
+    # every reader token is known, because it may appear as one later
+    claims: list[tuple[int, Identifier, tuple[Identifier, ...], str]] = []
     reader_tokens: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -479,25 +510,22 @@ def parse_trace(text: str) -> Trace:
             if len(args) != 2:
                 raise TraceParseError(f"line {lineno}: MOVE wants <tag> <reader>")
             reader_tokens.add(args[1])
+            events.append(Move(tag(args[0]), reader(args[1])))
         elif kind == "VALIDPATH":
             if len(args) < 2:
                 raise TraceParseError(f"line {lineno}: VALIDPATH wants <tag> <r1> ...")
             reader_tokens.update(args[1:])
+            events.append(ValidPath(tag(args[0]), tuple(map(reader, args[1:]))))
         elif kind == "CLAIM":
             if len(args) < 3:
                 raise TraceParseError(f"line {lineno}: CLAIM wants <tag> <claimant> <r1> ...")
             reader_tokens.update(args[2:])
+            claims.append((len(events), tag(args[0]), tuple(map(reader, args[2:])), args[1]))
+            events.append(None)
         else:
             raise TraceParseError(f"line {lineno}: unknown event {kind}")
-        rows.append((kind, args))
 
-    trace = Trace()
-    for kind, args in rows:
-        if kind == "MOVE":
-            trace.append(Move(tag(args[0]), reader(args[1])))
-        elif kind == "VALIDPATH":
-            trace.append(ValidPath(tag(args[0]), tuple(reader(r) for r in args[1:])))
-        else:
-            claimant = reader(args[1]) if args[1] in reader_tokens else backend(args[1])
-            trace.append(PathClaim(tag(args[0]), tuple(reader(r) for r in args[2:]), claimant))
-    return trace
+    for position, claim_tag, path, token in claims:
+        claimant = reader(token) if token in reader_tokens else backend(token)
+        events[position] = PathClaim(claim_tag, path, claimant)
+    return Trace(events)

@@ -219,6 +219,12 @@ class TestPrivacy:
         assert message in captured.err
         assert captured.out == ""
 
+    def test_too_many_worlds_exit_two(self, capsys):
+        assert main(["privacy", "tracker", "tag-unlinkability", "--worlds", "4097"]) == 2
+        captured = capsys.readouterr()
+        assert "world pool must be at most 4096" in captured.err
+        assert captured.out == ""
+
     def test_unknown_mode_exit_two(self, capsys):
         code = main(["privacy", "tracker", "tag-unlinkability", "--mode", "patched"])
         assert code == 2

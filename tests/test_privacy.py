@@ -14,6 +14,7 @@ from pathtrace import crypto
 from pathtrace.network import AdvModel
 from pathtrace.privacy import (
     DISTINGUISHERS,
+    MAX_WORLDS,
     ChallengeWorld,
     GameKind,
     GameResult,
@@ -70,6 +71,12 @@ class TestGameValidation:
             run_game(PrivacyGame(kind=GameKind.TAG, protocol="tracker", trials=0))
         with pytest.raises(ValueError):
             run_game(PrivacyGame(kind=GameKind.TAG, protocol="tracker", worlds=0))
+
+    def test_world_pool_bounded(self):
+        with pytest.raises(ValueError, match=f"world pool must be at most {MAX_WORLDS}"):
+            run_game(PrivacyGame(kind=GameKind.TAG, protocol="tracker", worlds=MAX_WORLDS + 1))
+        game = PrivacyGame(kind=GameKind.TAG, protocol="tracker", trials=1, worlds=MAX_WORLDS)
+        assert run_game(game).trials == 1
 
     def test_distinguisher_registry(self):
         assert set(DISTINGUISHERS) == {

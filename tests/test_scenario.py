@@ -203,6 +203,9 @@ class TestParsing:
             ("trials 0\n", "trials must be at least 1"),
             ("worlds -2\n", "worlds must be at least 1"),
             ("worlds 1.5\n", "worlds '1.5' is not an integer"),
+            ("worlds 4097\n", "worlds must be at most 4096"),
+            ("expect advantage_max abc\n", "advantage_max 'abc' is not a finite number"),
+            ("expect advantage_min nan\n", "advantage_min 'nan' is not a finite number"),
             ("attack ray-out-of-order order=1,x\n", "attack argument 'order=1,x' is not a list"),
             ("claim\n", "claim needs a tag and at most one verifier"),
             ("claim t1 r1 junk\n", "claim needs a tag and at most one verifier"),

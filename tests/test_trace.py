@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -241,9 +242,41 @@ class TestSerialization:
         assert claims[0].claimant.kind is tr.IdKind.READER
         assert claims[1].claimant.kind is tr.IdKind.BACKEND
 
+    def test_claimant_named_as_reader_only_later(self):
+        t = parse_trace("MOVE t1 r1\nCLAIM t1 r2 r1\nMOVE t1 r2\n")
+        (_, claim), = t.claims()
+        assert claim.claimant is reader("r2")
+
     def test_comments_and_blank_lines_skipped(self):
-        t = parse_trace("# header\n\nMOVE t1 r1\n")
-        assert len(t) == 1
+        t = parse_trace("# header\n\nMOVE t1 r1\n   \n  # indented\nCLAIM t1 b1 r1\n")
+        assert t.events == (Move(T1, R["r1"]), PathClaim(T1, path("r1"), B1))
+
+    def test_lower_case_keywords(self):
+        t = parse_trace("validpath t1 r1 r2\nmove t1 r1\nMove t1 r2\nclaim t1 b1 r1 r2\n")
+        assert dump_trace(t) == "VALIDPATH t1 r1 r2\nMOVE t1 r1\nMOVE t1 r2\nCLAIM t1 b1 r1 r2\n"
+
+    def test_parsed_identifiers_are_interned(self):
+        t = parse_trace("VALIDPATH t1 r1\nMOVE t1 r1\nCLAIM t1 r1 r1\nCLAIM t1 b1 r1\n")
+        valid, move, by_reader, by_backend = t.events
+        assert valid.tag is move.tag is T1
+        assert valid.path[0] is move.reader is by_reader.claimant is R["r1"]
+        assert by_backend.claimant is B1
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("MOVE t1\n", "line 1: MOVE wants <tag> <reader>"),
+            ("# c\n\nMOVE t1 r1\nCLAIM t1 b1 r1\nvalidpath t1\n",
+             "line 5: VALIDPATH wants <tag> <r1> ..."),
+            ("MOVE t1 r1\n\nCLAIM t1 b1\nTELEPORT t1 r1\n",
+             "line 3: CLAIM wants <tag> <claimant> <r1> ..."),
+            ("MOVE t1 r1\n  teleport t1 r1\nMOVE t1\n", "line 2: unknown event TELEPORT"),
+        ],
+    )
+    def test_parse_error_names_first_bad_line(self, text, message):
+        with pytest.raises(TraceParseError) as info:
+            parse_trace(text)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize(
         "line",
@@ -267,6 +300,25 @@ class TestSerialization:
                 else:
                     t.append(PathClaim(T1, tuple(R[n] for n in rng.sample(names, 2)), B1))
             assert parse_trace(dump_trace(t)).events == t.events
+
+    def test_seeded_multi_tag_dumps_round_trip(self):
+        rng = random.Random(17)
+        tags = ["t1", "t2", "t3"]
+        readers = ["r1", "r2", "r3", "r4", "r5"]
+        for _ in range(100):
+            lines = []
+            for _ in range(rng.randrange(1, 30)):
+                t = rng.choice(tags)
+                kind = rng.randrange(3)
+                if kind == 0:
+                    lines.append(f"MOVE {t} {rng.choice(readers)}")
+                elif kind == 1:
+                    lines.append(" ".join(["VALIDPATH", t, *rng.sample(readers, 3)]))
+                else:
+                    claimant = rng.choice(["v", "b1", *readers])
+                    lines.append(" ".join(["CLAIM", t, claimant, *rng.sample(readers, 2)]))
+            text = "".join(line + "\n" for line in lines)
+            assert dump_trace(parse_trace(text)) == text
 
 
 class TestInvariants:
@@ -296,3 +348,42 @@ class TestInvariants:
             tag("bad token")
         with pytest.raises(ValueError):
             reader("")
+
+
+class TestIdentifier:
+    def test_constructors_intern(self):
+        assert reader("a") is reader("a")
+        assert reader("a", "p1") is reader("a", "p1")
+        assert tag("a") is tag("a")
+        assert backend("a") is backend("a")
+
+    def test_participant_takes_no_part(self):
+        plain, operated = reader("a"), reader("a", "p1")
+        assert operated is not plain
+        assert operated == plain and hash(operated) == hash(plain)
+        direct = tr.Identifier(tr.IdKind.READER, "a")
+        assert direct == plain and hash(direct) == hash(plain)
+
+    def test_kind_distinguishes(self):
+        assert reader("a") != tag("a")
+        assert reader("a") != backend("a")
+        assert len({reader("a"), tag("a"), backend("a"), reader("a", "p1")}) == 3
+        assert reader("a") != "a"
+
+    @pytest.mark.parametrize("make", [reader, tag, backend])
+    def test_bad_token_raises_on_every_call(self, make):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="non-empty token"):
+                make("bad token")
+
+    def test_frozen(self):
+        r = reader("a")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            r.value = "b"
+        assert r.value == "a"
+
+    def test_repr(self):
+        assert repr(reader("a", "p1")) == (
+            "Identifier(kind=<IdKind.READER: 'reader'>, value='a', participant='p1')"
+        )
+        assert repr(tag("t1")) == "Identifier(kind=<IdKind.TAG: 'tag'>, value='t1', participant=None)"
