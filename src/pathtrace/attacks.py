@@ -25,8 +25,8 @@ from pathtrace.network import AdvModel, snapshot_fields
 from pathtrace.protocols import RunConfig, build_run, finalize, run_protocol
 from pathtrace.protocols.base import Run, RunResult, register_strategy
 from pathtrace.protocols.ray import Ray
-from pathtrace.protocols.rfchain import salted_key, split_salted, step_input
-from pathtrace.protocols.resc import storage_bits
+from pathtrace.protocols.resc import Resc
+from pathtrace.protocols.rfchain import RfChain, salted_key, split_salted, step_input
 from pathtrace.stats import wilson_interval
 
 
@@ -178,7 +178,7 @@ def attack_rfchain_linking(
         adversary=AdvModel.ADV_R if insider else AdvModel.ADV_T,
         readers=[(t, None) for t in hops],
         tags=[target] + decoy_tokens,
-        capacities={t: 1024 for t in [target] + decoy_tokens},
+        capacities=dict.fromkeys([target] + decoy_tokens, RfChain.tag_bits(len(hops))),
         script=script,
     )
     protocol, run = build_run(cfg)
@@ -245,7 +245,7 @@ def probe_rfchain_length_extension(seed: int = 0) -> AttackOutcome:
         seed=seed,
         readers=[("r1", None), ("r2", None), ("r3", None)],
         tags=["t1"],
-        capacities={"t1": 1024},
+        capacities={"t1": RfChain.tag_bits(3)},
         script=[("move", "t1", "r1")],
     )
     protocol, run = build_run(cfg)
@@ -298,7 +298,7 @@ def _ray_config(
         readers=[(t, None) for t in readers],
         tags=["t1"],
         valid_paths=[("t1", tuple(readers))],
-        capacities={"t1": Ray.CHALLENGE_BITS * path_len},
+        capacities={"t1": Ray.tag_bits(path_len)},
         script=[],
     )
 
@@ -506,7 +506,7 @@ def attack_resc_key_disclosure(
         readers=[(t, None) for t in readers],
         tags=["t1"],
         valid_paths=[("t1", tuple(readers))],
-        capacities={"t1": storage_bits(path_len)},
+        capacities={"t1": Resc.tag_bits(path_len)},
         script=[],
     )
     protocol, run = build_run(cfg)

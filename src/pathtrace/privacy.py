@@ -44,8 +44,6 @@ from pathtrace.attacks import link_record, read_rfchain_tag
 from pathtrace.network import AdvModel, decompose
 from pathtrace.protocols import PROTOCOLS, RunConfig, build_run
 from pathtrace.protocols.ray import Ray
-from pathtrace.protocols.resc import storage_bits
-from pathtrace.protocols.stepauth import secret_size_bits
 from pathtrace.stats import advantage as _advantage, wilson_interval
 
 
@@ -143,7 +141,7 @@ def _world_config(
     if protocol == "tracker":
         tokens.append("m")  # dedicated manager; path readers all keep coefficients
         params["manager"] = "m"
-    cfg = RunConfig(
+    return RunConfig(
         protocol=protocol,
         seed=seed,
         mode=game.mode,
@@ -152,18 +150,9 @@ def _world_config(
         tags=sorted(paths),
         valid_paths=sorted(paths.items()),
         script=[],
+        capacities=dict.fromkeys(sorted(paths), PROTOCOLS[protocol].tag_bits(length)),
         params=params,
     )
-    for tag_token in cfg.tags:
-        if protocol == "stepauth":
-            cfg.capacities[tag_token] = secret_size_bits(length)
-        elif protocol == "rfchain":
-            cfg.capacities[tag_token] = 1024
-        elif protocol == "ray":
-            cfg.capacities[tag_token] = Ray.CHALLENGE_BITS * length
-        elif protocol == "resc":
-            cfg.capacities[tag_token] = storage_bits(length)
-    return cfg
 
 
 def _build_world(

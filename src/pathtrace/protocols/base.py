@@ -2,11 +2,12 @@
 
 A protocol model binds entities (issuer, readers, tags, possibly a backend
 or manager) to a Dolev-Yao network and an event trace.  Running a scenario
-means: set up keys and registered paths, walk tags along a movement script
+means: register paths and set up keys, walk tags along a movement script
 (each arrival at a protocol reader runs the scheme's step logic and always
 records a Move), then let the scheme's verifier attempt path claims.
-Schemes put registered paths and claims on the trace only through
-``emit_valid_path`` and ``emit_claim``.
+Each scheme declares its ``path_rule``, fixed ``verifier`` (if any) and
+``tag_bits``; the base registers the paths and refuses a foreign claimant.
+Schemes put claims on the trace only through ``emit_claim``.
 
 All verdicts are computed afterwards from the trace alone, so a protocol
 cannot grade its own homework.
@@ -27,6 +28,14 @@ DEFAULT_TAG_CAPACITY = 512
 
 class VerifierPolicyError(Exception):
     """Raised when an entity that is not allowed to verify attempts a claim."""
+
+
+class PathRuleError(ValueError):
+    """A tag's registered paths break its scheme's ``path_rule``."""
+
+    def __init__(self, protocol: str, tag_token: str, rule: str) -> None:
+        super().__init__(f"{protocol} needs {rule} registered path for {tag_token}")
+        self.tag = tag_token
 
 
 @dataclass
@@ -98,6 +107,8 @@ class ProtocolModel:
     architecture = "offline"  # or "online"
     modes: tuple[str, ...] = ("default",)  # accepted ``RunConfig.mode`` values
     param_keys: tuple[str, ...] = ()  # the ``RunConfig.params`` keys setup reads
+    path_rule = "any"  # paths per tag: "exactly one", "at least one", "any" or "none"
+    verifier: str | None = None  # the only claimant, for a scheme with a fixed one
 
     def __init__(self, run: Run) -> None:
         self.run = run
@@ -105,11 +116,40 @@ class ProtocolModel:
         self.rng = run.rng
         self.net = run.net
         self.trace = run.trace
+        self.paths_of = self.registered_paths(self.config.tags, self.config.valid_paths)
+        for tag_token, paths in self.paths_of.items():
+            tag_id = run.tag_id(tag_token)
+            for path in paths:
+                self.trace.append(tr.ValidPath(tag_id, tuple(run.reader_id(t) for t in path)))
+
+    @classmethod
+    def registered_paths(
+        cls, tags: Iterable[str], valid_paths: Iterable[tuple[str, tuple[str, ...]]]
+    ) -> dict[str, list[tuple[str, ...]]]:
+        """Each tag's paths in declared order, from one pass over ``valid_paths``
+        (an undeclared tag's are ignored); PathRuleError names a tag that
+        breaks ``path_rule``."""
+        paths_of: dict[str, list[tuple[str, ...]]] = {t: [] for t in tags}
+        if cls.path_rule == "none":
+            return paths_of
+        for tag_token, path in valid_paths:
+            if tag_token in paths_of:
+                paths_of[tag_token].append(tuple(path))
+        if cls.path_rule != "any":
+            for tag_token, paths in paths_of.items():
+                if not paths or (cls.path_rule == "exactly one" and len(paths) > 1):
+                    raise PathRuleError(cls.name, tag_token, cls.path_rule)
+        return paths_of
+
+    @classmethod
+    def tag_bits(cls, path_length: int) -> int:
+        """Nominal tag storage the scheme needs for a length-l path."""
+        return DEFAULT_TAG_CAPACITY
 
     # --- lifecycle ------------------------------------------------------
 
     def setup(self) -> None:
-        """Key material, registered paths, handler wiring."""
+        """Key material and handler wiring; paths are already registered."""
         raise NotImplementedError
 
     def visit(self, tag_token: str, reader_token: str) -> None:
@@ -129,9 +169,12 @@ class ProtocolModel:
     def claim(self, tag_token: str, verifier: str | None = None) -> None:
         """Scheme's verifier attempts a PathClaim for the tag.
 
-        `verifier` overrides the scheme's default claiming entity; models
-        whose verifier policy forbids that entity raise VerifierPolicyError.
+        `verifier` overrides the scheme's default claiming entity; one that
+        the fixed ``verifier`` or the scheme's own policy forbids raises
+        VerifierPolicyError.
         """
+        if self.verifier is not None and verifier not in (None, self.verifier):
+            raise VerifierPolicyError(f"only {self.verifier} verifies {self.name} claims, not {verifier}")
         ok = self._process_claim(tag_token, verifier)
         self.run.record_step(f"claim {tag_token} {'ok' if ok else 'rejected'}")
 
@@ -155,18 +198,11 @@ class ProtocolModel:
 
     # --- helpers --------------------------------------------------------
 
-    def emit_valid_path(self, tag_token: str, path_tokens: Iterable[str]) -> None:
-        path = tuple(self.run.reader_id(t) for t in path_tokens)
-        self.trace.append(tr.ValidPath(self.run.tag_id(tag_token), path))
-
     def emit_claim(
         self, tag_token: str, path_tokens: Iterable[str], claimant: tr.Identifier
     ) -> None:
         path = tuple(self.run.reader_id(t) for t in path_tokens)
         self.trace.append(tr.PathClaim(self.run.tag_id(tag_token), path, claimant))
-
-    def declared_paths(self, tag_token: str) -> list[tuple[str, ...]]:
-        return [p for t, p in self.config.valid_paths if t == tag_token]
 
 
 @dataclass

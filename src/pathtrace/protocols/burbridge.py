@@ -24,7 +24,7 @@ an onward document.
 from __future__ import annotations
 
 from pathtrace import crypto
-from pathtrace.protocols.base import ProtocolModel, VerifierPolicyError, register_protocol
+from pathtrace.protocols.base import ProtocolModel, register_protocol
 from pathtrace.trace import backend
 
 DOC_BITS = 256
@@ -35,26 +35,18 @@ class Burbridge(ProtocolModel):
     name = "burbridge"
     architecture = "offline"
     modes = ("default", "shared", "per_tag")
-    scc_token = "scc"  # the supply-chain controller, which issues and attributes
+    path_rule = "at least one"
+    verifier = "scc"  # the supply-chain controller, which issues and attributes
 
     def setup(self) -> None:
         self.per_tag_keys = self.config.mode == "per_tag"
 
-        self.paths_of: dict[str, list[tuple[str, ...]]] = {}
-        self.edges: dict[str, set[tuple[str, str]]] = {}
-        for tag_token in self.config.tags:
-            paths = self.declared_paths(tag_token)
-            if not paths:
-                raise ValueError(f"burbridge needs at least one registered path for {tag_token}")
-            self.paths_of[tag_token] = paths
-            edge_set: set[tuple[str, str]] = set()
-            for path in paths:
-                self.emit_valid_path(tag_token, path)
-                prev = self.scc_token
-                for hop in path:
-                    edge_set.add((prev, hop))
-                    prev = hop
-            self.edges[tag_token] = edge_set
+        # the policy edges of each tag: every hop of its registered paths,
+        # the first one leaving the controller
+        self.edges: dict[str, set[tuple[str, str]]] = {
+            tag_token: {edge for path in paths for edge in zip((self.verifier, *path), path)}
+            for tag_token, paths in self.paths_of.items()
+        }
 
         self.chain_sk, self.chain_vk = crypto.new_signing_keypair("supply-chain", self.rng)
         self.doc_keys: dict[str, tuple[crypto.SigningKey, crypto.VerifyKey]] = {}
@@ -64,9 +56,9 @@ class Burbridge(ProtocolModel):
                 self.doc_keys[tag_token] = crypto.new_signing_keypair(
                     f"doc-{tag_token}", self.rng
                 )
-            doc = self._issue(tag_token, self.scc_token)
+            doc = self._issue(tag_token, self.verifier)
             self.run.memory(tag_token).store("doc", doc, nominal_bits=DOC_BITS)
-            self._location[tag_token] = self.scc_token
+            self._location[tag_token] = self.verifier
 
         self._accepted: set[tuple[str, str]] = set()
 
@@ -151,13 +143,9 @@ class Burbridge(ProtocolModel):
     # --- attribution ----------------------------------------------------
 
     def _process_claim(self, tag_token: str, verifier: str | None) -> bool:
-        if verifier is not None and verifier != self.scc_token:
-            raise VerifierPolicyError(
-                f"only the controller {self.scc_token} attributes paths, not {verifier}"
-            )
         for path in self.paths_of[tag_token]:
             if (tag_token, path[-1]) in self._accepted:
-                self.emit_claim(tag_token, path, backend(self.scc_token))
+                self.emit_claim(tag_token, path, backend(self.verifier))
                 return True
         self.net.log_anomaly(f"burbridge controller: no completed journey for {tag_token}")
         return False

@@ -54,9 +54,8 @@ class Checker(PathPolyModel):
         self._key_of: dict[str, dict[int, tuple[tuple[str, ...], int]]] = {
             t: {} for t in reader_tokens
         }
-        for tag_token in self.config.tags:
-            for path in self.declared_paths(tag_token):
-                self.emit_valid_path(tag_token, path)
+        for paths in self.paths_of.values():
+            for path in paths:
                 for i in range(len(path)):
                     prefix = path[: i + 1]
                     key = self._path_eval(prefix)

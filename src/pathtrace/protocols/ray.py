@@ -17,7 +17,7 @@ with it every other participant's challenge.
 from __future__ import annotations
 
 from pathtrace import crypto
-from pathtrace.protocols.base import ProtocolModel, VerifierPolicyError, register_protocol
+from pathtrace.protocols.base import ProtocolModel, register_protocol
 from pathtrace.trace import backend
 
 
@@ -26,9 +26,15 @@ class Ray(ProtocolModel):
     name = "ray"
     architecture = "offline"
     modes = ("default", "prf")
+    path_rule = "exactly one"
+    verifier = "co"  # the current owner, which loads tags and verifies
 
     CHALLENGE_BITS = 256
-    co_token = "co"  # the current owner, which loads tags and verifies
+
+    @classmethod
+    def tag_bits(cls, path_length: int) -> int:
+        """One challenge per participant of the path."""
+        return cls.CHALLENGE_BITS * path_length
 
     @staticmethod
     def pid(token: str) -> bytes:
@@ -38,27 +44,20 @@ class Ray(ProtocolModel):
     def setup(self) -> None:
         reader_tokens = [token for token, _ in self.config.readers]
         self.pids: dict[str, bytes] = {t: self.pid(t) for t in reader_tokens}
-        self.rid_co = crypto.hash_bytes(b"rid-" + self.co_token.encode())
+        self.rid_co = crypto.hash_bytes(b"rid-" + self.verifier.encode())
         # participant identifiers are public knowledge
         for pid in self.pids.values():
             self.net.knowledge.observe(pid)
         self.net.knowledge.observe(self.rid_co)
 
         self.prf_key = self.rng.randbytes(32)
-        self.path_of: dict[str, tuple[str, ...]] = {}
         self.code_of: dict[str, bytes] = {}
         self.term_of: dict[str, bytes] = {}
         self.challenges: dict[tuple[str, str], bytes] = {}
         self.owner_of: dict[str, dict[bytes, str]] = {}
         self._consumed: dict[str, list[bytes]] = {}
 
-        for tag_token in self.config.tags:
-            paths = self.declared_paths(tag_token)
-            if len(paths) != 1:
-                raise ValueError(f"ray needs exactly one pre-defined path for {tag_token}")
-            path = paths[0]
-            self.path_of[tag_token] = path
-            self.emit_valid_path(tag_token, path)
+        for tag_token, (path,) in self.paths_of.items():
             folded = bytes(32)
             for t in path:
                 folded = crypto.xor_bytes(folded, self.pids[t])
@@ -77,11 +76,11 @@ class Ray(ProtocolModel):
                 owner[value] = t
                 values.append(value)
                 # out-of-band hand-off of each participant's challenge
-                self.net.transmit(self.co_token, t, value, trusted=True)
+                self.net.transmit(self.verifier, t, value, trusted=True)
             self.owner_of[tag_token] = owner
             self._consumed[tag_token] = []
             loaded = crypto.concat_length_prefixed(*values)
-            self.net.transmit(self.co_token, tag_token, loaded, trusted=True)
+            self.net.transmit(self.verifier, tag_token, loaded, trusted=True)
             mem = self.run.memory(tag_token)
             mem.store("pending", loaded, nominal_bits=self.CHALLENGE_BITS * len(values))
             mem.store("consumed", b"", nominal_bits=0)
@@ -89,7 +88,7 @@ class Ray(ProtocolModel):
 
     def reader_secrets(self, reader_token: str) -> dict[str, bytes]:
         secrets: dict[str, bytes] = {}
-        for tag_token, path in self.path_of.items():
+        for tag_token, (path,) in self.paths_of.items():
             if reader_token not in path:
                 continue
             secrets[f"challenge.{tag_token}"] = self.challenges[(tag_token, reader_token)]
@@ -134,18 +133,16 @@ class Ray(ProtocolModel):
         return True
 
     def _process_claim(self, tag_token: str, verifier: str | None) -> bool:
-        if verifier is not None and verifier != self.co_token:
-            raise VerifierPolicyError(f"only the owner {self.co_token} verifies, not {verifier}")
         mem = self.run.memory(tag_token)
-        reported = self.net.transmit(tag_token, self.co_token, mem.load("consumed"))
+        reported = self.net.transmit(tag_token, self.verifier, mem.load("consumed"))
         if reported is None:
             return False
         values = list(crypto.split_length_prefixed(reported)) if reported else []
         owner = self.owner_of[tag_token]
-        expected = {self.challenges[(tag_token, t)] for t in self.path_of[tag_token]}
+        expected = {self.challenges[(tag_token, t)] for t in self.paths_of[tag_token][0]}
         if set(values) != expected:
             self.net.log_anomaly(f"ray owner: {tag_token} has unconsumed or foreign challenges")
             return False
         order = tuple(owner[v] for v in values)
-        self.emit_claim(tag_token, order, backend(self.co_token))
+        self.emit_claim(tag_token, order, backend(self.verifier))
         return True

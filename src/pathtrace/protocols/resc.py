@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from pathtrace import crypto
 from pathtrace.network import snapshot_fields
-from pathtrace.protocols.base import ProtocolModel, VerifierPolicyError, register_protocol
+from pathtrace.protocols.base import ProtocolModel, register_protocol
 from pathtrace.trace import backend
 
 KEY_BITS = 128
@@ -44,7 +44,9 @@ def storage_bits(path_length: int) -> int:
 class Resc(ProtocolModel):
     name = "resc"
     architecture = "online"
-    db_token = "db"  # the back-end database, the only verifier
+    path_rule = "exactly one"
+    verifier = "db"  # the back-end database, the only verifier
+    tag_bits = staticmethod(storage_bits)
 
     def setup(self) -> None:
         reader_tokens = [token for token, _ in self.config.readers]
@@ -54,21 +56,14 @@ class Resc(ProtocolModel):
 
         self._clock = 0
         self.tids: dict[str, bytes] = {}
-        self.path_of: dict[str, tuple[str, ...]] = {}
         self._nonce: dict[str, bytes | None] = {}
 
-        for tag_token in self.config.tags:
-            paths = self.declared_paths(tag_token)
-            if len(paths) != 1:
-                raise ValueError(f"resc needs exactly one registered path for {tag_token}")
-            path = paths[0]
-            self.path_of[tag_token] = path
-            self.emit_valid_path(tag_token, path)
+        for tag_token, (path,) in self.paths_of.items():
             tid = b"tid-" + tag_token.encode()
             self.tids[tag_token] = tid
             ccid = crypto.PufDevice(tag_token, self.rng).respond(b"ccid")
             self.net.transmit(
-                tag_token, self.db_token, crypto.concat_length_prefixed(ccid, tid), trusted=True
+                tag_token, self.verifier, crypto.concat_length_prefixed(ccid, tid), trusted=True
             )
             mem = self.run.memory(tag_token)
             mem.store("tid", tid, nominal_bits=0)
@@ -122,7 +117,7 @@ class Resc(ProtocolModel):
             mem.store(f"ts{slot}", ts_bytes, nominal_bits=TS_BITS)
             self._nonce[tag_token] = None
             ptr = crypto.bytes_to_int(mem.load("ptr"))
-            n = len(self.path_of[tag_token])
+            n = len(self.paths_of[tag_token][0])
             while ptr <= n and mem.load(f"sig{ptr}") != b"":
                 ptr += 1
             mem.store("ptr", crypto.int_to_bytes(ptr, 1), nominal_bits=0)
@@ -148,7 +143,7 @@ class Resc(ProtocolModel):
             self.net.log_anomaly(f"resc {reader_token} got a malformed greeting from {tag_token}")
             return False
         slot = crypto.bytes_to_int(ptr_bytes)
-        if slot > len(self.path_of[tag_token]):
+        if slot > len(self.paths_of[tag_token][0]):
             self.net.log_anomaly(f"resc {reader_token}: {tag_token} has no open slot")
             return False
         key = self.session_key(reader_token, tid)
@@ -170,10 +165,8 @@ class Resc(ProtocolModel):
     # --- database side --------------------------------------------------
 
     def _process_claim(self, tag_token: str, verifier: str | None) -> bool:
-        if verifier is not None and verifier != self.db_token:
-            raise VerifierPolicyError(f"only the database {self.db_token} verifies, not {verifier}")
         mem = self.run.memory(tag_token)
-        presented = self.net.transmit(tag_token, self.db_token, mem.snapshot())
+        presented = self.net.transmit(tag_token, self.verifier, mem.snapshot())
         if presented is None:
             return False
         try:
@@ -181,7 +174,7 @@ class Resc(ProtocolModel):
         except (crypto.CryptoError, UnicodeDecodeError):
             self.net.log_anomaly("resc database got a malformed tag image")
             return False
-        path = self.path_of[tag_token]
+        (path,) = self.paths_of[tag_token]
         tid = fields.get("tid", b"")
         if tid != self.tids[tag_token]:
             self.net.log_anomaly(f"resc database: identifier mismatch for {tag_token}")
@@ -204,5 +197,5 @@ class Resc(ProtocolModel):
                 self.net.log_anomaly(f"resc database: timestamps of {tag_token} out of order")
                 return False
             last_ts = ts
-        self.emit_claim(tag_token, path, backend(self.db_token))
+        self.emit_claim(tag_token, path, backend(self.verifier))
         return True

@@ -33,7 +33,7 @@ The scheme registers no valid paths, so its claims are never authorized.
 from __future__ import annotations
 
 from pathtrace import crypto
-from pathtrace.protocols.base import ProtocolModel, VerifierPolicyError, register_protocol
+from pathtrace.protocols.base import ProtocolModel, register_protocol
 from pathtrace.trace import backend
 
 # Nominal on-tag sizes: an EPC identifier and one fixed-width signature
@@ -96,7 +96,13 @@ class RfChain(ProtocolModel):
     name = "rfchain"
     architecture = "online"
     modes = ("default", "patched")
-    verifier_token = "bc"  # the blockchain verifier that holds the ledger
+    path_rule = "none"
+    verifier = "bc"  # the blockchain verifier that holds the ledger
+
+    @classmethod
+    def tag_bits(cls, path_length: int) -> int:
+        """1024 bits hold the identifier and one chain value at any length."""
+        return 1024
 
     def setup(self) -> None:
         self.f = self.rng.randbytes(16)
@@ -117,7 +123,7 @@ class RfChain(ProtocolModel):
         for tag_token in self.config.tags:
             identity = b"epc-" + tag_token.encode()
             self._steps[tag_token] = []
-            self.net.transmit(tag_token, self.verifier_token, identity, trusted=True)
+            self.net.transmit(tag_token, self.verifier, identity, trusted=True)
             mem = self.run.memory(tag_token)
             mem.store("id", identity, nominal_bits=ID_BITS)
             mem.store("chain", self._initial_secret(identity), nominal_bits=CHAIN_BITS)
@@ -206,7 +212,7 @@ class RfChain(ProtocolModel):
         index = len(steps) + 1
         pseudo, payload = self._make_record(identity, index, chain)
         posted = self.net.transmit(
-            reader_token, self.verifier_token, crypto.concat_length_prefixed(pseudo, payload)
+            reader_token, self.verifier, crypto.concat_length_prefixed(pseudo, payload)
         )
         if posted is None:
             return False
@@ -226,12 +232,10 @@ class RfChain(ProtocolModel):
         return True
 
     def _process_claim(self, tag_token: str, verifier: str | None) -> bool:
-        if verifier is not None and verifier != self.verifier_token:
-            raise VerifierPolicyError(f"only {self.verifier_token} verifies chains, not {verifier}")
         mem = self.run.memory(tag_token)
         presented = self.net.transmit(
             tag_token,
-            self.verifier_token,
+            self.verifier,
             crypto.concat_length_prefixed(mem.load("id"), mem.load("chain")),
         )
         if presented is None:
@@ -268,5 +272,5 @@ class RfChain(ProtocolModel):
                     f"rfchain verifier: missing ledger record for step {i} of {tag_token}"
                 )
                 return False
-        self.emit_claim(tag_token, path, backend(self.verifier_token))
+        self.emit_claim(tag_token, path, backend(self.verifier))
         return True

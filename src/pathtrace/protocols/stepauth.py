@@ -41,6 +41,8 @@ def secret_size_bits(path_length: int) -> int:
 class StepAuth(ProtocolModel):
     name = "stepauth"
     architecture = "offline"
+    path_rule = "exactly one"
+    tag_bits = staticmethod(secret_size_bits)
 
     def setup(self) -> None:
         self.sign_sk, self.sign_vk = crypto.new_signing_keypair("mgr", self.rng)
@@ -52,16 +54,10 @@ class StepAuth(ProtocolModel):
             self.box_priv[token] = priv
             self.box_pub[token] = pub
 
-        self.path_of: dict[str, tuple[str, ...]] = {}
-        for tag_token in self.config.tags:
-            paths = self.declared_paths(tag_token)
-            if len(paths) != 1:
-                raise ValueError(f"stepauth needs exactly one static path for {tag_token}")
-            self.path_of[tag_token] = paths[0]
-            self.emit_valid_path(tag_token, paths[0])
-            blob = self._build_secret(tag_token, paths[0])
+        for tag_token, (path,) in self.paths_of.items():
+            blob = self._build_secret(tag_token, path)
             self.run.memory(tag_token).store(
-                "secret", blob, nominal_bits=secret_size_bits(len(paths[0]))
+                "secret", blob, nominal_bits=secret_size_bits(len(path))
             )
 
     def reader_secrets(self, reader_token: str) -> dict[str, bytes]:
@@ -127,7 +123,7 @@ class StepAuth(ProtocolModel):
                 f"stepauth {reader_token} rejects {tag_token}: layer bound to another tag"
             )
             return False
-        path = self.path_of[tag_token]
+        path = self.paths_of[tag_token][0]
         index = crypto.bytes_to_int(step_i)
         terminal = self._parse_terminal(inner)
         if terminal is not None:
@@ -151,7 +147,7 @@ class StepAuth(ProtocolModel):
         return True
 
     def _process_claim(self, tag_token: str, verifier: str | None) -> bool:
-        checkpoint = self.path_of[tag_token][-1]
+        checkpoint = self.paths_of[tag_token][0][-1]
         if verifier is not None and verifier != checkpoint:
             raise VerifierPolicyError(
                 f"only the checkpoint {checkpoint} can verify, not {verifier}"

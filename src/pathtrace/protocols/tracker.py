@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from pathtrace import crypto
-from pathtrace.protocols.base import ProtocolModel, VerifierPolicyError, register_protocol
+from pathtrace.protocols.base import ProtocolModel, register_protocol
 
 
 class PathPolyModel(ProtocolModel):
@@ -147,12 +147,12 @@ class Tracker(PathPolyModel):
         self.a0 = self.field.rand_nonzero(self.rng)
 
         reader_tokens = [token for token, _ in self.config.readers]
-        self.manager_token = self.config.params.get("manager", reader_tokens[-1])
+        self.verifier = self.config.params.get("manager", reader_tokens[-1])  # the manager
         self.coeffs: dict[str, int] = {}
         equal_group = [t for t in self.config.params.get("equal", "").split(",") if t]
         shared = self.field.rand_nonzero(self.rng) if equal_group else None
         for token in reader_tokens:
-            if token == self.manager_token:
+            if token == self.verifier:
                 continue
             if token in equal_group:
                 self.coeffs[token] = shared
@@ -163,34 +163,31 @@ class Tracker(PathPolyModel):
         self.mac_of: dict[str, int] = {}
         self.id_elem: dict[str, int] = {}
         self.accept: dict[str, dict[int, tuple[str, ...]]] = {}
-        for tag_token in self.config.tags:
+        for tag_token, paths in self.paths_of.items():
             mac_t = crypto.hash_int(crypto.mac(self.mac_key, tag_token.encode()), self.params.q)
             self.mac_of[tag_token] = mac_t
             id_t = crypto.hash_int(b"id" + tag_token.encode(), self.params.q)
             self.id_elem[tag_token] = crypto.encode_exponent(self.params, id_t)
             table: dict[int, tuple[str, ...]] = {}
-            for path in self.declared_paths(tag_token):
-                self.emit_valid_path(tag_token, path)
+            for path in paths:
                 value = self._path_eval(path)
                 elem = crypto.encode_exponent(self.params, self.field.mul(mac_t, value))
-                table.setdefault(elem, tuple(path))
+                table.setdefault(elem, path)
             self.accept[tag_token] = table
             self._init_state(tag_token, id_t, mac_t)
 
     def compromisable(self) -> list[str]:
         """The manager only verifies; it holds no coefficient to surrender."""
-        return [t for t in super().compromisable() if t != self.manager_token]
+        return [t for t in super().compromisable() if t != self.verifier]
 
     def _process_arrival(self, tag_token: str, reader_token: str) -> bool:
-        if reader_token == self.manager_token:
+        if reader_token == self.verifier:
             return True  # the manager only verifies, via the claim phase
         return self._reader_step(tag_token, reader_token) is not None
 
     def _process_claim(self, tag_token: str, verifier: str | None) -> bool:
-        if verifier is not None and verifier != self.manager_token:
-            raise VerifierPolicyError(f"only the manager can verify, not {verifier}")
         state = self._present(
-            tag_token, self.manager_token, malformed="tracker manager got malformed state"
+            tag_token, self.verifier, malformed="tracker manager got malformed state"
         )
         if state is None:
             return False
@@ -209,5 +206,5 @@ class Tracker(PathPolyModel):
             # a non-registered path was taken; which one cannot be told
             self.net.log_anomaly(f"tracker manager rejects {tag_token}: unknown path evaluation")
             return False
-        self.emit_claim(tag_token, path, self.run.reader_id(self.manager_token))
+        self.emit_claim(tag_token, path, self.run.reader_id(self.verifier))
         return True

@@ -31,7 +31,10 @@ a run the world and script, an attack or probe ``attack``, a privacy
 game ``game``, ``distinguisher``, ``trials`` and ``worlds``.  Any other
 directive fails at its line, and so does a ``param`` key outside the
 scheme's ``param_keys``: only Tracker reads any, ``manager`` (the
-verifying reader) and ``equal`` (readers sharing one coefficient).
+verifying reader) and ``equal`` (readers sharing one coefficient).  A
+token declared twice (a tag, or a reader across ``reader`` and
+``transit``) fails at its second line, and a tag whose paths break the
+scheme's ``path_rule`` fails at its ``tag`` line.
 
 Matrix directives feed the solution table: `matrix <prop> hold <model>`
 claims the property held in this scenario's adversary model, while
@@ -64,7 +67,7 @@ from pathtrace.privacy import (
     run_game,
 )
 from pathtrace.protocols import PROTOCOLS, RunConfig, run_protocol
-from pathtrace.protocols.base import RunResult, VerifierPolicyError, check_setting
+from pathtrace.protocols.base import PathRuleError, RunResult, VerifierPolicyError, check_setting
 
 EXIT_OK = 0
 EXIT_EXPECT = 1
@@ -178,9 +181,19 @@ def parse_scenario(path: Path) -> Scenario:
     # (line, setting, value) of each mode and param key: checking them
     # needs the protocol, which may come last
     settings: list[tuple[int, str, str]] = []
+    # the declaring line of each tag, and of each reader or transit token
+    tag_line: dict[str, int] = {}
+    reader_line: dict[str, int] = {}
 
     def err(lineno: int, message: str) -> ScenarioError:
         return ScenarioError(f"{scn.path.name}:{lineno}: {message}")
+
+    def declare(lineno: int, seen: dict[str, int], tokens: list[str]) -> list[str]:
+        for token in tokens:
+            if token in seen:
+                raise err(lineno, f"{token} is declared twice, first at line {seen[token]}")
+            seen[token] = lineno
+        return tokens
 
     def single(lineno: int, key: str, args: list[str]) -> str:
         if len(args) != 1:
@@ -242,11 +255,12 @@ def parse_scenario(path: Path) -> Scenario:
         elif key == "reader":
             if len(args) not in (1, 2):
                 raise err(lineno, "reader needs a token and at most one participant")
+            declare(lineno, reader_line, args[:1])
             cfg.readers.append((args[0], args[1] if len(args) > 1 else None))
         elif key == "transit":
-            cfg.transits.extend(nonempty(lineno, key, "reader", args))
+            cfg.transits.extend(declare(lineno, reader_line, nonempty(lineno, key, "reader", args)))
         elif key == "tag":
-            cfg.tags.extend(nonempty(lineno, key, "tag", args))
+            cfg.tags.extend(declare(lineno, tag_line, nonempty(lineno, key, "tag", args)))
         elif key == "validpath":
             if len(args) < 2:
                 raise err(lineno, "validpath needs a tag and at least one reader")
@@ -321,6 +335,11 @@ def parse_scenario(path: Path) -> Scenario:
             check_setting(cfg.protocol, setting, value)
         except ValueError as exc:
             raise err(lineno, str(exc)) from None
+    if scn.kind == "run":
+        try:
+            PROTOCOLS[cfg.protocol].registered_paths(cfg.tags, cfg.valid_paths)
+        except PathRuleError as exc:
+            raise err(tag_line[exc.tag], str(exc)) from None
     if scn.kind == "attack" and scn.attack is None:
         raise ScenarioError(f"{scn.path.name}: attack scenario without attack directive")
     if scn.kind == "privacy" and scn.game is None:

@@ -427,7 +427,15 @@ def classify(
                           but in a different order
     * UnauthorizedPath  - no valid path has the claim as a prefix
     """
-    phys = collapse(physical)
+    return _classify(collapse(physical), claimed, valid)
+
+
+def _classify(
+    phys: tuple[Identifier, ...],
+    claimed: Sequence[Identifier],
+    valid: Iterable[Sequence[Identifier]],
+) -> frozenset[AttackLabel]:
+    """``classify`` of an already collapsed physical path."""
     claim = tuple(claimed)
     valid_paths = [tuple(p) for p in valid]
     labels: set[AttackLabel] = set()
@@ -467,7 +475,7 @@ def classify_claim(trace: Trace, claim_index: int) -> frozenset[AttackLabel]:
     """Classify one in-trace claim against the movement that preceded it."""
     claim = _claim_at(trace, claim_index)
     valid = trace._valid_paths_before(claim.tag, claim_index)
-    return classify(physical_path(trace, claim.tag, claim_index), claim.path, valid)
+    return _classify(physical_path(trace, claim.tag, claim_index), claim.path, valid)
 
 
 # --- line serialization ----------------------------------------------------

@@ -15,7 +15,10 @@ import pytest
 
 from pathtrace import crypto
 from pathtrace.network import AdvModel, CapabilityError, TagCapacityError
+from pathtrace import trace as tr
 from pathtrace.protocols import (
+    DEFAULT_TAG_CAPACITY,
+    PROTOCOLS,
     RunConfig,
     VerifierPolicyError,
     build_run,
@@ -46,19 +49,13 @@ def honest_config(protocol: str, seed: int = 7) -> RunConfig:
         tags=["t1"],
         valid_paths=[("t1", ("r1", "r2", "r3"))],
         script=list(script),
+        capacities={"t1": PROTOCOLS[protocol].tag_bits(3)},
     )
     if protocol == "tracker":
         cfg.readers.append(("m", None))
         cfg.params["manager"] = "m"
-    elif protocol == "stepauth":
-        cfg.capacities["t1"] = secret_size_bits(3)
     elif protocol == "rfchain":
         cfg.valid_paths = []
-        cfg.capacities["t1"] = 1024
-    elif protocol == "ray":
-        cfg.capacities["t1"] = 768
-    elif protocol == "resc":
-        cfg.capacities["t1"] = storage_bits(3)
     return cfg
 
 
@@ -167,6 +164,100 @@ class TestCompromisableReaders:
                 CapabilityError, match=f"^no compromisable secrets registered for {token}$"
             ):
                 run.adv.compromise(token)
+
+
+class CountingList(list):
+    """A list that counts how often it is iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+class TestDeclarations:
+    """The path rule, the fixed claimant and the tag storage each scheme
+    declares on its class, as the base applies them."""
+
+    @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
+    def test_foreign_verifier_refused(self, protocol):
+        cfg = honest_config(protocol)
+        cfg.script[-1] = ("claim", "t1", "ghost")
+        with pytest.raises(VerifierPolicyError, match="ghost"):
+            run_protocol(cfg)
+
+    @pytest.mark.parametrize("protocol", ["ray", "stepauth", "resc"])
+    @pytest.mark.parametrize("length", [1, 2, 4])
+    def test_tag_bits_fits_an_honest_journey_exactly(self, protocol, length):
+        readers = [(f"r{i}", None) for i in range(1, length + 1)]
+        path = tuple(t for t, _ in readers)
+        bits = PROTOCOLS[protocol].tag_bits(length)
+        cfg = RunConfig(
+            protocol=protocol,
+            seed=length,
+            readers=readers,
+            tags=["t1"],
+            valid_paths=[("t1", path)],
+            script=[("move", "t1", t) for t in path] + [("claim", "t1")],
+            capacities={"t1": bits},
+        )
+        result = run_protocol(cfg)
+        assert not result.stalled
+        assert result.verdicts and all(v.sound and v.sorted for v in result.verdicts)
+        cfg.capacities = {"t1": bits - 1}
+        with pytest.raises(TagCapacityError):
+            run_protocol(cfg)
+
+    def test_default_tag_bits(self):
+        for protocol in ("tracker", "checker", "burbridge"):
+            assert PROTOCOLS[protocol].tag_bits(9) == DEFAULT_TAG_CAPACITY
+        assert PROTOCOLS["rfchain"].tag_bits(9) == 1024
+
+    def test_rfchain_registers_no_given_path(self):
+        cfg = honest_config("rfchain")
+        cfg.valid_paths = [("t1", ("r1", "r2", "r3"))]
+        result = run_protocol(cfg)
+        assert not any(isinstance(e, tr.ValidPath) for e in result.trace)
+        assert result.verdicts and not any(v.authorized for v in result.verdicts)
+        assert result.report_lines() == run_protocol(honest_config("rfchain")).report_lines()
+
+    @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
+    def test_path_of_an_undeclared_tag_ignored(self, protocol):
+        cfg = honest_config(protocol)
+        cfg.valid_paths = [("t9", ("r1", "r2")), *cfg.valid_paths, ("t9", ("r2",))]
+        result = run_protocol(cfg)
+        assert all(e.tag == tr.tag("t1") for e in result.trace)
+        assert result.report_lines() == run_protocol(honest_config(protocol)).report_lines()
+
+    @pytest.mark.parametrize(
+        "protocol,paths,message",
+        [
+            ("ray", [], "ray needs exactly one registered path for t1"),
+            ("stepauth", [("r1",), ("r2",)], "stepauth needs exactly one registered path for t1"),
+            ("resc", [], "resc needs exactly one registered path for t1"),
+            ("burbridge", [], "burbridge needs at least one registered path for t1"),
+        ],
+    )
+    def test_path_rule_refused(self, protocol, paths, message):
+        cfg = honest_config(protocol)
+        cfg.valid_paths = [("t1", p) for p in paths]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build_run(cfg)
+
+    def test_registration_walks_valid_paths_once(self):
+        tags = [f"t{i}" for i in range(2000)]
+        valid = CountingList((t, ("r1", "r2")) for t in tags)
+        cfg = RunConfig(
+            protocol="burbridge",
+            readers=[("r1", None), ("r2", None)],
+            tags=tags,
+            valid_paths=valid,
+        )
+        model, run = build_run(cfg)
+        assert valid.iterations == 1
+        assert len(model.paths_of) == 2000
+        assert sum(isinstance(e, tr.ValidPath) for e in run.trace) == 2000
 
 
 class TestHonestRuns:

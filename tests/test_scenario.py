@@ -233,6 +233,17 @@ class TestParsing:
             ("param manager r1\nprotocol checker\n",
              "checker does not know param manager; its params are none"),
             ("param group test\n", "tracker does not know param group"),
+            # a tag that breaks its scheme's path rule fails at its tag line
+            ("tag t1\nprotocol ray\n", "ray needs exactly one registered path for t1"),
+            ("tag t1\nprotocol stepauth\nvalidpath t1 r1\nvalidpath t1 r2\n",
+             "stepauth needs exactly one registered path for t1"),
+            ("tag t1 t2\nprotocol resc\nvalidpath t1 r1\n",
+             "resc needs exactly one registered path for t2"),
+            ("tag t1\nprotocol burbridge\nvalidpath t9 r1\n",
+             "burbridge needs at least one registered path for t1"),
+            # a token declared twice on one line
+            ("tag t1 t1\n", "t1 is declared twice, first at line 2"),
+            ("transit w w\n", "w is declared twice, first at line 2"),
         ],
     )
     def test_malformed_values_fail_closed(self, tmp_path, body, fragment):
@@ -242,6 +253,37 @@ class TestParsing:
         result = run_scenario(path)
         assert result.exit_code == EXIT_PARSE
         assert result.failures[0].startswith("case.scn:2: ")
+
+    @pytest.mark.parametrize(
+        "body,token",
+        [
+            ("tag t1\ntag t2 t1\n", "t1"),
+            ("reader r1\nreader r1 acme\n", "r1"),
+            ("reader r1\ntransit w r1\n", "r1"),
+            ("transit w\nreader w\n", "w"),
+        ],
+    )
+    def test_repeated_token_fails_at_its_second_line(self, tmp_path, body, token):
+        path = write(tmp_path, "protocol tracker\n" + body)
+        with pytest.raises(
+            ScenarioError, match=rf"case\.scn:3: {token} is declared twice, first at line 2"
+        ):
+            parse_scenario(path)
+        assert run_scenario(path).exit_code == EXIT_PARSE
+
+    def test_repeated_tag_in_bundled_scenario_refused(self, tmp_path):
+        text = (corpus_dir() / "ray-honest.scn").read_text()
+        assert "\ntag t1\n" in text
+        path = write(tmp_path, text.replace("\ntag t1\n", "\ntag t1 t1\n"))
+        result = run_scenario(path)
+        assert result.exit_code == EXIT_PARSE
+        assert "t1 is declared twice" in result.failures[0]
+
+    def test_scheme_without_path_rule_parses(self, tmp_path):
+        # Tracker takes any number of paths, RF-Chain registers none
+        for protocol in ("tracker", "rfchain"):
+            scn = parse_scenario(write(tmp_path, f"protocol {protocol}\ntag t1\n"))
+            assert scn.config.tags == ["t1"]
 
     def test_parse_error_carries_line_number(self, tmp_path):
         with pytest.raises(ScenarioError, match=r"case\.scn:3"):
@@ -337,13 +379,6 @@ class TestExecution:
                 "capability: 128 bits exceed tag capacity of 8",
             ),
             (
-                TRACKER_RUN.replace("protocol tracker", "protocol ray")
-                .replace("param manager m\n", "")
-                .replace("validpath t1 r1 r2\n", ""),
-                EXIT_PARSE,
-                "case.scn: ValueError: ray needs exactly one pre-defined path for t1",
-            ),
-            (
                 TRACKER_RUN.replace("seed 7", "seed 7\nstrategy nosuch"),
                 EXIT_PARSE,
                 "case.scn: ValueError: unknown strategy: nosuch",
@@ -360,7 +395,7 @@ class TestExecution:
                 " keyword argument 'bogus'",
             ),
         ],
-        ids=["tag-capacity", "ray-without-path", "unknown-strategy", "undeclared-reader",
+        ids=["tag-capacity", "unknown-strategy", "undeclared-reader",
              "unknown-attack-keyword"],
     )
     def test_execution_error_is_a_result(self, tmp_path, text, exit_code, failure):
