@@ -3,7 +3,8 @@
 Every untrusted transmission passes through an adversary strategy that may
 deliver, modify, drop or inject messages, and every observed payload feeds
 the adversary's knowledge: the payload and every field ``decompose`` reads
-out of it.
+out of it.  Observed payloads are decomposed on the first query that
+follows them, so a run that never asks pays for no decomposition.
 
 Two capability levels:
 
@@ -140,23 +141,33 @@ class Knowledge:
     """Ordered set of the byte strings the adversary has observed.
 
     Observation adds a payload and every field ``decompose`` reads out of
-    it; nothing is derived beyond that.
+    it; nothing is derived beyond that.  ``observe`` only queues the
+    payload: each query first decomposes the queued payloads in the order
+    they were observed, which yields the same atoms in the same order as
+    decomposing each one on arrival.
     """
 
     def __init__(self) -> None:
         self._atoms: dict[bytes, None] = {}
+        self._pending: list[bytes] = []
 
     def observe(self, data: bytes) -> None:
-        decompose((data,), self._atoms)
+        self._pending.append(data)
+
+    def _drain(self) -> dict[bytes, None]:
+        if self._pending:
+            pending, self._pending = self._pending, []
+            decompose(pending, self._atoms)
+        return self._atoms
 
     def atoms(self) -> list[bytes]:
-        return list(self._atoms)
+        return list(self._drain())
 
     def knows(self, data: bytes) -> bool:
-        return data in self._atoms
+        return data in self._drain()
 
     def __len__(self) -> int:
-        return len(self._atoms)
+        return len(self._drain())
 
 
 @dataclass(frozen=True)

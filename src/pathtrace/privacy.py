@@ -25,9 +25,13 @@ game), the public participant ``pids`` (step game) and the read tag's
 hidden bit, the ledger's ground truth and the game settings stay with
 the challenger.
 
+A distinguisher is a pure function of the view and the two windows: it
+returns its guess, or None when the windows leave it undecided.  Its
+answer is asked once per world and window pair in a game and kept for
+the rest of that game; each undecided round draws a coin in its place.
 Challenge worlds are pre-built in a small pool and re-drawn across
-trials; every trial's world choice, hidden bit and any distinguisher
-coin come from one seeded stream, so results reproduce bit-exactly.
+trials; every trial's world choice, hidden bit and coin come from one
+seeded stream held by the challenger, so results reproduce bit-exactly.
 Advantage thresholds used in reports (break above 0.99, hold below 0.1)
 are conventions of this artifact, not measured constants of the schemes.
 """
@@ -235,17 +239,17 @@ def _atoms(payloads: tuple[bytes, ...]) -> set[bytes]:
     return {atom for atom in decompose(payloads) if len(atom) >= _MIN_ATOM}
 
 
-def _guess_random(view, t1, t2, rng: Random) -> bool:
-    return bool(rng.getrandbits(1))
+def _guess_random(view, t1, t2) -> None:
+    return None  # every round is a coin toss
 
 
-def _guess_shared_atom(view, t1, t2, rng: Random) -> bool:
+def _guess_shared_atom(view, t1, t2) -> bool | None:
     if _atoms(t1) & _atoms(t2):
         return True
-    return bool(rng.getrandbits(1))
+    return None
 
 
-def _guess_full_transcript(view, t1, t2, rng: Random) -> bool:
+def _guess_full_transcript(view, t1, t2) -> bool | None:
     """Shared-atom search, additionally decrypting under any compromised
     32-byte secrets before comparing."""
     sides = []
@@ -262,7 +266,7 @@ def _guess_full_transcript(view, t1, t2, rng: Random) -> bool:
         sides.append(atoms | {a for a in opened if len(a) >= _MIN_ATOM})
     if sides[0] & sides[1]:
         return True
-    return bool(rng.getrandbits(1))
+    return None
 
 
 def _pid_candidates(values: list[bytes], pids: set[bytes]) -> list[frozenset[bytes]]:
@@ -280,7 +284,7 @@ def _pid_candidates(values: list[bytes], pids: set[bytes]) -> list[frozenset[byt
     return out
 
 
-def _guess_xor_structure(view, t1, t2, rng: Random) -> bool:
+def _guess_xor_structure(view, t1, t2) -> bool | None:
     """Challenge values differ from each other only by public participant
     identifiers, so each window's participant set can be recovered up to
     an anchor guess; shared steps show up as intersecting sets."""
@@ -290,16 +294,16 @@ def _guess_xor_structure(view, t1, t2, rng: Random) -> bool:
     sets1 = _pid_candidates(values1, pids)
     sets2 = _pid_candidates(values2, pids)
     if not sets1 or not sets2:
-        return bool(rng.getrandbits(1))
+        return None
     return any(s1 & s2 for s1 in sets1 for s2 in sets2)
 
 
-def _guess_record_linking(view, t1, t2, rng: Random) -> bool:
+def _guess_record_linking(view, t1, t2) -> bool | None:
     """One tag read anchors the linking algebra; guess `same` iff both
     challenge records confirm against the read tag's chain levels."""
     snapshot = view.get("snapshot")
     if snapshot is None:
-        return bool(rng.getrandbits(1))
+        return None
     identity, levels = read_rfchain_tag(snapshot)
     linked1 = link_record(t1[0], t1[1], identity, levels) is not None
     linked2 = link_record(t2[0], t2[1], identity, levels) is not None
@@ -307,10 +311,10 @@ def _guess_record_linking(view, t1, t2, rng: Random) -> bool:
         return True
     if linked1 != linked2:
         return False
-    return bool(rng.getrandbits(1))
+    return None
 
 
-def _guess_record_algebra(view, t1, t2, rng: Random) -> bool:
+def _guess_record_algebra(view, t1, t2) -> bool | None:
     """Ledger-only observer: tries the same confirmation algebra between
     the two records without any chain level to anchor on."""
     pseudo1, payload1 = t1[0], t1[1]
@@ -323,10 +327,13 @@ def _guess_record_algebra(view, t1, t2, rng: Random) -> bool:
             candidate, payload1[:16], pseudo2
         ):
             return True
-    return bool(rng.getrandbits(1))
+    return None
 
 
-Distinguisher = Callable[[dict, tuple, tuple, Random], bool]
+# (view, t1, t2) -> the guess that both windows come from the same tag
+# (tag game) or from paths that share a reader (step game), or None when
+# undecided; the game then tosses a coin for each such round.
+Distinguisher = Callable[[dict, tuple, tuple], "bool | None"]
 
 DISTINGUISHERS: dict[str, Distinguisher] = {
     "random": _guess_random,
@@ -396,7 +403,11 @@ def run_game(game: PrivacyGame) -> GameResult:
     first draw.  A round draws a world, a hidden bit and two windows; the
     distinguisher wins it by guessing the bit.  The step game's pool is an
     arm of shared-path worlds and an arm of disjoint ones, so its round
-    draws the bit ("the paths share a reader") before the world."""
+    draws the bit ("the paths share a reader") before the world.
+
+    Each world offers only a few distinct window pairs, so the
+    distinguisher's answer is kept per world index and pair for the rest
+    of the game; an undecided answer costs a coin toss in every round."""
     guess = _validate(game)
     step = game.kind is GameKind.STEP
     on_ledger = SCOPES.get(game.distinguisher, ("",))[0] == "rfchain"
@@ -404,6 +415,7 @@ def run_game(game: PrivacyGame) -> GameResult:
     arm = (game.worlds // 2 or 1) if step else game.worlds
     seeds = [rng.getrandbits(32) for _ in range(2 * arm if step else arm)]
     pool: list[ChallengeWorld | None] = [None] * len(seeds)
+    answers: dict[tuple[int, tuple, tuple], bool | None] = {}
     wins = 0
     for _ in range(game.trials):
         if step:
@@ -421,5 +433,12 @@ def run_game(game: PrivacyGame) -> GameResult:
             else:
                 world = _tag_world(game, seeds[idx])
             pool[idx] = world
-        wins += guess(world.view, *_windows(game, world, bit, rng), rng) == bit
+        t1, t2 = _windows(game, world, bit, rng)
+        key = (idx, t1, t2)
+        if key not in answers:
+            answers[key] = guess(world.view, t1, t2)
+        answer = answers[key]
+        if answer is None:
+            answer = bool(rng.getrandbits(1))
+        wins += answer == bit
     return GameResult(game=game, trials=game.trials, wins=wins)

@@ -300,6 +300,11 @@ def build_run(config: RunConfig) -> tuple[ProtocolModel, Run]:
     check_setting(config.protocol, "mode", config.mode)
     for key in config.params:
         check_setting(config.protocol, "param", key)
+    declared: set[str] = set()
+    for token in config.tags:
+        if token in declared:
+            raise ValueError(f"tag {token} is declared twice")
+        declared.add(token)
     run = Run(config)
     protocol = PROTOCOLS[config.protocol](run)
     if config.strategy not in STRATEGIES:

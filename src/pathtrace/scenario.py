@@ -29,12 +29,15 @@ scenario says what to execute with them and what to expect.
 Each kind accepts ``COMMON_DIRECTIVES`` and its own ``KIND_DIRECTIVES``:
 a run the world and script, an attack or probe ``attack``, a privacy
 game ``game``, ``distinguisher``, ``trials`` and ``worlds``.  Any other
-directive fails at its line, and so does a ``param`` key outside the
-scheme's ``param_keys``: only Tracker reads any, ``manager`` (the
-verifying reader) and ``equal`` (readers sharing one coefficient).  A
-token declared twice (a tag, or a reader across ``reader`` and
-``transit``) fails at its second line, and a tag whose paths break the
-scheme's ``path_rule`` fails at its ``tag`` line.
+directive fails at its line, and so do a ``strategy`` outside
+``STRATEGIES``, a ``distinguisher`` outside ``DISTINGUISHERS`` and a
+``param`` key outside the scheme's ``param_keys``: only Tracker reads
+any, ``manager`` (the verifying reader) and ``equal`` (readers sharing
+one coefficient).  A token declared twice (a tag, or a reader across
+``reader`` and ``transit``) fails at its second line, and a tag whose
+paths break the scheme's ``path_rule`` fails at its ``tag`` line.  A
+distinguisher that is known but limited to another scheme or game is
+refused only at execution, as exit 3.
 
 Matrix directives feed the solution table: `matrix <prop> hold <model>`
 claims the property held in this scenario's adversary model, while
@@ -60,13 +63,14 @@ from pathtrace import trace as tr
 from pathtrace.attacks import ATTACKS, AttackOutcome, BoundedSearchError
 from pathtrace.network import AdvModel, CapabilityError, TagCapacityError
 from pathtrace.privacy import (
+    DISTINGUISHERS,
     MAX_WORLDS,
     GameKind,
     PrivacyGame,
     UnsupportedGameError,
     run_game,
 )
-from pathtrace.protocols import PROTOCOLS, RunConfig, run_protocol
+from pathtrace.protocols import PROTOCOLS, STRATEGIES, RunConfig, run_protocol
 from pathtrace.protocols.base import PathRuleError, RunResult, VerifierPolicyError, check_setting
 
 EXIT_OK = 0
@@ -330,6 +334,10 @@ def parse_scenario(path: Path) -> Scenario:
         if key not in COMMON_DIRECTIVES and key not in KIND_DIRECTIVES[scn.kind]:
             article = "an" if scn.kind == "attack" else "a"
             raise err(lineno, f"{key} does not apply to {article} {scn.kind} scenario")
+    if cfg.strategy not in STRATEGIES:
+        raise err(line_of["strategy"], f"unknown strategy {cfg.strategy}")
+    if scn.distinguisher not in DISTINGUISHERS:
+        raise err(line_of["distinguisher"], f"unknown distinguisher {scn.distinguisher}")
     for lineno, setting, value in settings:
         try:
             check_setting(cfg.protocol, setting, value)

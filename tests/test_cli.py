@@ -130,7 +130,7 @@ class TestMatrix:
         assert "table-begin" in captured.out and "table-end" in captured.out
         assert "scenario bad-trials protocol= kind=run adversary=AdvT exit=2" in captured.out
         assert "expect-failed bad-trials.scn:4: trials 'abc' is not an integer" in captured.out
-        assert "expect-failed bad-strategy.scn: ValueError: unknown strategy: nosuch" in captured.out
+        assert "expect-failed bad-strategy.scn:5: unknown strategy nosuch" in captured.out
 
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "matrix.txt"

@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from pathtrace import crypto
+from pathtrace import crypto, network
+from pathtrace.attacks import ATTACKS
 from pathtrace.network import (
     AdvModel,
     AdversaryContext,
@@ -18,6 +19,8 @@ from pathtrace.network import (
     TagMemory,
     decompose,
 )
+from pathtrace.protocols import RunConfig, build_run
+from pathtrace.protocols.ray import Ray
 
 
 class TestTagMemory:
@@ -95,6 +98,92 @@ class TestKnowledge:
         k.observe(b"two")
         k.observe(b"one")
         assert k.atoms() == [b"one", b"two"]
+
+
+def honest_world(protocol: str, tags: int = 100, hops: int = 4, seed: int = 3):
+    """Every tag walks its own ``hops`` readers out of six, visits
+    interleaved across tags, then every tag is claimed."""
+    rng = random.Random(seed)
+    readers = [(f"r{i}", None) for i in range(1, 7)]
+    names = [f"t{i}" for i in range(tags)]
+    paths = {t: tuple(rng.sample([r for r, _ in readers], hops)) for t in names}
+    cfg = RunConfig(
+        protocol=protocol,
+        seed=seed,
+        readers=readers,
+        tags=names,
+        valid_paths=[] if protocol == "rfchain" else sorted(paths.items()),
+        capacities=dict.fromkeys(names, 8192),
+    )
+    if protocol == "tracker":
+        cfg.readers.append(("m", None))
+        cfg.params["manager"] = "m"
+    model, run = build_run(cfg)
+    for step in range(hops):
+        for tag in names:
+            model.visit(tag, paths[tag][step])
+    for tag in names:
+        model.claim(tag)
+    return run
+
+
+class TestLazyKnowledge:
+    """Observed payloads are decomposed on the first query after them."""
+
+    @pytest.mark.parametrize("protocol", ["tracker", "ray", "rfchain", "burbridge"])
+    def test_honest_run_decomposes_nothing(self, monkeypatch, protocol):
+        calls = []
+
+        def counting(blobs, known=None):
+            calls.append(1)
+            return decompose(blobs, known)
+
+        monkeypatch.setattr(network, "decompose", counting)
+        run = honest_world(protocol)
+        assert not run.stalled
+        assert calls == []
+        knowledge = run.net.knowledge
+        seen = [m.seen for m in run.net.log if m.seen is not None]
+        assert seen and all(knowledge.knows(payload) for payload in seen)
+        assert not knowledge.knows(b"never on the air")
+        assert calls
+
+    def test_ray_pids_and_inject_response_known(self):
+        run = honest_world("ray", tags=2)
+        response = crypto.concat_length_prefixed(b"handler-field-one", b"handler-field-two")
+        run.net.register_handler("sink", lambda payload, sender: response)
+        assert run.adv.inject("r1", "sink", b"spoofed") == response
+        knowledge = run.net.knowledge
+        assert all(knowledge.knows(Ray.pid(f"r{i}")) for i in range(1, 7))
+        assert knowledge.knows(response) and knowledge.knows(b"handler-field-two")
+        assert not knowledge.knows(b"spoofed")  # made, not observed
+
+    def test_atoms_match_eager_decomposition(self, monkeypatch):
+        observed: dict[int, tuple[Knowledge, list[bytes]]] = {}
+        real = Knowledge.observe
+
+        def recording(knowledge, data):
+            observed.setdefault(id(knowledge), (knowledge, []))[1].append(data)
+            real(knowledge, data)
+
+        monkeypatch.setattr(Knowledge, "observe", recording)
+        assert ATTACKS["ray-impersonation"]().succeeded
+        assert observed
+        for knowledge, payloads in observed.values():
+            eager: dict[bytes, None] = {}
+            for payload in payloads:
+                decompose((payload,), eager)
+            assert knowledge.atoms() == list(eager)
+            assert len(knowledge) == len(eager)
+
+    def test_observations_after_a_query_join_at_the_next(self):
+        k = Knowledge()
+        pair = crypto.concat_length_prefixed(b"alpha", b"beta")
+        k.observe(pair)
+        assert k.atoms() == [pair, b"alpha", b"beta"]
+        k.observe(b"gamma")
+        k.observe(b"alpha")
+        assert k.atoms() == [pair, b"alpha", b"beta", b"gamma"]
 
 
 def make_net(model=AdvModel.ADV_T, strategy=None, seed=5):

@@ -235,8 +235,6 @@ class TestRayXorStructure:
         assert result.advantage >= 0.9
 
     def test_distinguisher_decides_worlds_directly(self):
-        from random import Random
-
         guess = DISTINGUISHERS["xor-structure"]
         game = PrivacyGame(kind=GameKind.STEP, protocol="ray")
         steps = (0, 1, 2)
@@ -245,7 +243,7 @@ class TestRayXorStructure:
                 world = _step_world(game, 1000 + seed, shared)
                 t1 = world.window("ta", steps)
                 t2 = world.window("tb", steps)
-                assert guess(world.view, t1, t2, Random(0)) is shared, (seed, shared)
+                assert guess(world.view, t1, t2) is shared, (seed, shared)
 
 
 class TestChallengeWorlds:
@@ -310,9 +308,9 @@ class TestAdversaryView:
         seen = set()
         real = DISTINGUISHERS[distinguisher]
 
-        def spy(view, t1, t2, rng):
+        def spy(view, t1, t2):
             seen.add(frozenset(view))
-            return real(view, t1, t2, rng)
+            return real(view, t1, t2)
 
         monkeypatch.setitem(DISTINGUISHERS, distinguisher, spy)
         game = PrivacyGame(
@@ -321,6 +319,43 @@ class TestAdversaryView:
         )
         run_game(game)
         assert seen == {frozenset(keys)}
+
+
+class TestDistinguisherMemo:
+    """A game asks its distinguisher once per world and window pair."""
+
+    def _spy(self, monkeypatch, name):
+        calls = []
+        real = DISTINGUISHERS[name]
+
+        def spy(view, t1, t2):
+            calls.append((id(view), t1, t2))  # one view object per world
+            return real(view, t1, t2)
+
+        monkeypatch.setitem(DISTINGUISHERS, name, spy)
+        return calls
+
+    def test_one_call_per_distinct_window_pair(self, monkeypatch):
+        calls = self._spy(monkeypatch, "full-transcript")
+        game = PrivacyGame(
+            kind=GameKind.TAG, protocol="stepauth", distinguisher="full-transcript",
+            trials=500, seed=2, adversary=AdvModel.ADV_R,
+        )
+        run_game(game)
+        assert len(calls) == len(set(calls))
+        # 32 worlds, one first window each and two possible second windows
+        assert len(calls) <= 2 * game.worlds < game.trials // 5
+
+    def test_memo_lives_for_one_game(self, monkeypatch):
+        calls = self._spy(monkeypatch, "shared-atom")
+        game = PrivacyGame(
+            kind=GameKind.TAG, protocol="tracker", distinguisher="shared-atom",
+            trials=200, seed=4, worlds=8,
+        )
+        first = run_game(game)
+        per_game = len(calls)
+        assert run_game(game) == first
+        assert len(calls) == 2 * per_game
 
 
 class TestAtomDecomposition:

@@ -144,6 +144,14 @@ class TestParamKeys:
         assert str(err.value) == message
 
 
+class TestDuplicateTags:
+    def test_tag_named_twice_refused(self):
+        # once set up, RF-Chain would hand t1's identity to the backend twice
+        cfg = RunConfig(protocol="rfchain", readers=[("r1", None)], tags=["t1", "t1"])
+        with pytest.raises(ValueError, match="^tag t1 is declared twice$"):
+            build_run(cfg)
+
+
 class TestCompromisableReaders:
     """Under AdvR every configured reader that holds a secret surrenders
     exactly ``reader_secrets``; Tracker's manager, which holds no

@@ -214,6 +214,9 @@ class TestParsing:
             ("compromise\n", "compromise needs at least one reader"),
             ("adversary AdvT AdvR\n", "adversary must be AdvT or AdvR"),
             ("mode bogus\n", "tracker does not know mode bogus; its modes are default"),
+            ("strategy nosuch\n", "unknown strategy nosuch"),
+            ("distinguisher bogus\nkind privacy\ngame tag-unlinkability\n",
+             "unknown distinguisher bogus"),
             # a directive the scenario's kind ignores; `kind` may come after it
             ("strategy nosuch\nkind attack\nattack ray-out-of-order\n",
              "strategy does not apply to an attack scenario"),
@@ -381,7 +384,7 @@ class TestExecution:
             (
                 TRACKER_RUN.replace("seed 7", "seed 7\nstrategy nosuch"),
                 EXIT_PARSE,
-                "case.scn: ValueError: unknown strategy: nosuch",
+                "case.scn:5: unknown strategy nosuch",
             ),
             (
                 TRACKER_RUN.replace("move t1 r2", "move t1 r9"),
@@ -467,12 +470,12 @@ class TestCorpus:
 
     def test_execution_error_becomes_that_files_result(self, tmp_path):
         write(tmp_path, TRACKER_RUN, name="a-good.scn")
-        write(tmp_path, TRACKER_RUN.replace("seed 7", "strategy nosuch"), name="b-bad.scn")
+        write(tmp_path, TRACKER_RUN.replace("move t1 r2", "move t1 r9"), name="b-bad.scn")
         write(tmp_path, TRACKER_RUN, name="c-good.scn")
         results = run_corpus(tmp_path)
         assert [r.scenario.name for r in results] == ["a-good", "b-bad", "c-good"]
         assert [r.exit_code for r in results] == [EXIT_OK, EXIT_PARSE, EXIT_OK]
-        assert results[1].failures == ["b-bad.scn: ValueError: unknown strategy: nosuch"]
+        assert results[1].failures == ["b-bad.scn: KeyError: 'r9'"]
 
 
 def _result(name, protocol, adversary, exit_code=EXIT_OK, directives=()):
