@@ -16,13 +16,16 @@ sized for simulation rather than real security:
 * ElGamal itself is exponent-encoded over a prime-order subgroup, giving the
   multiplicative homomorphism and ciphertext exponentiation the polynomial
   path encodings need, with verification by comparison instead of discrete
-  logs.
+  logs.  Powers of the fixed generator come from ``gpow``, which multiplies
+  at most one precomputed ``g^(j*256^i)`` per exponent byte; the table is
+  built once per parameter set, the first time it is used.
 
 All randomness comes from caller-provided ``random.Random`` instances.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import hmac as _hmac
 import struct
@@ -304,6 +307,11 @@ def sym_matches(key: bytes, plaintext: bytes, ciphertext: bytes) -> bool:
     return ciphertext == sym_enc(key, plaintext)
 
 
+def sym_len(plaintext_len: int) -> int:
+    """Byte length of ``sym_enc`` output for a plaintext of this length."""
+    return _SIV_LEN + plaintext_len
+
+
 def sym_dec(key: bytes, ciphertext: bytes) -> bytes:
     if len(ciphertext) < _SIV_LEN:
         raise AuthenticationError("ciphertext too short")
@@ -332,6 +340,34 @@ DEFAULT_PARAMS = ElgamalParams(p=2305843009213699919, q=1152921504606849959, g=4
 TEST_PARAMS = ElgamalParams(p=23, q=11, g=2)
 
 
+@functools.cache
+def _generator_table(params: ElgamalParams) -> list[list[int]]:
+    """Row i holds g^(j * 256^i) mod p for j = 0 .. 255, one row per byte
+    of an exponent below q."""
+    p = params.p
+    rows = []
+    base = params.g
+    for _ in range((params.q.bit_length() + 7) // 8):
+        row = [1] * 256
+        for j in range(1, 256):
+            row[j] = row[j - 1] * base % p
+        rows.append(row)
+        base = row[255] * base % p
+    return rows
+
+
+def gpow(params: ElgamalParams, e: int) -> int:
+    """``pow(params.g, e, params.p)`` for any integer e, since g has order q:
+    one table multiply per non-zero byte of e mod q."""
+    table = _generator_table(params)
+    p = params.p
+    acc = 1
+    for row, j in zip(table, (e % params.q).to_bytes(len(table), "little")):
+        if j:
+            acc = acc * row[j] % p
+    return acc
+
+
 @dataclass(frozen=True)
 class ElgamalPublic:
     params: ElgamalParams
@@ -357,19 +393,19 @@ class Ciphertext:
 
 def elg_keygen(rng: Random, params: ElgamalParams = DEFAULT_PARAMS) -> ElgamalPrivate:
     x = rng.randrange(1, params.q)
-    pub = ElgamalPublic(params, pow(params.g, x, params.p))
+    pub = ElgamalPublic(params, gpow(params, x))
     return ElgamalPrivate(params, x, pub)
 
 
 def encode_exponent(params: ElgamalParams, k: int) -> int:
     """Group element g^k; plaintext space for exponent-encoded values."""
-    return pow(params.g, k % params.q, params.p)
+    return gpow(params, k)
 
 
 def elg_encrypt(pub: ElgamalPublic, m: int, rng: Random) -> Ciphertext:
     p = pub.params.p
     r = rng.randrange(1, pub.params.q)
-    return Ciphertext(pub.params, pow(pub.params.g, r, p), (m % p) * pow(pub.h, r, p) % p)
+    return Ciphertext(pub.params, gpow(pub.params, r), (m % p) * pow(pub.h, r, p) % p)
 
 
 def elg_decrypt(priv: ElgamalPrivate, ct: Ciphertext) -> int:
@@ -394,7 +430,7 @@ def ct_pow(ct: Ciphertext, e: int) -> Ciphertext:
 def rerandomize(pub: ElgamalPublic, ct: Ciphertext, rng: Random) -> Ciphertext:
     p = pub.params.p
     r = rng.randrange(1, pub.params.q)
-    return Ciphertext(ct.params, ct.c1 * pow(pub.params.g, r, p) % p, ct.c2 * pow(pub.h, r, p) % p)
+    return Ciphertext(ct.params, ct.c1 * gpow(pub.params, r) % p, ct.c2 * pow(pub.h, r, p) % p)
 
 
 # --- public-key encryption (ElGamal KEM + symmetric body) ------------------
@@ -421,7 +457,7 @@ def new_box_keypair(
 def pk_enc(box: BoxPublic, plaintext: bytes, rng: Random) -> bytes:
     params = box.pub.params
     x = rng.randrange(1, params.q)
-    c1 = pow(params.g, x, params.p)
+    c1 = gpow(params, x)
     shared = pow(box.pub.h, x, params.p)
     k = hash_bytes(b"kem" + box.key_id.encode() + int_to_bytes(shared))
     return int_to_bytes(c1) + sym_enc(k, plaintext)

@@ -249,14 +249,11 @@ class Network:
         payload: bytes,
         action: str,
         seen: bytes | None = None,
-        seq: int | None = None,
     ) -> None:
         """Append one message; what the adversary saw joins its knowledge."""
-        if seq is None:
-            seq = self._next_seq()
         if seen is not None:
             self.knowledge.observe(seen)
-        self.log.append(Message(seq, sender, receiver, payload, action, seen))
+        self.log.append(Message(self._next_seq(), sender, receiver, payload, action, seen))
 
     def _next_seq(self) -> int:
         self._seq += 1
@@ -270,19 +267,21 @@ class Network:
         Trusted channels bypass the adversary entirely (registration links
         between issuers and backends); everything else is observed and may
         be tampered with.  The message is logged once the strategy has
-        decided, so anything the strategy injects is logged before it.
+        decided, so anything the strategy injects is logged before it; the
+        payload joins the adversary's knowledge once, before the strategy
+        runs, so that the strategy may consult it.
         """
         if trusted:
             self._record(sender, receiver, payload, "trusted")
             return payload
         seq = self._next_seq()
-        self.knowledge.observe(payload)  # the strategy may consult it
+        self.knowledge.observe(payload)
         delivered = self.strategy(Envelope(seq, sender, receiver, payload), self)
         if delivered is None:
-            self._record(sender, receiver, payload, "dropped", payload, seq)
+            self.log.append(Message(seq, sender, receiver, payload, "dropped", payload))
             return None
         action = "delivered" if delivered == payload else "modified"
-        self._record(sender, receiver, delivered, action, payload, seq)
+        self.log.append(Message(seq, sender, receiver, delivered, action, payload))
         return delivered
 
     def request(self, sender: str, receiver: str, payload: bytes) -> bytes | None:

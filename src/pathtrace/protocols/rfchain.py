@@ -14,11 +14,17 @@ In the default mode a record matches a step exactly when it equals the
 record the verifier recomputes, so the ledger keeps a set of its records
 and each claimed step costs one O(1) lookup.  Patched records carry a
 salt that only the record itself reveals, so no expected record can be
-computed in advance: the verifier scans the ledger, O(ledger) per claimed
-step.  That scan is a measured cost of the privacy patch.  The ledger
-splits each patched payload into (salt, body) once, when it is added,
-and a wrong record is rejected on the synthetic IV of its pseudo-identity:
-one hash for the salted key and one MAC, with no keystream derived.
+computed in advance: the verifier scans for it.  It scans only the records
+of the step's shape, since the ledger files each patched record by the
+lengths of its pseudo-identity and body.  The filing is exact: a
+ciphertext of ``sym_enc`` is always ``crypto.sym_len`` of its plaintext,
+so a record of another shape fails the pseudo-identity or the mask check
+anyway, and record lengths are public on the ledger.  Chain level i embeds
+the levels below it, so the shapes tell the steps apart and a claimed step
+scans only its own step's records, O(tags) of them.  The ledger splits
+each patched payload into (salt, body) once, when it is added, and a wrong
+record is rejected on the synthetic IV of its pseudo-identity: one hash
+for the salted key and one MAC, with no keystream derived.
 
 Reusing H(h_i) as both mask and pseudo-identity key is what the linking
 attack exploits.  The "patched" mode stores a fresh per-step salt in the
@@ -45,21 +51,28 @@ CHAIN_BITS = 512
 class SharedLedger:
     """Append-only (pseudo_id, payload) records; no deletion, no mutation.
 
-    ``salted`` holds (pseudo, salt, body) of every record whose payload
-    splits as a patched one, in ledger order; malformed payloads are left
-    out of it."""
+    ``salted`` files (pseudo, salt, body) of every record whose payload
+    splits as a patched one under its shape ``(len(pseudo), len(body))``,
+    each bucket in ledger order; malformed payloads are left out of it."""
 
     def __init__(self) -> None:
         self._records: list[tuple[bytes, bytes]] = []
         self._record_set: set[tuple[bytes, bytes]] = set()
-        self.salted: list[tuple[bytes, bytes, bytes]] = []
+        self.salted: dict[tuple[int, int], list[tuple[bytes, bytes, bytes]]] = {}
 
     def add(self, pseudo_id: bytes, payload: bytes) -> None:
         self._records.append((pseudo_id, payload))
         self._record_set.add((pseudo_id, payload))
         split = split_salted(payload)
         if split is not None:
-            self.salted.append((pseudo_id, *split))
+            salt, body = split
+            self.salted.setdefault((len(pseudo_id), len(body)), []).append((pseudo_id, salt, body))
+
+    def salted_for(self, identity: bytes, prev_chain: bytes) -> list[tuple[bytes, bytes, bytes]]:
+        """The patched records whose ciphertexts are as long as encryptions
+        of ``identity`` and ``prev_chain``: the only ones that can match."""
+        shape = (crypto.sym_len(len(identity)), crypto.sym_len(len(prev_chain)))
+        return self.salted.get(shape, [])
 
     def __contains__(self, record: tuple[bytes, bytes]) -> bool:
         return record in self._record_set
@@ -264,7 +277,8 @@ class RfChain(ProtocolModel):
         for i in range(1, len(path) + 1):
             prev_chain = levels[len(path) - (i - 1)]
             if patched:
-                found = self._scan_salted(self.ledger.salted, identity, i, prev_chain)
+                salted = self.ledger.salted_for(identity, prev_chain)
+                found = self._scan_salted(salted, identity, i, prev_chain)
             else:
                 found = self._default_record(identity, i, prev_chain) in self.ledger
             if not found:

@@ -36,6 +36,9 @@ any, ``manager`` (the verifying reader) and ``equal`` (readers sharing
 one coefficient).  A token declared twice (a tag, or a reader across
 ``reader`` and ``transit``) fails at its second line, and a tag whose
 paths break the scheme's ``path_rule`` fails at its ``tag`` line.  A
+``move``, ``claim``, ``compromise`` or ``param manager`` line that names
+a tag or reader declared nowhere in the file fails at its line; a claim
+may also name the scheme's fixed verifier, which no file declares.  A
 distinguisher that is known but limited to another scheme or game is
 refused only at execution, as exit 3.
 
@@ -188,6 +191,9 @@ def parse_scenario(path: Path) -> Scenario:
     # the declaring line of each tag, and of each reader or transit token
     tag_line: dict[str, int] = {}
     reader_line: dict[str, int] = {}
+    # (line, role, token) of each name a move, claim, compromise or
+    # manager uses: a declaration may come later in the file
+    uses: list[tuple[int, str, str]] = []
 
     def err(lineno: int, message: str) -> ScenarioError:
         return ScenarioError(f"{scn.path.name}:{lineno}: {message}")
@@ -256,6 +262,7 @@ def parse_scenario(path: Path) -> Scenario:
             cfg.strategy = single(lineno, key, args)
         elif key == "compromise":
             cfg.compromise.extend(nonempty(lineno, key, "reader", args))
+            uses += [(lineno, "reader", token) for token in args]
         elif key == "reader":
             if len(args) not in (1, 2):
                 raise err(lineno, "reader needs a token and at most one participant")
@@ -278,14 +285,18 @@ def parse_scenario(path: Path) -> Scenario:
                 raise err(lineno, "param needs a key and a value")
             cfg.params[args[0]] = " ".join(args[1:])
             settings.append((lineno, key, args[0]))
+            if args[0] == "manager":
+                uses.append((lineno, "manager", cfg.params["manager"]))
         elif key == "move":
             if len(args) != 2:
                 raise err(lineno, "move needs a tag and a reader")
             cfg.script.append(("move", args[0], args[1]))
+            uses += [(lineno, "tag", args[0]), (lineno, "reader", args[1])]
         elif key == "claim":
             if len(args) not in (1, 2):
                 raise err(lineno, "claim needs a tag and at most one verifier")
             cfg.script.append(("claim", *args))
+            uses += [(lineno, "tag", args[0]), *((lineno, "verifier", v) for v in args[1:])]
         elif key == "attack":
             if not args or args[0] not in ATTACKS:
                 raise err(lineno, f"unknown attack {' '.join(args[:1]) or '?'}")
@@ -344,6 +355,11 @@ def parse_scenario(path: Path) -> Scenario:
         except ValueError as exc:
             raise err(lineno, str(exc)) from None
     if scn.kind == "run":
+        fixed_verifier = PROTOCOLS[cfg.protocol].verifier
+        for lineno, role, token in uses:
+            declared = tag_line if role == "tag" else reader_line
+            if token not in declared and not (role == "verifier" and token == fixed_verifier):
+                raise err(lineno, f"{role} {token} is not declared")
         try:
             PROTOCOLS[cfg.protocol].registered_paths(cfg.tags, cfg.valid_paths)
         except PathRuleError as exc:

@@ -58,7 +58,7 @@ class TestRun:
         captured = capsys.readouterr()
         assert "Traceback" not in captured.out + captured.err
         assert "scenario stray" in captured.out
-        assert "expect-failed stray.scn: KeyError: 'r9'" in captured.out
+        assert "expect-failed stray.scn:20: reader r9 is not declared" in captured.out
 
     def test_unknown_mode_is_reported(self, tmp_path, capsys):
         scn = tmp_path / "bogus.scn"

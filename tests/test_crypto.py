@@ -373,3 +373,13 @@ def test_puf_deterministic_per_device():
     ch = b"challenge"
     assert d1.respond(ch) == d1b.respond(ch)
     assert d1.respond(ch) != d2.respond(ch)
+
+
+@pytest.mark.parametrize("params", [c.DEFAULT_PARAMS, c.TEST_PARAMS], ids=["default", "test"])
+def test_gpow_is_pow_of_the_generator(params):
+    q = params.q
+    exponents = [0, 1, 255, 256, q - 1, q, q + 5, 2**64 + 3, -1]
+    rng = random.Random(13)
+    exponents += [rng.randrange(-(2**80), 2**80) for _ in range(1000)]
+    for e in exponents:
+        assert c.gpow(params, e) == pow(params.g, e, params.p), e

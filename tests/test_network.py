@@ -176,6 +176,22 @@ class TestLazyKnowledge:
             assert knowledge.atoms() == list(eager)
             assert len(knowledge) == len(eager)
 
+    def test_each_untrusted_payload_is_observed_once(self, monkeypatch):
+        observed: list[bytes] = []
+        real = Knowledge.observe
+
+        def recording(knowledge, data):
+            observed.append(data)
+            real(knowledge, data)
+
+        monkeypatch.setattr(Knowledge, "observe", recording)
+        net = make_net(strategy=lambda env, net: None if env.payload == b"lost" else b"swapped")
+        net.transmit("a", "b", b"sent")
+        net.transmit("a", "b", b"lost")
+        net.transmit("a", "b", b"registration", trusted=True)
+        assert observed == [b"sent", b"lost"]
+        assert [m.seen for m in net.log] == [b"sent", b"lost", None]
+
     def test_observations_after_a_query_join_at_the_next(self):
         k = Knowledge()
         pair = crypto.concat_length_prefixed(b"alpha", b"beta")

@@ -795,10 +795,80 @@ class TestRfChain:
         res = finalize(protocol, run)
         assert not res.anomalies
         assert len(protocol.ledger) == 4
-        assert len(protocol.ledger.salted) == 3
+        assert sum(len(bucket) for bucket in protocol.ledger.salted.values()) == 3
         assert [tuple(r.value for r in claim.path) for claim in res.claims()] == [
             ("r1", "r2", "r3")
         ]
+
+    def test_shape_bucket_scan_equals_full_ledger_scan(self):
+        # honest records of tags with two identity lengths, plus forged
+        # records of a neighbouring shape and malformed ones: the bucket the
+        # verifier scans answers every (tag, step) exactly as a scan of the
+        # whole ledger does, for the honest chain level and a tampered one
+        tags = ("t1", "t2", "t10")
+        protocol, run = self._visited_run("patched", tags=tags)
+        honest = protocol.ledger.records()
+        pseudo, payload = honest[0]
+        salt, body = rfchain_mod.split_salted(payload)
+        forged = [
+            (pseudo[:-1], payload),
+            (pseudo, crypto.concat_length_prefixed(salt, body + b"\x00")),
+            (pseudo[:15], payload),
+            (pseudo, b"\x00\x00\x00\xffshort"),
+        ]
+        protocol.ledger = rfchain_mod.SharedLedger()
+        for record in honest + forged:
+            protocol.ledger.add(*record)
+        records = protocol.ledger.records()
+        answers = []
+        for tag_token in tags:
+            identity, levels = self._levels(run, tag_token)
+            for i in range(1, len(levels)):
+                tampered = levels[i - 1][:-1] + bytes([levels[i - 1][-1] ^ 0x01])
+                for prev_chain in (levels[i - 1], tampered, levels[i - 1] + b"\x00"):
+                    bucket = protocol.ledger.salted_for(identity, prev_chain)
+                    full = any(
+                        protocol._record_matches(p, pl, identity, i, prev_chain) for p, pl in records
+                    )
+                    found = protocol._scan_salted(bucket, identity, i, prev_chain)
+                    assert found == full
+                    answers.append(found)
+        assert answers.count(True) == 9 and len(answers) == 27
+
+    def test_claims_check_only_same_shape_records(self, monkeypatch):
+        tags = [f"t{n:02d}" for n in range(40)]
+        cfg = honest_config("rfchain")
+        cfg.mode = "patched"
+        cfg.readers = [(f"r{n}", None) for n in range(1, 5)]
+        cfg.transits = []
+        cfg.tags = tags
+        cfg.capacities = {t: 1024 for t in tags}
+        protocol, run = build_run(cfg)
+        for reader_token, _ in cfg.readers:
+            for tag_token in tags:
+                protocol.visit(tag_token, reader_token)
+        scans: list[list[int]] = []  # [bucket size, pid checks] per claimed step
+        scan = protocol._scan_salted
+        sym_matches = crypto.sym_matches
+
+        def counting_scan(salted, identity, index, prev_chain):
+            scans.append([len(salted), 0])
+            return scan(salted, identity, index, prev_chain)
+
+        def spy(key, plaintext, ciphertext):
+            if plaintext.startswith(b"epc-"):
+                assert len(ciphertext) == crypto.sym_len(len(plaintext))
+                scans[-1][1] += 1
+            return sym_matches(key, plaintext, ciphertext)
+
+        monkeypatch.setattr(protocol, "_scan_salted", counting_scan)
+        monkeypatch.setattr(crypto, "sym_matches", spy)
+        for tag_token in tags:
+            protocol.claim(tag_token)
+        res = finalize(protocol, run)
+        assert not res.anomalies and len(res.verdicts) == 40
+        assert len(protocol.ledger) == 160 and len(scans) == 160
+        assert all(0 < checks <= size <= len(tags) for size, checks in scans)
 
 
 class TestRay:

@@ -274,6 +274,43 @@ class TestParsing:
             parse_scenario(path)
         assert run_scenario(path).exit_code == EXIT_PARSE
 
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("move t9 r1", "tag t9 is not declared"),
+            ("move t1 r9", "reader r9 is not declared"),
+            ("claim t9", "tag t9 is not declared"),
+            ("claim t1 r9", "verifier r9 is not declared"),
+            ("compromise r1 r7", "reader r7 is not declared"),
+            ("param manager r9", "manager r9 is not declared"),
+        ],
+    )
+    def test_undeclared_name_fails_at_its_line(self, tmp_path, line, message):
+        # checked once the whole file is read; line 4 is the offending one
+        path = write(tmp_path, f"protocol tracker\nreader r1\ntag t1\n{line}\nreader m\n")
+        with pytest.raises(ScenarioError, match=rf"case\.scn:4: {message}$"):
+            parse_scenario(path)
+        result = run_scenario(path)
+        assert result.exit_code == EXIT_PARSE
+        assert result.failures == [f"case.scn:4: {message}"]
+
+    def test_names_may_be_declared_after_their_use(self, tmp_path):
+        text = (
+            "protocol tracker\nparam manager m\ncompromise r1\nmove t1 w\nmove t1 r1\n"
+            "claim t1 m\nreader r1\nreader m\ntransit w\ntag t1\n"
+        )
+        scn = parse_scenario(write(tmp_path, text))
+        assert scn.config.script == [("move", "t1", "w"), ("move", "t1", "r1"), ("claim", "t1", "m")]
+
+    def test_claim_may_name_the_schemes_fixed_verifier(self, tmp_path):
+        text = (
+            "protocol rfchain\nreader r1\ntag t1\ncapacity t1 1024\nmove t1 r1\nclaim t1 bc\n"
+            "expect sound true\n"
+        )
+        assert run_scenario(write(tmp_path, text)).exit_code == EXIT_OK
+        with pytest.raises(ScenarioError, match=r"case\.scn:6: verifier bc is not declared"):
+            parse_scenario(write(tmp_path, text.replace("rfchain", "ray")))
+
     def test_repeated_tag_in_bundled_scenario_refused(self, tmp_path):
         text = (corpus_dir() / "ray-honest.scn").read_text()
         assert "\ntag t1\n" in text
@@ -389,7 +426,7 @@ class TestExecution:
             (
                 TRACKER_RUN.replace("move t1 r2", "move t1 r9"),
                 EXIT_PARSE,
-                "case.scn: KeyError: 'r9'",
+                "case.scn:18: reader r9 is not declared",
             ),
             (
                 "protocol ray\nkind attack\nattack ray-out-of-order bogus=1\n",
@@ -470,12 +507,19 @@ class TestCorpus:
 
     def test_execution_error_becomes_that_files_result(self, tmp_path):
         write(tmp_path, TRACKER_RUN, name="a-good.scn")
-        write(tmp_path, TRACKER_RUN.replace("move t1 r2", "move t1 r9"), name="b-bad.scn")
+        write(
+            tmp_path,
+            "protocol ray\nkind attack\nattack ray-out-of-order bogus=1\n",
+            name="b-bad.scn",
+        )
         write(tmp_path, TRACKER_RUN, name="c-good.scn")
         results = run_corpus(tmp_path)
         assert [r.scenario.name for r in results] == ["a-good", "b-bad", "c-good"]
         assert [r.exit_code for r in results] == [EXIT_OK, EXIT_PARSE, EXIT_OK]
-        assert results[1].failures == ["b-bad.scn: KeyError: 'r9'"]
+        assert results[1].failures == [
+            "b-bad.scn: TypeError: attack_ray_out_of_order() got an unexpected"
+            " keyword argument 'bogus'"
+        ]
 
 
 def _result(name, protocol, adversary, exit_code=EXIT_OK, directives=()):
