@@ -2,11 +2,13 @@
 
 Every attack drives a normal protocol run, performs the adversary's moves
 through the Dolev-Yao surface (observing, injecting, reading tags,
-compromising readers) and returns an AttackOutcome whose evidence is
-strong enough to re-check the violation from the outside: the finalized
-run with its trace goes along, so soundness/sortedness verdicts and
-classifier labels can be recomputed, and linking attacks carry the
-ground-truth record labels to count false positives against.
+compromising readers) and returns whether it succeeded, the finalized run
+and evidence strong enough to re-check the violation from the outside:
+with the run's trace, soundness/sortedness verdicts and classifier labels
+can be recomputed, and linking attacks carry the ground-truth record
+labels to count false positives against.  ``@attack`` registers each
+script in ``ATTACKS`` with the scheme it targets and the property a
+success violates, and builds its ``AttackOutcome``.
 
 Attacks that the corresponding hardened configuration is supposed to
 defeat return succeeded=False there; tests re-run those across many
@@ -15,9 +17,11 @@ seeds.
 
 from __future__ import annotations
 
+import functools
+import inspect
 from dataclasses import dataclass, field
 from random import Random
-from typing import Any
+from typing import Any, Callable
 
 from pathtrace import crypto
 from pathtrace import trace as tr
@@ -29,6 +33,9 @@ from pathtrace.protocols.resc import Resc
 from pathtrace.protocols.rfchain import RfChain, salted_key, split_salted, step_input
 from pathtrace.stats import wilson_interval
 
+# the run settings a scenario sets with directives of its own
+RUN_SETTINGS = ("seed", "mode", "adversary")
+
 
 class BoundedSearchError(ValueError):
     """Search parameters exceed the supported exhaustive-search bounds."""
@@ -38,18 +45,16 @@ class BoundedSearchError(ValueError):
 class AttackOutcome:
     """Machine-checkable result of one attack script.
 
-    `violated_property` is one of sound/complete/sorted/authorized/privacy
-    when the attack succeeded, else None.  `evidence` holds the finalized
-    run (key "run") plus attack-specific material.
+    `violated_property` is the property the attack is registered to
+    violate when it succeeded, else None.  `run` is the finalized run the
+    script drove, if any; `evidence` holds the attack-specific material.
     """
 
     name: str
     succeeded: bool
     violated_property: str | None
     evidence: dict[str, Any] = field(default_factory=dict)
-
-    def run_result(self) -> RunResult | None:
-        return self.evidence.get("run")
+    run: RunResult | None = None
 
     def summary_lines(self) -> list[str]:
         lines = [
@@ -58,8 +63,6 @@ class AttackOutcome:
             f"violated={self.violated_property or 'none'}",
         ]
         for key in sorted(self.evidence):
-            if key == "run":
-                continue
             value = self.evidence[key]
             if isinstance(value, bytes):
                 value = value.hex()
@@ -68,8 +71,45 @@ class AttackOutcome:
 
     def report_lines(self) -> list[str]:
         """The summary, then the finalized run's report if there is one."""
-        run = self.run_result()
-        return self.summary_lines() + (run.report_lines() if run is not None else [])
+        return self.summary_lines() + (self.run.report_lines() if self.run is not None else [])
+
+
+@dataclass(frozen=True)
+class AttackSpec:
+    """One attack's declaration: the scheme it targets, the property a
+    success violates, which ``RUN_SETTINGS`` it takes and the default of
+    every keyword it accepts (those settings included)."""
+
+    scheme: str
+    violates: str
+    settings: tuple[str, ...]
+    keywords: dict[str, Any]
+
+
+Script = Callable[..., tuple[bool, RunResult | None, dict[str, Any]]]
+ATTACKS: dict[str, Callable[..., AttackOutcome]] = {}
+
+
+def attack(name: str, scheme: str, violates: str):
+    """Register a script that returns ``(succeeded, run, evidence)`` in
+    ``ATTACKS`` as a callable returning its ``AttackOutcome``; the
+    callable's ``spec`` is the script's ``AttackSpec``."""
+
+    def register(script: Script) -> Callable[..., AttackOutcome]:
+        params = inspect.signature(script).parameters.values()
+        keywords = {p.name: p.default for p in params}
+        settings = tuple(s for s in RUN_SETTINGS if s in keywords)
+
+        @functools.wraps(script)
+        def replay(*args: Any, **kwargs: Any) -> AttackOutcome:
+            succeeded, run, evidence = script(*args, **kwargs)
+            return AttackOutcome(name, succeeded, violates if succeeded else None, evidence, run)
+
+        replay.spec = AttackSpec(scheme, violates, settings, keywords)
+        ATTACKS[name] = replay
+        return replay
+
+    return register
 
 
 @register_strategy("drop_to_tags")
@@ -148,9 +188,10 @@ def _insider_link(
     return None
 
 
+@attack("rfchain-linking", scheme="rfchain", violates="privacy")
 def attack_rfchain_linking(
     seed: int = 0, mode: str = "default", decoys: int = 10, insider: bool = False
-) -> AttackOutcome:
+):
     """Link every ledger record of one tag after a single tag read.
 
     The record payload is the previous chain value XORed with a keystream
@@ -210,25 +251,20 @@ def attack_rfchain_linking(
     target_positions = {j for j, (token, _) in enumerate(truth) if token == target}
     false_positives = sorted(set(linked) - target_positions)
     succeeded = bool(target_positions) and set(linked) == target_positions
-    return AttackOutcome(
-        name="rfchain-linking",
-        succeeded=succeeded,
-        violated_property="privacy" if succeeded else None,
-        evidence={
-            "run": result,
-            "mode": mode,
-            "insider": insider,
-            "records": len(records),
-            "target_records": sorted(target_positions),
-            "linked": dict(sorted(linked.items())),
-            "false_positives": false_positives,
-            "chain_levels": steps,
-            "identity": identity,
-        },
-    )
+    return succeeded, result, {
+        "mode": mode,
+        "insider": insider,
+        "records": len(records),
+        "target_records": sorted(target_positions),
+        "linked": dict(sorted(linked.items())),
+        "false_positives": false_positives,
+        "chain_levels": steps,
+        "identity": identity,
+    }
 
 
-def probe_rfchain_length_extension(seed: int = 0) -> AttackOutcome:
+@attack("rfchain-length-extension", scheme="rfchain", violates="sound")
+def probe_rfchain_length_extension(seed: int = 0):
     """Show the step-key hash is length-extendable, and why that is not
     enough to forge a record.
 
@@ -238,7 +274,8 @@ def probe_rfchain_length_extension(seed: int = 0) -> AttackOutcome:
     secrets with a bare index appended, never with the glue bytes, so the
     extended digest is the key of an input the scheme never uses and no
     ledger record accepts it.  A weakness in the construction, not a
-    break of the deployed checks.
+    break of the deployed checks: the probe succeeds only if the forged
+    record is accepted.
     """
     cfg = RunConfig(
         protocol="rfchain",
@@ -270,18 +307,12 @@ def probe_rfchain_length_extension(seed: int = 0) -> AttackOutcome:
     accepted = protocol._record_matches(forged_pseudo, forged_payload, identity, 1, base)
 
     result = finalize(protocol, run)
-    return AttackOutcome(
-        name="rfchain-length-extension",
-        succeeded=False,
-        violated_property=None,
-        evidence={
-            "run": result,
-            "extension_matches": extension_matches,
-            "glue_bytes": len(glue),
-            "forged_key_differs": extended != honest_key,
-            "forged_record_accepted": accepted,
-        },
-    )
+    return accepted, result, {
+        "extension_matches": extension_matches,
+        "glue_bytes": len(glue),
+        "forged_key_differs": extended != honest_key,
+        "forged_record_accepted": accepted,
+    }
 
 
 # --- Ray: order not enforced, challenges derivable -------------------------
@@ -303,12 +334,13 @@ def _ray_config(
     )
 
 
+@attack("ray-out-of-order", scheme="ray", violates="sorted")
 def attack_ray_out_of_order(
     seed: int = 0,
     order: tuple[int, ...] | None = None,
     mode: str = "default",
     path_len: int = 3,
-) -> AttackOutcome:
+):
     """Reorder challenge consumption while the tag travels the true path.
 
     The network adversary suppresses every reader-to-tag message, keeps
@@ -321,13 +353,7 @@ def attack_ray_out_of_order(
     cfg = _ray_config(seed, mode, path_len, strategy="drop_to_tags")
     readers = [t for t, _ in cfg.readers]
     if path_len < 2:
-        result = run_protocol(cfg)
-        return AttackOutcome(
-            name="ray-out-of-order",
-            succeeded=False,
-            violated_property=None,
-            evidence={"run": result, "reason": "single-step path has no permutation"},
-        )
+        return False, run_protocol(cfg), {"reason": "single-step path has no permutation"}
     if order is None:
         order = (1, 0) + tuple(range(2, path_len))
     if sorted(order) != list(range(path_len)):
@@ -352,27 +378,22 @@ def attack_ray_out_of_order(
 
     verdict = _claim_verdict(result)
     succeeded = all(accepted) and verdict is not None and not verdict.sorted
-    return AttackOutcome(
-        name="ray-out-of-order",
-        succeeded=succeeded,
-        violated_property="sorted" if succeeded else None,
-        evidence={
-            "run": result,
-            "order": tuple(order),
-            "accepted": accepted,
-            "claimed": [readers[i] for i in order],
-            "labels": _labels(result),
-        },
-    )
+    return succeeded, result, {
+        "order": tuple(order),
+        "accepted": accepted,
+        "claimed": [readers[i] for i in order],
+        "labels": _labels(result),
+    }
 
 
+@attack("ray-impersonation", scheme="ray", violates="sound")
 def attack_ray_impersonation(
     seed: int = 0,
     mode: str = "default",
     path_len: int = 4,
     observed_index: int = 1,
     observe: bool = True,
-) -> AttackOutcome:
+):
     """Derive every participant's challenge from one observed challenge.
 
     Challenges differ only by public participant identifiers: XORing the
@@ -386,13 +407,7 @@ def attack_ray_impersonation(
     protocol, run = build_run(cfg)
 
     if not observe:
-        result = finalize(protocol, run)
-        return AttackOutcome(
-            name="ray-impersonation",
-            succeeded=False,
-            violated_property=None,
-            evidence={"run": result, "reason": "no challenge observed, c unknown"},
-        )
+        return False, finalize(protocol, run), {"reason": "no challenge observed, c unknown"}
 
     obs_token = readers[observed_index]
     protocol.visit("t1", obs_token)  # the single over-the-air observation
@@ -417,26 +432,21 @@ def attack_ray_impersonation(
 
     verdict = _claim_verdict(result)
     succeeded = bool(accepted) and all(accepted)
-    return AttackOutcome(
-        name="ray-impersonation",
-        succeeded=succeeded,
-        violated_property="sound" if succeeded else None,
-        evidence={
-            "run": result,
-            "observed_reader": obs_token,
-            "impersonated": derived,
-            "accepted": accepted,
-            "claim_unsound": verdict is not None and not verdict.sound,
-            "labels": _labels(result),
-        },
-    )
+    return succeeded, result, {
+        "observed_reader": obs_token,
+        "impersonated": derived,
+        "accepted": accepted,
+        "claim_unsound": verdict is not None and not verdict.sound,
+        "labels": _labels(result),
+    }
 
 
 # --- Burbridge: colluding readers re-sign across overlapping paths ---------
 
+@attack("burbridge-bypass", scheme="burbridge", violates="sound")
 def attack_burbridge_bypass(
     seed: int = 3, mode: str = "default", adversary: AdvModel = AdvModel.ADV_R
-) -> AttackOutcome:
+):
     """Route a tag around a mandatory station using another tag's edges.
 
     Two compromised readers accept the tag on edges registered for a
@@ -468,25 +478,18 @@ def attack_burbridge_bypass(
     result = run_protocol(cfg)
     verdict = _claim_verdict(result)
     succeeded = verdict is not None and verdict.authorized and not verdict.sound
-    return AttackOutcome(
-        name="burbridge-bypass",
-        succeeded=succeeded,
-        violated_property="sound" if succeeded else None,
-        evidence={
-            "run": result,
-            "mode": mode,
-            "bypassed": "rc",
-            "claim_authorized": verdict.authorized if verdict else False,
-            "labels": _labels(result),
-        },
-    )
+    return succeeded, result, {
+        "mode": mode,
+        "bypassed": "rc",
+        "claim_authorized": verdict.authorized if verdict else False,
+        "labels": _labels(result),
+    }
 
 
 # --- ReSC: session keys readable on the tag --------------------------------
 
-def attack_resc_key_disclosure(
-    seed: int = 0, honest_steps: int = 2, path_len: int = 4
-) -> AttackOutcome:
+@attack("resc-key-disclosure", scheme="resc", violates="sound")
+def attack_resc_key_disclosure(seed: int = 0, honest_steps: int = 2, path_len: int = 4):
     """Deposit signatures for readers the tag never met.
 
     Session keys for every step sit in readable tag memory from the day
@@ -518,13 +521,7 @@ def attack_resc_key_disclosure(
     remaining = list(range(honest_steps + 1, path_len + 1))
     if not remaining:
         protocol.claim("t1")
-        result = finalize(protocol, run)
-        return AttackOutcome(
-            name="resc-key-disclosure",
-            succeeded=False,
-            violated_property=None,
-            evidence={"run": result, "reason": "journey complete, no unused keys"},
-        )
+        return False, finalize(protocol, run), {"reason": "journey complete, no unused keys"}
 
     last_ts = crypto.bytes_to_int(fields[f"ts{honest_steps}"]) if honest_steps else 0
     deposited = []
@@ -548,22 +545,17 @@ def attack_resc_key_disclosure(
 
     verdict = _claim_verdict(result)
     succeeded = all(deposited) and verdict is not None and not verdict.sound
-    return AttackOutcome(
-        name="resc-key-disclosure",
-        succeeded=succeeded,
-        violated_property="sound" if succeeded else None,
-        evidence={
-            "run": result,
-            "honest_steps": honest_steps,
-            "ghost_slots": remaining,
-            "deposited": deposited,
-            "labels": _labels(result),
-        },
-    )
+    return succeeded, result, {
+        "honest_steps": honest_steps,
+        "ghost_slots": remaining,
+        "deposited": deposited,
+        "labels": _labels(result),
+    }
 
 
 # --- Tracker: path evaluation forgets the order ----------------------------
 
+@attack("tracker-order-search", scheme="tracker", violates="sorted")
 def attack_tracker_order_search(
     seed: int = 0,
     q: int = 1009,
@@ -571,7 +563,7 @@ def attack_tracker_order_search(
     length: int = 3,
     trials: int = 2000,
     equal: bool = False,
-) -> AttackOutcome:
+):
     """Search visit-order permutations for accepted out-of-order paths.
 
     Each trial draws a fresh evaluation point, blinding coefficient and
@@ -595,12 +587,7 @@ def attack_tracker_order_search(
     rng = Random(seed)
     perms = [p for p in permutations(range(length)) if p != tuple(range(length))]
     if not perms:
-        return AttackOutcome(
-            name="tracker-order-search",
-            succeeded=False,
-            violated_property=None,
-            evidence={"reason": "single-step path has no permutation", "trials": 0},
-        )
+        return False, None, {"reason": "single-step path has no permutation", "trials": 0}
 
     checks = 0
     accepted = 0
@@ -633,24 +620,19 @@ def attack_tracker_order_search(
     rate = accepted / checks
     lo, hi = wilson_interval(accepted, checks)
     adj_rate = adjacent_accepted / adjacent_checks if adjacent_checks else 0.0
-    return AttackOutcome(
-        name="tracker-order-search",
-        succeeded=accepted > 0,
-        violated_property="sorted" if accepted > 0 else None,
-        evidence={
-            "q": q,
-            "trials": trials,
-            "equal_coefficients": equal,
-            "checks": checks,
-            "accepted": accepted,
-            "rate": rate,
-            "rate_ci": (lo, hi),
-            "adjacent_checks": adjacent_checks,
-            "adjacent_accepted": adjacent_accepted,
-            "adjacent_rate": adj_rate,
-            "witnesses": witnesses,
-        },
-    )
+    return accepted > 0, None, {
+        "q": q,
+        "trials": trials,
+        "equal_coefficients": equal,
+        "checks": checks,
+        "accepted": accepted,
+        "rate": rate,
+        "rate_ci": (lo, hi),
+        "adjacent_checks": adjacent_checks,
+        "adjacent_accepted": adjacent_accepted,
+        "adjacent_rate": adj_rate,
+        "witnesses": witnesses,
+    }
 
 
 def tracker_collision_rate(
@@ -681,14 +663,3 @@ def tracker_collision_rate(
         v2 = crypto.path_poly_eval(field_q, a0, [coeffs[r] for r in second], x0)
         collisions += v1 == v2
     return collisions, pairs
-
-
-ATTACKS: dict[str, Any] = {
-    "rfchain-linking": attack_rfchain_linking,
-    "rfchain-length-extension": probe_rfchain_length_extension,
-    "ray-out-of-order": attack_ray_out_of_order,
-    "ray-impersonation": attack_ray_impersonation,
-    "burbridge-bypass": attack_burbridge_bypass,
-    "resc-key-disclosure": attack_resc_key_disclosure,
-    "tracker-order-search": attack_tracker_order_search,
-}

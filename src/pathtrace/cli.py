@@ -21,7 +21,6 @@ as ``run`` does; the exit codes are defined in ``scenario``.
 from __future__ import annotations
 
 import argparse
-import inspect
 import os
 import sys
 from pathlib import Path
@@ -62,7 +61,7 @@ def _cmd_attack(args: argparse.Namespace) -> int:
     op = ATTACKS[args.name]
     kwargs = {}
     if args.seed is not None:
-        if "seed" not in inspect.signature(op).parameters:
+        if "seed" not in op.spec.settings:
             print(f"attack {args.name} does not take a seed", file=sys.stderr)
             return 2
         kwargs["seed"] = args.seed

@@ -304,18 +304,6 @@ class AdversaryContext:
     def __init__(self, net: Network) -> None:
         self.net = net
 
-    @property
-    def model(self) -> AdvModel:
-        return self.net.model
-
-    @property
-    def knowledge(self) -> Knowledge:
-        return self.net.knowledge
-
-    @property
-    def rng(self) -> Random:
-        return self.net.rng
-
     def read_tag(self, token: str) -> bytes:
         """Skim the tag's memory contents (both adversary models)."""
         snapshot = self.net.tag_memory(token).snapshot()

@@ -36,11 +36,15 @@ any, ``manager`` (the verifying reader) and ``equal`` (readers sharing
 one coefficient).  A token declared twice (a tag, or a reader across
 ``reader`` and ``transit``) fails at its second line, and a tag whose
 paths break the scheme's ``path_rule`` fails at its ``tag`` line.  A
-``move``, ``claim``, ``compromise`` or ``param manager`` line that names
-a tag or reader declared nowhere in the file fails at its line; a claim
-may also name the scheme's fixed verifier, which no file declares.  A
-distinguisher that is known but limited to another scheme or game is
-refused only at execution, as exit 3.
+``move``, ``claim``, ``compromise``, ``validpath``, ``capacity``,
+``param manager`` or ``param equal`` line that names a tag or reader
+declared nowhere in the file fails at its line; a claim may also name
+the scheme's fixed verifier, which no file declares.  An ``attack``
+registered for another scheme than the file's ``protocol`` fails at its
+line, and so does a keyword the attack does not take or whose value is
+not of its default's type; a ``mode`` line fails when the attack takes
+no mode.  A distinguisher that is known but limited to another scheme or
+game is refused only at execution, as exit 3.
 
 Matrix directives feed the solution table: `matrix <prop> hold <model>`
 claims the property held in this scenario's adversary model, while
@@ -57,7 +61,6 @@ any other exception also comes back as exit 2, with a
 
 from __future__ import annotations
 
-import inspect
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -185,14 +188,14 @@ def parse_scenario(path: Path) -> Scenario:
     scn = Scenario(path=Path(path))
     cfg = scn.config
     line_of: dict[str, int] = {}  # the last line of each directive
-    # (line, setting, value) of each mode and param key: checking them
-    # needs the protocol, which may come last
+    # (line, setting, value) of each mode, an attack's included, and of
+    # each param key: checking them needs the protocol, which may come last
     settings: list[tuple[int, str, str]] = []
     # the declaring line of each tag, and of each reader or transit token
     tag_line: dict[str, int] = {}
     reader_line: dict[str, int] = {}
-    # (line, role, token) of each name a move, claim, compromise or
-    # manager uses: a declaration may come later in the file
+    # (line, role, token) of each name a line that is not a declaration
+    # uses: a declaration may come later in the file
     uses: list[tuple[int, str, str]] = []
 
     def err(lineno: int, message: str) -> ScenarioError:
@@ -276,10 +279,12 @@ def parse_scenario(path: Path) -> Scenario:
             if len(args) < 2:
                 raise err(lineno, "validpath needs a tag and at least one reader")
             cfg.valid_paths.append((args[0], tuple(args[1:])))
+            uses += [(lineno, "tag", args[0]), *((lineno, "reader", r) for r in args[1:])]
         elif key == "capacity":
             if len(args) != 2:
                 raise err(lineno, "capacity needs a tag and a bit count")
             cfg.capacities[args[0]] = integer(lineno, key, args[1], minimum=0)
+            uses.append((lineno, "tag", args[0]))
         elif key == "param":
             if len(args) < 2:
                 raise err(lineno, "param needs a key and a value")
@@ -287,6 +292,8 @@ def parse_scenario(path: Path) -> Scenario:
             settings.append((lineno, key, args[0]))
             if args[0] == "manager":
                 uses.append((lineno, "manager", cfg.params["manager"]))
+            elif args[0] == "equal":
+                uses += [(lineno, "reader", r) for r in cfg.params["equal"].split(",") if r]
         elif key == "move":
             if len(args) != 2:
                 raise err(lineno, "move needs a tag and a reader")
@@ -300,15 +307,24 @@ def parse_scenario(path: Path) -> Scenario:
         elif key == "attack":
             if not args or args[0] not in ATTACKS:
                 raise err(lineno, f"unknown attack {' '.join(args[:1]) or '?'}")
-            scn.attack = args[0]
+            scn.attack, scn.attack_args = args[0], {}
+            defaults = ATTACKS[scn.attack].spec.keywords
             for pair in args[1:]:
                 if "=" not in pair:
                     raise err(lineno, f"attack argument {pair!r} is not key=value")
                 k, v = pair.split("=", 1)
+                if k not in defaults:
+                    raise err(lineno, f"attack {scn.attack} does not take {k}")
+                if k == "mode":
+                    settings.append((lineno, k, v))
                 try:
-                    scn.attack_args[k] = _attack_value(v)
+                    value = scn.attack_args[k] = _attack_value(v)
                 except ValueError:
                     raise err(lineno, f"attack argument {pair!r} is not a list of integers") from None
+                # a keyword that defaults to None (Ray's `order`) takes any value
+                if defaults[k] is not None and type(value) is not type(defaults[k]):
+                    kind = type(defaults[k]).__name__
+                    raise err(lineno, f"attack argument {pair!r} is not of type {kind}")
         elif key == "game":
             kinds = {k.value: k for k in GameKind}
             if len(args) != 1 or args[0] not in kinds:
@@ -349,6 +365,15 @@ def parse_scenario(path: Path) -> Scenario:
         raise err(line_of["strategy"], f"unknown strategy {cfg.strategy}")
     if scn.distinguisher not in DISTINGUISHERS:
         raise err(line_of["distinguisher"], f"unknown distinguisher {scn.distinguisher}")
+    if scn.kind == "attack":
+        if scn.attack is None:
+            raise ScenarioError(f"{scn.path.name}: attack scenario without attack directive")
+        spec = ATTACKS[scn.attack].spec
+        if spec.scheme != cfg.protocol:
+            message = f"attack {scn.attack} targets {spec.scheme}, not {cfg.protocol}"
+            raise err(line_of["attack"], message)
+        if "mode" in line_of and "mode" not in spec.settings:
+            raise err(line_of["mode"], f"attack {scn.attack} does not take a mode")
     for lineno, setting, value in settings:
         try:
             check_setting(cfg.protocol, setting, value)
@@ -364,8 +389,6 @@ def parse_scenario(path: Path) -> Scenario:
             PROTOCOLS[cfg.protocol].registered_paths(cfg.tags, cfg.valid_paths)
         except PathRuleError as exc:
             raise err(tag_line[exc.tag], str(exc)) from None
-    if scn.kind == "attack" and scn.attack is None:
-        raise ScenarioError(f"{scn.path.name}: attack scenario without attack directive")
     if scn.kind == "privacy" and scn.game is None:
         raise ScenarioError(f"{scn.path.name}: privacy scenario without game directive")
     return scn
@@ -466,8 +489,6 @@ def _attack_facts(outcome: AttackOutcome) -> tuple[dict[str, str], dict[str, lis
     }
     membership: dict[str, list[str]] = {}
     for key, value in outcome.evidence.items():
-        if key == "run":
-            continue
         facts[f"evidence.{key}"] = _stringify(value)
         if isinstance(value, (list, tuple, dict)):
             facts[f"evidence.{key}_count"] = str(len(value))
@@ -480,15 +501,11 @@ def _attack_facts(outcome: AttackOutcome) -> tuple[dict[str, str], dict[str, lis
 def _execute_attack(scn: Scenario) -> tuple[list[str], list[str]]:
     cfg = scn.config
     op = ATTACKS[scn.attack]
-    kwargs = dict(scn.attack_args)
-    accepted = inspect.signature(op).parameters
-    for name in ("seed", "mode", "adversary"):
-        if name in accepted and name not in kwargs:
-            kwargs[name] = getattr(cfg, name)
-    outcome = op(**kwargs)
+    settings = {name: getattr(cfg, name) for name in op.spec.settings}
+    outcome = op(**{**settings, **scn.attack_args})
     facts, membership = _attack_facts(outcome)
     failures = _check_expects(scn.expects, facts, membership)
-    run = outcome.run_result()
+    run = outcome.run
     if run is not None and run.config.adversary is not cfg.adversary:
         failures.append(
             f"adversary: scenario declares {cfg.adversary}, run used {run.config.adversary}"

@@ -223,7 +223,7 @@ def test_criterion_4_attack_reproductions(capsys):
         out = attack_resc_key_disclosure(seed=0)
         if not out.succeeded or "GhostStep" not in out.evidence["labels"]:
             problems.append("key disclosure produced no ghost step")
-        if out.run_result().config.adversary is not AdvModel.ADV_R:
+        if out.run.config.adversary is not AdvModel.ADV_R:
             problems.append("key disclosure did not run under AdvR")
 
         elapsed = monotonic() - start

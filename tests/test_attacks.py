@@ -29,7 +29,7 @@ from pathtrace.trace import AttackLabel, classify_claim
 def ledger_truth(outcome):
     """(tag, step) of each ledger record, from a replay of the outcome's
     run; runs are deterministic, so the replay adds the same records."""
-    cfg = outcome.run_result().config
+    cfg = outcome.run.config
     protocol, _ = build_run(cfg)
     for step in cfg.script:
         if step[0] == "move":
@@ -70,14 +70,14 @@ class TestRfChainLinking:
         assert o.succeeded
         assert sorted(o.evidence["linked"]) == o.evidence["target_records"]
         assert o.evidence["false_positives"] == []
-        assert "r1" in o.run_result().compromised
+        assert "r1" in o.run.compromised
 
     def test_same_seed_reproduces_bit_identical_outcome(self):
         a = attack_rfchain_linking(seed=9)
         b = attack_rfchain_linking(seed=9)
         assert a.evidence["linked"] == b.evidence["linked"]
         assert a.summary_lines() == b.summary_lines()
-        assert a.run_result().report_lines() == b.run_result().report_lines()
+        assert a.run.report_lines() == b.run.report_lines()
 
 
 class TestRfChainLengthExtension:
@@ -93,7 +93,7 @@ class TestRayOutOfOrder:
     def test_all_six_permutations_accepted_by_the_protocol(self):
         for perm in permutations(range(3)):
             o = attack_ray_out_of_order(seed=3, order=perm)
-            run = o.run_result()
+            run = o.run
             assert all(o.evidence["accepted"]), perm
             assert len(run.verdicts) == 1, perm  # owner announced the claim
             v = run.verdicts[0]
@@ -110,7 +110,7 @@ class TestRayOutOfOrder:
 
     def test_moves_record_the_true_journey(self):
         o = attack_ray_out_of_order(seed=1, order=(2, 0, 1))
-        run = o.run_result()
+        run = o.run
         tag_id = run.trace.tags()[0]
         physical = tr.physical_path(run.trace, tag_id)
         assert tuple(i.value for i in physical) == ("r1", "r2", "r3")
@@ -152,7 +152,7 @@ class TestBurbridgeBypass:
     def test_claim_is_authorized_yet_unsound(self):
         o = attack_burbridge_bypass(seed=3)
         assert o.succeeded and o.violated_property == "sound"
-        v = o.run_result().verdicts[-1]
+        v = o.run.verdicts[-1]
         assert v.authorized and not v.sound
         assert o.evidence["labels"] == ["GhostStep"]
 
@@ -160,7 +160,7 @@ class TestBurbridgeBypass:
         for seed in range(100):
             o = attack_burbridge_bypass(seed=seed, mode="per_tag")
             assert not o.succeeded
-            run = o.run_result()
+            run = o.run
             assert run.stalled and not run.verdicts
 
     def test_advt_cannot_compromise_readers(self):
@@ -176,7 +176,7 @@ class TestRescKeyDisclosure:
             assert all(o.evidence["deposited"])
             assert o.evidence["ghost_slots"] == list(range(honest + 1, 5))
             assert "GhostStep" in o.evidence["labels"]
-            assert o.run_result().config.adversary is AdvModel.ADV_R
+            assert o.run.config.adversary is AdvModel.ADV_R
 
     def test_read_after_step_one_reaches_reader_three(self):
         o = attack_resc_key_disclosure(seed=2, honest_steps=1)
@@ -245,14 +245,14 @@ class TestEvidenceReverification:
             attack_resc_key_disclosure(seed=6),
         ):
             assert outcome.succeeded
-            trace = outcome.run_result().trace
+            trace = outcome.run.trace
             claims = list(trace.claims())
             assert claims
             assert any(not tr.verdict_for(trace, idx).sound for idx, _ in claims)
 
     def test_sorted_violation_recomputes_from_the_trace(self):
         outcome = attack_ray_out_of_order(seed=6, order=(1, 2, 0))
-        trace = outcome.run_result().trace
+        trace = outcome.run.trace
         assert any(not tr.verdict_for(trace, idx).sorted for idx, _ in trace.claims())
 
     def test_privacy_violation_recomputes_from_ledger_truth(self):

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from pathtrace.attacks import ATTACKS
+from pathtrace.attacks import ATTACKS, attack
 from pathtrace.cli import main
 from pathtrace.scenario import corpus_dir, run_scenario
 
@@ -153,9 +153,13 @@ class TestAttack:
         assert main(["attack", "burbridge-bypass", "--seed", "5"]) == 0
 
     def test_seed_unsupported(self, capsys, monkeypatch):
-        from pathtrace.attacks import ATTACKS
+        monkeypatch.setitem(ATTACKS, "fixed-op", None)  # removed again at teardown
 
-        monkeypatch.setitem(ATTACKS, "fixed-op", lambda: None)
+        @attack("fixed-op", scheme="ray", violates="sorted")
+        def fixed_op():
+            return True, None, {}
+
+        assert ATTACKS["fixed-op"] is fixed_op
         assert main(["attack", "fixed-op", "--seed", "1"]) == 2
         assert "does not take a seed" in capsys.readouterr().err
 

@@ -1,9 +1,12 @@
 """Scenario parsing, execution, corpus runs and matrix assembly."""
 
 import hashlib
+import random
+import re
 
 import pytest
 
+from pathtrace.attacks import ATTACKS
 from pathtrace.matrix import (
     MatrixRow,
     build_matrix,
@@ -13,6 +16,7 @@ from pathtrace.matrix import (
     split_cell,
 )
 from pathtrace.network import AdvModel
+from pathtrace.protocols import PROTOCOLS
 from pathtrace.scenario import (
     EXIT_CAPABILITY,
     EXIT_EXPECT,
@@ -238,11 +242,11 @@ class TestParsing:
             ("param group test\n", "tracker does not know param group"),
             # a tag that breaks its scheme's path rule fails at its tag line
             ("tag t1\nprotocol ray\n", "ray needs exactly one registered path for t1"),
-            ("tag t1\nprotocol stepauth\nvalidpath t1 r1\nvalidpath t1 r2\n",
+            ("tag t1\nprotocol stepauth\nvalidpath t1 r1\nvalidpath t1 r2\nreader r1\nreader r2\n",
              "stepauth needs exactly one registered path for t1"),
-            ("tag t1 t2\nprotocol resc\nvalidpath t1 r1\n",
+            ("tag t1 t2\nprotocol resc\nvalidpath t1 r1\nreader r1\n",
              "resc needs exactly one registered path for t2"),
-            ("tag t1\nprotocol burbridge\nvalidpath t9 r1\n",
+            ("tag t1\nprotocol burbridge\nvalidpath t9 r1\ntag t9\nreader r1\n",
              "burbridge needs at least one registered path for t1"),
             # a token declared twice on one line
             ("tag t1 t1\n", "t1 is declared twice, first at line 2"),
@@ -293,6 +297,57 @@ class TestParsing:
         result = run_scenario(path)
         assert result.exit_code == EXIT_PARSE
         assert result.failures == [f"case.scn:4: {message}"]
+
+    @pytest.mark.parametrize(
+        "text,failure",
+        [
+            ("protocol tracker\nkind attack\nattack ray-out-of-order order=1,0,2\n"
+             "matrix ss break 1\n",
+             "case.scn:3: attack ray-out-of-order targets ray, not tracker"),
+            ("kind attack\nattack rfchain-linking\nprotocol resc\n",
+             "case.scn:2: attack rfchain-linking targets rfchain, not resc"),
+            ("protocol ray\nkind attack\nattack ray-out-of-order bogus=3\n",
+             "case.scn:3: attack ray-out-of-order does not take bogus"),
+            ("protocol resc\nkind attack\nattack resc-key-disclosure honest_steps=a\n",
+             "case.scn:3: attack argument 'honest_steps=a' is not of type int"),
+            ("protocol rfchain\nkind attack\nattack rfchain-linking insider=1\n",
+             "case.scn:3: attack argument 'insider=1' is not of type bool"),
+            ("protocol rfchain\nkind probe\nmode patched\nattack rfchain-length-extension\n",
+             "case.scn:3: attack rfchain-length-extension does not take a mode"),
+            ("protocol tracker\nkind attack\nattack tracker-order-search\nmode default\n",
+             "case.scn:4: attack tracker-order-search does not take a mode"),
+            ("protocol ray\nkind attack\nattack ray-out-of-order mode=patched\n",
+             "case.scn:3: ray does not know mode patched; its modes are default, prf"),
+            (TRACKER_RUN + "validpath t9 r1 r9\n", "case.scn:24: tag t9 is not declared"),
+            (TRACKER_RUN + "validpath t1 r1 r9\n", "case.scn:24: reader r9 is not declared"),
+            (TRACKER_RUN + "capacity t9 5\n", "case.scn:24: tag t9 is not declared"),
+            (TRACKER_RUN + "param equal r1,r7\n", "case.scn:24: reader r7 is not declared"),
+        ],
+        ids=["attack-for-another-scheme", "protocol-after-attack", "unknown-keyword",
+             "keyword-of-another-type", "bool-keyword-given-an-int", "mode-on-modeless-probe",
+             "mode-on-modeless-attack", "unknown-mode-keyword", "validpath-tag",
+             "validpath-reader", "capacity-tag", "equal-reader"],
+    )
+    def test_refused_at_its_line(self, tmp_path, text, failure):
+        path = write(tmp_path, text)
+        with pytest.raises(ScenarioError, match="^" + re.escape(failure) + "$"):
+            parse_scenario(path)
+        result = run_scenario(path)
+        assert result.exit_code == EXIT_PARSE
+        assert result.failures == [failure]
+
+    def test_later_attack_line_replaces_the_earlier(self, tmp_path):
+        text = (
+            "protocol ray\nkind attack\nattack ray-impersonation observe=false\n"
+            "attack ray-out-of-order\n"
+        )
+        scn = parse_scenario(write(tmp_path, text))
+        assert (scn.attack, scn.attack_args) == ("ray-out-of-order", {})
+
+    def test_every_attack_targets_a_registered_scheme(self):
+        for name, op in ATTACKS.items():
+            assert op.spec.scheme in PROTOCOLS, name
+            assert op.spec.violates in ("sound", "complete", "sorted", "authorized", "privacy")
 
     def test_names_may_be_declared_after_their_use(self, tmp_path):
         text = (
@@ -431,8 +486,7 @@ class TestExecution:
             (
                 "protocol ray\nkind attack\nattack ray-out-of-order bogus=1\n",
                 EXIT_PARSE,
-                "case.scn: TypeError: attack_ray_out_of_order() got an unexpected"
-                " keyword argument 'bogus'",
+                "case.scn:3: attack ray-out-of-order does not take bogus",
             ),
         ],
         ids=["tag-capacity", "unknown-strategy", "undeclared-reader",
@@ -509,7 +563,7 @@ class TestCorpus:
         write(tmp_path, TRACKER_RUN, name="a-good.scn")
         write(
             tmp_path,
-            "protocol ray\nkind attack\nattack ray-out-of-order bogus=1\n",
+            "protocol ray\nkind attack\nattack ray-out-of-order order=0,0,1\n",
             name="b-bad.scn",
         )
         write(tmp_path, TRACKER_RUN, name="c-good.scn")
@@ -517,9 +571,62 @@ class TestCorpus:
         assert [r.scenario.name for r in results] == ["a-good", "b-bad", "c-good"]
         assert [r.exit_code for r in results] == [EXIT_OK, EXIT_PARSE, EXIT_OK]
         assert results[1].failures == [
-            "b-bad.scn: TypeError: attack_ray_out_of_order() got an unexpected"
-            " keyword argument 'bogus'"
+            "b-bad.scn: ValueError: order must permute 0..2: (0, 0, 1)"
         ]
+
+
+def _mutate(rng, lines):
+    """Drop, duplicate, truncate or corrupt one line, or swap two of its
+    tokens."""
+    lines = list(lines)
+    i = rng.randrange(len(lines))
+    line = lines[i]
+    op = rng.choice(("drop", "duplicate", "truncate", "corrupt", "swap"))
+    if op == "drop":
+        del lines[i]
+    elif op == "duplicate":
+        lines.insert(i, line)
+    elif op == "truncate":
+        lines[i] = line[: rng.randrange(len(line) + 1)]
+    elif op == "corrupt" and line:
+        j = rng.randrange(len(line))
+        lines[i] = line[:j] + rng.choice("abxz019=,.-# ") + line[j + 1 :]
+    elif op == "swap" and len(line.split()) > 1:
+        words = line.split()
+        a, b = rng.sample(range(len(words)), 2)
+        words[a], words[b] = words[b], words[a]
+        lines[i] = " ".join(words)
+    return lines
+
+
+class TestMutationFuzz:
+    """200 seeded mutants of the bundled corpus: each ends in a documented
+    exit code, and a file that does not parse names its line unless the
+    whole file lacks a directive."""
+
+    WHOLE_FILE = (
+        "missing protocol directive",
+        "attack scenario without attack directive",
+        "privacy scenario without game directive",
+    )
+
+    def test_mutants_end_in_a_documented_exit_code(self, tmp_path):
+        rng = random.Random(20261018)
+        codes = set()
+        for source in sorted(corpus_dir().glob("*.scn")):
+            lines = source.read_text().splitlines()
+            for k in range(8):
+                text = "\n".join(_mutate(rng, lines)) + "\n"
+                path = write(tmp_path, text, f"{source.stem}-{k}.scn")
+                result = run_scenario(path)
+                codes.add(result.exit_code)
+                assert result.exit_code in (EXIT_OK, EXIT_EXPECT, EXIT_PARSE, EXIT_CAPABILITY)
+                if result.exit_code == EXIT_PARSE:
+                    failure = result.failures[0]
+                    assert re.match(rf"{re.escape(path.name)}:\d+: ", failure) or failure in [
+                        f"{path.name}: {message}" for message in self.WHOLE_FILE
+                    ], failure
+        assert {EXIT_OK, EXIT_EXPECT, EXIT_PARSE} <= codes
 
 
 def _result(name, protocol, adversary, exit_code=EXIT_OK, directives=()):
