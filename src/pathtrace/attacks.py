@@ -77,35 +77,63 @@ class AttackOutcome:
 @dataclass(frozen=True)
 class AttackSpec:
     """One attack's declaration: the scheme it targets, the property a
-    success violates, which ``RUN_SETTINGS`` it takes and the default of
-    every keyword it accepts (those settings included)."""
+    success violates, which ``RUN_SETTINGS`` it takes, the default and the
+    value type of every keyword it accepts (those settings included),
+    whether it drives a protocol run, and ``check``, which raises
+    ValueError on a combination of keyword values the script refuses."""
 
     scheme: str
     violates: str
     settings: tuple[str, ...]
     keywords: dict[str, Any]
+    types: dict[str, type]
+    drives_run: bool
+    check: Callable[[dict[str, Any]], None] | None
 
 
 Script = Callable[..., tuple[bool, RunResult | None, dict[str, Any]]]
 ATTACKS: dict[str, Callable[..., AttackOutcome]] = {}
 
 
-def attack(name: str, scheme: str, violates: str):
+def attack(
+    name: str,
+    scheme: str,
+    violates: str,
+    *,
+    types: dict[str, type] | None = None,
+    drives_run: bool = True,
+    check: Callable[[dict[str, Any]], None] | None = None,
+):
     """Register a script that returns ``(succeeded, run, evidence)`` in
     ``ATTACKS`` as a callable returning its ``AttackOutcome``; the
-    callable's ``spec`` is the script's ``AttackSpec``."""
+    callable's ``spec`` is the script's ``AttackSpec``.
+
+    A keyword's type is its default's, and ``types`` states it for each
+    keyword that defaults to None.  ``check`` receives every keyword's
+    value, defaults included, before the script runs."""
 
     def register(script: Script) -> Callable[..., AttackOutcome]:
-        params = inspect.signature(script).parameters.values()
-        keywords = {p.name: p.default for p in params}
+        signature = inspect.signature(script)
+        keywords = {p.name: p.default for p in signature.parameters.values()}
         settings = tuple(s for s in RUN_SETTINGS if s in keywords)
+        declared = types or {}
+        untyped = [k for k, v in keywords.items() if v is None and k not in declared]
+        if untyped:
+            raise TypeError(f"attack {name}: state the type of {', '.join(untyped)}")
+        value_types = {k: declared.get(k, type(v)) for k, v in keywords.items()}
 
         @functools.wraps(script)
         def replay(*args: Any, **kwargs: Any) -> AttackOutcome:
+            if check is not None:
+                bound = signature.bind(*args, **kwargs)
+                bound.apply_defaults()
+                check(bound.arguments)
             succeeded, run, evidence = script(*args, **kwargs)
             return AttackOutcome(name, succeeded, violates if succeeded else None, evidence, run)
 
-        replay.spec = AttackSpec(scheme, violates, settings, keywords)
+        replay.spec = AttackSpec(
+            scheme, violates, settings, keywords, value_types, drives_run, check
+        )
         ATTACKS[name] = replay
         return replay
 
@@ -334,7 +362,19 @@ def _ray_config(
     )
 
 
-@attack("ray-out-of-order", scheme="ray", violates="sorted")
+def _order_permutes_path(kw: dict[str, Any]) -> None:
+    order, path_len = kw["order"], kw["path_len"]
+    if order is not None and path_len >= 2 and sorted(order) != list(range(path_len)):
+        raise ValueError(f"order must permute 0..{path_len - 1}: {order!r}")
+
+
+@attack(
+    "ray-out-of-order",
+    scheme="ray",
+    violates="sorted",
+    types={"order": tuple},
+    check=_order_permutes_path,
+)
 def attack_ray_out_of_order(
     seed: int = 0,
     order: tuple[int, ...] | None = None,
@@ -356,8 +396,6 @@ def attack_ray_out_of_order(
         return False, run_protocol(cfg), {"reason": "single-step path has no permutation"}
     if order is None:
         order = (1, 0) + tuple(range(2, path_len))
-    if sorted(order) != list(range(path_len)):
-        raise ValueError(f"order must permute 0..{path_len - 1}: {order!r}")
 
     protocol, run = build_run(cfg)
     for token in readers:
@@ -488,7 +526,14 @@ def attack_burbridge_bypass(
 
 # --- ReSC: session keys readable on the tag --------------------------------
 
-@attack("resc-key-disclosure", scheme="resc", violates="sound")
+def _honest_steps_within_path(kw: dict[str, Any]) -> None:
+    if not 0 <= kw["honest_steps"] <= kw["path_len"]:
+        raise ValueError("honest_steps must lie within the path")
+
+
+@attack(
+    "resc-key-disclosure", scheme="resc", violates="sound", check=_honest_steps_within_path
+)
 def attack_resc_key_disclosure(seed: int = 0, honest_steps: int = 2, path_len: int = 4):
     """Deposit signatures for readers the tag never met.
 
@@ -499,8 +544,6 @@ def attack_resc_key_disclosure(seed: int = 0, honest_steps: int = 2, path_len: i
     the database later finds every slot correctly filled and claims the
     registered path, ghost steps included.
     """
-    if not 0 <= honest_steps <= path_len:
-        raise ValueError("honest_steps must lie within the path")
     readers = [f"r{i}" for i in range(1, path_len + 1)]
     cfg = RunConfig(
         protocol="resc",
@@ -555,7 +598,7 @@ def attack_resc_key_disclosure(seed: int = 0, honest_steps: int = 2, path_len: i
 
 # --- Tracker: path evaluation forgets the order ----------------------------
 
-@attack("tracker-order-search", scheme="tracker", violates="sorted")
+@attack("tracker-order-search", scheme="tracker", violates="sorted", drives_run=False)
 def attack_tracker_order_search(
     seed: int = 0,
     q: int = 1009,

@@ -16,9 +16,11 @@ sized for simulation rather than real security:
 * ElGamal itself is exponent-encoded over a prime-order subgroup, giving the
   multiplicative homomorphism and ciphertext exponentiation the polynomial
   path encodings need, with verification by comparison instead of discrete
-  logs.  Powers of the fixed generator come from ``gpow``, which multiplies
-  at most one precomputed ``g^(j*256^i)`` per exponent byte; the table is
-  built once per parameter set, the first time it is used.
+  logs.  Powers of a fixed base come from a fixed-window table, one row of
+  precomputed powers per window of the exponent.  The generator's table
+  has 8-bit windows and is built once per parameter set, the first time
+  ``gpow`` uses it; each public key builds a 4-bit table of its own once
+  it has been raised a few times, and the table goes with the key.
 
 All randomness comes from caller-provided ``random.Random`` instances.
 """
@@ -340,25 +342,34 @@ DEFAULT_PARAMS = ElgamalParams(p=2305843009213699919, q=1152921504606849959, g=4
 TEST_PARAMS = ElgamalParams(p=23, q=11, g=2)
 
 
+def _window_table(base: int, p: int, width: int, rows: int) -> list[list[int]]:
+    """Row i holds base^(j * 2^(width*i)) mod p for j = 0 .. 2^width - 1, so
+    one entry per row raises base to an exponent below 2^(width*rows)."""
+    size = 1 << width
+    table = []
+    for _ in range(rows):
+        row = [1] * size
+        for j in range(1, size):
+            row[j] = row[j - 1] * base % p
+        table.append(row)
+        base = row[-1] * base % p
+    return table
+
+
+def _exponent_bytes(params: ElgamalParams) -> int:
+    return (params.q.bit_length() + 7) // 8
+
+
 @functools.cache
 def _generator_table(params: ElgamalParams) -> list[list[int]]:
-    """Row i holds g^(j * 256^i) mod p for j = 0 .. 255, one row per byte
-    of an exponent below q."""
-    p = params.p
-    rows = []
-    base = params.g
-    for _ in range((params.q.bit_length() + 7) // 8):
-        row = [1] * 256
-        for j in range(1, 256):
-            row[j] = row[j - 1] * base % p
-        rows.append(row)
-        base = row[255] * base % p
-    return rows
+    """Powers of g in 8-bit windows, one row per byte of an exponent below q."""
+    return _window_table(params.g, params.p, 8, _exponent_bytes(params))
 
 
 def gpow(params: ElgamalParams, e: int) -> int:
     """``pow(params.g, e, params.p)`` for any integer e, since g has order q:
-    one table multiply per non-zero byte of e mod q."""
+    one table multiply per non-zero byte of e mod q, from the generator's
+    8-bit window table."""
     table = _generator_table(params)
     p = params.p
     acc = 1
@@ -368,10 +379,48 @@ def gpow(params: ElgamalParams, e: int) -> int:
     return acc
 
 
+# A key's table costs about as much to build as four builtin pows, so it is
+# built at the key's fourth raise: a key raised only a few times (the
+# privacy games make many) never pays for one.
+KEY_TABLE_RAISE = 4
+# 4-bit windows, two per exponent byte: 16 rows of 16 entries build in about
+# 70 us; 8-bit windows would halve the multiplies per raise but build eight
+# times the entries.
+KEY_TABLE_WIDTH = 4
+
+
 @dataclass(frozen=True)
 class ElgamalPublic:
+    """Public key h = g^x.  Besides its two fields the key carries a count of
+    its raises and, from its ``KEY_TABLE_RAISE``-th raise on, a window
+    table of the powers of h; neither takes part in equality or repr."""
+
     params: ElgamalParams
     h: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_raises", 0)
+        object.__setattr__(self, "_table", None)
+
+    def hpow(self, e: int) -> int:
+        """``pow(h, e, p)`` for 0 <= e < q.  Each window of e picks one table
+        entry, which is exact for any h, in the subgroup or not."""
+        p = self.params.p
+        table = self._table
+        if table is None:
+            raises = self._raises + 1
+            if raises < KEY_TABLE_RAISE:
+                object.__setattr__(self, "_raises", raises)
+                return pow(self.h, e, p)
+            rows = _window_table(self.h, p, KEY_TABLE_WIDTH, 2 * _exponent_bytes(self.params))
+            # the rows of the low and of the high window of each exponent byte
+            table = list(zip(rows[::2], rows[1::2]))
+            object.__setattr__(self, "_table", table)
+        acc = 1
+        for (low, high), j in zip(table, e.to_bytes(len(table), "little")):
+            if j:
+                acc = acc * low[j & 15] * high[j >> 4] % p
+        return acc
 
 
 @dataclass(frozen=True)
@@ -405,13 +454,17 @@ def encode_exponent(params: ElgamalParams, k: int) -> int:
 def elg_encrypt(pub: ElgamalPublic, m: int, rng: Random) -> Ciphertext:
     p = pub.params.p
     r = rng.randrange(1, pub.params.q)
-    return Ciphertext(pub.params, gpow(pub.params, r), (m % p) * pow(pub.h, r, p) % p)
+    return Ciphertext(pub.params, gpow(pub.params, r), (m % p) * pub.hpow(r) % p)
 
 
 def elg_decrypt(priv: ElgamalPrivate, ct: Ciphertext) -> int:
+    """``c2 / c1^x``, with one pow: c1^(p-1-x) is the inverse of c1^x for
+    every c1 in 1..p-1 (Fermat).  A c1 that is 0 mod p has no inverse and
+    raises ValueError."""
     p = priv.params.p
-    s = pow(ct.c1, priv.x, p)
-    return ct.c2 * pow(s, -1, p) % p
+    if ct.c1 % p == 0:
+        raise ValueError("c1 is not invertible modulo p")
+    return ct.c2 * pow(ct.c1, p - 1 - priv.x, p) % p
 
 
 def hom_mul(a: Ciphertext, b: Ciphertext) -> Ciphertext:
@@ -430,7 +483,7 @@ def ct_pow(ct: Ciphertext, e: int) -> Ciphertext:
 def rerandomize(pub: ElgamalPublic, ct: Ciphertext, rng: Random) -> Ciphertext:
     p = pub.params.p
     r = rng.randrange(1, pub.params.q)
-    return Ciphertext(ct.params, ct.c1 * gpow(pub.params, r) % p, ct.c2 * pow(pub.h, r, p) % p)
+    return Ciphertext(ct.params, ct.c1 * gpow(pub.params, r) % p, ct.c2 * pub.hpow(r) % p)
 
 
 # --- public-key encryption (ElGamal KEM + symmetric body) ------------------
@@ -458,7 +511,7 @@ def pk_enc(box: BoxPublic, plaintext: bytes, rng: Random) -> bytes:
     params = box.pub.params
     x = rng.randrange(1, params.q)
     c1 = gpow(params, x)
-    shared = pow(box.pub.h, x, params.p)
+    shared = box.pub.hpow(x)
     k = hash_bytes(b"kem" + box.key_id.encode() + int_to_bytes(shared))
     return int_to_bytes(c1) + sym_enc(k, plaintext)
 

@@ -17,11 +17,12 @@ can check but not decrypt.
 The test costs O(1) per state, not one exponentiation per prefix key.  The
 group has prime order q, so for v1 = g^h with h != 0 mod q the relation
 v2 == v1^K holds exactly when v2 lies in <g> and v2^(h^-1 mod q) == g^K.
-Setup therefore maps each tag's g^h to h^-1 and, per reader, each g^K to
-its prefix.  A state whose v1 is some tag's g^h costs one exponentiation
-and a lookup, and a hit is confirmed by v1^K == v2, which also refuses a
-v2 outside <g>.  Any other v1 (a forged state, or one built for no
-registered tag) falls back to trying every key in bucket order.
+Setup therefore maps each tag's g^h to (h, h^-1) and, per reader, each
+g^K to its prefix.  A state whose v1 is some tag's g^h costs one
+exponentiation and a lookup, and a hit is confirmed by g^(h*K) == v2,
+raised from the generator's table; that equals v1^K == v2 and also
+refuses a v2 outside <g>.  Any other v1 (a forged state, or one built for
+no registered tag) falls back to trying every key in bucket order.
 """
 
 from __future__ import annotations
@@ -67,12 +68,13 @@ class Checker(PathPolyModel):
                         self._key_of[path[i]].setdefault(elem, entry)
 
         self._location: dict[str, str | None] = dict.fromkeys(self.config.tags)
-        self._inverse_of: dict[int, int] = {}  # g^h -> h^-1 mod q, for h != 0
+        # g^h -> (h, h^-1 mod q), for h != 0
+        self._exponent_of: dict[int, tuple[int, int]] = {}
         q = self.params.q
         for tag_token in self.config.tags:
             h = crypto.hash_int(b"id" + tag_token.encode(), q)
             if h:
-                self._inverse_of[crypto.encode_exponent(self.params, h)] = pow(h, -1, q)
+                self._exponent_of[crypto.encode_exponent(self.params, h)] = (h, pow(h, -1, q))
             self._init_state(tag_token, h)
 
     def reader_secrets(self, reader_token: str) -> dict[str, bytes]:
@@ -88,14 +90,16 @@ class Checker(PathPolyModel):
         reader; the first matching prefix is claimed by that reader.
 
         A v1 that is some tag's g^h is tested by one lookup of
-        v2^(h^-1) among the reader's g^K, confirmed by v1^K == v2; any
+        v2^(h^-1) among the reader's g^K, confirmed by g^(h*K) == v2; any
         other v1 tries the reader's keys in order."""
         p = self.params.p
         v1, v2 = (crypto.elg_decrypt(self.priv, ct) for ct in state)
-        inverse = self._inverse_of.get(v1)
-        if inverse is not None:
+        exponent = self._exponent_of.get(v1)
+        if exponent is not None:
+            h, inverse = exponent
             hit = self._key_of[reader_token].get(pow(v2, inverse, p))
-            match = hit if hit is not None and pow(v1, hit[1], p) == v2 else None
+            confirmed = hit is not None and crypto.gpow(self.params, h * hit[1]) == v2
+            match = hit if confirmed else None
         else:
             match = next(
                 (entry for entry in self.prefix_keys[reader_token] if pow(v1, entry[1], p) == v2),

@@ -160,14 +160,14 @@ class Tracker(PathPolyModel):
                 self.coeffs[token] = self.field.rand_nonzero(self.rng)
 
         # registered paths and the manager's pre-computed acceptance table
-        self.mac_of: dict[str, int] = {}
         self.id_elem: dict[str, int] = {}
+        self.mac_elem: dict[str, int] = {}
         self.accept: dict[str, dict[int, tuple[str, ...]]] = {}
         for tag_token, paths in self.paths_of.items():
             mac_t = crypto.hash_int(crypto.mac(self.mac_key, tag_token.encode()), self.params.q)
-            self.mac_of[tag_token] = mac_t
             id_t = crypto.hash_int(b"id" + tag_token.encode(), self.params.q)
             self.id_elem[tag_token] = crypto.encode_exponent(self.params, id_t)
+            self.mac_elem[tag_token] = crypto.encode_exponent(self.params, mac_t)
             table: dict[int, tuple[str, ...]] = {}
             for path in paths:
                 value = self._path_eval(path)
@@ -197,7 +197,7 @@ class Tracker(PathPolyModel):
             self.net.log_anomaly(f"tracker manager cannot identify {tag_token}")
             return False
         mac_elem = crypto.elg_decrypt(self.priv, c2)
-        if mac_elem != crypto.encode_exponent(self.params, self.mac_of[tag_token]):
+        if mac_elem != self.mac_elem[tag_token]:
             self.net.log_anomaly(f"tracker manager mac check failed for {tag_token}")
             return False
         evaluation = crypto.elg_decrypt(self.priv, c3)

@@ -173,6 +173,10 @@ class ScenarioResult:
 
 # --- parsing ---------------------------------------------------------------
 
+# how a refusal names an attack keyword's type, where its name would not do
+_TYPE_WORDS = {tuple: "a list of integers"}
+
+
 def _attack_value(token: str) -> object:
     if token in ("true", "false"):
         return token == "true"
@@ -308,23 +312,22 @@ def parse_scenario(path: Path) -> Scenario:
             if not args or args[0] not in ATTACKS:
                 raise err(lineno, f"unknown attack {' '.join(args[:1]) or '?'}")
             scn.attack, scn.attack_args = args[0], {}
-            defaults = ATTACKS[scn.attack].spec.keywords
+            types = ATTACKS[scn.attack].spec.types
             for pair in args[1:]:
                 if "=" not in pair:
                     raise err(lineno, f"attack argument {pair!r} is not key=value")
                 k, v = pair.split("=", 1)
-                if k not in defaults:
+                if k not in types:
                     raise err(lineno, f"attack {scn.attack} does not take {k}")
                 if k == "mode":
                     settings.append((lineno, k, v))
                 try:
                     value = scn.attack_args[k] = _attack_value(v)
                 except ValueError:
-                    raise err(lineno, f"attack argument {pair!r} is not a list of integers") from None
-                # a keyword that defaults to None (Ray's `order`) takes any value
-                if defaults[k] is not None and type(value) is not type(defaults[k]):
-                    kind = type(defaults[k]).__name__
-                    raise err(lineno, f"attack argument {pair!r} is not of type {kind}")
+                    value = None
+                if type(value) is not types[k]:
+                    kind = _TYPE_WORDS.get(types[k], f"of type {types[k].__name__}")
+                    raise err(lineno, f"attack argument {pair!r} is not {kind}")
         elif key == "game":
             kinds = {k.value: k for k in GameKind}
             if len(args) != 1 or args[0] not in kinds:
@@ -374,6 +377,16 @@ def parse_scenario(path: Path) -> Scenario:
             raise err(line_of["attack"], message)
         if "mode" in line_of and "mode" not in spec.settings:
             raise err(line_of["mode"], f"attack {scn.attack} does not take a mode")
+        # an attack that drives a run is held to the declared adversary when
+        # it executes; one that drives none would leave the line unchecked
+        if "adversary" in line_of and "adversary" not in spec.settings and not spec.drives_run:
+            message = f"attack {scn.attack} drives no run and takes no adversary"
+            raise err(line_of["adversary"], message)
+        if spec.check is not None:
+            try:
+                spec.check(_attack_kwargs(scn))
+            except ValueError as exc:
+                raise err(line_of["attack"], str(exc)) from None
     for lineno, setting, value in settings:
         try:
             check_setting(cfg.protocol, setting, value)
@@ -498,11 +511,17 @@ def _attack_facts(outcome: AttackOutcome) -> tuple[dict[str, str], dict[str, lis
     return facts, membership
 
 
+def _attack_kwargs(scn: Scenario) -> dict[str, object]:
+    """Every keyword of the scenario's attack: its defaults, then the run
+    settings it takes from the scenario, then the attack line's values."""
+    spec = ATTACKS[scn.attack].spec
+    settings = {name: getattr(scn.config, name) for name in spec.settings}
+    return {**spec.keywords, **settings, **scn.attack_args}
+
+
 def _execute_attack(scn: Scenario) -> tuple[list[str], list[str]]:
     cfg = scn.config
-    op = ATTACKS[scn.attack]
-    settings = {name: getattr(cfg, name) for name in op.spec.settings}
-    outcome = op(**{**settings, **scn.attack_args})
+    outcome = ATTACKS[scn.attack](**_attack_kwargs(scn))
     facts, membership = _attack_facts(outcome)
     failures = _check_expects(scn.expects, facts, membership)
     run = outcome.run

@@ -10,7 +10,9 @@ import pytest
 
 from pathtrace import trace as tr
 from pathtrace.attacks import (
+    ATTACKS,
     BoundedSearchError,
+    attack,
     attack_burbridge_bypass,
     attack_ray_impersonation,
     attack_ray_out_of_order,
@@ -188,6 +190,10 @@ class TestRescKeyDisclosure:
             assert not o.succeeded
             assert "complete" in o.evidence["reason"]
 
+    def test_honest_steps_beyond_the_path_are_refused(self):
+        with pytest.raises(ValueError, match="honest_steps must lie within the path"):
+            attack_resc_key_disclosure(seed=0, honest_steps=5)
+
 
 class TestTrackerOrderSearch:
     def test_equal_coefficients_force_the_adjacent_swap(self):
@@ -264,3 +270,19 @@ class TestEvidenceReverification:
             if token == "t0"
         }
         assert outcome.evidence["linked"] == expected
+
+
+class TestRegistration:
+    def test_keyword_types_come_from_defaults_or_the_declaration(self):
+        spec = ATTACKS["ray-out-of-order"].spec
+        assert spec.types["order"] is tuple and spec.types["path_len"] is int
+        assert spec.drives_run and not ATTACKS["tracker-order-search"].spec.drives_run
+
+    def test_none_default_without_a_declared_type_is_refused(self):
+        with pytest.raises(TypeError, match="state the type of order"):
+            attack("untyped", scheme="ray", violates="sorted")(lambda seed=0, order=None: None)
+        assert "untyped" not in ATTACKS
+
+    def test_check_runs_on_direct_calls_with_defaults_filled_in(self):
+        with pytest.raises(ValueError, match=r"order must permute 0\.\.3: \(1, 0, 2\)"):
+            attack_ray_out_of_order(seed=0, order=(1, 0, 2), path_len=4)

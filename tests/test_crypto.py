@@ -383,3 +383,74 @@ def test_gpow_is_pow_of_the_generator(params):
     exponents += [rng.randrange(-(2**80), 2**80) for _ in range(1000)]
     for e in exponents:
         assert c.gpow(params, e) == pow(params.g, e, params.p), e
+
+
+# --- per-key window tables and one-pow decryption ---------------------------
+
+def _exponents(params, seed):
+    rng = random.Random(seed)
+    edges = [e for e in (15, 16, 255, 256) if e < params.q]
+    return [0, 1, *edges, params.q - 1] + [rng.randrange(params.q) for _ in range(300)]
+
+
+@pytest.mark.parametrize("params", [c.DEFAULT_PARAMS, c.TEST_PARAMS], ids=["default", "test"])
+def test_key_raise_is_pow_below_and_above_the_table_threshold(params):
+    rng = random.Random(21)
+    pub = c.elg_keygen(rng, params).public
+    for i, e in enumerate(_exponents(params, 22)):
+        assert (pub._table is None) == (i < c.KEY_TABLE_RAISE), i
+        assert pub.hpow(e) == pow(pub.h, e, params.p), e
+
+
+@pytest.mark.parametrize("params", [c.DEFAULT_PARAMS, c.TEST_PARAMS], ids=["default", "test"])
+def test_key_raise_is_exact_outside_the_subgroup(params):
+    # p - g^x and p - 1 have even order, so neither lies in <g>
+    p = params.p
+    rng = random.Random(23)
+    for h in (p - c.gpow(params, rng.randrange(1, params.q)), p - 1):
+        assert pow(h, params.q, p) == p - 1
+        pub = c.ElgamalPublic(params, h)
+        for e in _exponents(params, 24):
+            assert pub.hpow(e) == pow(h, e, p), (h, e)
+        assert pub._table is not None
+
+
+def test_key_raised_fewer_times_than_the_threshold_builds_no_table():
+    rng = random.Random(25)
+    priv = c.elg_keygen(rng)
+    for _ in range(c.KEY_TABLE_RAISE - 1):
+        c.elg_encrypt(priv.public, 5, rng)
+    assert priv.public._table is None
+    c.rerandomize(priv.public, c.Ciphertext(c.DEFAULT_PARAMS, 1, 1), rng)
+    assert priv.public._table is not None
+
+
+def test_key_table_leaves_equality_hash_and_repr_alone():
+    rng = random.Random(26)
+    pub = c.elg_keygen(rng).public
+    fresh = c.ElgamalPublic(pub.params, pub.h)
+    for _ in range(c.KEY_TABLE_RAISE):
+        pub.hpow(7)
+    assert pub == fresh and hash(pub) == hash(fresh) and repr(pub) == repr(fresh)
+    assert fresh._table is None
+
+
+@pytest.mark.parametrize("params", [c.DEFAULT_PARAMS, c.TEST_PARAMS], ids=["default", "test"])
+def test_decrypt_equals_the_inverse_formula(params):
+    p = params.p
+    rng = random.Random(27)
+    priv = c.elg_keygen(rng, params)
+    for _ in range(300):
+        ct = c.elg_encrypt(priv.public, c.gpow(params, rng.randrange(params.q)), rng)
+        # p - c1 lies outside <g>; the formula must hold for it too
+        for c1 in (ct.c1, p - ct.c1, rng.randrange(1, p)):
+            old = ct.c2 * pow(pow(c1, priv.x, p), -1, p) % p
+            assert c.elg_decrypt(priv, c.Ciphertext(params, c1, ct.c2)) == old
+
+
+def test_decrypt_refuses_a_zero_c1():
+    rng = random.Random(28)
+    priv = c.elg_keygen(rng)
+    for c1 in (0, c.DEFAULT_PARAMS.p):
+        with pytest.raises(ValueError):
+            c.elg_decrypt(priv, c.Ciphertext(c.DEFAULT_PARAMS, c1, 5))

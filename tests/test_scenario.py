@@ -322,11 +322,24 @@ class TestParsing:
             (TRACKER_RUN + "validpath t1 r1 r9\n", "case.scn:24: reader r9 is not declared"),
             (TRACKER_RUN + "capacity t9 5\n", "case.scn:24: tag t9 is not declared"),
             (TRACKER_RUN + "param equal r1,r7\n", "case.scn:24: reader r7 is not declared"),
+            ("protocol tracker\nkind attack\nadversary AdvR\n"
+             "attack tracker-order-search trials=50 equal=true\nexpect succeeded true\n",
+             "case.scn:3: attack tracker-order-search drives no run and takes no adversary"),
+            ("protocol ray\nkind attack\nattack ray-out-of-order order=1\n",
+             "case.scn:3: attack argument 'order=1' is not a list of integers"),
+            ("protocol ray\nkind attack\nattack ray-out-of-order order=0,0,1\n",
+             "case.scn:3: order must permute 0..2: (0, 0, 1)"),
+            ("protocol ray\nkind attack\nattack ray-out-of-order order=1,0,2 path_len=4\n",
+             "case.scn:3: order must permute 0..3: (1, 0, 2)"),
+            ("protocol resc\nkind attack\nattack resc-key-disclosure honest_steps=9\n",
+             "case.scn:3: honest_steps must lie within the path"),
         ],
         ids=["attack-for-another-scheme", "protocol-after-attack", "unknown-keyword",
              "keyword-of-another-type", "bool-keyword-given-an-int", "mode-on-modeless-probe",
              "mode-on-modeless-attack", "unknown-mode-keyword", "validpath-tag",
-             "validpath-reader", "capacity-tag", "equal-reader"],
+             "validpath-reader", "capacity-tag", "equal-reader", "adversary-on-runless-attack",
+             "order-not-a-list", "order-not-a-permutation", "order-shorter-than-path",
+             "honest-steps-beyond-path"],
     )
     def test_refused_at_its_line(self, tmp_path, text, failure):
         path = write(tmp_path, text)
@@ -343,6 +356,11 @@ class TestParsing:
         )
         scn = parse_scenario(write(tmp_path, text))
         assert (scn.attack, scn.attack_args) == ("ray-out-of-order", {})
+
+    def test_adversary_line_parses_for_attacks_that_drive_a_run(self, tmp_path):
+        text = "protocol ray\nkind attack\nadversary AdvR\nattack ray-out-of-order\n"
+        scn = parse_scenario(write(tmp_path, text))
+        assert scn.config.adversary is AdvModel.ADV_R
 
     def test_every_attack_targets_a_registered_scheme(self):
         for name, op in ATTACKS.items():
@@ -563,7 +581,7 @@ class TestCorpus:
         write(tmp_path, TRACKER_RUN, name="a-good.scn")
         write(
             tmp_path,
-            "protocol ray\nkind attack\nattack ray-out-of-order order=0,0,1\n",
+            "protocol ray\nkind attack\nattack ray-impersonation observed_index=9\n",
             name="b-bad.scn",
         )
         write(tmp_path, TRACKER_RUN, name="c-good.scn")
@@ -571,7 +589,7 @@ class TestCorpus:
         assert [r.scenario.name for r in results] == ["a-good", "b-bad", "c-good"]
         assert [r.exit_code for r in results] == [EXIT_OK, EXIT_PARSE, EXIT_OK]
         assert results[1].failures == [
-            "b-bad.scn: ValueError: order must permute 0..2: (0, 0, 1)"
+            "b-bad.scn: IndexError: list index out of range"
         ]
 
 
