@@ -36,6 +36,10 @@ from pathtrace.stats import wilson_interval
 # the run settings a scenario sets with directives of its own
 RUN_SETTINGS = ("seed", "mode", "adversary")
 
+# the largest worlds an attack builds: readers on its path, RF-Chain decoys
+MAX_PATH_LEN = 16
+MAX_DECOYS = 100
+
 
 class BoundedSearchError(ValueError):
     """Search parameters exceed the supported exhaustive-search bounds."""
@@ -197,6 +201,11 @@ def link_record(pseudo: bytes, payload: bytes, identity: bytes, prev_levels: lis
     return None
 
 
+def _decoys_within_bound(kw: dict[str, Any]) -> None:
+    if not 1 <= kw["decoys"] <= MAX_DECOYS:
+        raise ValueError(f"decoys must lie within 1..{MAX_DECOYS}")
+
+
 def _insider_link(
     pseudo: bytes, payload: bytes, identity: bytes, secrets: dict[str, bytes], mode: str, steps: int
 ) -> int | None:
@@ -216,7 +225,7 @@ def _insider_link(
     return None
 
 
-@attack("rfchain-linking", scheme="rfchain", violates="privacy")
+@attack("rfchain-linking", scheme="rfchain", violates="privacy", check=_decoys_within_bound)
 def attack_rfchain_linking(
     seed: int = 0, mode: str = "default", decoys: int = 10, insider: bool = False
 ):
@@ -362,7 +371,13 @@ def _ray_config(
     )
 
 
+def _path_len_within_bound(kw: dict[str, Any]) -> None:
+    if not 1 <= kw["path_len"] <= MAX_PATH_LEN:
+        raise ValueError(f"path_len must lie within 1..{MAX_PATH_LEN}")
+
+
 def _order_permutes_path(kw: dict[str, Any]) -> None:
+    _path_len_within_bound(kw)
     order, path_len = kw["order"], kw["path_len"]
     if order is not None and path_len >= 2 and sorted(order) != list(range(path_len)):
         raise ValueError(f"order must permute 0..{path_len - 1}: {order!r}")
@@ -424,7 +439,13 @@ def attack_ray_out_of_order(
     }
 
 
-@attack("ray-impersonation", scheme="ray", violates="sound")
+def _observed_index_on_path(kw: dict[str, Any]) -> None:
+    _path_len_within_bound(kw)
+    if not 0 <= kw["observed_index"] < kw["path_len"]:
+        raise ValueError(f"observed_index must lie within 0..{kw['path_len'] - 1}")
+
+
+@attack("ray-impersonation", scheme="ray", violates="sound", check=_observed_index_on_path)
 def attack_ray_impersonation(
     seed: int = 0,
     mode: str = "default",
@@ -527,6 +548,7 @@ def attack_burbridge_bypass(
 # --- ReSC: session keys readable on the tag --------------------------------
 
 def _honest_steps_within_path(kw: dict[str, Any]) -> None:
+    _path_len_within_bound(kw)
     if not 0 <= kw["honest_steps"] <= kw["path_len"]:
         raise ValueError("honest_steps must lie within the path")
 
@@ -598,7 +620,17 @@ def attack_resc_key_disclosure(seed: int = 0, honest_steps: int = 2, path_len: i
 
 # --- Tracker: path evaluation forgets the order ----------------------------
 
-@attack("tracker-order-search", scheme="tracker", violates="sorted", drives_run=False)
+def _draws_fit(kw: dict[str, Any]) -> None:
+    if kw["trials"] < 1:
+        raise ValueError("trials must be at least 1")
+    # each trial draws n_readers distinct coefficients from 1..q-1
+    if kw["q"] <= kw["n_readers"]:
+        raise ValueError(f"q must exceed n_readers ({kw['n_readers']})")
+
+
+@attack(
+    "tracker-order-search", scheme="tracker", violates="sorted", drives_run=False, check=_draws_fit
+)
 def attack_tracker_order_search(
     seed: int = 0,
     q: int = 1009,
@@ -626,7 +658,6 @@ def attack_tracker_order_search(
 
     from itertools import permutations
 
-    field_q = crypto.PrimeField(q)
     rng = Random(seed)
     perms = [p for p in permutations(range(length)) if p != tuple(range(length))]
     if not perms:
@@ -642,15 +673,15 @@ def attack_tracker_order_search(
         for i in range(length - 1)
     }
     for trial in range(trials):
-        x0 = field_q.rand_nonzero(rng)
-        a0 = field_q.rand_nonzero(rng)
+        x0 = rng.randrange(1, q)
+        a0 = rng.randrange(1, q)
         coeffs = rng.sample(range(1, q), n_readers)
         if equal:
             coeffs[1] = coeffs[0]
         path = list(range(length))
-        reference = crypto.path_poly_eval(field_q, a0, [coeffs[r] for r in path], x0)
+        reference = crypto.path_poly_eval(q, a0, [coeffs[r] for r in path], x0)
         for perm in perms:
-            value = crypto.path_poly_eval(field_q, a0, [coeffs[path[i]] for i in perm], x0)
+            value = crypto.path_poly_eval(q, a0, [coeffs[path[i]] for i in perm], x0)
             checks += 1
             hit = value == reference
             accepted += hit
@@ -691,18 +722,17 @@ def tracker_collision_rate(
     rearrangement of the same readers (rearranged pairs share the
     coefficient sum and collide roughly twice as often).
     """
-    field_q = crypto.PrimeField(q)
     rng = Random(seed)
     collisions = 0
     for _ in range(pairs):
-        x0 = field_q.rand_nonzero(rng)
-        a0 = field_q.rand_nonzero(rng)
-        coeffs = [field_q.rand_nonzero(rng) for _ in range(n_readers)]
+        x0 = rng.randrange(1, q)
+        a0 = rng.randrange(1, q)
+        coeffs = [rng.randrange(1, q) for _ in range(n_readers)]
         first = [rng.randrange(n_readers) for _ in range(length)]
         second = [rng.randrange(n_readers) for _ in range(length)]
         while second == first:
             second = [rng.randrange(n_readers) for _ in range(length)]
-        v1 = crypto.path_poly_eval(field_q, a0, [coeffs[r] for r in first], x0)
-        v2 = crypto.path_poly_eval(field_q, a0, [coeffs[r] for r in second], x0)
+        v1 = crypto.path_poly_eval(q, a0, [coeffs[r] for r in first], x0)
+        v2 = crypto.path_poly_eval(q, a0, [coeffs[r] for r in second], x0)
         collisions += v1 == v2
     return collisions, pairs

@@ -526,34 +526,16 @@ def pk_dec(box: BoxPrivate, blob: bytes) -> bytes:
     return sym_dec(k, blob[8:])
 
 
-# --- prime field and path polynomials --------------------------------------
+# --- path polynomials ------------------------------------------------------
 
-class PrimeField:
-    """Arithmetic modulo a prime."""
-
-    def __init__(self, p: int) -> None:
-        if p < 2:
-            raise ValueError("modulus must be a prime >= 2")
-        self.p = p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def rand_nonzero(self, rng: Random) -> int:
-        return rng.randrange(1, self.p)
-
-
-def path_poly_eval(field: PrimeField, a0: int, step_coeffs: list[int], x: int) -> int:
-    """Evaluate the path-encoding polynomial at x.
+def path_poly_eval(q: int, a0: int, step_coeffs: list[int], x: int) -> int:
+    """Evaluate the path-encoding polynomial at x modulo the prime q.
 
     With step coefficients (a_1 .. a_l) the value is
     a_0 * x^l + a_1 * x^(l-1) + ... + a_l, computed Horner style; an empty
     path gives a_0.
     """
-    acc = a0 % field.p
+    acc = a0 % q
     for c in step_coeffs:
-        acc = field.add(field.mul(acc, x), c)
+        acc = (acc * x + c) % q
     return acc

@@ -72,7 +72,6 @@ class Run:
         self.readers: dict[str, tr.Identifier] = {}
         self.transits: dict[str, tr.Identifier] = {}
         self.tags: dict[str, tr.Identifier] = {}
-        self.memories: dict[str, TagMemory] = {}
         self.step_log: list[str] = []
         self.stalled = False
         for token, participant in config.readers:
@@ -81,9 +80,7 @@ class Run:
             self.transits[token] = tr.reader(token)
         for token in config.tags:
             self.tags[token] = tr.tag(token)
-            memory = TagMemory(config.capacity_for(token))
-            self.memories[token] = memory
-            self.net.attach_tag(token, memory)
+            self.net.attach_tag(token, TagMemory(config.capacity_for(token)))
 
     def reader_id(self, token: str) -> tr.Identifier:
         if token in self.readers:
@@ -94,7 +91,7 @@ class Run:
         return self.tags[token]
 
     def memory(self, token: str) -> TagMemory:
-        return self.memories[token]
+        return self.net.tag_memory(token)
 
     def record_step(self, text: str) -> None:
         self.step_log.append(text)

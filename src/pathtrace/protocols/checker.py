@@ -41,11 +41,12 @@ class Checker(PathPolyModel):
 
     def setup(self) -> None:
         self._setup_group()
-        self.x0 = self.field.rand_nonzero(self.rng)
-        self.a0 = self.field.rand_nonzero(self.rng)
+        q = self.params.q
+        self.x0 = self.rng.randrange(1, q)
+        self.a0 = self.rng.randrange(1, q)
 
         reader_tokens = [token for token, _ in self.config.readers]
-        self.coeffs = {t: self.field.rand_nonzero(self.rng) for t in reader_tokens}
+        self.coeffs = {t: self.rng.randrange(1, q) for t in reader_tokens}
 
         # per-reader lists of (registered prefix ending here, its evaluation),
         # and per reader g^K -> the first such entry with that K in list order
@@ -70,7 +71,6 @@ class Checker(PathPolyModel):
         self._location: dict[str, str | None] = dict.fromkeys(self.config.tags)
         # g^h -> (h, h^-1 mod q), for h != 0
         self._exponent_of: dict[int, tuple[int, int]] = {}
-        q = self.params.q
         for tag_token in self.config.tags:
             h = crypto.hash_int(b"id" + tag_token.encode(), q)
             if h:

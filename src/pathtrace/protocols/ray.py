@@ -55,7 +55,6 @@ class Ray(ProtocolModel):
         self.term_of: dict[str, bytes] = {}
         self.challenges: dict[tuple[str, str], bytes] = {}
         self.owner_of: dict[str, dict[bytes, str]] = {}
-        self._consumed: dict[str, list[bytes]] = {}
 
         for tag_token, (path,) in self.paths_of.items():
             folded = bytes(32)
@@ -78,7 +77,6 @@ class Ray(ProtocolModel):
                 # out-of-band hand-off of each participant's challenge
                 self.net.transmit(self.verifier, t, value, trusted=True)
             self.owner_of[tag_token] = owner
-            self._consumed[tag_token] = []
             loaded = crypto.concat_length_prefixed(*values)
             self.net.transmit(self.verifier, tag_token, loaded, trusted=True)
             mem = self.run.memory(tag_token)
@@ -100,18 +98,16 @@ class Ray(ProtocolModel):
     def _tag_handler(self, tag_token: str):
         def handle(payload: bytes, sender: str) -> bytes | None:
             mem = self.run.memory(tag_token)
-            pending = mem.load("pending")
-            values = list(crypto.split_length_prefixed(pending)) if pending else []
+            values = crypto.split_length_prefixed(mem.load("pending"))
             if payload not in values:
                 return None
             values.remove(payload)
             mem.store(
                 "pending",
-                crypto.concat_length_prefixed(*values) if values else b"",
+                crypto.concat_length_prefixed(*values),
                 nominal_bits=self.CHALLENGE_BITS * len(values),
             )
-            used = self._consumed[tag_token]
-            used.append(payload)
+            used = [*crypto.split_length_prefixed(mem.load("consumed")), payload]
             mem.store(
                 "consumed",
                 crypto.concat_length_prefixed(*used),
@@ -137,10 +133,9 @@ class Ray(ProtocolModel):
         reported = self.net.transmit(tag_token, self.verifier, mem.load("consumed"))
         if reported is None:
             return False
-        values = list(crypto.split_length_prefixed(reported)) if reported else []
+        values = crypto.split_length_prefixed(reported)
         owner = self.owner_of[tag_token]
-        expected = {self.challenges[(tag_token, t)] for t in self.paths_of[tag_token][0]}
-        if set(values) != expected:
+        if set(values) != owner.keys():
             self.net.log_anomaly(f"ray owner: {tag_token} has unconsumed or foreign challenges")
             return False
         order = tuple(owner[v] for v in values)

@@ -195,18 +195,31 @@ class RfChain(ProtocolModel):
                 return True
         return False
 
-    def _process_arrival(self, tag_token: str, reader_token: str) -> bool:
+    def _present(
+        self, tag_token: str, receiver: str, malformed: str | None = None
+    ) -> tuple[bytes, bytes] | None:
+        """(identity, chain) as ``receiver`` gets them; None when dropped or
+        malformed, the latter logged as an anomaly (``malformed`` if given)."""
         mem = self.run.memory(tag_token)
         presented = self.net.transmit(
-            tag_token, reader_token, crypto.concat_length_prefixed(mem.load("id"), mem.load("chain"))
+            tag_token, receiver, crypto.concat_length_prefixed(mem.load("id"), mem.load("chain"))
         )
         if presented is None:
-            return False
+            return None
         try:
             identity, chain = crypto.split_length_prefixed(presented)
         except (crypto.CryptoError, ValueError):
-            self.net.log_anomaly(f"rfchain {reader_token} got malformed tag data from {tag_token}")
+            self.net.log_anomaly(
+                malformed or f"rfchain {receiver} got malformed tag data from {tag_token}"
+            )
+            return None
+        return identity, chain
+
+    def _process_arrival(self, tag_token: str, reader_token: str) -> bool:
+        presented = self._present(tag_token, reader_token)
+        if presented is None:
             return False
+        identity, chain = presented
         steps = self._steps[tag_token]
         if steps:
             sig = crypto.parse_signature(chain)
@@ -240,24 +253,15 @@ class RfChain(ProtocolModel):
         written = self.net.transmit(reader_token, tag_token, new_chain)
         if written is None:
             return False
-        mem.store("chain", written, nominal_bits=CHAIN_BITS)
+        self.run.memory(tag_token).store("chain", written, nominal_bits=CHAIN_BITS)
         steps.append(reader_token)
         return True
 
     def _process_claim(self, tag_token: str, verifier: str | None) -> bool:
-        mem = self.run.memory(tag_token)
-        presented = self.net.transmit(
-            tag_token,
-            self.verifier,
-            crypto.concat_length_prefixed(mem.load("id"), mem.load("chain")),
-        )
+        presented = self._present(tag_token, self.verifier, "rfchain verifier got malformed tag data")
         if presented is None:
             return False
-        try:
-            identity, chain = crypto.split_length_prefixed(presented)
-        except (crypto.CryptoError, ValueError):
-            self.net.log_anomaly("rfchain verifier got malformed tag data")
-            return False
+        identity, chain = presented
         levels: list[bytes] = [chain]
         signers: list[str] = []
         cursor = chain

@@ -126,24 +126,19 @@ class StepAuth(ProtocolModel):
         path = self.paths_of[tag_token][0]
         index = crypto.bytes_to_int(step_i)
         terminal = self._parse_terminal(inner)
-        if terminal is not None:
-            if index != len(path):
-                self.net.log_anomaly(
-                    f"stepauth terminal layer at step {index} of {len(path)} for {tag_token}"
-                )
-                return False
-            written = self.net.transmit(reader_token, tag_token, inner)
-            if written is None:
-                return False
-            mem.store("secret", written, nominal_bits=TERMINAL_BITS)
-            claimed_tag, claimed_path = terminal
-            self.emit_claim(claimed_tag, claimed_path, self.run.reader_id(reader_token))
-            return True
+        if terminal is not None and index != len(path):
+            self.net.log_anomaly(
+                f"stepauth terminal layer at step {index} of {len(path)} for {tag_token}"
+            )
+            return False
         written = self.net.transmit(reader_token, tag_token, inner)
         if written is None:
             return False
-        remaining = len(path) - index
-        mem.store("secret", written, nominal_bits=secret_size_bits(remaining))
+        bits = secret_size_bits(len(path) - index) if terminal is None else TERMINAL_BITS
+        mem.store("secret", written, nominal_bits=bits)
+        if terminal is not None:
+            claimed_tag, claimed_path = terminal
+            self.emit_claim(claimed_tag, claimed_path, self.run.reader_id(reader_token))
         return True
 
     def _process_claim(self, tag_token: str, verifier: str | None) -> bool:

@@ -34,13 +34,12 @@ class PathPolyModel(ProtocolModel):
 
     def _setup_group(self) -> None:
         self.params = crypto.DEFAULT_PARAMS
-        self.field = crypto.PrimeField(self.params.q)
         self.priv = crypto.elg_keygen(self.rng, self.params)
         self.pub = self.priv.public
 
     def _path_eval(self, path: tuple[str, ...]) -> int:
         return crypto.path_poly_eval(
-            self.field, self.a0, [self.coeffs[t] for t in path], self.x0
+            self.params.q, self.a0, [self.coeffs[t] for t in path], self.x0
         )
 
     def reader_secrets(self, reader_token: str) -> dict[str, bytes]:
@@ -54,7 +53,7 @@ class PathPolyModel(ProtocolModel):
     def _init_state(self, tag_token: str, *exponents: int) -> None:
         """Encrypt g^e for each exponent, then the accumulator of the empty
         path, g^(base * a0) with ``base`` the last exponent."""
-        last = self.field.mul(exponents[-1], self.a0)
+        last = exponents[-1] * self.a0 % self.params.q
         elems = [crypto.encode_exponent(self.params, e) for e in (*exponents, last)]
         self._store_state(tag_token, [crypto.elg_encrypt(self.pub, e, self.rng) for e in elems])
 
@@ -143,35 +142,36 @@ class Tracker(PathPolyModel):
     def setup(self) -> None:
         self._setup_group()
         self.mac_key = self.rng.randbytes(32)
-        self.x0 = self.field.rand_nonzero(self.rng)
-        self.a0 = self.field.rand_nonzero(self.rng)
+        q = self.params.q
+        self.x0 = self.rng.randrange(1, q)
+        self.a0 = self.rng.randrange(1, q)
 
         reader_tokens = [token for token, _ in self.config.readers]
         self.verifier = self.config.params.get("manager", reader_tokens[-1])  # the manager
         self.coeffs: dict[str, int] = {}
         equal_group = [t for t in self.config.params.get("equal", "").split(",") if t]
-        shared = self.field.rand_nonzero(self.rng) if equal_group else None
+        shared = self.rng.randrange(1, q) if equal_group else None
         for token in reader_tokens:
             if token == self.verifier:
                 continue
             if token in equal_group:
                 self.coeffs[token] = shared
             else:
-                self.coeffs[token] = self.field.rand_nonzero(self.rng)
+                self.coeffs[token] = self.rng.randrange(1, q)
 
         # registered paths and the manager's pre-computed acceptance table
         self.id_elem: dict[str, int] = {}
         self.mac_elem: dict[str, int] = {}
         self.accept: dict[str, dict[int, tuple[str, ...]]] = {}
         for tag_token, paths in self.paths_of.items():
-            mac_t = crypto.hash_int(crypto.mac(self.mac_key, tag_token.encode()), self.params.q)
-            id_t = crypto.hash_int(b"id" + tag_token.encode(), self.params.q)
+            mac_t = crypto.hash_int(crypto.mac(self.mac_key, tag_token.encode()), q)
+            id_t = crypto.hash_int(b"id" + tag_token.encode(), q)
             self.id_elem[tag_token] = crypto.encode_exponent(self.params, id_t)
             self.mac_elem[tag_token] = crypto.encode_exponent(self.params, mac_t)
             table: dict[int, tuple[str, ...]] = {}
             for path in paths:
                 value = self._path_eval(path)
-                elem = crypto.encode_exponent(self.params, self.field.mul(mac_t, value))
+                elem = crypto.encode_exponent(self.params, mac_t * value % q)
                 table.setdefault(elem, path)
             self.accept[tag_token] = table
             self._init_state(tag_token, id_t, mac_t)

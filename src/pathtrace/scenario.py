@@ -41,10 +41,12 @@ paths break the scheme's ``path_rule`` fails at its ``tag`` line.  A
 declared nowhere in the file fails at its line; a claim may also name
 the scheme's fixed verifier, which no file declares.  An ``attack``
 registered for another scheme than the file's ``protocol`` fails at its
-line, and so does a keyword the attack does not take or whose value is
-not of its default's type; a ``mode`` line fails when the attack takes
-no mode.  A distinguisher that is known but limited to another scheme or
-game is refused only at execution, as exit 3.
+line, and so does a keyword the attack does not take, of another type
+than its default's, or refused by the attack's ``check`` (an index off
+the path, a size below 1 or above its ``attacks`` bound); a ``mode``
+line fails when the attack takes no mode.  A distinguisher that is known
+but limited to another scheme or game is refused only at execution, as
+exit 3.
 
 Matrix directives feed the solution table: `matrix <prop> hold <model>`
 claims the property held in this scenario's adversary model, while

@@ -322,18 +322,7 @@ def test_box_round_trip_and_wrong_key():
         c.pk_dec(priv_b, blob)
 
 
-# --- prime field and path polynomial ---------------------------------------
-
-def test_field_laws():
-    f = c.PrimeField(97)
-    rng = random.Random(15)
-    for _ in range(200):
-        a = f.rand_nonzero(rng)
-        b = rng.randrange(97)
-        assert 0 < a < 97
-        assert f.add(a, b) == (a + b) % 97
-        assert f.mul(a, pow(a, -1, 97)) == 1
-
+# --- path polynomial -------------------------------------------------------
 
 def oracle_poly_eval(p: int, a0: int, steps: list[int], x: int) -> int:
     """Direct power-sum form: a0 x^l + sum a_i x^(l-i)."""
@@ -345,23 +334,20 @@ def oracle_poly_eval(p: int, a0: int, steps: list[int], x: int) -> int:
 
 
 def test_path_poly_example():
-    f = c.PrimeField(97)
-    assert c.path_poly_eval(f, 3, [5, 7], 2) == 29  # 3*4 + 5*2 + 7
+    assert c.path_poly_eval(97, 3, [5, 7], 2) == 29  # 3*4 + 5*2 + 7
 
 
 def test_path_poly_empty_path():
-    f = c.PrimeField(97)
-    assert c.path_poly_eval(f, 42, [], 5) == 42
+    assert c.path_poly_eval(97, 42, [], 5) == 42
 
 
 def test_path_poly_matches_direct_form():
     rng = random.Random(16)
     for p in (251, 1009, 2**31 - 1):
-        f = c.PrimeField(p)
         for _ in range(3400):
             steps = [rng.randrange(p) for _ in range(rng.randrange(0, 6))]
             a0, x = rng.randrange(p), rng.randrange(p)
-            assert c.path_poly_eval(f, a0, steps, x) == oracle_poly_eval(p, a0, steps, x)
+            assert c.path_poly_eval(p, a0, steps, x) == oracle_poly_eval(p, a0, steps, x)
 
 
 # --- PUF -------------------------------------------------------------------

@@ -908,6 +908,27 @@ class TestRay:
         with pytest.raises(VerifierPolicyError):
             run_protocol(cfg)
 
+    def test_clone_carries_the_source_tags_consumed_challenges(self):
+        # the tag's memory is the only record of what it consumed, so a
+        # clone of t2 onto t1 continues t2's history, not t1's
+        cfg = RunConfig(
+            protocol="ray",
+            readers=[(t, None) for t in ("r1", "r2", "r3", "r4")],
+            tags=["t1", "t2"],
+            valid_paths=[("t1", ("r1", "r2", "r3")), ("t2", ("r4", "r2", "r3"))],
+            capacities={"t1": 4096, "t2": 4096},
+        )
+        protocol, run = build_run(cfg)
+        protocol.visit("t2", "r4")
+        protocol.visit("t1", "r1")
+        run.adv.write_tag("t1", run.adv.read_tag("t2"))
+        challenge = protocol.challenges
+        assert run.adv.inject("r2", "t1", challenge[("t2", "r2")]) == b"ok"
+        mem = run.memory("t1")
+        consumed = crypto.split_length_prefixed(mem.load("consumed"))
+        assert consumed == [challenge[("t2", "r4")], challenge[("t2", "r2")]]
+        assert crypto.split_length_prefixed(mem.load("pending")) == [challenge[("t2", "r3")]]
+
 
 class TestResc:
     def test_storage_formula(self):

@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from pathtrace.attacks import ATTACKS
+from pathtrace.attacks import ATTACKS, MAX_DECOYS, MAX_PATH_LEN
 from pathtrace.matrix import (
     MatrixRow,
     build_matrix,
@@ -333,13 +333,32 @@ class TestParsing:
              "case.scn:3: order must permute 0..3: (1, 0, 2)"),
             ("protocol resc\nkind attack\nattack resc-key-disclosure honest_steps=9\n",
              "case.scn:3: honest_steps must lie within the path"),
+            ("protocol ray\nkind attack\nattack ray-impersonation observed_index=9\n",
+             "case.scn:3: observed_index must lie within 0..3"),
+            ("protocol ray\nkind attack\nattack ray-impersonation observed_index=-1\n",
+             "case.scn:3: observed_index must lie within 0..3"),
+            ("protocol ray\nkind attack\nattack ray-impersonation path_len=1\n",
+             "case.scn:3: observed_index must lie within 0..0"),
+            ("protocol ray\nkind attack\nattack ray-out-of-order path_len=0\n",
+             f"case.scn:3: path_len must lie within 1..{MAX_PATH_LEN}"),
+            ("protocol rfchain\nkind attack\nattack rfchain-linking decoys=-3\n",
+             f"case.scn:3: decoys must lie within 1..{MAX_DECOYS}"),
+            ("protocol tracker\nkind attack\nattack tracker-order-search trials=0\n",
+             "case.scn:3: trials must be at least 1"),
+            ("protocol tracker\nkind attack\nattack tracker-order-search q=2\n",
+             "case.scn:3: q must exceed n_readers (4)"),
+            ("protocol tracker\nkind attack\nattack tracker-order-search q=-5\n",
+             "case.scn:3: q must exceed n_readers (4)"),
         ],
         ids=["attack-for-another-scheme", "protocol-after-attack", "unknown-keyword",
              "keyword-of-another-type", "bool-keyword-given-an-int", "mode-on-modeless-probe",
              "mode-on-modeless-attack", "unknown-mode-keyword", "validpath-tag",
              "validpath-reader", "capacity-tag", "equal-reader", "adversary-on-runless-attack",
              "order-not-a-list", "order-not-a-permutation", "order-shorter-than-path",
-             "honest-steps-beyond-path"],
+             "honest-steps-beyond-path", "observed-index-beyond-path",
+             "observed-index-negative", "observed-index-on-one-reader-path",
+             "path-len-zero", "decoys-negative", "trials-zero", "q-below-draws",
+             "q-negative"],
     )
     def test_refused_at_its_line(self, tmp_path, text, failure):
         path = write(tmp_path, text)
@@ -577,13 +596,14 @@ class TestCorpus:
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == CORPUS_REPORT_SHA256[name]
 
-    def test_execution_error_becomes_that_files_result(self, tmp_path):
+    def test_execution_error_becomes_that_files_result(self, tmp_path, monkeypatch):
+        def broken(**kwargs):
+            raise IndexError("list index out of range")
+
+        broken.spec = ATTACKS["ray-impersonation"].spec
+        monkeypatch.setitem(ATTACKS, "ray-impersonation", broken)
         write(tmp_path, TRACKER_RUN, name="a-good.scn")
-        write(
-            tmp_path,
-            "protocol ray\nkind attack\nattack ray-impersonation observed_index=9\n",
-            name="b-bad.scn",
-        )
+        write(tmp_path, "protocol ray\nkind attack\nattack ray-impersonation\n", name="b-bad.scn")
         write(tmp_path, TRACKER_RUN, name="c-good.scn")
         results = run_corpus(tmp_path)
         assert [r.scenario.name for r in results] == ["a-good", "b-bad", "c-good"]
@@ -591,6 +611,41 @@ class TestCorpus:
         assert results[1].failures == [
             "b-bad.scn: IndexError: list index out of range"
         ]
+
+
+# the attack keywords that size a world, and their bounds
+SIZE_BOUNDS = {"path_len": MAX_PATH_LEN, "decoys": MAX_DECOYS}
+
+
+def _keyword_sweep():
+    """(attack, keyword, value): every int keyword of every attack at -1, 0
+    and 1, and each size keyword also just above its bound."""
+    for name in sorted(ATTACKS):
+        for key, kind in ATTACKS[name].spec.types.items():
+            if kind is not int:
+                continue
+            for value in (-1, 0, 1):
+                yield name, key, value
+            if key in SIZE_BOUNDS:
+                yield name, key, SIZE_BOUNDS[key] + 1
+
+
+class TestAttackKeywordSweep:
+    @pytest.mark.parametrize(
+        "name,key,value",
+        list(_keyword_sweep()),
+        ids=[f"{n}-{k}={v}" for n, k, v in _keyword_sweep()],
+    )
+    def test_keyword_value_runs_or_fails_at_its_line(self, tmp_path, name, key, value):
+        scheme = ATTACKS[name].spec.scheme
+        path = write(tmp_path, f"protocol {scheme}\nkind attack\nattack {name} {key}={value}\n")
+        result = run_scenario(path)
+        if key in SIZE_BOUNDS and value > SIZE_BOUNDS[key]:
+            assert result.exit_code == EXIT_PARSE
+        if result.exit_code == EXIT_PARSE:
+            assert result.failures[0].startswith("case.scn:3: ")
+        else:
+            assert result.exit_code in (EXIT_OK, EXIT_EXPECT, EXIT_CAPABILITY)
 
 
 def _mutate(rng, lines):
