@@ -39,6 +39,8 @@ RUN_SETTINGS = ("seed", "mode", "adversary")
 # the largest worlds an attack builds: readers on its path, RF-Chain decoys
 MAX_PATH_LEN = 16
 MAX_DECOYS = 100
+# the most trials a search draws (a Tracker order-search trial costs ~12 us)
+MAX_TRIALS = 100_000
 
 
 class BoundedSearchError(ValueError):
@@ -623,6 +625,8 @@ def attack_resc_key_disclosure(seed: int = 0, honest_steps: int = 2, path_len: i
 def _draws_fit(kw: dict[str, Any]) -> None:
     if kw["trials"] < 1:
         raise ValueError("trials must be at least 1")
+    if kw["trials"] > MAX_TRIALS:
+        raise ValueError(f"trials must be at most {MAX_TRIALS}")
     # each trial draws n_readers distinct coefficients from 1..q-1
     if kw["q"] <= kw["n_readers"]:
         raise ValueError(f"q must exceed n_readers ({kw['n_readers']})")

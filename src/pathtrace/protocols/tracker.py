@@ -11,10 +11,19 @@ that a non-registered path was taken but never which one.
 
 from __future__ import annotations
 
+import functools
+import struct
 from collections.abc import Iterable
 
 from pathtrace import crypto
 from pathtrace.protocols.base import ProtocolModel, register_protocol
+
+
+@functools.cache
+def _layout(fields: int) -> struct.Struct:
+    """A state of ``fields`` ciphertexts as ``concat_length_prefixed`` lays
+    it out: per ciphertext the length 16, then c1 and c2 in 8 bytes each."""
+    return struct.Struct(">" + "IQQ" * fields)
 
 
 class PathPolyModel(ProtocolModel):
@@ -24,8 +33,11 @@ class PathPolyModel(ProtocolModel):
     one accumulates the path polynomial.  A reader step folds the reader's
     coefficient into it homomorphically (acc <- acc^x0 * base^a_i, with
     ``base`` the ciphertext before it) and rerandomizes every ciphertext,
-    so readers update the path without decrypting.  ``setup`` calls
-    ``_setup_group`` first and then sets ``x0``, ``a0`` and ``coeffs``.
+    so readers update the path without decrypting.  The fold is one joint
+    exponentiation (``crypto.ct_pow_mul``) over the digits of (x0, a_i),
+    computed once per reader.  A state travels in a fixed layout, which
+    ``_read_state`` unpacks in place.  ``setup`` calls ``_setup_group``
+    first and then sets ``x0``, ``a0`` and ``coeffs``.
     """
 
     CT_BITS = 128  # two 8-byte group elements per ciphertext
@@ -36,6 +48,8 @@ class PathPolyModel(ProtocolModel):
         self.params = crypto.DEFAULT_PARAMS
         self.priv = crypto.elg_keygen(self.rng, self.params)
         self.pub = self.priv.public
+        # reader -> joint_digits of (x0, its coefficient), computed at its first fold
+        self._fold_digits: dict[str, tuple[int, ...]] = {}
 
     def _path_eval(self, path: tuple[str, ...]) -> int:
         return crypto.path_poly_eval(
@@ -63,24 +77,19 @@ class PathPolyModel(ProtocolModel):
             mem.store(name, ct.to_bytes(), nominal_bits=self.CT_BITS)
 
     def _read_state(self, blob: bytes) -> tuple[crypto.Ciphertext, ...] | None:
-        """The ciphertexts in ``blob``; None unless it holds one per name in
-        ``STATE``, each two 8-byte components in 1..p-1."""
+        """The ciphertexts in ``blob``; None unless it holds one field per
+        name in ``STATE``, each a length prefix of 16 and two 8-byte
+        components in 1..p-1."""
         try:
-            parts = crypto.split_length_prefixed(blob)
-        except crypto.CryptoError:
+            fields = _layout(len(self.STATE)).unpack(blob)
+        except struct.error:
             return None
-        if len(parts) != len(self.STATE) or any(len(p) != 16 for p in parts):
-            return None
-        state = tuple(
-            crypto.Ciphertext(
-                self.params, crypto.bytes_to_int(p[:8]), crypto.bytes_to_int(p[8:])
-            )
-            for p in parts
-        )
+        c1s, c2s = fields[1::3], fields[2::3]
+        components = c1s + c2s
         # a component outside 1..p-1 is no group element and cannot decrypt
-        if not all(0 < c < self.params.p for ct in state for c in (ct.c1, ct.c2)):
+        if set(fields[::3]) != {16} or min(components) < 1 or max(components) >= self.params.p:
             return None
-        return state
+        return tuple(crypto.Ciphertext(self.params, c1, c2) for c1, c2 in zip(c1s, c2s))
 
     def _state_blob(self, tag_token: str) -> bytes:
         mem = self.run.memory(tag_token)
@@ -112,12 +121,16 @@ class PathPolyModel(ProtocolModel):
         if state is None:
             return None
         *rest, base, acc = state
-        acc = crypto.hom_mul(
-            crypto.ct_pow(acc, self.x0), crypto.ct_pow(base, self.coeffs[reader_token])
-        )
+        digits = self._fold_digits.get(reader_token)
+        if digits is None:
+            digits = crypto.joint_digits(self.params, self.x0, self.coeffs[reader_token])
+            self._fold_digits[reader_token] = digits
+        acc = crypto.ct_pow_mul(acc, base, digits)
         fresh = [crypto.rerandomize(self.pub, ct, self.rng) for ct in (*rest, base, acc)]
         written = self.net.transmit(
-            reader_token, tag_token, crypto.concat_length_prefixed(*(ct.to_bytes() for ct in fresh))
+            reader_token,
+            tag_token,
+            _layout(len(self.STATE)).pack(*(n for ct in fresh for n in (16, ct.c1, ct.c2))),
         )
         if written is None:
             return None

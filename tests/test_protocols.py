@@ -25,6 +25,7 @@ from pathtrace.protocols import (
     finalize,
     run_protocol,
 )
+from pathtrace.protocols import checker as checker_mod
 from pathtrace.protocols import rfchain as rfchain_mod
 from pathtrace.protocols.resc import SLOT_BITS, storage_bits
 from pathtrace.protocols.stepauth import secret_size_bits
@@ -396,6 +397,81 @@ class TestMalformedPathState:
         assert res.step_log[-1] == "visit t1 r2 failed"
 
 
+def reference_read_state(model, blob):
+    """The path-polynomial state parse as a split of the length-prefixed
+    fields: one 16-byte field per name in STATE, components in 1..p-1."""
+    try:
+        parts = crypto.split_length_prefixed(blob)
+    except crypto.CryptoError:
+        return None
+    if len(parts) != len(model.STATE) or any(len(part) != 16 for part in parts):
+        return None
+    state = tuple(
+        crypto.Ciphertext(model.params, crypto.bytes_to_int(part[:8]), crypto.bytes_to_int(part[8:]))
+        for part in parts
+    )
+    if not all(0 < v < model.params.p for ct in state for v in (ct.c1, ct.c2)):
+        return None
+    return state
+
+
+def state_mutants(blob, p, rng):
+    """(kind, blob): seeded mutants of an honest path-polynomial state."""
+    width = 20  # a length prefix and two 8-byte components
+    fields = len(blob) // width
+    for _ in range(40):
+        yield "truncated", blob[: rng.randrange(len(blob))]
+        yield "extended", blob + rng.randbytes(rng.randrange(1, 30))
+        at = rng.randrange(fields) * width
+        prefix = rng.choice([0, 8, 15, 17, 20, 36, rng.randrange(2**32)])
+        yield "wrong-prefix", blob[:at] + prefix.to_bytes(4, "big") + blob[at + 4 :]
+        extra = crypto.concat_length_prefixed(rng.randbytes(rng.choice([0, 8, 16, 24])))
+        yield "extra-field", blob + extra
+        at = rng.randrange(2 * fields)
+        start = at // 2 * width + 4 + at % 2 * 8
+        for value in (0, p, p + rng.randrange(1, 2**20), 2**64 - 1):
+            yield "bad-component", blob[:start] + value.to_bytes(8, "big") + blob[start + 8 :]
+
+
+def pow_spy(calls):
+    """The builtin pow, recording the arguments of every call in ``calls``."""
+
+    def spy(*args):
+        calls.append(args)
+        return pow(*args)
+
+    return spy
+
+
+class TestPathPolyState:
+    """The in-place parse and the joint fold of the shared Tracker/Checker
+    state."""
+
+    @pytest.mark.parametrize("protocol", ["tracker", "checker"])
+    def test_read_state_agrees_with_split_on_mutants(self, protocol):
+        model, run = build_run(honest_config(protocol))
+        model.visit("t1", "r1")
+        blob = model._state_blob("t1")
+        assert model._read_state(blob) == reference_read_state(model, blob) is not None
+        rng = random.Random(41)
+        refused = set()
+        for kind, mutant in state_mutants(blob, model.params.p, rng):
+            parsed = model._read_state(mutant)
+            assert parsed == reference_read_state(model, mutant), (kind, mutant.hex())
+            if parsed is None:
+                refused.add(kind)
+        assert refused == {"truncated", "extended", "wrong-prefix", "extra-field", "bad-component"}
+
+    @pytest.mark.parametrize("protocol", ["tracker", "checker"])
+    def test_fold_makes_no_builtin_pow_call(self, protocol, monkeypatch):
+        model, run = build_run(honest_config(protocol))
+        model.visit("t1", "r1")  # the public key's table exists from here on
+        calls = []
+        monkeypatch.setattr(crypto, "pow", pow_spy(calls), raising=False)
+        assert model._reader_step("t1", "r2") is not None
+        assert calls == []
+
+
 class TestTracker:
     def test_manager_only_verifies(self):
         cfg = honest_config("tracker")
@@ -566,6 +642,39 @@ class TestChecker:
         claim = res.claims()[-1]
         assert (claim.tag.value, tuple(i.value for i in claim.path)) == ("t2", ("r1", "r2", "r3"))
         assert not res.verdicts[-1].sound
+
+    def test_honest_hop_makes_no_pow_call_of_its_own(self, monkeypatch):
+        model, run = build_run(honest_config("checker"))
+        calls = []
+        monkeypatch.setattr(checker_mod, "pow", pow_spy(calls), raising=False)
+        for reader in ("r1", "r2", "r3"):
+            model.visit("t1", reader)
+        model.claim("t1")
+        res = finalize(model, run)
+        assert res.step_log == ["visit t1 r1 ok", "visit t1 r2 ok", "visit t1 r3 ok", "claim t1 ok"]
+        assert calls == []
+
+    def test_tag_on_another_tags_path_claims_through_the_fallback(self, monkeypatch):
+        # t2 walks t1's path: no own prefix of t2 ends in the state it
+        # shows, so each hop is matched by v2^(h^-1) among the reader's keys
+        cfg = honest_config("checker")
+        cfg.tags.append("t2")
+        cfg.valid_paths.append(("t2", ("r2", "r1")))
+        cfg.script = []
+        model, run = build_run(cfg)
+        calls = []
+        monkeypatch.setattr(checker_mod, "pow", pow_spy(calls), raising=False)
+        for reader in ("r1", "r2", "r3"):
+            model.visit("t2", reader)
+        res = finalize(model, run)
+        assert res.anomalies == []
+        assert res.step_log == ["visit t2 r1 ok", "visit t2 r2 ok", "visit t2 r3 ok"]
+        assert [(c.tag.value, tuple(i.value for i in c.path)) for c in res.claims()] == [
+            ("t2", ("r1",)),
+            ("t2", ("r1", "r2")),
+            ("t2", ("r1", "r2", "r3")),
+        ]
+        assert len(calls) == 3
 
 
 class TestStepAuth:

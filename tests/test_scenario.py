@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from pathtrace.attacks import ATTACKS, MAX_DECOYS, MAX_PATH_LEN
+from pathtrace.attacks import ATTACKS, MAX_DECOYS, MAX_PATH_LEN, MAX_TRIALS
 from pathtrace.matrix import (
     MatrixRow,
     build_matrix,
@@ -345,6 +345,8 @@ class TestParsing:
              f"case.scn:3: decoys must lie within 1..{MAX_DECOYS}"),
             ("protocol tracker\nkind attack\nattack tracker-order-search trials=0\n",
              "case.scn:3: trials must be at least 1"),
+            ("protocol tracker\nkind attack\nattack tracker-order-search trials=100001\n",
+             f"case.scn:3: trials must be at most {MAX_TRIALS}"),
             ("protocol tracker\nkind attack\nattack tracker-order-search q=2\n",
              "case.scn:3: q must exceed n_readers (4)"),
             ("protocol tracker\nkind attack\nattack tracker-order-search q=-5\n",
@@ -357,8 +359,8 @@ class TestParsing:
              "order-not-a-list", "order-not-a-permutation", "order-shorter-than-path",
              "honest-steps-beyond-path", "observed-index-beyond-path",
              "observed-index-negative", "observed-index-on-one-reader-path",
-             "path-len-zero", "decoys-negative", "trials-zero", "q-below-draws",
-             "q-negative"],
+             "path-len-zero", "decoys-negative", "trials-zero", "trials-above-bound",
+             "q-below-draws", "q-negative"],
     )
     def test_refused_at_its_line(self, tmp_path, text, failure):
         path = write(tmp_path, text)
@@ -613,8 +615,8 @@ class TestCorpus:
         ]
 
 
-# the attack keywords that size a world, and their bounds
-SIZE_BOUNDS = {"path_len": MAX_PATH_LEN, "decoys": MAX_DECOYS}
+# the attack keywords that size a world or a search, and their bounds
+SIZE_BOUNDS = {"path_len": MAX_PATH_LEN, "decoys": MAX_DECOYS, "trials": MAX_TRIALS}
 
 
 def _keyword_sweep():
