@@ -64,24 +64,28 @@ def concat_raw(*parts: bytes) -> bytes:
     return b"".join(parts)
 
 
+_LENGTH = struct.Struct(">I")
+
+
 def concat_length_prefixed(*parts: bytes) -> bytes:
     """Unambiguous encoding: 4-byte big-endian length before each part."""
-    out = bytearray()
+    out: list[bytes] = []
     for part in parts:
-        out += struct.pack(">I", len(part))
-        out += part
-    return bytes(out)
+        out.append(_LENGTH.pack(len(part)))
+        out.append(part)
+    return b"".join(out)
 
 
 def split_length_prefixed(blob: bytes) -> list[bytes]:
     parts = []
     pos = 0
-    while pos < len(blob):
-        if pos + 4 > len(blob):
+    end = len(blob)
+    while pos < end:
+        if pos + 4 > end:
             raise CryptoError("truncated length prefix")
-        (n,) = struct.unpack(">I", blob[pos : pos + 4])
+        (n,) = _LENGTH.unpack_from(blob, pos)
         pos += 4
-        if pos + n > len(blob):
+        if pos + n > end:
             raise CryptoError("truncated field")
         parts.append(blob[pos : pos + n])
         pos += n

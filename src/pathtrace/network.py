@@ -49,25 +49,30 @@ class TagCapacityError(Exception):
 
 
 class TagMemory:
-    """Field store with nominal bit accounting against a capacity."""
+    """Field store with nominal bit accounting against a capacity.
+
+    ``_used`` is the sum of ``_nominal``, kept up to date by every write.
+    """
 
     def __init__(self, capacity_bits: int = 512) -> None:
         self.capacity_bits = capacity_bits
         self._fields: dict[str, bytes] = {}
         self._nominal: dict[str, int] = {}
+        self._used = 0
 
     def used_bits(self) -> int:
-        return sum(self._nominal.values())
+        return self._used
 
     def store(self, name: str, value: bytes, nominal_bits: int | None = None) -> None:
         bits = len(value) * 8 if nominal_bits is None else nominal_bits
-        new_total = self.used_bits() - self._nominal.get(name, 0) + bits
+        new_total = self._used - self._nominal.get(name, 0) + bits
         if new_total > self.capacity_bits:
             raise TagCapacityError(
                 f"{new_total} bits exceed tag capacity of {self.capacity_bits}"
             )
         self._fields[name] = value
         self._nominal[name] = bits
+        self._used = new_total
 
     def load(self, name: str) -> bytes:
         return self._fields[name]
@@ -96,6 +101,7 @@ class TagMemory:
             fields = {"__raw__": data}
         self._fields = fields
         self._nominal = {name: len(value) * 8 for name, value in fields.items()}
+        self._used = sum(self._nominal.values())
 
 
 def snapshot_fields(snapshot: bytes) -> dict[str, bytes]:

@@ -20,16 +20,17 @@ A claim is judged against the trace prefix strictly before it:
 Mismatched claims are classified against a set of valid paths into the
 attack labels of :class:`AttackLabel`.
 
-:class:`Trace` indexes each tag's Moves and ValidPaths as they are
-appended, so judging or classifying one claim costs O(moves and valid
-paths of that tag), independent of trace length and of other tags.
+:class:`Trace` keeps each tag's collapsed physical path and its ValidPaths
+up to date as events are appended.  Judging or classifying one claim then
+costs a bisect and a copy of that path, plus work in the claim's length and
+its tag's valid paths: nothing scales with trace length, with the tag's
+repeated Moves or with other tags.
 """
 
 from __future__ import annotations
 
 import enum
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -48,8 +49,8 @@ class Identifier:
 
     ``participant`` records which supply-chain party operates a reader; it is
     descriptive metadata and never takes part in comparisons.  The hash is
-    computed once, because identifiers key every set, dict and ``Counter``
-    the checkers build.
+    computed once, because identifiers key every set and dict the checkers
+    build.
     """
 
     kind: IdKind
@@ -120,13 +121,18 @@ Event = Move | ValidPath | PathClaim
 
 
 class _TagIndex:
-    """One tag's Moves and ValidPaths, each with its event index, ascending."""
+    """One tag's collapsed physical path and its ValidPaths.
 
-    __slots__ = ("move_at", "readers", "valid_at", "valid_paths")
+    ``steps`` is the tag's physical path over the whole trace so far, and
+    ``step_at[k]`` the event index of the first Move of ``steps[k]``.  The
+    Moves before any index collapse to a prefix of ``steps``.
+    """
+
+    __slots__ = ("steps", "step_at", "valid_at", "valid_paths")
 
     def __init__(self) -> None:
-        self.move_at: list[int] = []
-        self.readers: list[Identifier] = []
+        self.steps: list[Identifier] = []
+        self.step_at: list[int] = []
         self.valid_at: list[int] = []
         self.valid_paths: list[tuple[Identifier, ...]] = []
 
@@ -142,18 +148,20 @@ class Trace:
 
     def append(self, event: Event) -> int:
         """Append an event, returning its index."""
-        if not isinstance(event, (Move, ValidPath, PathClaim)):
-            raise TypeError(f"not a trace event: {event!r}")
         index = len(self._events)
-        self._events.append(event)
         if isinstance(event, Move):
             entry = self._tag_index(event.tag)
-            entry.move_at.append(index)
-            entry.readers.append(event.reader)
+            steps = entry.steps
+            if not steps or steps[-1] != event.reader:
+                steps.append(event.reader)
+                entry.step_at.append(index)
         elif isinstance(event, ValidPath):
             entry = self._tag_index(event.tag)
             entry.valid_at.append(index)
             entry.valid_paths.append(event.path)
+        elif not isinstance(event, PathClaim):
+            raise TypeError(f"not a trace event: {event!r}")
+        self._events.append(event)
         return index
 
     def _tag_index(self, tag: Identifier) -> _TagIndex:
@@ -161,13 +169,6 @@ class Trace:
         if entry is None:
             entry = self._by_tag[tag] = _TagIndex()
         return entry
-
-    def _visits_before(self, tag: Identifier, end: int) -> list[Identifier]:
-        """Readers of the tag's Moves at indices below ``end``, in order."""
-        entry = self._by_tag.get(tag)
-        if entry is None:
-            return []
-        return entry.readers[: bisect_left(entry.move_at, end)]
 
     def _valid_paths_before(self, tag: Identifier, end: int) -> list[tuple[Identifier, ...]]:
         """Paths of the tag's ValidPaths at indices below ``end``, in order."""
@@ -223,7 +224,10 @@ def physical_path(trace: Trace, tag: Identifier, upto: int | None = None) -> tup
         upto = len(trace)
     elif upto < 0:
         raise ValueError(f"upto must be non-negative, got {upto}")
-    return collapse(trace._visits_before(tag, upto))
+    entry = trace._by_tag.get(tag)
+    if entry is None:
+        return ()
+    return tuple(entry.steps[: bisect_left(entry.step_at, upto)])
 
 
 def is_subsequence(needle: Sequence[Identifier], hay: Sequence[Identifier]) -> bool:
@@ -233,10 +237,6 @@ def is_subsequence(needle: Sequence[Identifier], hay: Sequence[Identifier]) -> b
         if x not in it:  # consumes the iterator up to and including a match
             return False
     return True
-
-
-def is_prefix(prefix: Sequence[Identifier], whole: Sequence[Identifier]) -> bool:
-    return len(prefix) <= len(whole) and tuple(whole[: len(prefix)]) == tuple(prefix)
 
 
 @dataclass(frozen=True)
@@ -251,69 +251,80 @@ class CheckResult:
 def _claim_at(trace: Trace, claim_index: int) -> PathClaim:
     if claim_index < 0:
         raise ValueError(f"claim index must be non-negative, got {claim_index}")
+    if claim_index >= len(trace):
+        raise ValueError(f"claim index {claim_index} is past the end of a trace of {len(trace)} events")
     event = trace[claim_index]
     if not isinstance(event, PathClaim):
         raise ValueError(f"event {claim_index} is not a PathClaim: {event!r}")
     return event
 
 
-def _sound(phys_set: set[Identifier], claim: PathClaim) -> CheckResult:
-    for r in claim.path:
+# Each property helper returns the witness of a violation, or None when the
+# property holds.
+
+def _sound(phys_set: set[Identifier], claimed: Sequence[Identifier]) -> str | None:
+    for r in claimed:
         if r not in phys_set:
-            return CheckResult(False, f"claimed reader {r} never visited")
-    return CheckResult(True)
+            return f"claimed reader {r} never visited"
+    return None
 
 
 def _complete(
-    phys: tuple[Identifier, ...], phys_set: set[Identifier], claim: PathClaim
-) -> CheckResult:
-    claimed = set(claim.path)
-    extra = [r for r in claim.path if r not in phys_set]
-    missing = [r for r in phys if r not in claimed]
-    if extra:
-        return CheckResult(False, f"claimed reader {extra[0]} never visited")
-    if missing:
-        return CheckResult(False, f"visited reader {missing[0]} absent from claim")
-    return CheckResult(True)
+    phys: tuple[Identifier, ...], phys_set: set[Identifier], claimed: Sequence[Identifier]
+) -> str | None:
+    claimed_set = set(claimed)
+    if not claimed_set <= phys_set:
+        return _sound(phys_set, claimed)
+    if len(claimed_set) == len(phys_set):
+        return None
+    missing = next(r for r in phys if r not in claimed_set)
+    return f"visited reader {missing} absent from claim"
 
 
-def _sorted(phys: tuple[Identifier, ...], claim: PathClaim) -> CheckResult:
+def _sorted(phys: tuple[Identifier, ...], claimed: Sequence[Identifier]) -> str | None:
     it = iter(phys)
-    for i, r in enumerate(claim.path):
+    for i, r in enumerate(claimed):
         if r not in it:  # consumes the iterator up to and including a match
-            return CheckResult(False, f"claimed step {i} ({r}) out of physical order")
-    return CheckResult(True)
+            return f"claimed step {i} ({r}) out of physical order"
+    return None
 
 
-def _authorized(trace: Trace, claim_index: int, claim: PathClaim) -> CheckResult:
-    for path in trace._valid_paths_before(claim.tag, claim_index):
-        if is_prefix(claim.path, path):
-            return CheckResult(True)
-    return CheckResult(False, "no earlier ValidPath has the claim as a prefix")
+def _authorized(valid: Sequence[tuple[Identifier, ...]], claimed: Sequence[Identifier]) -> str | None:
+    claim = tuple(claimed)
+    n = len(claim)
+    for path in valid:
+        if tuple(path[:n]) == claim:
+            return None
+    return "no earlier ValidPath has the claim as a prefix"
+
+
+def _result(witness: str | None) -> CheckResult:
+    return CheckResult(witness is None, witness)
 
 
 def check_sound(trace: Trace, claim_index: int) -> CheckResult:
     """Claimed readers are a subset of the physically visited readers."""
     claim = _claim_at(trace, claim_index)
-    return _sound(set(physical_path(trace, claim.tag, claim_index)), claim)
+    return _result(_sound(set(physical_path(trace, claim.tag, claim_index)), claim.path))
 
 
 def check_complete(trace: Trace, claim_index: int) -> CheckResult:
     """Claimed and physical reader sets are equal."""
     claim = _claim_at(trace, claim_index)
     phys = physical_path(trace, claim.tag, claim_index)
-    return _complete(phys, set(phys), claim)
+    return _result(_complete(phys, set(phys), claim.path))
 
 
 def check_sorted(trace: Trace, claim_index: int) -> CheckResult:
     """The claimed path is a subsequence of the physical path."""
     claim = _claim_at(trace, claim_index)
-    return _sorted(physical_path(trace, claim.tag, claim_index), claim)
+    return _result(_sorted(physical_path(trace, claim.tag, claim_index), claim.path))
 
 
 def check_authorized(trace: Trace, claim_index: int) -> CheckResult:
     """Some strictly earlier ValidPath for the tag has the claim as a prefix."""
-    return _authorized(trace, claim_index, _claim_at(trace, claim_index))
+    claim = _claim_at(trace, claim_index)
+    return _result(_authorized(trace._valid_paths_before(claim.tag, claim_index), claim.path))
 
 
 @dataclass(frozen=True)
@@ -343,26 +354,33 @@ def verdict_for(trace: Trace, claim_index: int) -> Verdict:
     order sound, complete, sorted, authorized.
     """
     claim = _claim_at(trace, claim_index)
+    claimed = claim.path
     phys = physical_path(trace, claim.tag, claim_index)
     phys_set = set(phys)
-    checks = {
-        "sound": _sound(phys_set, claim),
-        "complete": _complete(phys, phys_set, claim),
-        "sorted": _sorted(phys, claim),
-        "authorized": _authorized(trace, claim_index, claim),
-    }
-    witness = None
-    for name, res in checks.items():
-        if not res.ok:
-            witness = f"{name}: {res.witness}"
-            break
+    unsound = _sound(phys_set, claimed)
+    if unsound is None:
+        incomplete = _complete(phys, phys_set, claimed)
+        unsorted = _sorted(phys, claimed)
+    else:  # a reader never visited breaks completeness and order too
+        incomplete = unsorted = unsound
+    unauthorized = _authorized(trace._valid_paths_before(claim.tag, claim_index), claimed)
+    if unsound is not None:
+        witness = f"sound: {unsound}"
+    elif incomplete is not None:
+        witness = f"complete: {incomplete}"
+    elif unsorted is not None:
+        witness = f"sorted: {unsorted}"
+    elif unauthorized is not None:
+        witness = f"authorized: {unauthorized}"
+    else:
+        witness = None
     return Verdict(
-        claim_index=claim_index,
-        sound=checks["sound"].ok,
-        complete=checks["complete"].ok,
-        sorted=checks["sorted"].ok,
-        authorized=checks["authorized"].ok,
-        witness=witness,
+        claim_index,
+        unsound is None,
+        incomplete is None,
+        unsorted is None,
+        unauthorized is None,
+        witness,
     )
 
 
@@ -436,29 +454,28 @@ def _classify(
     phys_set = set(phys)
     claim_set = set(claim)
     sound = claim_set <= phys_set
-    complete = claim_set == phys_set
-    ordered = is_subsequence(claim, phys)
 
     if not sound:
         labels.add(AttackLabel.GHOST_STEP)
-
-    if sound and not complete:
-        # claim fits strictly inside some valid path, i.e. steps were skipped
+    elif len(claim_set) < len(phys_set):
+        # sound but incomplete: the claim fits strictly inside some valid
+        # path, i.e. steps were skipped
         if any(len(claim) < len(vp) and is_subsequence(claim, vp) for vp in valid_paths):
             labels.add(AttackLabel.SKIP_STEP)
 
-    valid_readers = {r for vp in valid_paths for r in vp}
-    for r in phys:
-        if r not in valid_readers and r not in claim_set:
-            labels.add(AttackLabel.REROUTE)
-            break
+    unclaimed = phys_set - claim_set
+    if unclaimed and not unclaimed <= {r for vp in valid_paths for r in vp}:
+        labels.add(AttackLabel.REROUTE)
 
-    if sound and not ordered:
+    if sound and not is_subsequence(claim, phys):
+        # the first len(claim) visited readers are the claim's as a multiset:
+        # equal counts of every claimed reader leave no room for another
         head = phys[: len(claim)]
-        if Counter(head) == Counter(claim):
+        if all(head.count(r) == claim.count(r) for r in claim_set):
             labels.add(AttackLabel.OUT_OF_ORDER)
 
-    if not any(is_prefix(claim, vp) for vp in valid_paths):
+    n = len(claim)
+    if not any(vp[:n] == claim for vp in valid_paths):
         labels.add(AttackLabel.UNAUTHORIZED_PATH)
 
     return frozenset(labels)
@@ -502,10 +519,9 @@ def parse_trace(text: str) -> Trace:
     claims: list[tuple[int, Identifier, tuple[Identifier, ...], str]] = []
     reader_tokens: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = line.split()
         kind, args = parts[0].upper(), parts[1:]
         if kind == "MOVE":
             if len(args) != 2:

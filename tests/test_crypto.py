@@ -39,6 +39,22 @@ def test_split_rejects_truncation():
         c.split_length_prefixed(blob[:-1])
 
 
+def test_split_names_every_truncation():
+    fields = [b"ab", b"", b"xyz"]
+    blob = c.concat_length_prefixed(*fields)
+    assert blob == b"\x00\x00\x00\x02ab\x00\x00\x00\x00\x00\x00\x00\x03xyz"
+    starts = [0, 6, 10, 17]  # where each length prefix begins, then the end
+    for cut in range(len(blob) + 1):
+        if cut in starts:  # a cut between fields leaves a shorter valid blob
+            assert c.split_length_prefixed(blob[:cut]) == fields[: starts.index(cut)]
+            continue
+        start = max(s for s in starts if s < cut)
+        message = "truncated length prefix" if cut - start < 4 else "truncated field"
+        with pytest.raises(c.CryptoError) as info:
+            c.split_length_prefixed(blob[:cut])
+        assert str(info.value) == message, cut
+
+
 def test_sha256_pure_matches_hashlib():
     cases = [b"", b"abc", b"a" * 55, b"a" * 56, b"a" * 64, b"a" * 200]
     rng = random.Random(2)

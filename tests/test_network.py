@@ -62,6 +62,39 @@ class TestTagMemory:
             m.overwrite(b"\x00" * 9)
 
 
+    def test_used_bits_is_the_sum_after_every_write(self):
+        rng = random.Random(5)
+        m = TagMemory(capacity_bits=256)
+        nominal: dict[str, int] = {}  # what used_bits() must sum
+        refused = 0
+        for _ in range(600):
+            if rng.random() < 0.1:
+                if rng.random() < 0.5:
+                    fields = {n: rng.randbytes(rng.randrange(6)) for n in rng.sample("abcd", 2)}
+                    data = crypto.concat_length_prefixed(
+                        *(part for n, v in fields.items() for part in (n.encode(), v))
+                    )
+                else:
+                    fields = {"__raw__": b"\xff" * rng.randrange(1, 40)}
+                    data = fields["__raw__"]
+                try:
+                    m.overwrite(data)
+                    nominal = {n: len(v) * 8 for n, v in fields.items()}
+                except TagCapacityError:
+                    refused += 1
+            else:
+                name = rng.choice("abcd")
+                value = rng.randbytes(rng.randrange(12))
+                bits = rng.choice([None, rng.randrange(120)])
+                try:
+                    m.store(name, value, nominal_bits=bits)
+                    nominal[name] = len(value) * 8 if bits is None else bits
+                except TagCapacityError:
+                    refused += 1
+            assert m.used_bits() == sum(nominal.values())
+        assert refused > 20  # the sequence does exercise refusals
+
+
 class TestKnowledge:
     def test_signature_blobs_decompose(self):
         rng = random.Random(1)

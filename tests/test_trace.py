@@ -59,6 +59,12 @@ class TestPhysicalPath:
         with pytest.raises(ValueError, match="non-negative"):
             physical_path(t, T1, upto=-1)
 
+    def test_non_event_refused_before_it_is_stored(self):
+        t = Trace(moves(T1, "r1"))
+        with pytest.raises(TypeError, match="not a trace event"):
+            t.append(("MOVE", "t1", "r2"))
+        assert len(t) == 1 and physical_path(t, T1) == path("r1")
+
     def test_other_tags_ignored(self):
         t2 = tag("t2")
         t = Trace(moves(T1, "r1") + [Move(t2, R["r2"])] + moves(T1, "r3"))
@@ -168,6 +174,93 @@ class TestChecks:
         t, _ = self.make(["r1"], ["r1"], valid=[("r1",)])
         with pytest.raises(ValueError, match="non-negative"):
             judge(t, -1)
+
+
+    @pytest.mark.parametrize(
+        "judge",
+        [
+            verdict_for,
+            tr.classify_claim,
+            tr.check_sound,
+            tr.check_complete,
+            tr.check_sorted,
+            tr.check_authorized,
+        ],
+    )
+    @pytest.mark.parametrize("past", [0, 1, 7])
+    def test_claim_index_past_the_end_raises(self, judge, past):
+        t, _ = self.make(["r1"], ["r1"], valid=[("r1",)])
+        with pytest.raises(ValueError) as info:
+            judge(t, len(t) + past)
+        assert str(info.value) == (
+            f"claim index {len(t) + past} is past the end of a trace of {len(t)} events"
+        )
+
+
+def seeded_traces(seed: int, count: int):
+    """Multi-tag traces with revisits and repeated Moves, claims that repeat
+    readers, and a tag that is registered and claimed but never moves."""
+    rng = random.Random(seed)
+    tags = [tag(name) for name in ("t1", "t2", "t3", "still")]
+    readers = [R[name] for name in ("r1", "r2", "r3", "r4")]
+    for _ in range(count):
+        t = Trace()
+        for _ in range(rng.randrange(1, 40)):
+            tagid = rng.choice(tags)
+            kind = rng.randrange(5)
+            if kind < 2 and tagid is not tags[-1]:
+                t.append(Move(tagid, rng.choice(readers)))
+            elif kind == 2:
+                t.append(ValidPath(tagid, tuple(rng.choices(readers, k=rng.randrange(1, 5)))))
+            else:
+                t.append(PathClaim(tagid, tuple(rng.choices(readers, k=rng.randrange(1, 5))), B1))
+        yield t
+
+
+def moved_before(t: Trace, tagid, upto: int):
+    return [e.reader for e in t.events[:upto] if isinstance(e, Move) and e.tag == tagid]
+
+
+def valid_before(t: Trace, tagid, upto: int):
+    return [e.path for e in t.events[:upto] if isinstance(e, ValidPath) and e.tag == tagid]
+
+
+class TestTagIndex:
+    """The per-tag index kept on append answers as a rescan of the trace would."""
+
+    def test_physical_path_is_the_collapsed_prefix(self):
+        for t in seeded_traces(21, 150):
+            for tagid in [*t.tags(), tag("never")]:
+                assert physical_path(t, tagid) == collapse(moved_before(t, tagid, len(t)))
+                for upto in range(len(t) + 3):
+                    assert physical_path(t, tagid, upto) == collapse(moved_before(t, tagid, upto))
+
+    def test_verdict_reports_the_first_failing_check(self):
+        checks = [
+            ("sound", tr.check_sound),
+            ("complete", tr.check_complete),
+            ("sorted", tr.check_sorted),
+            ("authorized", tr.check_authorized),
+        ]
+        for t in seeded_traces(22, 300):
+            for idx, _claim in t.claims():
+                v = verdict_for(t, idx)
+                results = [(name, check(t, idx)) for name, check in checks]
+                assert v.claim_index == idx
+                assert v.properties() == {name: res.ok for name, res in results}
+                failed = [f"{name}: {res.witness}" for name, res in results if not res.ok]
+                assert v.witness == (failed[0] if failed else None)
+                assert all(res.witness is None for _, res in results if res.ok)
+
+    def test_classify_claim_is_classify_of_the_collapsed_path(self):
+        for t in seeded_traces(23, 300):
+            for idx, claim in t.claims():
+                want = classify(
+                    collapse(moved_before(t, claim.tag, idx)),
+                    claim.path,
+                    valid_before(t, claim.tag, idx),
+                )
+                assert tr.classify_claim(t, idx) == want
 
 
 class TestEvaluateSystem:
