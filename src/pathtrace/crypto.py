@@ -92,6 +92,16 @@ def split_length_prefixed(blob: bytes) -> list[bytes]:
     return parts
 
 
+def split_fields(blob: bytes, count: int | None = None) -> list[bytes] | None:
+    """The length-prefixed fields of ``blob``; None when it does not split,
+    or when ``count`` is given and it splits into another number of fields."""
+    try:
+        parts = split_length_prefixed(blob)
+    except CryptoError:
+        return None
+    return parts if count is None or len(parts) == count else None
+
+
 def int_to_bytes(n: int, width: int = 8) -> bytes:
     return n.to_bytes(width, "big")
 
@@ -256,13 +266,15 @@ def verify(vk: VerifyKey, sig: Signature) -> bool:
 
 
 def parse_signature(blob: bytes) -> Signature | None:
+    """The signature in ``blob``; None for bytes of another shape,
+    including a signer name that is not UTF-8."""
+    parts = split_fields(blob, 4)
+    if parts is None or parts[0] != b"SIG":
+        return None
     try:
-        parts = split_length_prefixed(blob)
-    except CryptoError:
+        return Signature(parts[1].decode(), parts[2], parts[3])
+    except UnicodeDecodeError:
         return None
-    if len(parts) != 4 or parts[0] != b"SIG":
-        return None
-    return Signature(parts[1].decode(), parts[2], parts[3])
 
 
 # --- XOR helpers -----------------------------------------------------------

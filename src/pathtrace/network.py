@@ -52,6 +52,9 @@ class TagMemory:
     """Field store with nominal bit accounting against a capacity.
 
     ``_used`` is the sum of ``_nominal``, kept up to date by every write.
+    A field the tag does not hold reads as ``b""``: that is what a scheme
+    finds after ``overwrite`` replaced its layout, and its own parse
+    refuses it.
     """
 
     def __init__(self, capacity_bits: int = 512) -> None:
@@ -75,10 +78,7 @@ class TagMemory:
         self._used = new_total
 
     def load(self, name: str) -> bytes:
-        return self._fields[name]
-
-    def get(self, name: str, default: bytes | None = None) -> bytes | None:
-        return self._fields.get(name, default)
+        return self._fields.get(name, b"")
 
     def names(self) -> list[str]:
         return list(self._fields)
@@ -95,12 +95,9 @@ class TagMemory:
         bits = len(data) * 8
         if bits > self.capacity_bits:
             raise TagCapacityError(f"{bits} bits exceed tag capacity of {self.capacity_bits}")
-        try:
-            fields = snapshot_fields(data)
-        except (crypto.CryptoError, UnicodeDecodeError):
-            fields = {"__raw__": data}
-        self._fields = fields
-        self._nominal = {name: len(value) * 8 for name, value in fields.items()}
+        fields = read_snapshot(data)
+        self._fields = {"__raw__": data} if fields is None else fields
+        self._nominal = {name: len(value) * 8 for name, value in self._fields.items()}
         self._used = sum(self._nominal.values())
 
 
@@ -111,6 +108,14 @@ def snapshot_fields(snapshot: bytes) -> dict[str, bytes]:
     if len(parts) % 2 != 0:
         raise crypto.CryptoError("odd field count")
     return {parts[i].decode(): parts[i + 1] for i in range(0, len(parts), 2)}
+
+
+def read_snapshot(snapshot: bytes) -> dict[str, bytes] | None:
+    """``snapshot_fields`` of a snapshot; None for bytes of another shape."""
+    try:
+        return snapshot_fields(snapshot)
+    except (crypto.CryptoError, UnicodeDecodeError):
+        return None
 
 
 def decompose(blobs: Iterable[bytes], known: dict[bytes, None] | None = None) -> dict[bytes, None]:

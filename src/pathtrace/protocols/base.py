@@ -7,7 +7,9 @@ means: register paths and set up keys, walk tags along a movement script
 records a Move), then let the scheme's verifier attempt path claims.
 Each scheme declares its ``path_rule``, fixed ``verifier`` (if any) and
 ``tag_bits``; the base registers the paths and refuses a foreign claimant.
-Schemes put claims on the trace only through ``emit_claim``.
+Schemes put claims on the trace only through ``emit_claim``, and take
+bytes they did not make only through ``_receive``, which refuses what
+their parse refuses.
 
 All verdicts are computed afterwards from the trace alone, so a protocol
 cannot grade its own homework.
@@ -18,12 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 from random import Random
-from typing import Callable, Iterable
+from typing import Callable, Iterable, TypeVar
 
 from pathtrace import trace as tr
 from pathtrace.network import AdvModel, AdversaryContext, Message, Network, TagMemory
 
 DEFAULT_TAG_CAPACITY = 512
+
+T = TypeVar("T")
 
 
 class VerifierPolicyError(Exception):
@@ -194,6 +198,18 @@ class ProtocolModel:
         return [token for token, _ in self.config.readers]
 
     # --- helpers --------------------------------------------------------
+
+    def _receive(
+        self, arrived: bytes | None, parse: Callable[[bytes], T | None], malformed: str
+    ) -> T | None:
+        """``parse(arrived)``, or None when the message was dropped or
+        ``parse`` refuses it; a refusal is logged as the anomaly ``malformed``."""
+        if arrived is None:
+            return None
+        parsed = parse(arrived)
+        if parsed is None:
+            self.net.log_anomaly(malformed)
+        return parsed
 
     def emit_claim(
         self, tag_token: str, path_tokens: Iterable[str], claimant: tr.Identifier

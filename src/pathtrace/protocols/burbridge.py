@@ -80,14 +80,13 @@ class Burbridge(ProtocolModel):
         """Stage a document vouches for, or None when it does not verify."""
         if sig is None or not crypto.verify(self._verify_key(tag_token), sig):
             return None
+        fields = crypto.split_fields(sig.message, 2)
+        if fields is None or fields[0] != tag_token.encode():
+            return None
         try:
-            tag_bytes, stage_bytes = crypto.split_length_prefixed(sig.message)
-            stage = stage_bytes.decode()
-        except (crypto.CryptoError, ValueError, UnicodeDecodeError):
+            return fields[1].decode()
+        except UnicodeDecodeError:
             return None
-        if tag_bytes != tag_token.encode():
-            return None
-        return stage
 
     def _resign(self, tag_token: str, reader_token: str, sig: crypto.Signature | None) -> bytes | None:
         """Produce the reader's stage document.

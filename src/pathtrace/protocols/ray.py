@@ -98,8 +98,9 @@ class Ray(ProtocolModel):
     def _tag_handler(self, tag_token: str):
         def handle(payload: bytes, sender: str) -> bytes | None:
             mem = self.run.memory(tag_token)
-            values = crypto.split_length_prefixed(mem.load("pending"))
-            if payload not in values:
+            values = crypto.split_fields(mem.load("pending"))
+            used = crypto.split_fields(mem.load("consumed"))
+            if values is None or used is None or payload not in values:
                 return None
             values.remove(payload)
             mem.store(
@@ -107,7 +108,7 @@ class Ray(ProtocolModel):
                 crypto.concat_length_prefixed(*values),
                 nominal_bits=self.CHALLENGE_BITS * len(values),
             )
-            used = [*crypto.split_length_prefixed(mem.load("consumed")), payload]
+            used.append(payload)
             mem.store(
                 "consumed",
                 crypto.concat_length_prefixed(*used),
@@ -129,11 +130,14 @@ class Ray(ProtocolModel):
         return True
 
     def _process_claim(self, tag_token: str, verifier: str | None) -> bool:
-        mem = self.run.memory(tag_token)
-        reported = self.net.transmit(tag_token, self.verifier, mem.load("consumed"))
-        if reported is None:
+        consumed = self.run.memory(tag_token).load("consumed")
+        values = self._receive(
+            self.net.transmit(tag_token, self.verifier, consumed),
+            crypto.split_fields,
+            f"ray owner got a malformed report from {tag_token}",
+        )
+        if values is None:
             return False
-        values = crypto.split_length_prefixed(reported)
         owner = self.owner_of[tag_token]
         if set(values) != owner.keys():
             self.net.log_anomaly(f"ray owner: {tag_token} has unconsumed or foreign challenges")

@@ -22,7 +22,7 @@ uses, since the keys sit in readable tag memory for the whole journey.
 from __future__ import annotations
 
 from pathtrace import crypto
-from pathtrace.network import snapshot_fields
+from pathtrace.network import read_snapshot
 from pathtrace.protocols.base import ProtocolModel, register_protocol
 from pathtrace.trace import backend
 
@@ -93,19 +93,16 @@ class Resc(ProtocolModel):
                 return crypto.concat_length_prefixed(
                     mem.load("tid"), nonce, mem.load("ptr")
                 )
-            try:
-                parts = crypto.split_length_prefixed(payload)
-            except crypto.CryptoError:
-                return None
-            if len(parts) != 5 or parts[0] != b"DEPOSIT":
+            parts = crypto.split_fields(payload, 5)
+            if parts is None or parts[0] != b"DEPOSIT":
                 return None
             _, idx_bytes, ts_bytes, sig, auth = parts
             nonce = self._nonce[tag_token]
             if nonce is None:
                 return None
             slot = crypto.bytes_to_int(idx_bytes)
-            key = mem.get(f"k{slot}")
-            if key is None or mem.load(f"sig{slot}") != b"":
+            key = mem.load(f"k{slot}")
+            if key == b"" or mem.load(f"sig{slot}") != b"":
                 return None
             expect = crypto.mac(
                 key, crypto.concat_length_prefixed(nonce, idx_bytes, ts_bytes, sig)
@@ -134,14 +131,14 @@ class Resc(ProtocolModel):
         return idx_bytes, ts_bytes, sig
 
     def _process_arrival(self, tag_token: str, reader_token: str) -> bool:
-        hello = self.net.request(reader_token, tag_token, b"HELLO")
+        hello = self._receive(
+            self.net.request(reader_token, tag_token, b"HELLO"),
+            lambda blob: crypto.split_fields(blob, 3),
+            f"resc {reader_token} got a malformed greeting from {tag_token}",
+        )
         if hello is None:
             return False
-        try:
-            tid, nonce, ptr_bytes = crypto.split_length_prefixed(hello)
-        except (crypto.CryptoError, ValueError):
-            self.net.log_anomaly(f"resc {reader_token} got a malformed greeting from {tag_token}")
-            return False
+        tid, nonce, ptr_bytes = hello
         slot = crypto.bytes_to_int(ptr_bytes)
         if slot > len(self.paths_of[tag_token][0]):
             self.net.log_anomaly(f"resc {reader_token}: {tag_token} has no open slot")
@@ -167,12 +164,8 @@ class Resc(ProtocolModel):
     def _process_claim(self, tag_token: str, verifier: str | None) -> bool:
         mem = self.run.memory(tag_token)
         presented = self.net.transmit(tag_token, self.verifier, mem.snapshot())
-        if presented is None:
-            return False
-        try:
-            fields = snapshot_fields(presented)
-        except (crypto.CryptoError, UnicodeDecodeError):
-            self.net.log_anomaly("resc database got a malformed tag image")
+        fields = self._receive(presented, read_snapshot, "resc database got a malformed tag image")
+        if fields is None:
             return False
         (path,) = self.paths_of[tag_token]
         tid = fields.get("tid", b"")

@@ -95,14 +95,9 @@ def salted_key(h: bytes, salt: bytes, purpose: bytes) -> bytes:
     return crypto.hash_bytes(crypto.concat_raw(h, salt, purpose))
 
 
-def split_salted(payload: bytes) -> tuple[bytes, bytes] | None:
-    """(salt, body) of a patched record payload; None when malformed."""
-    try:
-        salt, body = crypto.split_length_prefixed(payload)
-    except (crypto.CryptoError, ValueError):
-        return None
-    return salt, body
-
+def split_salted(payload: bytes) -> list[bytes] | None:
+    """[salt, body] of a patched record payload; None when malformed."""
+    return crypto.split_fields(payload, 2)
 
 @register_protocol
 class RfChain(ProtocolModel):
@@ -195,28 +190,16 @@ class RfChain(ProtocolModel):
                 return True
         return False
 
-    def _present(
-        self, tag_token: str, receiver: str, malformed: str | None = None
-    ) -> tuple[bytes, bytes] | None:
-        """(identity, chain) as ``receiver`` gets them; None when dropped or
-        malformed, the latter logged as an anomaly (``malformed`` if given)."""
+    def _present(self, tag_token: str, receiver: str, malformed: str) -> list[bytes] | None:
+        """[identity, chain] as ``receiver`` gets them (``_receive``)."""
         mem = self.run.memory(tag_token)
-        presented = self.net.transmit(
-            tag_token, receiver, crypto.concat_length_prefixed(mem.load("id"), mem.load("chain"))
-        )
-        if presented is None:
-            return None
-        try:
-            identity, chain = crypto.split_length_prefixed(presented)
-        except (crypto.CryptoError, ValueError):
-            self.net.log_anomaly(
-                malformed or f"rfchain {receiver} got malformed tag data from {tag_token}"
-            )
-            return None
-        return identity, chain
+        data = crypto.concat_length_prefixed(mem.load("id"), mem.load("chain"))
+        presented = self.net.transmit(tag_token, receiver, data)
+        return self._receive(presented, lambda blob: crypto.split_fields(blob, 2), malformed)
 
     def _process_arrival(self, tag_token: str, reader_token: str) -> bool:
-        presented = self._present(tag_token, reader_token)
+        malformed = f"rfchain {reader_token} got malformed tag data from {tag_token}"
+        presented = self._present(tag_token, reader_token, malformed)
         if presented is None:
             return False
         identity, chain = presented
@@ -240,14 +223,14 @@ class RfChain(ProtocolModel):
         posted = self.net.transmit(
             reader_token, self.verifier, crypto.concat_length_prefixed(pseudo, payload)
         )
-        if posted is None:
+        record = self._receive(
+            posted,
+            lambda blob: crypto.split_fields(blob, 2),
+            "rfchain ledger received a malformed record",
+        )
+        if record is None:
             return False
-        try:
-            arrived_pseudo, arrived_payload = crypto.split_length_prefixed(posted)
-        except (crypto.CryptoError, ValueError):
-            self.net.log_anomaly("rfchain ledger received a malformed record")
-            return False
-        self.ledger.add(arrived_pseudo, arrived_payload)
+        self.ledger.add(*record)
         self.ledger_truth.append((tag_token, index))
         new_chain = crypto.sign(self.sign_sk[reader_token], chain).to_bytes()
         written = self.net.transmit(reader_token, tag_token, new_chain)

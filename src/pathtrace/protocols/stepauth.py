@@ -85,13 +85,13 @@ class StepAuth(ProtocolModel):
 
     @staticmethod
     def _parse_terminal(blob: bytes) -> tuple[str, tuple[str, ...]] | None:
+        parts = crypto.split_fields(blob)
+        if parts is None or len(parts) < 3 or parts[0] != b"END":
+            return None
         try:
-            parts = crypto.split_length_prefixed(blob)
-        except crypto.CryptoError:
+            return parts[1].decode(), tuple(p.decode() for p in parts[2:])
+        except UnicodeDecodeError:
             return None
-        if len(parts) < 3 or parts[0] != b"END":
-            return None
-        return parts[1].decode(), tuple(p.decode() for p in parts[2:])
 
     def _process_arrival(self, tag_token: str, reader_token: str) -> bool:
         mem = self.run.memory(tag_token)
@@ -104,11 +104,11 @@ class StepAuth(ProtocolModel):
                 f"stepauth {reader_token} rejects {tag_token}: bad issuer signature"
             )
             return False
-        try:
-            kem, body = crypto.split_length_prefixed(sig.message)
-        except (crypto.CryptoError, ValueError):
+        layer = crypto.split_fields(sig.message, 2)
+        if layer is None:
             self.net.log_anomaly(f"stepauth {reader_token} rejects {tag_token}: malformed layer")
             return False
+        kem, body = layer
         try:
             session = crypto.pk_dec(self.box_priv[reader_token], kem)
             plain = crypto.sym_dec(session, body)

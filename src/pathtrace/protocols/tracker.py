@@ -98,26 +98,18 @@ class PathPolyModel(ProtocolModel):
     # --- protocol steps -------------------------------------------------
 
     def _present(
-        self, tag_token: str, reader_token: str, malformed: str | None = None
+        self, tag_token: str, reader_token: str, malformed: str
     ) -> tuple[crypto.Ciphertext, ...] | None:
-        """The tag's state as the reader receives it; None when the message
-        is dropped or malformed.  A malformed state is logged as an anomaly,
-        worded ``malformed`` when given."""
+        """The tag's state as the reader receives it (``_receive``)."""
         presented = self.net.transmit(tag_token, reader_token, self._state_blob(tag_token))
-        if presented is None:
-            return None
-        state = self._read_state(presented)
-        if state is None:
-            self.net.log_anomaly(
-                malformed or f"{self.name} {reader_token} got malformed state from {tag_token}"
-            )
-        return state
+        return self._receive(presented, self._read_state, malformed)
 
     def _reader_step(
         self, tag_token: str, reader_token: str
     ) -> tuple[crypto.Ciphertext, ...] | None:
         """Fold the reader into the tag's path; the stored state, or None."""
-        state = self._present(tag_token, reader_token)
+        malformed = f"{self.name} {reader_token} got malformed state from {tag_token}"
+        state = self._present(tag_token, reader_token, malformed)
         if state is None:
             return None
         *rest, base, acc = state
@@ -132,13 +124,12 @@ class PathPolyModel(ProtocolModel):
             tag_token,
             _layout(len(self.STATE)).pack(*(n for ct in fresh for n in (16, ct.c1, ct.c2))),
         )
-        if written is None:
-            return None
-        new_state = self._read_state(written)
+        new_state = self._receive(
+            written,
+            self._read_state,
+            f"{self.name} {tag_token} got malformed update from {reader_token}",
+        )
         if new_state is None:
-            self.net.log_anomaly(
-                f"{self.name} {tag_token} got malformed update from {reader_token}"
-            )
             return None
         self._store_state(tag_token, new_state)
         return new_state
@@ -199,9 +190,7 @@ class Tracker(PathPolyModel):
         return self._reader_step(tag_token, reader_token) is not None
 
     def _process_claim(self, tag_token: str, verifier: str | None) -> bool:
-        state = self._present(
-            tag_token, self.verifier, malformed="tracker manager got malformed state"
-        )
+        state = self._present(tag_token, self.verifier, "tracker manager got malformed state")
         if state is None:
             return False
         c1, c2, c3 = state

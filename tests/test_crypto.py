@@ -55,6 +55,25 @@ def test_split_names_every_truncation():
         assert str(info.value) == message, cut
 
 
+def test_split_fields_exact_count_returns_the_fields():
+    for fields in ([b"a", b""], [b"x" * 3, b"", b"\x00\xff"], [b"1", b"22", b"", b"4444", b"5"]):
+        blob = c.concat_length_prefixed(*fields)
+        assert c.split_fields(blob, len(fields)) == c.split_length_prefixed(blob) == fields
+        assert c.split_fields(blob) == fields
+
+
+@pytest.mark.parametrize("count", [2, 3, 5])
+def test_split_fields_refuses_every_truncation_and_wrong_count(count):
+    blob = c.concat_length_prefixed(*(bytes([i]) * i for i in range(1, count + 1)))
+    for cut in range(len(blob)):
+        assert c.split_fields(blob[:cut], count) is None, cut
+    for wrong in range(count + 3):
+        if wrong != count:
+            assert c.split_fields(blob, wrong) is None, wrong
+    assert c.split_fields(blob[:-1]) is None
+    assert c.split_fields(blob + b"\x00") is None
+
+
 def test_sha256_pure_matches_hashlib():
     cases = [b"", b"abc", b"a" * 55, b"a" * 56, b"a" * 64, b"a" * 200]
     rng = random.Random(2)
@@ -134,6 +153,50 @@ def test_signature_blob_round_trip_and_strip():
     assert c.parse_signature(blob) == sig
     assert c.parse_signature(blob).message == b"payload"
     assert c.parse_signature(b"junk") is None
+
+
+def old_parse_signature(blob):
+    """``parse_signature`` as it was before ``split_fields``."""
+    try:
+        parts = c.split_length_prefixed(blob)
+    except c.CryptoError:
+        return None
+    if len(parts) != 4 or parts[0] != b"SIG":
+        return None
+    return c.Signature(parts[1].decode(), parts[2], parts[3])
+
+
+def signature_mutants(blob, rng):
+    """Seeded mutants of a signature blob: cuts, extensions, byte flips and
+    byte swaps at every position, and field-level rewrites."""
+    for cut in range(len(blob)):
+        yield blob[:cut]
+    for at in range(len(blob)):
+        yield blob[:at] + bytes([blob[at] ^ 0xFF]) + blob[at + 1 :]
+        yield blob[:at] + bytes([rng.randrange(256)]) + blob[at + 1 :]
+    parts = c.split_length_prefixed(blob)
+    yield blob + b"\x00"
+    yield blob + c.concat_length_prefixed(b"extra")
+    yield c.concat_length_prefixed(*parts[:3])
+    yield c.concat_length_prefixed(b"SIG", b"\xff\xfe", *parts[2:])  # a signer that is not UTF-8
+    yield c.concat_length_prefixed(b"sig", *parts[1:])
+    for _ in range(50):
+        yield rng.randbytes(rng.randrange(len(blob) + 8))
+
+
+def test_parse_signature_agrees_with_its_old_definition_on_mutants():
+    rng = random.Random(19)
+    sk, _ = c.new_signing_keypair("alice", rng)
+    blob = c.sign(sk, b"payload").to_bytes()
+    parsed = 0
+    for mutant in signature_mutants(blob, rng):
+        try:
+            want = old_parse_signature(mutant)
+        except UnicodeDecodeError:
+            want = None  # the old parse raised where the new one refuses
+        assert c.parse_signature(mutant) == want, mutant.hex()
+        parsed += want is not None
+    assert parsed > 0
 
 
 # --- XOR and symmetric encryption ------------------------------------------

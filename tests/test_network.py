@@ -56,6 +56,13 @@ class TestTagMemory:
         m.overwrite(b"\xff\xfe\xfd")
         assert m.load("__raw__") == b"\xff\xfe\xfd"
 
+    def test_absent_field_reads_empty(self):
+        m = TagMemory(capacity_bits=1024)
+        assert m.load("id") == b""
+        m.store("id", b"tag-one")
+        m.overwrite(b"\xff\xfe\xfd")
+        assert m.load("id") == b""
+
     def test_overwrite_respects_capacity(self):
         m = TagMemory(capacity_bits=64)
         with pytest.raises(TagCapacityError):

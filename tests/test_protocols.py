@@ -9,6 +9,7 @@ documented weakness or rejection behavior.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -397,6 +398,99 @@ class TestMalformedPathState:
         assert res.step_log[-1] == "visit t1 r2 failed"
 
 
+def mutant(kind, payload, rng):
+    """One malformed stand-in for ``payload``."""
+    if kind == "empty":
+        return b""
+    if kind == "ff":
+        return b"\xff"
+    if kind == "random":
+        return rng.randbytes(len(payload))
+    if kind == "truncated":
+        return payload[:-1]
+    if kind == "appended":
+        return payload + b"\x00"
+    return bytes([payload[0] ^ 0xFF]) + payload[1:] if payload else payload  # "flipped"
+
+
+def replacing(target, kind, rng):
+    """Strategy that replaces the ``target``-th untrusted message (from 0)
+    by its ``kind`` mutant and delivers every other one."""
+    seen = itertools.count()
+
+    def strategy(env, net):
+        return mutant(kind, env.payload, rng) if next(seen) == target else env.payload
+
+    return strategy
+
+
+def run_script(model, run, script):
+    for step in script:
+        if step[0] == "move":
+            model.visit(step[1], step[2])
+        else:
+            model.claim(*step[1:])
+    return finalize(model, run)
+
+
+class TestAdversarialInput:
+    """Bytes a scheme did not make are refused, never a traceback: a
+    malformed message anywhere in a run, and a tag memory the adversary
+    rewrote to another layout."""
+
+    @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
+    @pytest.mark.parametrize(
+        "kind", ["empty", "ff", "random", "truncated", "appended", "flipped"]
+    )
+    def test_each_message_replaced(self, protocol, kind):
+        honest = run_protocol(honest_config(protocol))
+        untrusted = sum(m.action == "delivered" for m in honest.log)
+        assert untrusted >= 6
+        for target in range(untrusted):
+            cfg = honest_config(protocol)
+            model, run = build_run(cfg)
+            run.net.strategy = replacing(target, kind, random.Random(target))
+            res = run_script(model, run, cfg.script)
+            assert [m.action for m in res.log].count("modified") == 1, target
+
+    # what refuses the visit after the rewrite: the layout each scheme reads
+    # first, now empty or b"\xff"
+    REFUSAL = {
+        "tracker": "tracker r2 got malformed state from t1",
+        "checker": "checker r2 got malformed state from t1",
+        "stepauth": "stepauth r2 rejects t1: bad issuer signature",
+        "rfchain": "rfchain r2 rejects t1: chain signature invalid",
+        "ray": "ray t1 refused the challenge of r2",
+        "resc": "resc t1 refused the deposit of r2 for slot 0",
+        "burbridge": "burbridge r2: document of t1 does not vouch for r1",
+    }
+
+    @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
+    @pytest.mark.parametrize("kind", ["junk", "foreign", "own-ff"])
+    def test_rewritten_tag_stalls_the_next_visit(self, protocol, kind):
+        cfg = honest_config(protocol)
+        model, run = build_run(cfg)
+        model.visit("t1", "r1")
+        names = run.memory("t1").names()
+        blob = {
+            "junk": bytes(range(255, 239, -1)),
+            "foreign": crypto.concat_length_prefixed(b"alien", b"\x01", b"other", b"\x02"),
+            "own-ff": crypto.concat_length_prefixed(
+                *(part for name in names for part in (name.encode(), b"\xff"))
+            ),
+        }[kind]
+        run.adv.write_tag("t1", blob)
+        model.visit("t1", "r2")
+        res = run_script(model, run, [("claim", "t1")])
+        assert res.stalled
+        assert res.step_log == ["visit t1 r1 ok", "visit t1 r2 failed", "claim t1 rejected"]
+        refusal = self.REFUSAL[protocol]
+        if (protocol, kind) == ("resc", "own-ff"):
+            refusal = "resc r2: t1 has no open slot"  # the pointer reads as slot 255
+        assert res.anomalies[0] == refusal
+        assert len(res.anomalies) == 2  # and the claim is refused with its own
+
+
 def reference_read_state(model, blob):
     """The path-polynomial state parse as a split of the length-prefixed
     fields: one 16-byte field per name in STATE, components in 1..p-1."""
@@ -548,9 +642,8 @@ class TestChecker:
             run_protocol(cfg)
 
 
-    # The on-site test looks a state up by v2^(h^-1) when v1 is some tag's
-    # g^h and tries every key otherwise; both must decide as the loop over
-    # the reader's keys does.
+    # A state that is not some tag's own prefix state tries the reader's
+    # keys in order; it must decide as the loop over those keys does.
 
     @staticmethod
     def store_state(run, tag_token, state):
@@ -568,7 +661,8 @@ class TestChecker:
 
     def test_negated_accumulator_rejected(self):
         # -x lies outside the order-q subgroup, yet (-x)^(h^-1) == x^(h^-1)
-        # for an even h^-1: only the confirmation v1^K == v2 refuses it
+        # for an even h^-1, so a lookup by v2^(h^-1) alone would accept it;
+        # the relation v1^K == v2 itself refuses it
         params = crypto.DEFAULT_PARAMS
         h = crypto.hash_int(b"idt1", params.q)
         assert pow(h, -1, params.q) % 2 == 0
@@ -656,7 +750,8 @@ class TestChecker:
 
     def test_tag_on_another_tags_path_claims_through_the_fallback(self, monkeypatch):
         # t2 walks t1's path: no own prefix of t2 ends in the state it
-        # shows, so each hop is matched by v2^(h^-1) among the reader's keys
+        # shows, so each hop tries the reader's keys in order, and t1's
+        # prefix is the first key at each reader
         cfg = honest_config("checker")
         cfg.tags.append("t2")
         cfg.valid_paths.append(("t2", ("r2", "r1")))
@@ -675,6 +770,86 @@ class TestChecker:
             ("t2", ("r1", "r2", "r3")),
         ]
         assert len(calls) == 3
+
+
+def checker_world(seed):
+    """A seeded Checker world: five readers and four tags with one or two
+    random paths each, t4 sharing t1's first path, plus t5 with none."""
+    rng = random.Random(seed)
+    readers = [f"r{i}" for i in range(1, 6)]
+    valid = [
+        (tag, tuple(rng.sample(readers, rng.randrange(1, 5))))
+        for tag in ("t1", "t2", "t3")
+        for _ in range(rng.randrange(1, 3))
+    ]
+    valid.append(("t4", valid[0][1]))
+    tags = ["t1", "t2", "t3", "t4", "t5"]
+    cfg = RunConfig(
+        protocol="checker",
+        seed=seed,
+        readers=[(r, None) for r in readers],
+        tags=tags,
+        valid_paths=valid,
+        capacities={t: 4096 for t in tags},
+    )
+    return build_run(cfg)
+
+
+def checker_states(model, run, rng):
+    """(kind, state) pairs: each registered tag's states along its first
+    path, t5's along t2's path, forged states, and each one negated."""
+    states = []
+
+    def walk(tag_token, path, kind):
+        for reader in path:
+            model.visit(tag_token, reader)
+            states.append((kind, model._read_state(model._state_blob(tag_token))))
+
+    for tag_token in ("t1", "t2", "t3", "t4"):
+        walk(tag_token, model.paths_of[tag_token][0], "honest")
+    walk("t5", model.paths_of["t2"][0], "other-path")
+    every_key = [k for bucket in model.prefix_keys.values() for _, k in bucket]
+    for key in every_key + [rng.randrange(1, model.params.q) for _ in range(3)]:
+        y = rng.randrange(1, model.params.q)
+        states.append(("forged", tuple(TestChecker.forged_state(model, y, key))))
+    p = model.params.p
+    negated = [
+        ("negated", (c1, crypto.Ciphertext(model.params, c2.c1, p - c2.c2)))
+        for _, (c1, c2) in states
+    ]
+    return states + negated
+
+
+class TestCheckerMatch:
+    @staticmethod
+    def reference_match(model, reader_token, state):
+        """The first prefix in the reader's list whose key K has v1^K == v2."""
+        v1, v2 = (crypto.elg_decrypt(model.priv, ct) for ct in state)
+        p = model.params.p
+        bucket = model.prefix_keys[reader_token]
+        return next((prefix for prefix, k in bucket if pow(v1, k, p) == v2), None)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_on_site_claims_the_brute_force_prefix(self, seed):
+        model, run = checker_world(seed)
+        states = checker_states(model, run, random.Random(seed))
+        outcomes = set()
+        for kind, state in states:
+            for reader_token in model.prefix_keys:
+                want = self.reference_match(model, reader_token, state)
+                claims_before = len(list(run.trace.claims()))
+                ok = model._check_on_site("t1", reader_token, state)
+                claims = list(run.trace.claims())
+                assert ok == (want is not None), (kind, reader_token)
+                assert len(claims) == claims_before + ok
+                if ok:
+                    claimed = tuple(i.value for i in claims[-1][1].path)
+                    assert claimed == want, (kind, reader_token)
+                outcomes.add((kind, want is not None))
+        assert {kind for kind, hit in outcomes if hit} == {"honest", "other-path", "forged"}
+        assert {kind for kind, hit in outcomes if not hit} == {
+            "honest", "other-path", "forged", "negated"
+        }
 
 
 class TestStepAuth:
@@ -737,6 +912,16 @@ class TestStepAuth:
         res = finalize(protocol, run)
         assert res.stalled
         assert any("another tag" in a for a in res.anomalies)
+
+    def test_written_terminal_that_is_not_utf8_refused(self):
+        model, run = build_run(honest_config("stepauth"))
+        model.visit("t1", "r1")
+        terminal = crypto.concat_length_prefixed(b"END", b"\xff", b"r1")
+        run.adv.write_tag("t1", crypto.concat_length_prefixed(b"secret", terminal))
+        model.claim("t1")
+        res = finalize(model, run)
+        assert res.anomalies == ["stepauth checkpoint: t1 has not finished its path"]
+        assert res.step_log[-1] == "claim t1 rejected"
 
     def test_interference_stalls_but_never_forges(self):
         # an active AdvR strategy that kills every radio message can only
