@@ -25,12 +25,12 @@ from typing import Any, Callable
 
 from pathtrace import crypto
 from pathtrace import trace as tr
-from pathtrace.network import AdvModel, snapshot_fields
-from pathtrace.protocols import RunConfig, build_run, finalize, run_protocol
+from pathtrace.network import AdvModel, read_snapshot
+from pathtrace.protocols import RunConfig, build_run, finalize, play, run_protocol
 from pathtrace.protocols.base import Run, RunResult, register_strategy
 from pathtrace.protocols.ray import Ray
 from pathtrace.protocols.resc import Resc
-from pathtrace.protocols.rfchain import RfChain, salted_key, split_salted, step_input
+from pathtrace.protocols.rfchain import salted_key, split_salted, step_input
 from pathtrace.stats import wilson_interval
 
 # the run settings a scenario sets with directives of its own
@@ -181,7 +181,7 @@ def read_rfchain_tag(snapshot: bytes) -> tuple[bytes, list[bytes]]:
     """Identity and chain levels a_0 .. a_{n-1} of a skimmed RF-Chain tag:
     the chain value a_n carries a_{n-1} under a signature, and so on down
     to a_0, and stripping signatures needs no key."""
-    fields = snapshot_fields(snapshot)
+    fields = read_snapshot(snapshot)
     levels = [fields["chain"]]
     while (sig := crypto.parse_signature(levels[-1])) is not None:
         levels.append(sig.message)
@@ -243,30 +243,18 @@ def attack_rfchain_linking(
     links records even in the patched mode.
     """
     target = "t0"
-    decoy_tokens = [f"d{i:02d}" for i in range(1, decoys + 1)]
-    hops = ["r1", "r2", "r3"]
-    script: list[tuple[str, ...]] = []
-    for hop in hops:
-        script.append(("move", target, hop))
-        for decoy in decoy_tokens:
-            script.append(("move", decoy, hop))
-    script.append(("claim", target))
-    cfg = RunConfig(
-        protocol="rfchain",
+    tags = [target] + [f"d{i:02d}" for i in range(1, decoys + 1)]
+    hops = ("r1", "r2", "r3")
+    cfg = RunConfig.along(
+        "rfchain",
+        dict.fromkeys(tags, hops),
         seed=seed,
         mode=mode,
         adversary=AdvModel.ADV_R if insider else AdvModel.ADV_T,
-        readers=[(t, None) for t in hops],
-        tags=[target] + decoy_tokens,
-        capacities=dict.fromkeys([target] + decoy_tokens, RfChain.tag_bits(len(hops))),
-        script=script,
+        script=[("move", tag, hop) for hop in hops for tag in tags] + [("claim", target)],
     )
     protocol, run = build_run(cfg)
-    for step in cfg.script:
-        if step[0] == "move":
-            protocol.visit(step[1], step[2])
-        else:
-            protocol.claim(step[1])
+    play(protocol, cfg.script)
 
     identity, prev_levels = read_rfchain_tag(run.adv.read_tag(target))
     steps = len(prev_levels)
@@ -316,16 +304,11 @@ def probe_rfchain_length_extension(seed: int = 0):
     break of the deployed checks: the probe succeeds only if the forged
     record is accepted.
     """
-    cfg = RunConfig(
-        protocol="rfchain",
-        seed=seed,
-        readers=[("r1", None), ("r2", None), ("r3", None)],
-        tags=["t1"],
-        capacities={"t1": RfChain.tag_bits(3)},
-        script=[("move", "t1", "r1")],
+    cfg = RunConfig.along(
+        "rfchain", {"t1": ("r1", "r2", "r3")}, seed=seed, script=[("move", "t1", "r1")]
     )
     protocol, run = build_run(cfg)
-    fields = snapshot_fields(run.adv.read_tag("t1"))
+    fields = read_snapshot(run.adv.read_tag("t1"))
     identity = fields["id"]
     base = fields["chain"]  # a_0 = H(ID || f || pwd || r), secrets unknown
     secret_len = len(identity) + 48  # ID plus three 16-byte system values
@@ -339,8 +322,7 @@ def probe_rfchain_length_extension(seed: int = 0):
     honest_key = protocol.step_key(identity, 1)
 
     # attempt to use the extended digest as the step-1 key
-    for step in cfg.script:
-        protocol.visit(step[1], step[2])
+    play(protocol, cfg.script)
     forged_pseudo = crypto.sym_enc(extended, identity)
     forged_payload = crypto.xor_stream(base, extended)
     accepted = protocol._record_matches(forged_pseudo, forged_payload, identity, 1, base)
@@ -355,23 +337,6 @@ def probe_rfchain_length_extension(seed: int = 0):
 
 
 # --- Ray: order not enforced, challenges derivable -------------------------
-
-def _ray_config(
-    seed: int, mode: str, path_len: int, strategy: str = "null"
-) -> RunConfig:
-    readers = [f"r{i}" for i in range(1, path_len + 1)]
-    return RunConfig(
-        protocol="ray",
-        seed=seed,
-        mode=mode,
-        strategy=strategy,
-        readers=[(t, None) for t in readers],
-        tags=["t1"],
-        valid_paths=[("t1", tuple(readers))],
-        capacities={"t1": Ray.tag_bits(path_len)},
-        script=[],
-    )
-
 
 def _path_len_within_bound(kw: dict[str, Any]) -> None:
     if not 1 <= kw["path_len"] <= MAX_PATH_LEN:
@@ -407,16 +372,18 @@ def attack_ray_out_of_order(
     the Move events — which follow the real journey — the claim fails the
     sorted check.
     """
-    cfg = _ray_config(seed, mode, path_len, strategy="drop_to_tags")
-    readers = [t for t, _ in cfg.readers]
+    readers = [f"r{i}" for i in range(1, path_len + 1)]
+    cfg = RunConfig.along(
+        "ray", {"t1": tuple(readers)}, seed=seed, mode=mode, strategy="drop_to_tags"
+    )
     if path_len < 2:
         return False, run_protocol(cfg), {"reason": "single-step path has no permutation"}
     if order is None:
         order = (1, 0) + tuple(range(2, path_len))
 
     protocol, run = build_run(cfg)
-    for token in readers:
-        protocol.visit("t1", token)  # radio suppressed; Move still recorded
+    # the radio to the tag is suppressed, but each Move is still recorded
+    play(protocol, [("move", "t1", token) for token in readers])
 
     observed = {
         m.sender: m.seen
@@ -463,9 +430,8 @@ def attack_ray_impersonation(
     cancelling out.  The adversary then answers for all remaining readers
     without the tag moving anywhere.
     """
-    cfg = _ray_config(seed, mode, path_len)
-    readers = [t for t, _ in cfg.readers]
-    protocol, run = build_run(cfg)
+    readers = [f"r{i}" for i in range(1, path_len + 1)]
+    protocol, run = build_run(RunConfig.along("ray", {"t1": tuple(readers)}, seed=seed, mode=mode))
 
     if not observe:
         return False, finalize(protocol, run), {"reason": "no challenge observed, c unknown"}
@@ -516,17 +482,12 @@ def attack_burbridge_bypass(
     registered path — authorized, yet unsound.  Per-tag keys stop the
     re-signing and the journey stalls instead.
     """
-    cfg = RunConfig(
-        protocol="burbridge",
+    cfg = RunConfig.along(
+        "burbridge",
+        {"t1": ("ra", "rb", "rc", "rd", "re"), "t2": ("ra", "rb", "rd", "re")},
         seed=seed,
         mode=mode,
         adversary=adversary,
-        readers=[("ra", None), ("rb", None), ("rc", None), ("rd", None), ("re", None)],
-        tags=["t1", "t2"],
-        valid_paths=[
-            ("t1", ("ra", "rb", "rc", "rd", "re")),
-            ("t2", ("ra", "rb", "rd", "re")),
-        ],
         compromise=["rb", "rd"],
         script=[
             ("move", "t1", "ra"),
@@ -569,21 +530,17 @@ def attack_resc_key_disclosure(seed: int = 0, honest_steps: int = 2, path_len: i
     registered path, ghost steps included.
     """
     readers = [f"r{i}" for i in range(1, path_len + 1)]
-    cfg = RunConfig(
-        protocol="resc",
+    cfg = RunConfig.along(
+        "resc",
+        {"t1": tuple(readers)},
         seed=seed,
         adversary=AdvModel.ADV_R,
-        readers=[(t, None) for t in readers],
-        tags=["t1"],
-        valid_paths=[("t1", tuple(readers))],
-        capacities={"t1": Resc.tag_bits(path_len)},
-        script=[],
+        script=[("move", "t1", token) for token in readers[:honest_steps]],
     )
     protocol, run = build_run(cfg)
-    for token in readers[:honest_steps]:
-        protocol.visit("t1", token)
+    play(protocol, cfg.script)
 
-    fields = snapshot_fields(run.adv.read_tag("t1"))
+    fields = read_snapshot(run.adv.read_tag("t1"))
     tid = fields["tid"]
     remaining = list(range(honest_steps + 1, path_len + 1))
     if not remaining:
@@ -597,15 +554,8 @@ def attack_resc_key_disclosure(seed: int = 0, honest_steps: int = 2, path_len: i
         hello = run.adv.inject(readers[slot - 1], "t1", b"HELLO")
         _, nonce, _ = crypto.split_length_prefixed(hello)
         last_ts += 1
-        idx_bytes, ts_bytes, sig = protocol.deposit_record(tid, slot, last_ts, key)
-        auth = crypto.mac(
-            key, crypto.concat_length_prefixed(nonce, idx_bytes, ts_bytes, sig)
-        )
-        reply = run.adv.inject(
-            readers[slot - 1],
-            "t1",
-            crypto.concat_length_prefixed(b"DEPOSIT", idx_bytes, ts_bytes, sig, auth),
-        )
+        deposit = Resc.deposit(tid, slot, last_ts, key, nonce)
+        reply = run.adv.inject(readers[slot - 1], "t1", deposit)
         deposited.append(reply == b"ok")
     protocol.claim("t1")
     result = finalize(protocol, run)

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from random import Random
 from typing import Callable, Iterable, NamedTuple
 
 from pathtrace import crypto
@@ -91,30 +90,28 @@ class TagMemory:
         return crypto.concat_length_prefixed(*parts)
 
     def overwrite(self, data: bytes) -> None:
-        """Replace the whole contents with attacker-chosen bytes."""
-        bits = len(data) * 8
-        if bits > self.capacity_bits:
-            raise TagCapacityError(f"{bits} bits exceed tag capacity of {self.capacity_bits}")
+        """Replace the whole contents with attacker-chosen bytes: the fields
+        of a snapshot, or else one ``__raw__`` field.  Each value counts 8
+        bits a byte, and the write is refused when they exceed capacity."""
         fields = read_snapshot(data)
-        self._fields = {"__raw__": data} if fields is None else fields
-        self._nominal = {name: len(value) * 8 for name, value in self._fields.items()}
-        self._used = sum(self._nominal.values())
-
-
-def snapshot_fields(snapshot: bytes) -> dict[str, bytes]:
-    """Field names and values of a ``TagMemory.snapshot``; raises
-    ``CryptoError`` or ``UnicodeDecodeError`` on bytes of another shape."""
-    parts = crypto.split_length_prefixed(snapshot)
-    if len(parts) % 2 != 0:
-        raise crypto.CryptoError("odd field count")
-    return {parts[i].decode(): parts[i + 1] for i in range(0, len(parts), 2)}
+        if fields is None:
+            fields = {"__raw__": data}
+        nominal = {name: len(value) * 8 for name, value in fields.items()}
+        used = sum(nominal.values())
+        if used > self.capacity_bits:
+            raise TagCapacityError(f"{used} bits exceed tag capacity of {self.capacity_bits}")
+        self._fields, self._nominal, self._used = fields, nominal, used
 
 
 def read_snapshot(snapshot: bytes) -> dict[str, bytes] | None:
-    """``snapshot_fields`` of a snapshot; None for bytes of another shape."""
+    """Field names and values of a ``TagMemory.snapshot``; None for bytes
+    of another shape."""
+    parts = crypto.split_fields(snapshot)
+    if parts is None or len(parts) % 2:
+        return None
     try:
-        return snapshot_fields(snapshot)
-    except (crypto.CryptoError, UnicodeDecodeError):
+        return {parts[i].decode(): parts[i + 1] for i in range(0, len(parts), 2)}
+    except UnicodeDecodeError:
         return None
 
 
@@ -216,13 +213,7 @@ def null_strategy(env: Envelope, net: "Network") -> bytes | None:
 class Network:
     """Message fabric, message log and adversary state for one run."""
 
-    def __init__(
-        self,
-        rng: Random,
-        model: AdvModel = AdvModel.ADV_T,
-        strategy: Strategy | None = None,
-    ) -> None:
-        self.rng = rng
+    def __init__(self, model: AdvModel = AdvModel.ADV_T, strategy: Strategy | None = None) -> None:
         self.model = model
         self.strategy: Strategy = strategy if strategy is not None else null_strategy
         self.knowledge = Knowledge()

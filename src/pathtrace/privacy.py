@@ -46,7 +46,7 @@ from typing import Any, Callable
 from pathtrace import crypto
 from pathtrace.attacks import link_record, read_rfchain_tag
 from pathtrace.network import AdvModel, decompose
-from pathtrace.protocols import PROTOCOLS, RunConfig, build_run
+from pathtrace.protocols import PROTOCOLS, RunConfig, build_run, play
 from pathtrace.protocols.ray import Ray
 from pathtrace.stats import advantage as _advantage, wilson_interval
 
@@ -138,23 +138,18 @@ class ChallengeWorld:
 def _world_config(
     game: PrivacyGame, seed: int, readers: list[str], paths: dict[str, tuple[str, ...]]
 ) -> RunConfig:
-    protocol = game.protocol
-    length = max(len(p) for p in paths.values())
-    tokens = list(readers)
     params: dict[str, str] = {}
-    if protocol == "tracker":
-        tokens.append("m")  # dedicated manager; path readers all keep coefficients
+    if game.protocol == "tracker":
+        # a dedicated manager, so every path reader keeps its coefficient
+        readers = readers + ["m"]
         params["manager"] = "m"
-    return RunConfig(
-        protocol=protocol,
+    return RunConfig.along(
+        game.protocol,
+        paths,
+        readers,
         seed=seed,
         mode=game.mode,
         adversary=game.adversary,
-        readers=[(t, None) for t in tokens],
-        tags=sorted(paths),
-        valid_paths=sorted(paths.items()),
-        script=[],
-        capacities=dict.fromkeys(sorted(paths), PROTOCOLS[protocol].tag_bits(length)),
         params=params,
     )
 
@@ -216,13 +211,10 @@ def _rfchain_record_world(game: PrivacyGame, seed: int) -> ChallengeWorld:
     read once, which is the linking attack's whole input, except for the
     ledger-only observer, which sees no tag."""
     readers = ["r1", "r2", "r3"]
-    path = tuple(readers)
-    paths = {"ta": path, "tb": path}
+    paths = dict.fromkeys(("ta", "tb"), tuple(readers))
     cfg = _world_config(game, seed, readers, paths)
     protocol, run = build_run(cfg)
-    for step in range(len(path)):
-        for tag_token in cfg.tags:
-            protocol.visit(tag_token, path[step])
+    play(protocol, [("move", tag_token, hop) for hop in readers for tag_token in cfg.tags])
     if run.stalled:
         raise RuntimeError("rfchain record world stalled")
     view = {} if game.distinguisher == "record-algebra" else {"snapshot": run.adv.read_tag("ta")}

@@ -16,6 +16,7 @@ from pathtrace.protocols.base import (
     VerifierPolicyError,
     build_run,
     finalize,
+    play,
     register_protocol,
     register_strategy,
     run_protocol,
@@ -46,6 +47,7 @@ __all__ = [
     "Tracker",
     "build_run",
     "finalize",
+    "play",
     "register_protocol",
     "register_strategy",
     "run_protocol",

@@ -9,7 +9,9 @@ Each scheme declares its ``path_rule``, fixed ``verifier`` (if any) and
 ``tag_bits``; the base registers the paths and refuses a foreign claimant.
 Schemes put claims on the trace only through ``emit_claim``, and take
 bytes they did not make only through ``_receive``, which refuses what
-their parse refuses.
+their parse refuses.  ``RunConfig.along`` builds a world from each tag's
+path, and ``play`` walks a script; ``run_protocol`` is ``build_run``,
+``play`` and ``finalize``.
 
 All verdicts are computed afterwards from the trace alone, so a protocol
 cannot grade its own homework.
@@ -63,6 +65,30 @@ class RunConfig:
     def capacity_for(self, tag_token: str) -> int:
         return self.capacities.get(tag_token, DEFAULT_TAG_CAPACITY)
 
+    @classmethod
+    def along(
+        cls,
+        protocol: str,
+        paths: dict[str, tuple[str, ...]],
+        readers: list[str] | None = None,
+        **settings,
+    ) -> RunConfig:
+        """A world of the tags in ``paths`` order, each registered on its
+        path and sized by the scheme's ``tag_bits`` of the longest path.
+        ``readers`` default to the paths' readers in first-visit order,
+        the paths taken in turn; ``settings`` are the other fields."""
+        if readers is None:
+            readers = list(dict.fromkeys(token for path in paths.values() for token in path))
+        bits = PROTOCOLS[protocol].tag_bits(max(map(len, paths.values())))
+        return cls(
+            protocol,
+            readers=[(token, None) for token in readers],
+            tags=list(paths),
+            valid_paths=list(paths.items()),
+            capacities=dict.fromkeys(paths, bits),
+            **settings,
+        )
+
 
 class Run:
     """Mutable state of one simulation: trace, network, entity directory."""
@@ -71,7 +97,7 @@ class Run:
         self.config = config
         self.rng = Random(config.seed)
         self.trace = tr.Trace()
-        self.net = Network(self.rng, config.adversary)
+        self.net = Network(config.adversary)
         self.adv = AdversaryContext(self.net)
         self.readers: dict[str, tr.Identifier] = {}
         self.transits: dict[str, tr.Identifier] = {}
@@ -195,7 +221,7 @@ class ProtocolModel:
     def compromisable(self) -> list[str]:
         """Readers whose ``reader_secrets`` ``build_run`` registers: every
         configured reader (a bare transit reader is not one)."""
-        return [token for token, _ in self.config.readers]
+        return list(self.run.readers)
 
     # --- helpers --------------------------------------------------------
 
@@ -347,10 +373,10 @@ def finalize(protocol: ProtocolModel, run: Run) -> RunResult:
     )
 
 
-def run_protocol(config: RunConfig) -> RunResult:
-    """Execute a full scripted scenario."""
-    protocol, run = build_run(config)
-    for step in config.script:
+def play(protocol: ProtocolModel, script: Iterable[tuple[str, ...]]) -> None:
+    """Walk a movement script: ``("move", tag, reader)`` visits,
+    ``("claim", tag[, verifier])`` claims; any other step is refused."""
+    for step in script:
         kind = step[0]
         if kind == "move":
             protocol.visit(step[1], step[2])
@@ -358,4 +384,10 @@ def run_protocol(config: RunConfig) -> RunResult:
             protocol.claim(step[1], step[2] if len(step) > 2 else None)
         else:
             raise ValueError(f"unknown script step: {step!r}")
+
+
+def run_protocol(config: RunConfig) -> RunResult:
+    """Execute a full scripted scenario."""
+    protocol, run = build_run(config)
+    play(protocol, config.script)
     return finalize(protocol, run)

@@ -43,18 +43,17 @@ class Checker(PathPolyModel):
         self.x0 = self.rng.randrange(1, q)
         self.a0 = self.rng.randrange(1, q)
 
-        reader_tokens = [token for token, _ in self.config.readers]
-        self.coeffs = {t: self.rng.randrange(1, q) for t in reader_tokens}
+        self.coeffs = {t: self.rng.randrange(1, q) for t in self.run.readers}
 
         self._location: dict[str, str | None] = dict.fromkeys(self.config.tags)
         # per-reader lists of (registered prefix ending here, its evaluation),
         # and per reader (g^h, g^(h*K)) -> the first such entry with that K in
         # list order, for each tag's own prefixes with h != 0
         self.prefix_keys: dict[str, list[tuple[tuple[str, ...], int]]] = {
-            t: [] for t in reader_tokens
+            t: [] for t in self.run.readers
         }
         self._own_key: dict[str, dict[tuple[int, int], tuple[tuple[str, ...], int]]] = {
-            t: {} for t in reader_tokens
+            t: {} for t in self.run.readers
         }
         first: dict[tuple[str, int], tuple[tuple[str, ...], int]] = {}  # (reader, K) -> entry
         for tag_token, paths in self.paths_of.items():

@@ -42,8 +42,7 @@ class Ray(ProtocolModel):
         return crypto.hash_bytes(b"pid-" + token.encode())
 
     def setup(self) -> None:
-        reader_tokens = [token for token, _ in self.config.readers]
-        self.pids: dict[str, bytes] = {t: self.pid(t) for t in reader_tokens}
+        self.pids: dict[str, bytes] = {t: self.pid(t) for t in self.run.readers}
         self.rid_co = crypto.hash_bytes(b"rid-" + self.verifier.encode())
         # participant identifiers are public knowledge
         for pid in self.pids.values():

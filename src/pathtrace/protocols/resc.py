@@ -40,6 +40,16 @@ def storage_bits(path_length: int) -> int:
     return path_length * SLOT_BITS
 
 
+def slot_signature(key: bytes, tid: bytes, idx_bytes: bytes, ts_bytes: bytes) -> bytes:
+    """The record a slot's reader signs: identifier, index and timestamp."""
+    return crypto.mac(key, crypto.concat_length_prefixed(tid, idx_bytes, ts_bytes))
+
+
+def nonce_mac(key: bytes, nonce: bytes, idx_bytes: bytes, ts_bytes: bytes, sig: bytes) -> bytes:
+    """A deposit's authenticator: the tag's fresh nonce and the record."""
+    return crypto.mac(key, crypto.concat_length_prefixed(nonce, idx_bytes, ts_bytes, sig))
+
+
 @register_protocol
 class Resc(ProtocolModel):
     name = "resc"
@@ -49,10 +59,7 @@ class Resc(ProtocolModel):
     tag_bits = staticmethod(storage_bits)
 
     def setup(self) -> None:
-        reader_tokens = [token for token, _ in self.config.readers]
-        self.reader_keys: dict[str, bytes] = {}
-        for token in reader_tokens:
-            self.reader_keys[token] = self.rng.randbytes(32)
+        self.reader_keys = {token: self.rng.randbytes(32) for token in self.run.readers}
 
         self._clock = 0
         self.tids: dict[str, bytes] = {}
@@ -104,10 +111,7 @@ class Resc(ProtocolModel):
             key = mem.load(f"k{slot}")
             if key == b"" or mem.load(f"sig{slot}") != b"":
                 return None
-            expect = crypto.mac(
-                key, crypto.concat_length_prefixed(nonce, idx_bytes, ts_bytes, sig)
-            )
-            if auth != expect:
+            if auth != nonce_mac(key, nonce, idx_bytes, ts_bytes, sig):
                 return None
             mem.store(f"sig{slot}", sig, nominal_bits=SIG_BITS)
             mem.store(f"idx{slot}", idx_bytes, nominal_bits=INDEX_BITS)
@@ -124,11 +128,15 @@ class Resc(ProtocolModel):
 
     # --- reader side ----------------------------------------------------
 
-    def deposit_record(self, tid: bytes, slot: int, ts: int, key: bytes) -> tuple[bytes, bytes, bytes]:
+    @staticmethod
+    def deposit(tid: bytes, slot: int, ts: int, key: bytes, nonce: bytes) -> bytes:
+        """The DEPOSIT message that fills ``slot`` with a record stamped
+        ``ts``, authenticated under the slot key for the tag's ``nonce``."""
         idx_bytes = crypto.int_to_bytes(slot, 3)
         ts_bytes = crypto.int_to_bytes(ts, 3)
-        sig = crypto.mac(key, crypto.concat_length_prefixed(tid, idx_bytes, ts_bytes))
-        return idx_bytes, ts_bytes, sig
+        sig = slot_signature(key, tid, idx_bytes, ts_bytes)
+        auth = nonce_mac(key, nonce, idx_bytes, ts_bytes, sig)
+        return crypto.concat_length_prefixed(b"DEPOSIT", idx_bytes, ts_bytes, sig, auth)
 
     def _process_arrival(self, tag_token: str, reader_token: str) -> bool:
         hello = self._receive(
@@ -145,12 +153,8 @@ class Resc(ProtocolModel):
             return False
         key = self.session_key(reader_token, tid)
         self._clock += 10
-        idx_bytes, ts_bytes, sig = self.deposit_record(tid, slot, self._clock, key)
-        auth = crypto.mac(key, crypto.concat_length_prefixed(nonce, idx_bytes, ts_bytes, sig))
         reply = self.net.request(
-            reader_token,
-            tag_token,
-            crypto.concat_length_prefixed(b"DEPOSIT", idx_bytes, ts_bytes, sig, auth),
+            reader_token, tag_token, self.deposit(tid, slot, self._clock, key, nonce)
         )
         if reply != b"ok":
             self.net.log_anomaly(
@@ -180,8 +184,7 @@ class Resc(ProtocolModel):
             if sig == b"" or idx_bytes == b"" or ts_bytes == b"":
                 self.net.log_anomaly(f"resc database: slot {i} of {tag_token} is not in place")
                 return False
-            key = self.session_key(reader_token, tid)
-            expect = crypto.mac(key, crypto.concat_length_prefixed(tid, idx_bytes, ts_bytes))
+            expect = slot_signature(self.session_key(reader_token, tid), tid, idx_bytes, ts_bytes)
             if sig != expect or crypto.bytes_to_int(idx_bytes) != i:
                 self.net.log_anomaly(f"resc database: slot {i} of {tag_token} fails verification")
                 return False

@@ -119,10 +119,9 @@ class RfChain(ProtocolModel):
         self.ledger = SharedLedger()
         self.ledger_truth: list[tuple[str, int]] = []
 
-        reader_tokens = [token for token, _ in self.config.readers]
         self.sign_sk: dict[str, crypto.SigningKey] = {}
         self.sign_vk: dict[str, crypto.VerifyKey] = {}
-        for token in reader_tokens:
+        for token in self.run.readers:
             sk, vk = crypto.new_signing_keypair(token, self.rng)
             self.sign_sk[token] = sk
             self.sign_vk[token] = vk

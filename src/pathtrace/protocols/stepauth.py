@@ -46,10 +46,9 @@ class StepAuth(ProtocolModel):
 
     def setup(self) -> None:
         self.sign_sk, self.sign_vk = crypto.new_signing_keypair("mgr", self.rng)
-        reader_tokens = [token for token, _ in self.config.readers]
         self.box_priv: dict[str, crypto.BoxPrivate] = {}
         self.box_pub: dict[str, crypto.BoxPublic] = {}
-        for token in reader_tokens:
+        for token in self.run.readers:
             priv, pub = crypto.new_box_keypair(token, self.rng)
             self.box_priv[token] = priv
             self.box_pub[token] = pub

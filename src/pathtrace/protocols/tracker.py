@@ -150,12 +150,11 @@ class Tracker(PathPolyModel):
         self.x0 = self.rng.randrange(1, q)
         self.a0 = self.rng.randrange(1, q)
 
-        reader_tokens = [token for token, _ in self.config.readers]
-        self.verifier = self.config.params.get("manager", reader_tokens[-1])  # the manager
+        self.verifier = self.config.params.get("manager", list(self.run.readers)[-1])  # the manager
         self.coeffs: dict[str, int] = {}
         equal_group = [t for t in self.config.params.get("equal", "").split(",") if t]
         shared = self.rng.randrange(1, q) if equal_group else None
-        for token in reader_tokens:
+        for token in self.run.readers:
             if token == self.verifier:
                 continue
             if token in equal_group:

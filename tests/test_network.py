@@ -67,6 +67,12 @@ class TestTagMemory:
         m = TagMemory(capacity_bits=64)
         with pytest.raises(TagCapacityError):
             m.overwrite(b"\x00" * 9)
+        # a snapshot's values count, not its names and length prefixes
+        m.overwrite(crypto.concat_length_prefixed(b"id", b"\x01" * 8))
+        assert m.used_bits() == 64
+        with pytest.raises(TagCapacityError):
+            m.overwrite(crypto.concat_length_prefixed(b"id", b"\x01" * 9))
+        assert m.load("id") == b"\x01" * 8
 
 
     def test_used_bits_is_the_sum_after_every_write(self):
@@ -242,8 +248,8 @@ class TestLazyKnowledge:
         assert k.atoms() == [pair, b"alpha", b"beta", b"gamma"]
 
 
-def make_net(model=AdvModel.ADV_T, strategy=None, seed=5):
-    return Network(random.Random(seed), model, strategy)
+def make_net(model=AdvModel.ADV_T, strategy=None):
+    return Network(model, strategy)
 
 
 def lines(net):
@@ -286,7 +292,7 @@ class TestNetwork:
 
     def test_transcripts_deterministic(self):
         def run():
-            net = make_net(seed=9)
+            net = make_net()
             net.transmit("a", "b", b"one")
             net.request("b", "a", b"two")
             return lines(net)

@@ -24,6 +24,7 @@ from pathtrace.protocols import (
     VerifierPolicyError,
     build_run,
     finalize,
+    play,
     run_protocol,
 )
 from pathtrace.protocols import checker as checker_mod
@@ -330,6 +331,81 @@ class TestHonestRuns:
         assert digest == REPORT_SHA256[(protocol, mode)]
 
 
+BUILDER_PATHS = {"t1": ("r1", "r2", "r3"), "t2": ("r4", "r2")}
+BUILDER_SCRIPT = [
+    ("move", "t1", "r1"),
+    ("move", "t2", "r4"),
+    ("move", "t1", "r2"),
+    ("move", "t2", "r2"),
+    ("move", "t1", "r3"),
+    ("claim", "t1"),
+    ("claim", "t2"),
+]
+
+
+def honest_world(protocol: str, paths) -> RunConfig:
+    """``RunConfig.along``, with Tracker's manager on no path."""
+    if protocol != "tracker":
+        return RunConfig.along(protocol, paths)
+    cfg = RunConfig.along(protocol, paths, params={"manager": "m"})
+    cfg.readers.append(("m", None))
+    return cfg
+
+
+class TestWorldBuilder:
+    @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
+    def test_honest_play_claims_as_expected(self, protocol):
+        model, run = build_run(honest_world(protocol, BUILDER_PATHS))
+        play(model, BUILDER_SCRIPT)
+        res = finalize(model, run)
+        assert not res.stalled and not res.anomalies
+        # Checker claims each prefix on arrival, StepAuth each finished
+        # journey; then every scheme claims once per claim step
+        expected = {"checker": 5 + 2, "stepauth": 2 + 2}.get(protocol, 2)
+        assert len(res.verdicts) == expected
+        for v in res.verdicts:
+            assert v.sound and v.complete and v.sorted
+            assert v.authorized is (protocol != "rfchain")
+
+    @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
+    def test_tags_sized_for_the_longest_path(self, protocol):
+        cfg = RunConfig.along(protocol, BUILDER_PATHS, seed=4)
+        assert cfg.tags == ["t1", "t2"] and cfg.seed == 4
+        assert cfg.readers == [("r1", None), ("r2", None), ("r3", None), ("r4", None)]
+        assert cfg.valid_paths == list(BUILDER_PATHS.items())
+        bits = PROTOCOLS[protocol].tag_bits(3)
+        assert [cfg.capacity_for(t) for t in cfg.tags] == [bits, bits]
+
+    def test_readers_in_first_visit_order(self):
+        cfg = RunConfig.along("ray", {"t1": ("r3", "r1"), "t2": ("r2", "r3", "r4")})
+        assert [t for t, _ in cfg.readers] == ["r3", "r1", "r2", "r4"]
+        cfg = RunConfig.along("ray", {"t1": ("r3", "r1")}, ["r1", "r2", "r3"])
+        assert [t for t, _ in cfg.readers] == ["r1", "r2", "r3"]
+
+    def test_rfchain_registers_no_path(self):
+        model, run = build_run(RunConfig.along("rfchain", BUILDER_PATHS))
+        assert not any(isinstance(e, tr.ValidPath) for e in run.trace)
+
+    def test_play_refuses_an_unknown_step(self):
+        model, _ = build_run(honest_world("ray", BUILDER_PATHS))
+        with pytest.raises(ValueError, match="unknown script step"):
+            play(model, [("move", "t1", "r1"), ("teleport", "t1", "r3")])
+
+    @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
+    def test_clone_write_of_own_snapshot(self, protocol):
+        # a tag's own image, written back after one visit, fits exactly
+        # when its field values fit the scheme's tag_bits(3)
+        model, run = build_run(honest_world(protocol, {"t1": ("r1", "r2", "r3")}))
+        play(model, [("move", "t1", "r1")])
+        snapshot = run.adv.read_tag("t1")
+        if protocol in ("ray", "burbridge"):  # 864 > 768 and 600 > 512 bits
+            with pytest.raises(TagCapacityError):
+                run.adv.write_tag("t1", snapshot)
+        else:
+            run.adv.write_tag("t1", snapshot)
+            assert run.memory("t1").snapshot() == snapshot
+
+
 def truncating(sender: str, receiver: str):
     """Strategy that cuts the last byte off every sender->receiver message."""
 
@@ -425,11 +501,7 @@ def replacing(target, kind, rng):
 
 
 def run_script(model, run, script):
-    for step in script:
-        if step[0] == "move":
-            model.visit(step[1], step[2])
-        else:
-            model.claim(*step[1:])
+    play(model, script)
     return finalize(model, run)
 
 
