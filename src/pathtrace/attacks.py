@@ -676,17 +676,38 @@ def tracker_collision_rate(
     rearrangement of the same readers (rearranged pairs share the
     coefficient sum and collide roughly twice as often).
     """
-    rng = Random(seed)
+    below = randbelow(Random(seed))
     collisions = 0
     for _ in range(pairs):
-        x0 = rng.randrange(1, q)
-        a0 = rng.randrange(1, q)
-        coeffs = [rng.randrange(1, q) for _ in range(n_readers)]
-        first = [rng.randrange(n_readers) for _ in range(length)]
-        second = [rng.randrange(n_readers) for _ in range(length)]
+        x0 = 1 + below(q - 1)
+        a0 = 1 + below(q - 1)
+        coeffs = [1 + below(q - 1) for _ in range(n_readers)]
+        first = [below(n_readers) for _ in range(length)]
+        second = [below(n_readers) for _ in range(length)]
         while second == first:
-            second = [rng.randrange(n_readers) for _ in range(length)]
-        v1 = crypto.path_poly_eval(q, a0, [coeffs[r] for r in first], x0)
-        v2 = crypto.path_poly_eval(q, a0, [coeffs[r] for r in second], x0)
+            second = [below(n_readers) for _ in range(length)]
+        # crypto.path_poly_eval of both paths, Horner style (0 < a0 < q)
+        v1 = v2 = a0
+        for r1, r2 in zip(first, second):
+            v1 = (v1 * x0 + coeffs[r1]) % q
+            v2 = (v2 * x0 + coeffs[r2]) % q
         collisions += v1 == v2
     return collisions, pairs
+
+
+def randbelow(rng: Random) -> Callable[[int], int]:
+    """``rng.randrange(n)`` for n >= 1 as CPython's ``Random._randbelow``
+    draws it: ``n.bit_length()`` bits at a time until a draw is below n.
+    So ``1 + below(q - 1)`` is ``rng.randrange(1, q)``, without
+    ``randrange``'s argument checks; tests pin the two sequences equal on
+    the running interpreter."""
+    getrandbits = rng.getrandbits
+
+    def below(n: int) -> int:
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
+    return below

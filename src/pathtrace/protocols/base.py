@@ -5,8 +5,10 @@ or manager) to a Dolev-Yao network and an event trace.  Running a scenario
 means: register paths and set up keys, walk tags along a movement script
 (each arrival at a protocol reader runs the scheme's step logic and always
 records a Move), then let the scheme's verifier attempt path claims.
-Each scheme declares its ``path_rule``, fixed ``verifier`` (if any) and
-``tag_bits``; the base registers the paths and refuses a foreign claimant.
+Each scheme declares its ``path_rule``, fixed ``verifier`` (if any),
+``tag_bits`` and the preconditions of its setup (``check_setup``); the
+base registers the paths, refuses a world that breaks either of them
+before setup runs, and refuses a foreign claimant.
 Schemes put claims on the trace only through ``emit_claim``, and take
 bytes they did not make only through ``_receive``, which refuses what
 their parse refuses.  ``RunConfig.along`` builds a world from each tag's
@@ -42,6 +44,16 @@ class PathRuleError(ValueError):
     def __init__(self, protocol: str, tag_token: str, rule: str) -> None:
         super().__init__(f"{protocol} needs {rule} registered path for {tag_token}")
         self.tag = tag_token
+
+
+class SetupError(ValueError):
+    """A registered path breaks a precondition of its scheme's setup;
+    ``tag`` and ``path`` name it."""
+
+    def __init__(self, message: str, tag_token: str, path: tuple[str, ...]) -> None:
+        super().__init__(message)
+        self.tag = tag_token
+        self.path = path
 
 
 @dataclass
@@ -144,6 +156,7 @@ class ProtocolModel:
         self.net = run.net
         self.trace = run.trace
         self.paths_of = self.registered_paths(self.config.tags, self.config.valid_paths)
+        self.check_setup(self.config, self.paths_of)
         for tag_token, paths in self.paths_of.items():
             tag_id = run.tag_id(tag_token)
             for path in paths:
@@ -167,6 +180,12 @@ class ProtocolModel:
                 if not paths or (cls.path_rule == "exactly one" and len(paths) > 1):
                     raise PathRuleError(cls.name, tag_token, cls.path_rule)
         return paths_of
+
+    @classmethod
+    def check_setup(cls, config: RunConfig, paths_of: dict[str, list[tuple[str, ...]]]) -> None:
+        """Raise SetupError for a world ``setup`` cannot build; ``paths_of``
+        is ``registered_paths`` of its tags.  A scheme with preconditions
+        states them here; by default there are none."""
 
     @classmethod
     def tag_bits(cls, path_length: int) -> int:

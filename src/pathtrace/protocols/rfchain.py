@@ -21,10 +21,16 @@ ciphertext of ``sym_enc`` is always ``crypto.sym_len`` of its plaintext,
 so a record of another shape fails the pseudo-identity or the mask check
 anyway, and record lengths are public on the ledger.  Chain level i embeds
 the levels below it, so the shapes tell the steps apart and a claimed step
-scans only its own step's records, O(tags) of them.  The ledger splits
-each patched payload into (salt, body) once, when it is added, and a wrong
-record is rejected on the synthetic IV of its pseudo-identity: one hash
-for the salted key and one MAC, with no keystream derived.
+scans only its own step's records: one per tag that took that step.  A
+scan moves the record it matches to the end of its bucket, so records no
+claim has matched yet are tried first.  When each of N tags is claimed
+once, a claimed step checks its own record and the never-matched records
+filed before it: over the N claims, about N^2/4 checks per step for a
+random claim order rather than N^2/2, and N when tags are claimed in the
+order they visited.  The ledger splits each patched payload into (salt,
+body) once, when it is added, and a wrong record is rejected on the
+synthetic IV of its pseudo-identity: one hash for the salted key and one
+MAC, with no keystream derived.
 
 Reusing H(h_i) as both mask and pseudo-identity key is what the linking
 attack exploits.  The "patched" mode stores a fresh per-step salt in the
@@ -52,8 +58,12 @@ class SharedLedger:
     """Append-only (pseudo_id, payload) records; no deletion, no mutation.
 
     ``salted`` files (pseudo, salt, body) of every record whose payload
-    splits as a patched one under its shape ``(len(pseudo), len(body))``,
-    each bucket in ledger order; malformed payloads are left out of it."""
+    splits as a patched one under its shape ``(len(pseudo), len(body))``;
+    malformed payloads are left out of it.  A bucket holds the records no
+    claim has matched in ledger order, followed by the matched ones in the
+    order of their latest match: ``RfChain._scan_salted`` moves each record
+    it matches to the end.  Only the order of a scan depends on it, never
+    its answer; ``records()`` stays in ledger order."""
 
     def __init__(self) -> None:
         self._records: list[tuple[bytes, bytes]] = []
@@ -180,12 +190,14 @@ class RfChain(ProtocolModel):
         self, salted: list[tuple[bytes, bytes, bytes]], identity: bytes, index: int, prev_chain: bytes
     ) -> bool:
         """Does some patched record mirror ``prev_chain`` at step ``index``?
-        Accepts exactly the records ``_record_matches`` accepts."""
+        Accepts exactly the records ``_record_matches`` accepts, and moves
+        the one it matched to the end of ``salted``, a ledger bucket."""
         h = step_input(identity, self.f, self.pwd, self.nonce, index)
-        for pseudo, salt, body in salted:
+        for k, (pseudo, salt, body) in enumerate(salted):
             if not crypto.sym_matches(salted_key(h, salt, b"pid"), identity, pseudo):
                 continue
             if crypto.sym_matches(salted_key(h, salt, b"mask"), prev_chain, body):
+                salted.append(salted.pop(k))
                 return True
         return False
 

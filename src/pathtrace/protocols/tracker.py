@@ -16,7 +16,7 @@ import struct
 from collections.abc import Iterable
 
 from pathtrace import crypto
-from pathtrace.protocols.base import ProtocolModel, register_protocol
+from pathtrace.protocols.base import ProtocolModel, RunConfig, SetupError, register_protocol
 
 
 @functools.cache
@@ -143,6 +143,31 @@ class Tracker(PathPolyModel):
 
     STATE = ("c1", "c2", "c3")
 
+    @staticmethod
+    def manager_of(config: RunConfig) -> str | None:
+        """The manager: ``param manager``, or else the last reader."""
+        last = config.readers[-1][0] if config.readers else None
+        return config.params.get("manager", last)
+
+    @classmethod
+    def check_setup(cls, config: RunConfig, paths_of: dict[str, list[tuple[str, ...]]]) -> None:
+        """Every reader on a registered path holds a coefficient: it is a
+        reader, not a transit, and not the manager, named or defaulted."""
+        manager = cls.manager_of(config)
+        holders = {token for token, _ in config.readers} - {manager}
+        for tag_token, paths in paths_of.items():
+            for path in paths:
+                for token in path:
+                    if token in holders:
+                        continue
+                    what = "the manager" if token == manager else "not a protocol reader"
+                    raise SetupError(
+                        f"tracker reader {token} on a registered path of {tag_token} is {what}"
+                        " and holds no path coefficient",
+                        tag_token,
+                        path,
+                    )
+
     def setup(self) -> None:
         self._setup_group()
         self.mac_key = self.rng.randbytes(32)
@@ -150,7 +175,7 @@ class Tracker(PathPolyModel):
         self.x0 = self.rng.randrange(1, q)
         self.a0 = self.rng.randrange(1, q)
 
-        self.verifier = self.config.params.get("manager", list(self.run.readers)[-1])  # the manager
+        self.verifier = self.manager_of(self.config)
         self.coeffs: dict[str, int] = {}
         equal_group = [t for t in self.config.params.get("equal", "").split(",") if t]
         shared = self.rng.randrange(1, q) if equal_group else None

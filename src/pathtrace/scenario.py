@@ -79,7 +79,13 @@ from pathtrace.privacy import (
     run_game,
 )
 from pathtrace.protocols import PROTOCOLS, STRATEGIES, RunConfig, run_protocol
-from pathtrace.protocols.base import PathRuleError, RunResult, VerifierPolicyError, check_setting
+from pathtrace.protocols.base import (
+    PathRuleError,
+    RunResult,
+    SetupError,
+    VerifierPolicyError,
+    check_setting,
+)
 
 EXIT_OK = 0
 EXIT_EXPECT = 1
@@ -200,6 +206,7 @@ def parse_scenario(path: Path) -> Scenario:
     # the declaring line of each tag, and of each reader or transit token
     tag_line: dict[str, int] = {}
     reader_line: dict[str, int] = {}
+    path_line: dict[tuple[str, tuple[str, ...]], int] = {}  # first line of each valid path
     # (line, role, token) of each name a line that is not a declaration
     # uses: a declaration may come later in the file
     uses: list[tuple[int, str, str]] = []
@@ -285,6 +292,7 @@ def parse_scenario(path: Path) -> Scenario:
             if len(args) < 2:
                 raise err(lineno, "validpath needs a tag and at least one reader")
             cfg.valid_paths.append((args[0], tuple(args[1:])))
+            path_line.setdefault(cfg.valid_paths[-1], lineno)
             uses += [(lineno, "tag", args[0]), *((lineno, "reader", r) for r in args[1:])]
         elif key == "capacity":
             if len(args) != 2:
@@ -400,10 +408,13 @@ def parse_scenario(path: Path) -> Scenario:
             declared = tag_line if role == "tag" else reader_line
             if token not in declared and not (role == "verifier" and token == fixed_verifier):
                 raise err(lineno, f"{role} {token} is not declared")
+        scheme = PROTOCOLS[cfg.protocol]
         try:
-            PROTOCOLS[cfg.protocol].registered_paths(cfg.tags, cfg.valid_paths)
+            scheme.check_setup(cfg, scheme.registered_paths(cfg.tags, cfg.valid_paths))
         except PathRuleError as exc:
             raise err(tag_line[exc.tag], str(exc)) from None
+        except SetupError as exc:
+            raise err(path_line[exc.tag, exc.path], str(exc)) from None
     if scn.kind == "privacy" and scn.game is None:
         raise ScenarioError(f"{scn.path.name}: privacy scenario without game directive")
     return scn

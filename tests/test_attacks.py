@@ -5,9 +5,11 @@ successful outcome re-verifies from its own evidence."""
 from __future__ import annotations
 
 from itertools import permutations
+from random import Random
 
 import pytest
 
+from pathtrace import crypto
 from pathtrace import trace as tr
 from pathtrace.attacks import (
     ATTACKS,
@@ -20,6 +22,7 @@ from pathtrace.attacks import (
     attack_rfchain_linking,
     attack_tracker_order_search,
     probe_rfchain_length_extension,
+    randbelow,
     tracker_collision_rate,
 )
 from pathtrace.network import AdvModel, CapabilityError
@@ -238,6 +241,37 @@ class TestTrackerCollisionRate:
         assert tracker_collision_rate(251, 5_000, seed=7) == tracker_collision_rate(
             251, 5_000, seed=7
         )
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 250, 1008, 2**61 - 1, 2**64 + 13])
+    def test_randbelow_draws_what_randrange_draws(self, n):
+        # randbelow rests on CPython's Random._randbelow; pin it on the
+        # running interpreter, for randrange(n) and randrange(1, n + 1)
+        for seed in range(3):
+            ours, theirs = Random(seed), Random(seed)
+            below = randbelow(ours)
+            draws = [below(n) for _ in range(200)] + [1 + below(n) for _ in range(200)]
+            expected = [theirs.randrange(n) for _ in range(200)]
+            expected += [theirs.randrange(1, n + 1) for _ in range(200)]
+            assert draws == expected
+            assert ours.getstate() == theirs.getstate()
+
+    @pytest.mark.parametrize("q,seed", [(251, 3), (1009, 0), (7, 1)])
+    def test_collision_count_equals_randrange_and_path_poly_eval(self, q, seed):
+        # the sampler as first written, with randrange and path_poly_eval
+        rng = Random(seed)
+        collisions = 0
+        for _ in range(3_000):
+            x0 = rng.randrange(1, q)
+            a0 = rng.randrange(1, q)
+            coeffs = [rng.randrange(1, q) for _ in range(8)]
+            first = [rng.randrange(8) for _ in range(4)]
+            second = [rng.randrange(8) for _ in range(4)]
+            while second == first:
+                second = [rng.randrange(8) for _ in range(4)]
+            v1 = crypto.path_poly_eval(q, a0, [coeffs[r] for r in first], x0)
+            v2 = crypto.path_poly_eval(q, a0, [coeffs[r] for r in second], x0)
+            collisions += v1 == v2
+        assert tracker_collision_rate(q, 3_000, seed=seed) == (collisions, 3_000)
 
 
 class TestEvidenceReverification:

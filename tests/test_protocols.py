@@ -29,6 +29,7 @@ from pathtrace.protocols import (
 )
 from pathtrace.protocols import checker as checker_mod
 from pathtrace.protocols import rfchain as rfchain_mod
+from pathtrace.protocols.base import SetupError
 from pathtrace.protocols.resc import SLOT_BITS, storage_bits
 from pathtrace.protocols.stepauth import secret_size_bits
 from pathtrace.trace import AttackLabel, classify_claim
@@ -676,6 +677,35 @@ class TestTracker:
             idx = next(i for i, _ in res.trace.claims())
             assert AttackLabel.OUT_OF_ORDER in classify_claim(res.trace, idx)
 
+    def test_default_manager_on_a_registered_path_is_a_setup_error(self):
+        # with no param manager the last reader manages; on t1's path it
+        # would need the path coefficient a manager does not hold
+        with pytest.raises(SetupError, match="tracker reader r3 on a registered path of t1 is the manager"):
+            build_run(RunConfig.along("tracker", {"t1": ("r1", "r2", "r3")}))
+        assert issubclass(SetupError, ValueError)
+
+    @pytest.mark.parametrize(
+        "readers,transits,params,token",
+        [
+            (["r1", "r2", "r3", "m"], [], {"manager": "r2"}, "r2 on a registered path of t1 is the manager"),
+            (["r1", "r3", "m"], ["r2"], {}, "r2 on a registered path of t1 is not a protocol reader"),
+        ],
+    )
+    def test_every_path_reader_must_hold_a_coefficient(self, readers, transits, params, token):
+        cfg = RunConfig.along(
+            "tracker", {"t1": ("r1", "r2", "r3")}, readers, transits=transits, params=params
+        )
+        with pytest.raises(SetupError, match="tracker reader " + token):
+            build_run(cfg)
+
+    def test_a_spare_last_reader_manages_by_default(self):
+        cfg = RunConfig.along("tracker", {"t1": ("r1", "r2", "r3")}, ["r1", "r2", "r3", "m"])
+        model, run = build_run(cfg)
+        assert model.verifier == "m"
+        play(model, [("move", "t1", "r1"), ("move", "t1", "r2"), ("move", "t1", "r3"), ("claim", "t1")])
+        res = finalize(model, run)
+        assert not res.anomalies and len(res.verdicts) == 1 and res.verdicts[0].authorized
+
     def test_identity_ciphertext_rerandomized_each_hop(self):
         # c1 always encrypts the same identity element, yet its bytes must
         # change at every reader or the tag would be trivially linkable
@@ -1170,7 +1200,8 @@ class TestRfChain:
         # honest records of tags with two identity lengths, plus forged
         # records of a neighbouring shape and malformed ones: the bucket the
         # verifier scans answers every (tag, step) exactly as a scan of the
-        # whole ledger does, for the honest chain level and a tampered one
+        # whole ledger does, for the honest chain level and a tampered one,
+        # and still does after claims have reordered the buckets
         tags = ("t1", "t2", "t10")
         protocol, run = self._visited_run("patched", tags=tags)
         honest = protocol.ledger.records()
@@ -1186,22 +1217,57 @@ class TestRfChain:
         for record in honest + forged:
             protocol.ledger.add(*record)
         records = protocol.ledger.records()
-        answers = []
-        for tag_token in tags:
-            identity, levels = self._levels(run, tag_token)
-            for i in range(1, len(levels)):
-                tampered = levels[i - 1][:-1] + bytes([levels[i - 1][-1] ^ 0x01])
-                for prev_chain in (levels[i - 1], tampered, levels[i - 1] + b"\x00"):
-                    bucket = protocol.ledger.salted_for(identity, prev_chain)
-                    full = any(
-                        protocol._record_matches(p, pl, identity, i, prev_chain) for p, pl in records
-                    )
-                    found = protocol._scan_salted(bucket, identity, i, prev_chain)
-                    assert found == full
-                    answers.append(found)
-        assert answers.count(True) == 9 and len(answers) == 27
 
-    def test_claims_check_only_same_shape_records(self, monkeypatch):
+        def answers():
+            found_all = []
+            for tag_token in tags:
+                identity, levels = self._levels(run, tag_token)
+                for i in range(1, len(levels)):
+                    tampered = levels[i - 1][:-1] + bytes([levels[i - 1][-1] ^ 0x01])
+                    for prev_chain in (levels[i - 1], tampered, levels[i - 1] + b"\x00"):
+                        bucket = protocol.ledger.salted_for(identity, prev_chain)
+                        full = any(
+                            protocol._record_matches(p, pl, identity, i, prev_chain)
+                            for p, pl in records
+                        )
+                        found = protocol._scan_salted(bucket, identity, i, prev_chain)
+                        assert found == full
+                        found_all.append(found)
+            return found_all
+
+        filed = {shape: list(bucket) for shape, bucket in protocol.ledger.salted.items()}
+        first = answers()
+        assert first.count(True) == 9 and len(first) == 27
+        for tag_token in ("t10", "t1", "t10"):
+            protocol.claim(tag_token)
+        assert not run.net.anomalies
+        buckets = protocol.ledger.salted
+        assert any(buckets[shape] != bucket for shape, bucket in filed.items())
+        assert {shape: sorted(bucket) for shape, bucket in buckets.items()} == {
+            shape: sorted(bucket) for shape, bucket in filed.items()
+        }
+        assert answers() == first
+        assert protocol.ledger.records() == records
+
+    def test_a_tag_claimed_twice_is_verified_both_times(self):
+        tags = ("t1", "t2", "t3")
+        protocol, run = self._visited_run("patched", tags=tags)
+        records = protocol.ledger.records()
+        for tag_token in ("t2", "t1", "t2", "t3", "t1", "t1"):
+            protocol.claim(tag_token)
+        res = finalize(protocol, run)
+        assert not res.anomalies
+        assert [claim.tag.value for claim in res.claims()] == ["t2", "t1", "t2", "t3", "t1", "t1"]
+        assert all(tuple(r.value for r in claim.path) == ("r1", "r2", "r3") for claim in res.claims())
+        assert all(v.sound and v.sorted for v in res.verdicts)
+        # the scans reordered the buckets, never the ledger
+        assert protocol.ledger.records() == records
+        assert protocol.ledger_truth == [(t, i) for i in (1, 2, 3) for t in tags]
+
+    @staticmethod
+    def _forty_tag_run():
+        """40 patched tags that visited r1 .. r4 in turn, in tag order at
+        each reader, before any claim."""
         tags = [f"t{n:02d}" for n in range(40)]
         cfg = honest_config("rfchain")
         cfg.mode = "patched"
@@ -1213,7 +1279,13 @@ class TestRfChain:
         for reader_token, _ in cfg.readers:
             for tag_token in tags:
                 protocol.visit(tag_token, reader_token)
-        scans: list[list[int]] = []  # [bucket size, pid checks] per claimed step
+        return protocol, run, tags
+
+    @staticmethod
+    def _count_scans(protocol, monkeypatch) -> list[list[int]]:
+        """[bucket size, pid checks] of each claimed step's scan, filled in
+        as the claims run."""
+        scans: list[list[int]] = []
         scan = protocol._scan_salted
         sym_matches = crypto.sym_matches
 
@@ -1229,12 +1301,28 @@ class TestRfChain:
 
         monkeypatch.setattr(protocol, "_scan_salted", counting_scan)
         monkeypatch.setattr(crypto, "sym_matches", spy)
+        return scans
+
+    def test_claims_check_only_same_shape_records(self, monkeypatch):
+        protocol, run, tags = self._forty_tag_run()
+        scans = self._count_scans(protocol, monkeypatch)
         for tag_token in tags:
             protocol.claim(tag_token)
         res = finalize(protocol, run)
         assert not res.anomalies and len(res.verdicts) == 40
         assert len(protocol.ledger) == 160 and len(scans) == 160
         assert all(0 < checks <= size <= len(tags) for size, checks in scans)
+
+    def test_claims_in_visit_order_check_one_record_per_step(self, monkeypatch):
+        # each claimed step's record is the first never-matched one of its
+        # bucket; a scan in ledger order would make 1 + 2 + ... + 40 pid
+        # checks per step, 3,280 in all
+        protocol, run, tags = self._forty_tag_run()
+        scans = self._count_scans(protocol, monkeypatch)
+        for tag_token in tags:
+            protocol.claim(tag_token)
+        assert not finalize(protocol, run).anomalies
+        assert [checks for _, checks in scans] == [1] * 160
 
 
 class TestRay:

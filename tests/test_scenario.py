@@ -436,6 +436,61 @@ class TestParsing:
             parse_scenario(write(tmp_path, "protocol ray\nkind privacy\n"))
 
 
+# readers r1 r2 r3 and no manager: the last reader, r3, would manage
+TRACKER_DEFAULT_MANAGER = """\
+protocol tracker
+kind run
+reader r1
+reader r2
+reader r3
+tag t1
+validpath t1 r1 r2 r3
+move t1 r1
+claim t1
+"""
+
+
+class TestSetupPreconditions:
+    """A world its scheme's setup cannot build fails to parse, at the line
+    that breaks the precondition, with exit 2."""
+
+    def test_default_manager_on_the_path_fails_at_the_validpath_line(self, tmp_path):
+        path = write(tmp_path, TRACKER_DEFAULT_MANAGER, "trk.scn")
+        with pytest.raises(ScenarioError, match=r"trk\.scn:7: tracker reader r3 .* is the manager"):
+            parse_scenario(path)
+        result = run_scenario(path)
+        assert result.exit_code == EXIT_PARSE
+        assert result.failures[0].startswith("trk.scn:7: ")
+
+    @pytest.mark.parametrize("name", ["tracker-honest", "tracker-advr-demo", "tracker-out-of-order"])
+    def test_corpus_run_without_its_manager_fails_at_the_validpath_line(self, tmp_path, name):
+        lines = (corpus_dir() / f"{name}.scn").read_text().splitlines()
+        kept = [line for line in lines if line not in ("param manager m", "reader m")]
+        assert len(kept) == len(lines) - 2
+        lineno = next(n for n, line in enumerate(kept, start=1) if line.startswith("validpath"))
+        result = run_scenario(write(tmp_path, "\n".join(kept) + "\n", f"{name}.scn"))
+        assert result.exit_code == EXIT_PARSE
+        assert result.failures[0].startswith(f"{name}.scn:{lineno}: tracker reader r3 ")
+
+    @pytest.mark.parametrize(
+        "body,lineno,fragment",
+        [
+            # a named manager on the path, at the first line of that path
+            ("reader r1\nreader m\nparam manager r1\ntag t1\nvalidpath t1 m\nvalidpath t1 r1\n"
+             "validpath t1 r1\n", 8, "tracker reader r1 on a registered path of t1 is the manager"),
+            # a transit holds no coefficient either
+            ("reader r1\nreader m\ntransit w\ntag t1\nvalidpath t1 r1 w\n", 7,
+             "tracker reader w on a registered path of t1 is not a protocol reader"),
+        ],
+        ids=["named-manager-on-path", "transit-on-path"],
+    )
+    def test_tracker_preconditions(self, tmp_path, body, lineno, fragment):
+        path = write(tmp_path, "protocol tracker\nkind run\n" + body)
+        with pytest.raises(ScenarioError, match=rf"case\.scn:{lineno}: {fragment}"):
+            parse_scenario(path)
+        assert run_scenario(path).exit_code == EXIT_PARSE
+
+
 class TestExecution:
     def test_run_scenario_ok(self, tmp_path):
         result = run_scenario(write(tmp_path, TRACKER_RUN))
