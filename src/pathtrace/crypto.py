@@ -24,6 +24,12 @@ sized for simulation rather than real security:
   ``ct_pow_mul`` raises two ciphertexts to two exponents and multiplies
   them in one joint (Straus) exponentiation over the exponents' 2-bit
   windows, which ``joint_digits`` computes once per exponent pair.
+  A caller that drew every exponent of a ciphertext knows the discrete
+  log base g of each component, and can skip these operations: raising
+  g to the folded, rerandomized or decrypting log with ``gpow`` gives the
+  same element, since g has order q and (g^l)^k = g^(k*l mod q).  The
+  path-polynomial models raise logs for the states they wrote themselves
+  and use the operations above for any other (``protocols.tracker``).
 
 All randomness comes from caller-provided ``random.Random`` instances.
 """

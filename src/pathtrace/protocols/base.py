@@ -148,6 +148,9 @@ class ProtocolModel:
     param_keys: tuple[str, ...] = ()  # the ``RunConfig.params`` keys setup reads
     path_rule = "any"  # paths per tag: "exactly one", "at least one", "any" or "none"
     verifier: str | None = None  # the only claimant, for a scheme with a fixed one
+    # what setup gives each reader of a registered path, in a scheme that
+    # keys them per path; None when a path may pass any reader
+    path_reader_holds: str | None = None
 
     def __init__(self, run: Run) -> None:
         self.run = run
@@ -184,8 +187,31 @@ class ProtocolModel:
     @classmethod
     def check_setup(cls, config: RunConfig, paths_of: dict[str, list[tuple[str, ...]]]) -> None:
         """Raise SetupError for a world ``setup`` cannot build; ``paths_of``
-        is ``registered_paths`` of its tags.  A scheme with preconditions
-        states them here; by default there are none."""
+        is ``registered_paths`` of its tags.  In a scheme whose readers hold
+        their ``path_reader_holds``, every token on a registered path must
+        be one of them: ``reader_roles`` maps it to None.  A transit reader
+        holds nothing, and a scheme with other preconditions states them
+        here."""
+        if cls.path_reader_holds is None:
+            return
+        roles = cls.reader_roles(config)
+        for tag_token, paths in paths_of.items():
+            for path in paths:
+                for token in path:
+                    role = roles.get(token, "not a protocol reader")
+                    if role is not None:
+                        raise SetupError(
+                            f"{cls.name} reader {token} on a registered path of {tag_token}"
+                            f" is {role} and holds no {cls.path_reader_holds}",
+                            tag_token,
+                            path,
+                        )
+
+    @classmethod
+    def reader_roles(cls, config: RunConfig) -> dict[str, str | None]:
+        """Each protocol reader mapped to None when it holds its
+        ``path_reader_holds``, or else to what it is instead."""
+        return dict.fromkeys(token for token, _ in config.readers)
 
     @classmethod
     def tag_bits(cls, path_length: int) -> int:

@@ -21,13 +21,17 @@ exponentiation, and a hit is exact, since it is v2 == v1^K itself.  Any
 other state (a tag on another tag's path, a forged state, or one built for
 no registered tag) tries the reader's keys in bucket order, which finds the
 same first entry the lookup would.
+
+The on-site test decrypts a state the model wrote as g^(l2 - x*l1) from
+its components' logs, with no pow; any other state is decrypted with
+``elg_decrypt`` (see ``PathPolyModel``).  Both give the same v1 and v2.
 """
 
 from __future__ import annotations
 
 from pathtrace import crypto
 from pathtrace.protocols.base import VerifierPolicyError, register_protocol
-from pathtrace.protocols.tracker import PathPolyModel
+from pathtrace.protocols.tracker import PathPolyModel, State
 
 
 @register_protocol
@@ -36,6 +40,7 @@ class Checker(PathPolyModel):
     architecture = "offline"
 
     STATE = ("c1", "c2")
+    path_reader_holds = "path coefficient"
 
     def setup(self) -> None:
         self._setup_group()
@@ -79,15 +84,14 @@ class Checker(PathPolyModel):
         )
         return {**super().reader_secrets(reader_token), "prefix_keys": keys}
 
-    def _check_on_site(
-        self, tag_token: str, reader_token: str, state: tuple[crypto.Ciphertext, ...]
-    ) -> bool:
+    def _check_on_site(self, tag_token: str, reader_token: str, state: State) -> bool:
         """Idealized on-site relation test, v2 == v1^K for a key K of the
         reader; the first matching prefix is claimed by that reader.
 
         A state built on a tag's own registered prefix is found by one
-        lookup of (v1, v2); any other state tries the reader's keys in order."""
-        v1, v2 = (crypto.elg_decrypt(self.priv, ct) for ct in state)
+        lookup of (v1, v2); any other state tries the reader's keys in order.
+        The model decrypts a state it wrote from its logs, without a pow."""
+        v1, v2 = self._plaintexts(state)
         match = self._own_key[reader_token].get((v1, v2))
         if match is None:
             p = self.params.p

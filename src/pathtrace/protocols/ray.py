@@ -27,6 +27,7 @@ class Ray(ProtocolModel):
     architecture = "offline"
     modes = ("default", "prf")
     path_rule = "exactly one"
+    path_reader_holds = "challenge"
     verifier = "co"  # the current owner, which loads tags and verifies
 
     CHALLENGE_BITS = 256

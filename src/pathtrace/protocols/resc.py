@@ -55,6 +55,7 @@ class Resc(ProtocolModel):
     name = "resc"
     architecture = "online"
     path_rule = "exactly one"
+    path_reader_holds = "reader key"
     verifier = "db"  # the back-end database, the only verifier
     tag_bits = staticmethod(storage_bits)
 

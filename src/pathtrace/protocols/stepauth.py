@@ -42,6 +42,7 @@ class StepAuth(ProtocolModel):
     name = "stepauth"
     architecture = "offline"
     path_rule = "exactly one"
+    path_reader_holds = "box key"
     tag_bits = staticmethod(secret_size_bits)
 
     def setup(self) -> None:

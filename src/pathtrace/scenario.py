@@ -34,8 +34,11 @@ directive fails at its line, and so do a ``strategy`` outside
 ``param`` key outside the scheme's ``param_keys``: only Tracker reads
 any, ``manager`` (the verifying reader) and ``equal`` (readers sharing
 one coefficient).  A token declared twice (a tag, or a reader across
-``reader`` and ``transit``) fails at its second line, and a tag whose
-paths break the scheme's ``path_rule`` fails at its ``tag`` line.  A
+``reader`` and ``transit``) fails at its second line, a tag whose
+paths break the scheme's ``path_rule`` fails at its ``tag`` line, and a
+path that breaks a precondition of the scheme's setup (``check_setup``:
+a transit reader, or Tracker's manager, on a path whose readers the
+scheme keys) fails at its first ``validpath`` line.  A
 ``move``, ``claim``, ``compromise``, ``validpath``, ``capacity``,
 ``param manager`` or ``param equal`` line that names a tag or reader
 declared nowhere in the file fails at its line; a claim may also name

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import pytest
 
+from pathtrace.protocols.tracker import PathPolyModel
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -48,4 +50,12 @@ def test_scale_canary_matches_the_committed_digests(workloads):
 
 def test_corpus_pass_matches_the_committed_digest(workloads):
     res = workloads.run_corpus_pass(workloads.prepare_corpus(0))
+    assert res.attempted and res.failed == 0, res.problems
+
+
+def test_scale_canary_matches_without_remembered_states(workloads, monkeypatch):
+    # every Tracker and Checker state takes the generic path
+    monkeypatch.setattr(PathPolyModel, "_remember", lambda self, tag, state: None)
+    res = workloads.PassResult()
+    workloads.check_scale_canary(res)
     assert res.attempted and res.failed == 0, res.problems

@@ -29,9 +29,11 @@ from pathtrace.protocols import (
 )
 from pathtrace.protocols import checker as checker_mod
 from pathtrace.protocols import rfchain as rfchain_mod
+from pathtrace.protocols import tracker as tracker_mod
 from pathtrace.protocols.base import SetupError
 from pathtrace.protocols.resc import SLOT_BITS, storage_bits
 from pathtrace.protocols.stepauth import secret_size_bits
+from pathtrace.scenario import corpus_dir, run_scenario
 from pathtrace.trace import AttackLabel, classify_claim
 
 
@@ -354,6 +356,24 @@ def honest_world(protocol: str, paths) -> RunConfig:
 
 
 class TestWorldBuilder:
+    @pytest.mark.parametrize("protocol", ["tracker", "checker", "stepauth", "ray", "resc"])
+    def test_transit_on_a_registered_path_is_a_setup_error(self, protocol):
+        # these schemes key each reader of a path, and a transit holds no key
+        cfg = RunConfig.along(
+            protocol, {"t1": ("r1", "x1", "r2")}, ["r1", "r2", "m"], transits=["x1"]
+        )
+        fragment = f"{protocol} reader x1 on a registered path of t1 is not a protocol reader"
+        with pytest.raises(SetupError, match=fragment):
+            build_run(cfg)
+
+    @pytest.mark.parametrize("protocol", ["burbridge", "rfchain"])
+    def test_transit_on_a_registered_path_builds_without_path_keys(self, protocol):
+        # no precondition refuses the world; the run itself decides
+        cfg = RunConfig.along(protocol, {"t1": ("r1", "x1", "r2")}, ["r1", "r2"], transits=["x1"])
+        model, run = build_run(cfg)
+        play(model, [("move", "t1", "r1"), ("move", "t1", "x1"), ("move", "t1", "r2"), ("claim", "t1")])
+        assert len(finalize(model, run).step_log) == 4
+
     @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
     def test_honest_play_claims_as_expected(self, protocol):
         model, run = build_run(honest_world(protocol, BUILDER_PATHS))
@@ -638,6 +658,167 @@ class TestPathPolyState:
         assert model._reader_step("t1", "r2") is not None
         assert calls == []
 
+
+def forget_states(monkeypatch):
+    """Switch remembering off: the model keeps no state it wrote, so every
+    state a reader receives takes the generic path."""
+    monkeypatch.setattr(tracker_mod.PathPolyModel, "_remember", lambda self, tag, state: None)
+
+
+def counting(monkeypatch, name):
+    """Count the calls of ``crypto.<name>`` (the generic path's primitives)."""
+    calls = []
+    original = getattr(crypto, name)
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(crypto, name, spy)
+    return calls
+
+
+class TestKnownStates:
+    """A state the model wrote is folded, rerandomized and decrypted from
+    its components' logs; any other state through the group operations.
+    Both paths give the same bytes."""
+
+    @pytest.mark.parametrize("protocol", ["tracker", "checker"])
+    def test_logs_give_the_elements_of_the_generic_operations(self, protocol):
+        model, run = build_run(honest_config(protocol))
+        params, gpow = model.params, crypto.gpow
+        x0, coeff = model.x0, model.coeffs["r1"]
+        digits = crypto.joint_digits(params, x0, coeff)
+        rng = random.Random(5)
+        for _ in range(50):
+            l1, l2, m1, m2, e = (rng.randrange(params.q) for _ in range(5))
+            acc = crypto.Ciphertext(params, gpow(params, l1), gpow(params, l2))
+            base = crypto.Ciphertext(params, gpow(params, m1), gpow(params, m2))
+            # the fold
+            folded = crypto.ct_pow_mul(acc, base, digits)
+            assert (folded.c1, folded.c2) == (
+                gpow(params, x0 * l1 + coeff * m1),
+                gpow(params, x0 * l2 + coeff * m2),
+            )
+            # a rerandomization, then an encryption, with the same draws
+            seed = rng.random()
+            model.rng = random.Random(seed)
+            logs = model._rerandomized([l1, l2, 0, e])
+            draws = random.Random(seed)
+            again = crypto.rerandomize(model.pub, acc, draws)
+            sealed = crypto.elg_encrypt(model.pub, gpow(params, e), draws)
+            assert [again.c1, again.c2, sealed.c1, sealed.c2] == [gpow(params, log) for log in logs]
+            assert model.rng.random() == draws.random()
+            # the decryption
+            known = tracker_mod.KnownState(b"", tuple(logs))
+            assert list(model._plaintexts(known)) == [
+                crypto.elg_decrypt(model.priv, again), gpow(params, e)
+            ]
+
+    @pytest.mark.parametrize(
+        "name",
+        sorted(p.stem for p in corpus_dir().glob("*.scn") if p.stem.startswith(("tracker-", "checker-"))),
+    )
+    def test_corpus_report_is_the_same_without_remembering(self, name, monkeypatch):
+        path = corpus_dir() / f"{name}.scn"
+        generic = counting(monkeypatch, "ct_pow_mul")
+        remembered = run_scenario(path).report_lines()
+        assert generic == []  # every state in the corpus is one its model wrote
+        forget_states(monkeypatch)
+        assert run_scenario(path).report_lines() == remembered
+        assert generic
+
+    # (protocol, kind) -> the anomalies of the run; the same on both paths
+    FOREIGN = {
+        ("tracker", "modified"): ["tracker manager rejects t1: unknown path evaluation"],
+        ("tracker", "cloned"): ["tracker manager cannot identify t2"],
+        ("tracker", "tests-built"): [],
+        ("checker", "modified"): [
+            "checker r2 rejects t1: no prefix key matches",
+            "checker r3 rejects t1: no prefix key matches",
+            "checker r3 rejects t1: no prefix key matches",
+        ],
+        ("checker", "cloned"): [],  # t2 is claimed on t1's prefixes
+        ("checker", "tests-built"): [],
+    }
+
+    @staticmethod
+    def foreign_run(protocol, kind):
+        """t1 and t2 visit r1; then ``kind`` replaces a state the model
+        wrote, and the tag that presents it visits r2 and r3 and is claimed."""
+        cfg = honest_config(protocol)
+        cfg.tags.append("t2")
+        cfg.valid_paths.append(("t2", ("r1", "r2")))
+        cfg.capacities["t2"] = cfg.capacities["t1"]
+        model, run = build_run(cfg)
+        model.visit("t1", "r1")
+        model.visit("t2", "r1")
+        tag = "t2" if kind == "cloned" else "t1"
+        p = model.params.p
+        if kind == "modified":
+            # the accumulator's c2 times g: still a group element, another path
+            def strategy(env, net):
+                if (env.sender, env.receiver) != ("t1", "r2"):
+                    return env.payload
+                c2 = crypto.bytes_to_int(env.payload[-8:]) * model.params.g % p
+                return env.payload[:-8] + crypto.int_to_bytes(c2)
+
+            run.net.strategy = strategy
+        elif kind == "cloned":
+            for name in model.STATE:
+                run.memory("t2").store(name, run.memory("t1").load(name))
+        else:
+            rng = random.Random(3)
+            state = model._read_state(model._state_blob("t1"))
+            for name, ct in zip(model.STATE, state):
+                run.memory("t1").store(name, crypto.rerandomize(model.pub, ct, rng).to_bytes())
+        for reader in ("r2", "r3"):
+            model.visit(tag, reader)
+        model.claim(tag)
+        return finalize(model, run)
+
+    @pytest.mark.parametrize("protocol", ["tracker", "checker"])
+    @pytest.mark.parametrize("kind", ["modified", "cloned", "tests-built"])
+    def test_a_state_the_model_did_not_write_takes_the_generic_path(
+        self, protocol, kind, monkeypatch
+    ):
+        folds = counting(monkeypatch, "ct_pow_mul")
+        res = self.foreign_run(protocol, kind)
+        assert len(folds) == 2  # at r2 and at r3: what r2 wrote came from a generic fold
+        assert res.anomalies == self.FOREIGN[protocol, kind]
+        forget_states(monkeypatch)
+        assert self.foreign_run(protocol, kind).report_lines() == res.report_lines()
+
+    def test_known_state_tracker_claim_makes_no_builtin_pow_call(self, monkeypatch):
+        model, run = build_run(honest_config("tracker"))
+        for reader in ("r1", "r2", "r3"):
+            model.visit("t1", reader)
+        calls = []
+        monkeypatch.setattr(crypto, "pow", pow_spy(calls), raising=False)
+        model.claim("t1")
+        res = finalize(model, run)
+        assert res.step_log[-1] == "claim t1 ok" and not res.anomalies
+        assert calls == []
+
+    def test_known_state_checker_on_site_check_makes_no_builtin_pow_call(self, monkeypatch):
+        model, run = build_run(honest_config("checker"))
+        model.visit("t1", "r1")
+        calls = []
+        monkeypatch.setattr(crypto, "pow", pow_spy(calls), raising=False)
+        monkeypatch.setattr(checker_mod, "pow", pow_spy(calls), raising=False)
+        model.claim("t1")  # presented to r1, where the tag stands
+        assert model._check_on_site("t1", "r1", model._known["t1"])
+        res = finalize(model, run)
+        assert res.step_log[-1] == "claim t1 ok" and not res.anomalies
+        assert [tuple(i.value for i in c.path) for c in res.claims()] == [("r1",)] * 3
+        assert calls == []
+
+    def test_each_tag_keeps_one_remembered_state(self):
+        model, run = build_run(multi_tag_config("checker"))
+        play(model, run.config.script)
+        assert sorted(model._known) == sorted(MULTI_PATHS)
+        for tag_token, known in model._known.items():
+            assert known.blob == model._state_blob(tag_token)
 
 class TestTracker:
     def test_manager_only_verifies(self):

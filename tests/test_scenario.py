@@ -490,6 +490,46 @@ class TestSetupPreconditions:
             parse_scenario(path)
         assert run_scenario(path).exit_code == EXIT_PARSE
 
+    @pytest.mark.parametrize(
+        "protocol,holds",
+        [
+            ("checker", "path coefficient"),
+            ("stepauth", "box key"),
+            ("ray", "challenge"),
+            ("resc", "reader key"),
+        ],
+    )
+    def test_transit_on_a_registered_path_fails_at_the_validpath_line(
+        self, tmp_path, protocol, holds
+    ):
+        # only protocol readers get keys: the parent ended in KeyError: 'x1'
+        body = (
+            f"protocol {protocol}\nkind run\nreader r1\nreader r2\ntransit x1\ntag t1\n"
+            "capacity t1 16384\nvalidpath t1 r1 x1 r2\nmove t1 r1\nmove t1 x1\nmove t1 r2\n"
+            "claim t1\n"
+        )
+        fragment = (
+            f"{protocol} reader x1 on a registered path of t1 is not a protocol reader"
+            f" and holds no {holds}"
+        )
+        path = write(tmp_path, body)
+        with pytest.raises(ScenarioError, match=rf"case\.scn:8: {fragment}"):
+            parse_scenario(path)
+        result = run_scenario(path)
+        assert result.exit_code == EXIT_PARSE
+        assert result.failures == [f"case.scn:8: {fragment}"]
+        # a transit that is only walked through stays a waypoint
+        waypoint = write(tmp_path, body.replace("validpath t1 r1 x1 r2", "validpath t1 r1 r2"))
+        assert run_scenario(waypoint).exit_code == EXIT_OK
+
+    def test_tracker_without_a_manager_transmits_nothing(self, tmp_path):
+        # no reader and no param manager: nobody can verify the claim
+        result = run_scenario(write(tmp_path, "protocol tracker\nkind run\ntag t1\nclaim t1\n"))
+        assert result.exit_code == EXIT_OK
+        assert "anomaly tracker has no manager to verify t1" in result.lines
+        transcript = result.lines[result.lines.index("transcript-begin") + 1 :]
+        assert transcript == ["transcript-end"]
+
 
 class TestExecution:
     def test_run_scenario_ok(self, tmp_path):
