@@ -42,6 +42,7 @@ import hmac as _hmac
 import struct
 from dataclasses import dataclass
 from random import Random
+from typing import NamedTuple
 
 
 class CryptoError(Exception):
@@ -242,8 +243,7 @@ class VerifyKey:
     secret: bytes  # model-internal; capability rules keep it out of reach
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(NamedTuple):
     """Signature with appendix: the message travels with the blob."""
 
     signer: str
@@ -353,8 +353,7 @@ def sym_dec(key: bytes, ciphertext: bytes) -> bytes:
 
 # --- ElGamal over a prime-order subgroup -----------------------------------
 
-@dataclass(frozen=True)
-class ElgamalParams:
+class ElgamalParams(NamedTuple):
     """Multiplicative subgroup of order q generated by g modulo the safe
     prime p = 2q + 1.  Exponents live in the prime field F_q."""
 

@@ -25,7 +25,6 @@ formulas and capacity violations are observable.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
 from pathtrace import crypto
@@ -178,8 +177,7 @@ class Knowledge:
         return len(self._drain())
 
 
-@dataclass(frozen=True)
-class Envelope:
+class Envelope(NamedTuple):
     seq: int
     sender: str
     receiver: str

@@ -21,8 +21,8 @@ cannot grade its own homework.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
-from functools import partial
 from random import Random
 from typing import Callable, Iterable, TypeVar
 
@@ -376,6 +376,15 @@ def check_setting(protocol: str, setting: str, value: str) -> None:
         raise ValueError(f"{protocol} does not know {setting} {value}; its {setting}s are {listed}")
 
 
+def weak_partial(method: Callable, *args: object) -> Callable:
+    """``partial(method, *args)`` holding the method's model weakly.  The
+    network keeps what a model registers with it and the model keeps the
+    network, so a strong reference back would leave every finished world
+    to the cyclic collector.  Whoever reaches the network holds the model."""
+    ref = weakref.WeakMethod(method)
+    return lambda *rest: ref()(*args, *rest)
+
+
 def build_run(config: RunConfig) -> tuple[ProtocolModel, Run]:
     """Construct the world, run protocol setup and register each
     compromisable reader's secrets (no movement yet)."""
@@ -396,7 +405,7 @@ def build_run(config: RunConfig) -> tuple[ProtocolModel, Run]:
     run.net.strategy = STRATEGIES[config.strategy](run)
     protocol.setup()
     for token in protocol.compromisable():
-        run.net.attach_secrets(token, partial(protocol.reader_secrets, token))
+        run.net.attach_secrets(token, weak_partial(protocol.reader_secrets, token))
     for reader_token in config.compromise:
         run.adv.compromise(reader_token)
     return protocol, run

@@ -17,7 +17,7 @@ with it every other participant's challenge.
 from __future__ import annotations
 
 from pathtrace import crypto
-from pathtrace.protocols.base import ProtocolModel, register_protocol
+from pathtrace.protocols.base import ProtocolModel, register_protocol, weak_partial
 from pathtrace.trace import backend
 
 
@@ -82,7 +82,7 @@ class Ray(ProtocolModel):
             mem = self.run.memory(tag_token)
             mem.store("pending", loaded, nominal_bits=self.CHALLENGE_BITS * len(values))
             mem.store("consumed", b"", nominal_bits=0)
-            self.net.register_handler(tag_token, self._tag_handler(tag_token))
+            self.net.register_handler(tag_token, weak_partial(self._handle_tag, tag_token))
 
     def reader_secrets(self, reader_token: str) -> dict[str, bytes]:
         secrets: dict[str, bytes] = {}
@@ -95,28 +95,25 @@ class Ray(ProtocolModel):
                 secrets[f"prf.{tag_token}"] = self.term_of[tag_token]
         return secrets
 
-    def _tag_handler(self, tag_token: str):
-        def handle(payload: bytes, sender: str) -> bytes | None:
-            mem = self.run.memory(tag_token)
-            values = crypto.split_fields(mem.load("pending"))
-            used = crypto.split_fields(mem.load("consumed"))
-            if values is None or used is None or payload not in values:
-                return None
-            values.remove(payload)
-            mem.store(
-                "pending",
-                crypto.concat_length_prefixed(*values),
-                nominal_bits=self.CHALLENGE_BITS * len(values),
-            )
-            used.append(payload)
-            mem.store(
-                "consumed",
-                crypto.concat_length_prefixed(*used),
-                nominal_bits=self.CHALLENGE_BITS * len(used),
-            )
-            return b"ok"
-
-        return handle
+    def _handle_tag(self, tag_token: str, payload: bytes, sender: str) -> bytes | None:
+        mem = self.run.memory(tag_token)
+        values = crypto.split_fields(mem.load("pending"))
+        used = crypto.split_fields(mem.load("consumed"))
+        if values is None or used is None or payload not in values:
+            return None
+        values.remove(payload)
+        mem.store(
+            "pending",
+            crypto.concat_length_prefixed(*values),
+            nominal_bits=self.CHALLENGE_BITS * len(values),
+        )
+        used.append(payload)
+        mem.store(
+            "consumed",
+            crypto.concat_length_prefixed(*used),
+            nominal_bits=self.CHALLENGE_BITS * len(used),
+        )
+        return b"ok"
 
     def _process_arrival(self, tag_token: str, reader_token: str) -> bool:
         value = self.challenges.get((tag_token, reader_token))

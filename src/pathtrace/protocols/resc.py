@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from pathtrace import crypto
 from pathtrace.network import read_snapshot
-from pathtrace.protocols.base import ProtocolModel, register_protocol
+from pathtrace.protocols.base import ProtocolModel, register_protocol, weak_partial
 from pathtrace.trace import backend
 
 KEY_BITS = 128
@@ -82,7 +82,7 @@ class Resc(ProtocolModel):
                 mem.store(f"idx{i}", b"", nominal_bits=INDEX_BITS)
                 mem.store(f"ts{i}", b"", nominal_bits=TS_BITS)
             self._nonce[tag_token] = None
-            self.net.register_handler(tag_token, self._tag_handler(tag_token))
+            self.net.register_handler(tag_token, weak_partial(self._handle_tag, tag_token))
 
     def session_key(self, reader_token: str, tid: bytes) -> bytes:
         return crypto.sym_enc(self.reader_keys[reader_token], tid)
@@ -92,40 +92,35 @@ class Resc(ProtocolModel):
 
     # --- tag side -------------------------------------------------------
 
-    def _tag_handler(self, tag_token: str):
-        def handle(payload: bytes, sender: str) -> bytes | None:
-            mem = self.run.memory(tag_token)
-            if payload == b"HELLO":
-                nonce = self.rng.randbytes(8)
-                self._nonce[tag_token] = nonce
-                return crypto.concat_length_prefixed(
-                    mem.load("tid"), nonce, mem.load("ptr")
-                )
-            parts = crypto.split_fields(payload, 5)
-            if parts is None or parts[0] != b"DEPOSIT":
-                return None
-            _, idx_bytes, ts_bytes, sig, auth = parts
-            nonce = self._nonce[tag_token]
-            if nonce is None:
-                return None
-            slot = crypto.bytes_to_int(idx_bytes)
-            key = mem.load(f"k{slot}")
-            if key == b"" or mem.load(f"sig{slot}") != b"":
-                return None
-            if auth != nonce_mac(key, nonce, idx_bytes, ts_bytes, sig):
-                return None
-            mem.store(f"sig{slot}", sig, nominal_bits=SIG_BITS)
-            mem.store(f"idx{slot}", idx_bytes, nominal_bits=INDEX_BITS)
-            mem.store(f"ts{slot}", ts_bytes, nominal_bits=TS_BITS)
-            self._nonce[tag_token] = None
-            ptr = crypto.bytes_to_int(mem.load("ptr"))
-            n = len(self.paths_of[tag_token][0])
-            while ptr <= n and mem.load(f"sig{ptr}") != b"":
-                ptr += 1
-            mem.store("ptr", crypto.int_to_bytes(ptr, 1), nominal_bits=0)
-            return b"ok"
-
-        return handle
+    def _handle_tag(self, tag_token: str, payload: bytes, sender: str) -> bytes | None:
+        mem = self.run.memory(tag_token)
+        if payload == b"HELLO":
+            nonce = self.rng.randbytes(8)
+            self._nonce[tag_token] = nonce
+            return crypto.concat_length_prefixed(mem.load("tid"), nonce, mem.load("ptr"))
+        parts = crypto.split_fields(payload, 5)
+        if parts is None or parts[0] != b"DEPOSIT":
+            return None
+        _, idx_bytes, ts_bytes, sig, auth = parts
+        nonce = self._nonce[tag_token]
+        if nonce is None:
+            return None
+        slot = crypto.bytes_to_int(idx_bytes)
+        key = mem.load(f"k{slot}")
+        if key == b"" or mem.load(f"sig{slot}") != b"":
+            return None
+        if auth != nonce_mac(key, nonce, idx_bytes, ts_bytes, sig):
+            return None
+        mem.store(f"sig{slot}", sig, nominal_bits=SIG_BITS)
+        mem.store(f"idx{slot}", idx_bytes, nominal_bits=INDEX_BITS)
+        mem.store(f"ts{slot}", ts_bytes, nominal_bits=TS_BITS)
+        self._nonce[tag_token] = None
+        ptr = crypto.bytes_to_int(mem.load("ptr"))
+        n = len(self.paths_of[tag_token][0])
+        while ptr <= n and mem.load(f"sig{ptr}") != b"":
+            ptr += 1
+        mem.store("ptr", crypto.int_to_bytes(ptr, 1), nominal_bits=0)
+        return b"ok"
 
     # --- reader side ----------------------------------------------------
 

@@ -21,19 +21,22 @@ Mismatched claims are classified against a set of valid paths into the
 attack labels of :class:`AttackLabel`.
 
 :class:`Trace` keeps each tag's collapsed physical path and its ValidPaths
-up to date as events are appended.  Judging or classifying one claim then
-costs a bisect and a copy of that path, plus work in the claim's length and
-its tag's valid paths: nothing scales with trace length, with the tag's
-repeated Moves or with other tags.
+up to date as events are appended, and resolves each claim once: its
+tag's physical path and valid paths before it are bisected out of that
+index on the claim's first verdict, check or label, and kept for the rest.
+Nothing scales with trace length, with the tag's repeated Moves or with
+other tags.  Events, :class:`CheckResult` and :class:`Verdict` are named
+tuples: immutable, each built by one tuple construction.
 """
 
 from __future__ import annotations
 
 import enum
 from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
 class IdKind(enum.Enum):
@@ -98,20 +101,17 @@ def backend(value: str) -> Identifier:
     return Identifier(IdKind.BACKEND, value)
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(NamedTuple):
     tag: Identifier
     reader: Identifier
 
 
-@dataclass(frozen=True)
-class ValidPath:
+class ValidPath(NamedTuple):
     tag: Identifier
     path: tuple[Identifier, ...]
 
 
-@dataclass(frozen=True)
-class PathClaim:
+class PathClaim(NamedTuple):
     tag: Identifier
     path: tuple[Identifier, ...]
     claimant: Identifier
@@ -142,7 +142,8 @@ class Trace:
 
     def __init__(self, events: Iterable[Event] = ()) -> None:
         self._events: list[Event] = []
-        self._by_tag: dict[Identifier, _TagIndex] = {}
+        self._by_tag: defaultdict[Identifier, _TagIndex] = defaultdict(_TagIndex)
+        self._resolved: dict[int, tuple] = {}  # claim index -> _resolve's answer
         for e in events:
             self.append(e)
 
@@ -150,32 +151,19 @@ class Trace:
         """Append an event, returning its index."""
         index = len(self._events)
         if isinstance(event, Move):
-            entry = self._tag_index(event.tag)
+            entry = self._by_tag[event.tag]
             steps = entry.steps
             if not steps or steps[-1] != event.reader:
                 steps.append(event.reader)
                 entry.step_at.append(index)
         elif isinstance(event, ValidPath):
-            entry = self._tag_index(event.tag)
+            entry = self._by_tag[event.tag]
             entry.valid_at.append(index)
             entry.valid_paths.append(event.path)
         elif not isinstance(event, PathClaim):
             raise TypeError(f"not a trace event: {event!r}")
         self._events.append(event)
         return index
-
-    def _tag_index(self, tag: Identifier) -> _TagIndex:
-        entry = self._by_tag.get(tag)
-        if entry is None:
-            entry = self._by_tag[tag] = _TagIndex()
-        return entry
-
-    def _valid_paths_before(self, tag: Identifier, end: int) -> list[tuple[Identifier, ...]]:
-        """Paths of the tag's ValidPaths at indices below ``end``, in order."""
-        entry = self._by_tag.get(tag)
-        if entry is None:
-            return []
-        return entry.valid_paths[: bisect_left(entry.valid_at, end)]
 
     def __len__(self) -> int:
         return len(self._events)
@@ -239,8 +227,7 @@ def is_subsequence(needle: Sequence[Identifier], hay: Sequence[Identifier]) -> b
     return True
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     ok: bool
     witness: str | None = None
 
@@ -248,15 +235,28 @@ class CheckResult:
         return self.ok
 
 
-def _claim_at(trace: Trace, claim_index: int) -> PathClaim:
-    if claim_index < 0:
-        raise ValueError(f"claim index must be non-negative, got {claim_index}")
-    if claim_index >= len(trace):
-        raise ValueError(f"claim index {claim_index} is past the end of a trace of {len(trace)} events")
-    event = trace[claim_index]
-    if not isinstance(event, PathClaim):
-        raise ValueError(f"event {claim_index} is not a PathClaim: {event!r}")
-    return event
+def _resolve(
+    trace: Trace, claim_index: int
+) -> tuple[PathClaim, tuple[Identifier, ...], list[tuple[Identifier, ...]]]:
+    """The claim at ``claim_index``, and its tag's physical path and valid
+    paths before it.  The trace keeps the answer: an append adds events
+    only after the claim, so it never goes stale."""
+    resolved = trace._resolved.get(claim_index)
+    if resolved is None:
+        if claim_index < 0:
+            raise ValueError(f"claim index must be non-negative, got {claim_index}")
+        if claim_index >= len(trace):
+            raise ValueError(
+                f"claim index {claim_index} is past the end of a trace of {len(trace)} events"
+            )
+        claim = trace[claim_index]
+        if not isinstance(claim, PathClaim):
+            raise ValueError(f"event {claim_index} is not a PathClaim: {claim!r}")
+        entry = trace._by_tag.get(claim.tag)
+        valid = entry.valid_paths[: bisect_left(entry.valid_at, claim_index)] if entry else []
+        phys = physical_path(trace, claim.tag, claim_index)
+        resolved = trace._resolved[claim_index] = (claim, phys, valid)
+    return resolved
 
 
 # Each property helper returns the witness of a violation, or None when the
@@ -304,31 +304,29 @@ def _result(witness: str | None) -> CheckResult:
 
 def check_sound(trace: Trace, claim_index: int) -> CheckResult:
     """Claimed readers are a subset of the physically visited readers."""
-    claim = _claim_at(trace, claim_index)
-    return _result(_sound(set(physical_path(trace, claim.tag, claim_index)), claim.path))
+    claim, phys, _valid = _resolve(trace, claim_index)
+    return _result(_sound(set(phys), claim.path))
 
 
 def check_complete(trace: Trace, claim_index: int) -> CheckResult:
     """Claimed and physical reader sets are equal."""
-    claim = _claim_at(trace, claim_index)
-    phys = physical_path(trace, claim.tag, claim_index)
+    claim, phys, _valid = _resolve(trace, claim_index)
     return _result(_complete(phys, set(phys), claim.path))
 
 
 def check_sorted(trace: Trace, claim_index: int) -> CheckResult:
     """The claimed path is a subsequence of the physical path."""
-    claim = _claim_at(trace, claim_index)
-    return _result(_sorted(physical_path(trace, claim.tag, claim_index), claim.path))
+    claim, phys, _valid = _resolve(trace, claim_index)
+    return _result(_sorted(phys, claim.path))
 
 
 def check_authorized(trace: Trace, claim_index: int) -> CheckResult:
     """Some strictly earlier ValidPath for the tag has the claim as a prefix."""
-    claim = _claim_at(trace, claim_index)
-    return _result(_authorized(trace._valid_paths_before(claim.tag, claim_index), claim.path))
+    claim, _phys, valid = _resolve(trace, claim_index)
+    return _result(_authorized(valid, claim.path))
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Evaluation of one PathClaim against its trace prefix."""
 
     claim_index: int
@@ -353,9 +351,8 @@ def verdict_for(trace: Trace, claim_index: int) -> Verdict:
     ``witness`` carries the explanation of the first failing check, in the
     order sound, complete, sorted, authorized.
     """
-    claim = _claim_at(trace, claim_index)
+    claim, phys, valid = _resolve(trace, claim_index)
     claimed = claim.path
-    phys = physical_path(trace, claim.tag, claim_index)
     phys_set = set(phys)
     unsound = _sound(phys_set, claimed)
     if unsound is None:
@@ -363,7 +360,7 @@ def verdict_for(trace: Trace, claim_index: int) -> Verdict:
         unsorted = _sorted(phys, claimed)
     else:  # a reader never visited breaks completeness and order too
         incomplete = unsorted = unsound
-    unauthorized = _authorized(trace._valid_paths_before(claim.tag, claim_index), claimed)
+    unauthorized = _authorized(valid, claimed)
     if unsound is not None:
         witness = f"sound: {unsound}"
     elif incomplete is not None:
@@ -438,17 +435,15 @@ def classify(
                           but in a different order
     * UnauthorizedPath  - no valid path has the claim as a prefix
     """
-    return _classify(collapse(physical), claimed, valid)
+    return _classify(collapse(physical), tuple(claimed), [tuple(p) for p in valid])
 
 
 def _classify(
     phys: tuple[Identifier, ...],
-    claimed: Sequence[Identifier],
-    valid: Iterable[Sequence[Identifier]],
+    claim: tuple[Identifier, ...],
+    valid_paths: Sequence[tuple[Identifier, ...]],
 ) -> frozenset[AttackLabel]:
-    """``classify`` of an already collapsed physical path."""
-    claim = tuple(claimed)
-    valid_paths = [tuple(p) for p in valid]
+    """``classify`` of an already collapsed physical path, on tuples."""
     labels: set[AttackLabel] = set()
 
     phys_set = set(phys)
@@ -483,9 +478,8 @@ def _classify(
 
 def classify_claim(trace: Trace, claim_index: int) -> frozenset[AttackLabel]:
     """Classify one in-trace claim against the movement that preceded it."""
-    claim = _claim_at(trace, claim_index)
-    valid = trace._valid_paths_before(claim.tag, claim_index)
-    return _classify(physical_path(trace, claim.tag, claim_index), claim.path, valid)
+    claim, phys, valid = _resolve(trace, claim_index)
+    return _classify(phys, claim.path, valid)
 
 
 # --- line serialization ----------------------------------------------------
@@ -513,36 +507,41 @@ def parse_trace(text: str) -> Trace:
     """Parse a trace dump.  Claimant kind is inferred: a token that also
     occurs as a reader anywhere in the dump parses as a reader, otherwise
     as a backend."""
-    events: list[Event | None] = []
-    # (position, tag, path, claimant token): a claimant is resolved once
-    # every reader token is known, because it may appear as one later
-    claims: list[tuple[int, Identifier, tuple[Identifier, ...], str]] = []
+    trace = Trace()
+    append = trace.append
+    # (index, claimant token): a claim is appended without its claimant,
+    # which is set once every reader token is known, because the token
+    # may appear as a reader later
+    claimants: list[tuple[int, str]] = []
     reader_tokens: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
         if not parts or parts[0].startswith("#"):
             continue
-        kind, args = parts[0].upper(), parts[1:]
+        kind = parts[0].upper()
         if kind == "MOVE":
-            if len(args) != 2:
+            if len(parts) != 3:
                 raise TraceParseError(f"line {lineno}: MOVE wants <tag> <reader>")
-            reader_tokens.add(args[1])
-            events.append(Move(tag(args[0]), reader(args[1])))
+            reader_tokens.add(parts[2])
+            append(Move(tag(parts[1]), reader(parts[2])))
         elif kind == "VALIDPATH":
-            if len(args) < 2:
+            if len(parts) < 3:
                 raise TraceParseError(f"line {lineno}: VALIDPATH wants <tag> <r1> ...")
-            reader_tokens.update(args[1:])
-            events.append(ValidPath(tag(args[0]), tuple(map(reader, args[1:]))))
+            readers = parts[2:]
+            reader_tokens.update(readers)
+            append(ValidPath(tag(parts[1]), tuple(map(reader, readers))))
         elif kind == "CLAIM":
-            if len(args) < 3:
+            if len(parts) < 4:
                 raise TraceParseError(f"line {lineno}: CLAIM wants <tag> <claimant> <r1> ...")
-            reader_tokens.update(args[2:])
-            claims.append((len(events), tag(args[0]), tuple(map(reader, args[2:])), args[1]))
-            events.append(None)
+            readers = parts[3:]
+            reader_tokens.update(readers)
+            index = append(PathClaim(tag(parts[1]), tuple(map(reader, readers)), None))
+            claimants.append((index, parts[2]))
         else:
             raise TraceParseError(f"line {lineno}: unknown event {kind}")
 
-    for position, claim_tag, path, token in claims:
+    events = trace._events
+    for index, token in claimants:
         claimant = reader(token) if token in reader_tokens else backend(token)
-        events[position] = PathClaim(claim_tag, path, claimant)
-    return Trace(events)
+        events[index] = PathClaim(events[index].tag, events[index].path, claimant)
+    return trace

@@ -126,6 +126,17 @@ def test_sign_verify_round_trip():
     assert sig.signer == "alice"
 
 
+def test_signature_and_params_are_immutable():
+    sig = c.Signature("alice", b"m", b"t")
+    assert repr(sig) == "Signature(signer='alice', message=b'm', tag=b't')"
+    with pytest.raises(AttributeError):
+        sig.message = b"forged"
+    assert repr(c.TEST_PARAMS) == "ElgamalParams(p=23, q=11, g=2)"
+    assert c.DEFAULT_PARAMS == c.ElgamalParams(2305843009213699919, 1152921504606849959, 4)
+    with pytest.raises(AttributeError):
+        c.TEST_PARAMS.g = 3
+
+
 def test_verify_rejects_forgeries():
     rng = random.Random(5)
     sk, vk = c.new_signing_keypair("alice", rng)

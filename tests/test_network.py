@@ -280,6 +280,15 @@ class TestNetwork:
         assert [m.seen for m in net.log] == [None]
         assert lines(net)[0].endswith("trusted")
 
+    def test_strategy_sees_an_immutable_envelope(self):
+        seen = []
+        net = make_net(strategy=lambda env, net: seen.append(env) or env.payload)
+        net.transmit("r1", "t1", b"ping")
+        (env,) = seen
+        assert repr(env) == "Envelope(seq=1, sender='r1', receiver='t1', payload=b'ping')"
+        with pytest.raises(AttributeError):
+            env.payload = b"pong"
+
     def test_request_round_trip(self):
         net = make_net()
         net.register_handler("t1", lambda payload, sender: b"re:" + payload)

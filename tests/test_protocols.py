@@ -8,9 +8,11 @@ documented weakness or rejection behavior.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -178,6 +180,30 @@ class TestCompromisableReaders:
                 CapabilityError, match=f"^no compromisable secrets registered for {token}$"
             ):
                 run.adv.compromise(token)
+
+
+class TestWorldLifetime:
+    """The network holds its model weakly, so a finished world is freed by
+    reference counting alone, without the cyclic collector."""
+
+    @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
+    def test_run_dies_with_the_world(self, protocol):
+        cfg = honest_config(protocol)
+        cfg.adversary = AdvModel.ADV_R
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            model, run = build_run(cfg)
+            assert run.adv.compromise("r1") == model.reader_secrets("r1")
+            play(model, cfg.script)
+            result = finalize(model, run)
+            alive = weakref.ref(run)
+            del model, run
+            assert alive() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert result.verdicts[-1].sound
 
 
 class CountingList(list):
@@ -652,7 +678,7 @@ class TestPathPolyState:
     @pytest.mark.parametrize("protocol", ["tracker", "checker"])
     def test_fold_makes_no_builtin_pow_call(self, protocol, monkeypatch):
         model, run = build_run(honest_config(protocol))
-        model.visit("t1", "r1")  # the public key's table exists from here on
+        model.visit("t1", "r1")  # r1 writes a state the model knows the logs of
         calls = []
         monkeypatch.setattr(crypto, "pow", pow_spy(calls), raising=False)
         assert model._reader_step("t1", "r2") is not None

@@ -339,6 +339,17 @@ class TestSerialization:
         t = parse_trace("MOVE t1 r1\nCLAIM t1 r2 r1\nMOVE t1 r2\n")
         (_, claim), = t.claims()
         assert claim.claimant is reader("r2")
+        # as a reader of a later VALIDPATH or CLAIM too; each claim is set
+        # in place, and the appends it was parsed between still index it
+        t = parse_trace(
+            "MOVE t1 r1\nCLAIM t1 r2 r1\nCLAIM t1 r3 r1\nVALIDPATH t1 r1 r2\nCLAIM t1 b1 r3\n"
+        )
+        assert [(i, c.claimant) for i, c in t.claims()] == [(1, R["r2"]), (2, R["r3"]), (4, B1)]
+        assert t.events[1] == PathClaim(T1, path("r1"), R["r2"])
+        assert physical_path(t, T1, 2) == path("r1")
+        assert verdict_for(t, 1) == tr.Verdict(
+            1, True, True, True, False, "authorized: no earlier ValidPath has the claim as a prefix"
+        )
 
     def test_comments_and_blank_lines_skipped(self):
         t = parse_trace("# header\n\nMOVE t1 r1\n   \n  # indented\nCLAIM t1 b1 r1\n")
@@ -441,6 +452,72 @@ class TestInvariants:
             tag("bad token")
         with pytest.raises(ValueError):
             reader("")
+
+
+class TestRecords:
+    """Events, check results and verdicts are named tuples with the fields,
+    defaults and reprs they had as frozen dataclasses."""
+
+    RECORDS = [
+        (Move(T1, R["r1"]), "reader"),
+        (ValidPath(T1, path("r1")), "path"),
+        (PathClaim(T1, path("r1"), B1), "claimant"),
+        (tr.CheckResult(True), "witness"),
+        (tr.Verdict(0, True, True, True, True), "sorted"),
+    ]
+
+    @pytest.mark.parametrize("record,name", RECORDS, ids=lambda x: type(x).__name__)
+    def test_fields_cannot_be_assigned(self, record, name):
+        before = getattr(record, name)
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        assert getattr(record, name) is before
+
+    def test_move_repr(self):
+        assert repr(Move(T1, R["r1"])) == (
+            "Move(tag=Identifier(kind=<IdKind.TAG: 'tag'>, value='t1', participant=None), "
+            "reader=Identifier(kind=<IdKind.READER: 'reader'>, value='r1', participant=None))"
+        )
+
+    def test_verdict_repr(self):
+        t = Trace(moves(T1, "r1", "r2") + [PathClaim(T1, path("r1"), B1)])
+        assert repr(verdict_for(t, 2)) == (
+            "Verdict(claim_index=2, sound=True, complete=False, sorted=True, authorized=False, "
+            "witness='complete: visited reader r2 absent from claim')"
+        )
+        assert repr(tr.Verdict(0, True, True, True, True)) == (
+            "Verdict(claim_index=0, sound=True, complete=True, sorted=True, authorized=True, "
+            "witness=None)"
+        )
+
+    def test_check_result_truth_is_ok(self):
+        assert bool(tr.CheckResult(False, "w")) is False
+        assert bool(tr.CheckResult(True)) is True
+        assert tr.CheckResult(True).witness is None
+
+
+class TestResolveOnce:
+    """A claim is resolved once per trace: every judgment of it reads one
+    physical path lookup."""
+
+    def test_one_physical_path_per_claim(self, monkeypatch):
+        t = Trace([ValidPath(T1, path("r1", "r2")), *moves(T1, "r1", "r3")])
+        t.append(PathClaim(T1, path("r2", "r1"), B1))
+        calls = []
+        original = tr.physical_path
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(tr, "physical_path", spy)
+        judges = [
+            verdict_for, tr.classify_claim,
+            tr.check_sound, tr.check_complete, tr.check_sorted, tr.check_authorized,
+        ]
+        for judge in judges * 2:
+            judge(t, 3)
+        assert calls == [(t, T1, 3)]
 
 
 class TestIdentifier:

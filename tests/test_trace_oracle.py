@@ -83,6 +83,28 @@ def test_classifier_agrees_with_oracle_small():
             assert got == oracle_classify(visits, claimed, VALID), (visits, claimed)
 
 
+def test_judgment_ignores_later_appends():
+    """A claim judged, then followed by more Moves and ValidPaths of its
+    tag, is judged the same again, as the oracles judge its prefix."""
+    for visits in enumerate_sequences("abc", 3):
+        for claimed in enumerate_sequences("abc", 2):
+            t, idx = build_case(visits, claimed)
+            first = (verdict_for(t, idx), classify_claim(t, idx))
+            for r in ("c", "a", "d"):
+                t.append(Move(T1, reader(r)))
+            t.append(ValidPath(T1, tuple(reader(r) for r in claimed)))
+            assert (verdict_for(t, idx), classify_claim(t, idx)) == first
+            phys = oracle_physical(visits)
+            assert first[0].properties() == {
+                "sound": oracle_sound(phys, claimed),
+                "complete": oracle_complete(phys, claimed),
+                "sorted": oracle_sorted(phys, claimed),
+                "authorized": oracle_authorized(VALID, claimed),
+            }, (visits, claimed)
+            labels = frozenset(label.value for label in first[1])
+            assert labels == oracle_classify(visits, claimed, VALID), (visits, claimed)
+
+
 def test_oracle_sorted_self_check():
     # the two subsequence algorithms must differ in mechanism yet agree
     assert oracle_sorted("abcab", "aca")
