@@ -20,13 +20,20 @@ A claim is judged against the trace prefix strictly before it:
 Mismatched claims are classified against a set of valid paths into the
 attack labels of :class:`AttackLabel`.
 
-:class:`Trace` keeps each tag's collapsed physical path and its ValidPaths
-up to date as events are appended, and resolves each claim once: its
-tag's physical path and valid paths before it are bisected out of that
-index on the claim's first verdict, check or label, and kept for the rest.
+:class:`Trace` keeps each tag's collapsed physical path and its ValidPaths,
+and the index of every claim, up to date as events are appended.  It
+resolves each claim once: its tag's physical path before it (and that
+path's reader set) and valid paths before it are bisected out of the index
+on the claim's first verdict, check or label, and kept for the rest.
 Nothing scales with trace length, with the tag's repeated Moves or with
-other tags.  Events, :class:`CheckResult` and :class:`Verdict` are named
-tuples: immutable, each built by one tuple construction.
+other tags.
+
+Everything the checkers hash or compare is a tuple, so that work runs in C:
+an :class:`Identifier` is the tuple ``(kind.value, value)``, and events,
+:class:`CheckResult` and :class:`Verdict` are named tuples.
+:func:`parse_trace` builds each event as a bare tuple of its class, without
+the named tuple's Python ``__new__``, and hands it to :meth:`Trace.append`,
+which keeps the index in one place.
 """
 
 from __future__ import annotations
@@ -34,8 +41,9 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
@@ -46,38 +54,51 @@ class IdKind(enum.Enum):
     BACKEND = "backend"
 
 
-@dataclass(frozen=True, eq=False)
-class Identifier:
-    """A named entity.  Equality and hashing use (kind, value) only.
+class Identifier(tuple):
+    """A named entity: the tuple ``(kind.value, value)``.
 
-    ``participant`` records which supply-chain party operates a reader; it is
-    descriptive metadata and never takes part in comparisons.  The hash is
-    computed once, because identifiers key every set and dict the checkers
-    build.
+    Equality and hashing are tuple equality and tuple hashing, done in C,
+    because identifiers key every set and dict the checkers build.  An
+    identifier equals the plain tuple ``(kind.value, value)`` and hashes
+    like it; identifiers of different kinds differ in the first item.
+
+    ``participant`` records which supply-chain party operates a reader.  It
+    is descriptive metadata kept outside the tuple, so it never takes part
+    in comparisons.  Identifiers are immutable: assigning to ``kind``,
+    ``value`` or ``participant`` raises ``FrozenInstanceError``.
     """
 
     kind: IdKind
-    value: str
-    participant: str | None = None
-    _hash: int = field(init=False, repr=False, compare=False)
+    participant: str | None
 
-    def __post_init__(self) -> None:
-        if not self.value or any(c.isspace() for c in self.value):
-            raise ValueError(f"identifier must be a non-empty token: {self.value!r}")
-        object.__setattr__(self, "_hash", hash((self.kind.value, self.value)))
+    def __new__(cls, kind: IdKind, value: str, participant: str | None = None) -> Identifier:
+        if not value or any(c.isspace() for c in value):
+            raise ValueError(f"identifier must be a non-empty token: {value!r}")
+        self = tuple.__new__(cls, (kind.value, value))
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "participant", participant)
+        return self
 
-    def __hash__(self) -> int:
-        return self._hash
+    value = property(itemgetter(1), doc="The token that names the entity.")
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.value == other.value and self.kind is other.kind
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # tuple's own pickling would call __new__ with the bare tuple
+        return type(self), (self.kind, self[1], self.participant)
+
+    def __repr__(self) -> str:
+        return (
+            f"Identifier(kind={self.kind!r}, value={self[1]!r}, "
+            f"participant={self.participant!r})"
+        )
 
     def __str__(self) -> str:
-        return self.value
+        return self[1]
 
 
 # The constructors intern: one instance per argument tuple, so equal
@@ -143,24 +164,29 @@ class Trace:
     def __init__(self, events: Iterable[Event] = ()) -> None:
         self._events: list[Event] = []
         self._by_tag: defaultdict[Identifier, _TagIndex] = defaultdict(_TagIndex)
+        self._claim_at: list[int] = []  # the index of every PathClaim, in order
         self._resolved: dict[int, tuple] = {}  # claim index -> _resolve's answer
         for e in events:
             self.append(e)
 
     def append(self, event: Event) -> int:
-        """Append an event, returning its index."""
+        """Append an event, returning its index.  An event is a Move, a
+        ValidPath or a PathClaim, of exactly that class."""
         index = len(self._events)
-        if isinstance(event, Move):
+        cls = event.__class__
+        if cls is Move:
             entry = self._by_tag[event.tag]
             steps = entry.steps
             if not steps or steps[-1] != event.reader:
                 steps.append(event.reader)
                 entry.step_at.append(index)
-        elif isinstance(event, ValidPath):
+        elif cls is ValidPath:
             entry = self._by_tag[event.tag]
             entry.valid_at.append(index)
             entry.valid_paths.append(event.path)
-        elif not isinstance(event, PathClaim):
+        elif cls is PathClaim:
+            self._claim_at.append(index)
+        else:
             raise TypeError(f"not a trace event: {event!r}")
         self._events.append(event)
         return index
@@ -180,9 +206,9 @@ class Trace:
 
     def claims(self) -> Iterator[tuple[int, PathClaim]]:
         """Yield (index, claim) for every PathClaim in order."""
-        for i, e in enumerate(self._events):
-            if isinstance(e, PathClaim):
-                yield i, e
+        events = self._events
+        for i in self._claim_at:
+            yield i, events[i]
 
     def tags(self) -> list[Identifier]:
         """All tags mentioned, in first-appearance order."""
@@ -237,10 +263,11 @@ class CheckResult(NamedTuple):
 
 def _resolve(
     trace: Trace, claim_index: int
-) -> tuple[PathClaim, tuple[Identifier, ...], list[tuple[Identifier, ...]]]:
-    """The claim at ``claim_index``, and its tag's physical path and valid
-    paths before it.  The trace keeps the answer: an append adds events
-    only after the claim, so it never goes stale."""
+) -> tuple[PathClaim, tuple[Identifier, ...], set[Identifier], list[tuple[Identifier, ...]]]:
+    """The claim at ``claim_index``, its tag's physical path before it, the
+    set of that path's readers, and the tag's valid paths before it.  The
+    trace keeps the answer: an append adds events only after the claim, so
+    it never goes stale."""
     resolved = trace._resolved.get(claim_index)
     if resolved is None:
         if claim_index < 0:
@@ -255,7 +282,7 @@ def _resolve(
         entry = trace._by_tag.get(claim.tag)
         valid = entry.valid_paths[: bisect_left(entry.valid_at, claim_index)] if entry else []
         phys = physical_path(trace, claim.tag, claim_index)
-        resolved = trace._resolved[claim_index] = (claim, phys, valid)
+        resolved = trace._resolved[claim_index] = (claim, phys, set(phys), valid)
     return resolved
 
 
@@ -304,25 +331,25 @@ def _result(witness: str | None) -> CheckResult:
 
 def check_sound(trace: Trace, claim_index: int) -> CheckResult:
     """Claimed readers are a subset of the physically visited readers."""
-    claim, phys, _valid = _resolve(trace, claim_index)
-    return _result(_sound(set(phys), claim.path))
+    claim, _phys, phys_set, _valid = _resolve(trace, claim_index)
+    return _result(_sound(phys_set, claim.path))
 
 
 def check_complete(trace: Trace, claim_index: int) -> CheckResult:
     """Claimed and physical reader sets are equal."""
-    claim, phys, _valid = _resolve(trace, claim_index)
-    return _result(_complete(phys, set(phys), claim.path))
+    claim, phys, phys_set, _valid = _resolve(trace, claim_index)
+    return _result(_complete(phys, phys_set, claim.path))
 
 
 def check_sorted(trace: Trace, claim_index: int) -> CheckResult:
     """The claimed path is a subsequence of the physical path."""
-    claim, phys, _valid = _resolve(trace, claim_index)
+    claim, phys, _phys_set, _valid = _resolve(trace, claim_index)
     return _result(_sorted(phys, claim.path))
 
 
 def check_authorized(trace: Trace, claim_index: int) -> CheckResult:
     """Some strictly earlier ValidPath for the tag has the claim as a prefix."""
-    claim, _phys, valid = _resolve(trace, claim_index)
+    claim, _phys, _phys_set, valid = _resolve(trace, claim_index)
     return _result(_authorized(valid, claim.path))
 
 
@@ -351,9 +378,8 @@ def verdict_for(trace: Trace, claim_index: int) -> Verdict:
     ``witness`` carries the explanation of the first failing check, in the
     order sound, complete, sorted, authorized.
     """
-    claim, phys, valid = _resolve(trace, claim_index)
+    claim, phys, phys_set, valid = _resolve(trace, claim_index)
     claimed = claim.path
-    phys_set = set(phys)
     unsound = _sound(phys_set, claimed)
     if unsound is None:
         incomplete = _complete(phys, phys_set, claimed)
@@ -435,18 +461,20 @@ def classify(
                           but in a different order
     * UnauthorizedPath  - no valid path has the claim as a prefix
     """
-    return _classify(collapse(physical), tuple(claimed), [tuple(p) for p in valid])
+    phys = collapse(physical)
+    return _classify(phys, set(phys), tuple(claimed), [tuple(p) for p in valid])
 
 
 def _classify(
     phys: tuple[Identifier, ...],
+    phys_set: set[Identifier],
     claim: tuple[Identifier, ...],
     valid_paths: Sequence[tuple[Identifier, ...]],
 ) -> frozenset[AttackLabel]:
-    """``classify`` of an already collapsed physical path, on tuples."""
+    """``classify`` of an already collapsed physical path and the set of
+    its readers, on tuples."""
     labels: set[AttackLabel] = set()
 
-    phys_set = set(phys)
     claim_set = set(claim)
     sound = claim_set <= phys_set
 
@@ -478,8 +506,8 @@ def _classify(
 
 def classify_claim(trace: Trace, claim_index: int) -> frozenset[AttackLabel]:
     """Classify one in-trace claim against the movement that preceded it."""
-    claim, phys, valid = _resolve(trace, claim_index)
-    return _classify(phys, claim.path, valid)
+    claim, phys, phys_set, valid = _resolve(trace, claim_index)
+    return _classify(phys, phys_set, claim.path, valid)
 
 
 # --- line serialization ----------------------------------------------------
@@ -503,12 +531,22 @@ class TraceParseError(ValueError):
     pass
 
 
+_KINDS = ("MOVE", "VALIDPATH", "CLAIM")
+
+
 def parse_trace(text: str) -> Trace:
     """Parse a trace dump.  Claimant kind is inferred: a token that also
     occurs as a reader anywhere in the dump parses as a reader, otherwise
-    as a backend."""
+    as a backend.
+
+    Kinds are case-insensitive.  Blank lines are skipped, and so is any
+    line whose first token starts with ``#``.  Events are built as bare
+    tuples of their class, without the named tuple's Python ``__new__``,
+    and each one goes through :meth:`Trace.append`.
+    """
     trace = Trace()
     append = trace.append
+    new = tuple.__new__
     # (index, claimant token): a claim is appended without its claimant,
     # which is set once every reader token is known, because the token
     # may appear as a reader later
@@ -516,32 +554,37 @@ def parse_trace(text: str) -> Trace:
     reader_tokens: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
-        if not parts or parts[0].startswith("#"):
+        if not parts:
             continue
-        kind = parts[0].upper()
+        kind = parts[0]
+        if kind not in _KINDS:
+            kind = kind.upper()
+            if kind not in _KINDS:
+                if kind.startswith("#"):
+                    continue
+                raise TraceParseError(f"line {lineno}: unknown event {kind}")
         if kind == "MOVE":
             if len(parts) != 3:
                 raise TraceParseError(f"line {lineno}: MOVE wants <tag> <reader>")
             reader_tokens.add(parts[2])
-            append(Move(tag(parts[1]), reader(parts[2])))
+            append(new(Move, (tag(parts[1]), reader(parts[2]))))
         elif kind == "VALIDPATH":
             if len(parts) < 3:
                 raise TraceParseError(f"line {lineno}: VALIDPATH wants <tag> <r1> ...")
             readers = parts[2:]
             reader_tokens.update(readers)
-            append(ValidPath(tag(parts[1]), tuple(map(reader, readers))))
-        elif kind == "CLAIM":
+            append(new(ValidPath, (tag(parts[1]), tuple(map(reader, readers)))))
+        else:  # CLAIM
             if len(parts) < 4:
                 raise TraceParseError(f"line {lineno}: CLAIM wants <tag> <claimant> <r1> ...")
             readers = parts[3:]
             reader_tokens.update(readers)
-            index = append(PathClaim(tag(parts[1]), tuple(map(reader, readers)), None))
+            index = append(new(PathClaim, (tag(parts[1]), tuple(map(reader, readers)), None)))
             claimants.append((index, parts[2]))
-        else:
-            raise TraceParseError(f"line {lineno}: unknown event {kind}")
 
     events = trace._events
     for index, token in claimants:
         claimant = reader(token) if token in reader_tokens else backend(token)
-        events[index] = PathClaim(events[index].tag, events[index].path, claimant)
+        claim = events[index]
+        events[index] = new(PathClaim, (claim.tag, claim.path, claimant))
     return trace

@@ -2,8 +2,10 @@
 
 ``perfbench/workloads.py`` checks each pass's outputs against digests
 committed beside it (``perfbench/digests.json``): the scale canary's
-report bytes and the corpus matrix report.  Running those checks here
-makes a report-byte drift fail the test suite, not only the benchmark.
+report bytes and the corpus matrix report.  It checks every audit verdict
+and label set against the frozen oracles.  Running those checks here
+makes a report-byte or verdict drift fail the test suite, not only the
+benchmark.
 The module is loaded from its file; nothing under ``perfbench/`` is
 written.
 """
@@ -50,6 +52,11 @@ def test_scale_canary_matches_the_committed_digests(workloads):
 
 def test_corpus_pass_matches_the_committed_digest(workloads):
     res = workloads.run_corpus_pass(workloads.prepare_corpus(0))
+    assert res.attempted and res.failed == 0, res.problems
+
+
+def test_audit_pass_matches_the_oracles(workloads):
+    res = workloads.run_audit_pass(workloads.prepare_audit(0))
     assert res.attempted and res.failed == 0, res.problems
 
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import pickle
 import random
 
 import pytest
@@ -64,6 +66,14 @@ class TestPhysicalPath:
         with pytest.raises(TypeError, match="not a trace event"):
             t.append(("MOVE", "t1", "r2"))
         assert len(t) == 1 and physical_path(t, T1) == path("r1")
+
+    def test_plain_tuple_of_identifiers_refused(self):
+        # equal to Move(T1, r2), but not one: append picks its branch by class
+        t = Trace(moves(T1, "r1"))
+        with pytest.raises(TypeError, match="not a trace event"):
+            t.append((T1, R["r2"]))
+        assert len(t) == 1 and physical_path(t, T1) == path("r1")
+        assert list(t.claims()) == []
 
     def test_other_tags_ignored(self):
         t2 = tag("t2")
@@ -355,6 +365,21 @@ class TestSerialization:
         t = parse_trace("# header\n\nMOVE t1 r1\n   \n  # indented\nCLAIM t1 b1 r1\n")
         assert t.events == (Move(T1, R["r1"]), PathClaim(T1, path("r1"), B1))
 
+    def test_commented_out_events_skipped(self):
+        t = parse_trace("#MOVE t1 r9\nMOVE t1 r1\n#claim t1 b1 r9\n\t#VALIDPATH t1 r9\nCLAIM t1 b1 r1\n")
+        assert t.events == (Move(T1, R["r1"]), PathClaim(T1, path("r1"), B1))
+        assert [i for i, _ in t.claims()] == [1]
+
+    def test_parsed_events_are_plain_records(self):
+        # built as bare tuples, they are the named tuples append indexes
+        t = parse_trace("VALIDPATH t1 r1 r2\nMOVE t1 r1\nCLAIM t1 b1 r1\nMOVE t1 r2\n")
+        assert [type(e) for e in t] == [ValidPath, Move, PathClaim, Move]
+        assert t[2].claimant is B1 and t[2].path == path("r1") and t[1].reader is R["r1"]
+        assert t[0] == ValidPath(T1, path("r1", "r2"))
+        assert physical_path(t, T1) == path("r1", "r2")
+        assert [i for i, _ in t.claims()] == [2]
+        assert verdict_for(t, 2) == tr.Verdict(2, True, True, True, True)
+
     def test_lower_case_keywords(self):
         t = parse_trace("validpath t1 r1 r2\nmove t1 r1\nMove t1 r2\nclaim t1 b1 r1 r2\n")
         assert dump_trace(t) == "VALIDPATH t1 r1 r2\nMOVE t1 r1\nMOVE t1 r2\nCLAIM t1 b1 r1 r2\n"
@@ -375,6 +400,9 @@ class TestSerialization:
             ("MOVE t1 r1\n\nCLAIM t1 b1\nTELEPORT t1 r1\n",
              "line 3: CLAIM wants <tag> <claimant> <r1> ..."),
             ("MOVE t1 r1\n  teleport t1 r1\nMOVE t1\n", "line 2: unknown event TELEPORT"),
+            ("# a\n#MOVE t1 r1\n\n  # b\nMOVE t1 r1\nTeleport t1 r1\n",
+             "line 6: unknown event TELEPORT"),
+            ("#\nMOVE# t1 r1\n", "line 2: unknown event MOVE#"),
         ],
     )
     def test_parse_error_names_first_bad_line(self, text, message):
@@ -551,6 +579,68 @@ class TestIdentifier:
         with pytest.raises(dataclasses.FrozenInstanceError):
             r.value = "b"
         assert r.value == "a"
+
+    @pytest.mark.parametrize("name", ["kind", "value", "participant", "other"])
+    def test_no_field_can_be_assigned_or_deleted(self, name):
+        r = reader("a", "p1")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(r, name, "b")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(r, name)
+        assert (r.kind, r.value, r.participant) == (tr.IdKind.READER, "a", "p1")
+
+    @pytest.mark.parametrize("make", [reader, tag, backend])
+    def test_hash_is_the_kind_and_value_tuple_hash(self, make):
+        ident = make("a")
+        assert hash(ident) == hash((ident.kind.value, "a"))
+        assert ident == (ident.kind.value, "a")
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy] + [
+            lambda x, protocol=protocol: pickle.loads(pickle.dumps(x, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ],
+        ids=["copy", "deepcopy"] + [f"pickle{p}" for p in range(pickle.HIGHEST_PROTOCOL + 1)],
+    )
+    def test_copies_keep_every_field(self, clone):
+        for ident in (reader("a", "p1"), reader("a"), tag("t1"), backend("b1")):
+            back = clone(ident)
+            assert type(back) is tr.Identifier
+            assert (back.kind, back.value, back.participant) == (
+                ident.kind, ident.value, ident.participant
+            )
+            assert back == ident and hash(back) == hash(ident) and repr(back) == repr(ident)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                back.participant = None
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_parsed_trace_copies_judge_the_same(self, clone):
+        text = "VALIDPATH t1 r1 r2\nMOVE t1 r1\nMOVE t1 r3\nCLAIM t1 r3 r3 r1\nCLAIM t1 v r1\n"
+        t = parse_trace(text)
+        verdicts = [verdict_for(t, i) for i, _ in t.claims()]  # resolved before the copy
+        back = clone(t)
+        assert back.events == t.events and dump_trace(back) == text
+        assert [verdict_for(back, i) for i, _ in back.claims()] == verdicts
+        assert [tr.classify_claim(back, i) for i, _ in back.claims()] == [
+            tr.classify_claim(t, i) for i, _ in t.claims()
+        ]
+        claimants = [c.claimant for _, c in back.claims()]
+        assert [(c.kind, c.value) for c in claimants] == [
+            (tr.IdKind.READER, "r3"), (tr.IdKind.BACKEND, "v")
+        ]
+        back.append(Move(T1, R["r2"]))
+        assert physical_path(back, T1) == path("r1", "r3", "r2")
+
+    def test_scenario_facts_print_an_identifier_as_its_token(self):
+        from pathtrace.scenario import _stringify
+
+        assert _stringify(reader("a")) == "a"
+        assert _stringify([reader("a"), tag("t1")]) == "a,t1"
 
     def test_repr(self):
         assert repr(reader("a", "p1")) == (
