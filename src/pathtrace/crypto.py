@@ -21,15 +21,13 @@ sized for simulation rather than real security:
   has 8-bit windows and is built once per parameter set, the first time
   ``gpow`` uses it; each public key builds a 4-bit table of its own once
   it has been raised a few times, and the table goes with the key.
-  ``ct_pow_mul`` raises two ciphertexts to two exponents and multiplies
-  them in one joint (Straus) exponentiation over the exponents' 2-bit
-  windows, which ``joint_digits`` computes once per exponent pair.
   A caller that drew every exponent of a ciphertext knows the discrete
-  log base g of each component, and can skip these operations: raising
-  g to the folded, rerandomized or decrypting log with ``gpow`` gives the
-  same element, since g has order q and (g^l)^k = g^(k*l mod q).  The
-  path-polynomial models raise logs for the states they wrote themselves
-  and use the operations above for any other (``protocols.tracker``).
+  log base g of each component, and can skip the group operations:
+  raising g to the folded, rerandomized or decrypting log with ``gpow``
+  gives the same element, since g has order q and (g^l)^k = g^(k*l mod q).
+  The path-polynomial models raise logs for the states they wrote
+  themselves; any other state goes through ``ct_pow``, ``hom_mul``,
+  ``rerandomize`` and ``elg_decrypt`` (``protocols.tracker``).
 
 All randomness comes from caller-provided ``random.Random`` instances.
 """
@@ -502,41 +500,6 @@ def ct_pow(ct: Ciphertext, e: int) -> Ciphertext:
     p = ct.params.p
     e = e % ct.params.q
     return Ciphertext(ct.params, pow(ct.c1, e, p), pow(ct.c2, e, p))
-
-
-def joint_digits(params: ElgamalParams, x: int, y: int) -> tuple[int, ...]:
-    """The 2-bit windows of x mod q and y mod q, most significant first,
-    window i of x and window j of y as the digit 4*i + j."""
-    x %= params.q
-    y %= params.q
-    top = (max(x, y).bit_length() + 1) // 2 * 2
-    return tuple(((x >> s) & 3) << 2 | ((y >> s) & 3) for s in range(top - 2, -1, -2))
-
-
-def _joint_table(u: int, v: int, p: int) -> list[int]:
-    """u^i * v^j mod p at index 4*i + j, for i, j in 0..3."""
-    u2 = u * u % p
-    v2 = v * v % p
-    us = (1, u, u2, u2 * u % p)
-    vs = (1, v, v2, v2 * v % p)
-    return [ui * vj % p for ui in us for vj in vs]
-
-
-def ct_pow_mul(a: Ciphertext, b: Ciphertext, digits: tuple[int, ...]) -> Ciphertext:
-    """``hom_mul(ct_pow(a, x), ct_pow(b, y))`` for ``digits =
-    joint_digits(params, x, y)``, as one joint exponentiation: both
-    components walk the digits once, so a^x and b^y share their squarings.
-    Exact for any components, in the subgroup or not."""
-    if a.params != b.params:
-        raise CryptoError("ciphertexts from different groups")
-    p = a.params.p
-    t1 = _joint_table(a.c1, b.c1, p)
-    t2 = _joint_table(a.c2, b.c2, p)
-    r1 = r2 = 1
-    for d in digits:
-        r1 = r1**4 * t1[d] % p
-        r2 = r2**4 * t2[d] % p
-    return Ciphertext(a.params, r1, r2)
 
 
 def rerandomize(pub: ElgamalPublic, ct: Ciphertext, rng: Random) -> Ciphertext:

@@ -11,8 +11,9 @@ that a non-registered path was taken but never which one.
 A state takes one of two paths through the model (see ``PathPolyModel``):
 the bytes the model last wrote to a tag are folded, rerandomized and
 decrypted from the discrete logs of their components, which the model
-knows because it drew every exponent; any other bytes go through the
-group operations.  Both give the same elements, so the same report.
+knows because it drew every exponent; any other bytes go through
+``crypto.ct_pow``, ``hom_mul``, ``rerandomize`` and ``elg_decrypt``.  Both
+give the same elements, so the same report.
 """
 
 from __future__ import annotations
@@ -67,8 +68,8 @@ class PathPolyModel(ProtocolModel):
     that of c2, a plaintext is ``g^(l2 - x*l1)``, and each element is one
     raise of the generator's table (``crypto.gpow``).  Any other bytes (a
     dropped, modified, injected, cloned or adversary-written state) take
-    the generic path: ``crypto.ct_pow_mul`` over the digits of (x0, a_i),
-    computed once per reader, then ``crypto.rerandomize`` and
+    the generic path: ``crypto.ct_pow`` of acc and base, their
+    ``crypto.hom_mul``, then ``crypto.rerandomize`` and
     ``crypto.elg_decrypt``.  The two agree on every element, because g has
     order q, so (g^l)^k = g^(k*l mod q); the draws are the same and in the
     same order, so every report byte is too.  The remembered states stay
@@ -83,8 +84,6 @@ class PathPolyModel(ProtocolModel):
         self.params = crypto.DEFAULT_PARAMS
         self.priv = crypto.elg_keygen(self.rng, self.params)
         self.pub = self.priv.public
-        # reader -> joint_digits of (x0, its coefficient), computed at its first fold
-        self._fold_digits: dict[str, tuple[int, ...]] = {}
         # tag -> the state the model last wrote to it, when it knows its logs
         self._known: dict[str, KnownState] = {}
 
@@ -197,19 +196,15 @@ class PathPolyModel(ProtocolModel):
         state = self._present(tag_token, reader_token, malformed)
         if state is None:
             return None
+        x0, coeff = self.x0, self.coeffs[reader_token]
         if isinstance(state, KnownState):
             *rest, b1, b2, a1, a2 = state.logs
-            x0, coeff = self.x0, self.coeffs[reader_token]
             folded = [*rest, b1, b2, x0 * a1 + coeff * b1, x0 * a2 + coeff * b2]
             fresh: KnownState | None = self._known_state(self._rerandomized(folded))
             blob = fresh.blob
         else:
             *rest, base, acc = state
-            digits = self._fold_digits.get(reader_token)
-            if digits is None:
-                digits = crypto.joint_digits(self.params, self.x0, self.coeffs[reader_token])
-                self._fold_digits[reader_token] = digits
-            acc = crypto.ct_pow_mul(acc, base, digits)
+            acc = crypto.hom_mul(crypto.ct_pow(acc, x0), crypto.ct_pow(base, coeff))
             cts = [crypto.rerandomize(self.pub, ct, self.rng) for ct in (*rest, base, acc)]
             fresh = None
             blob = self._pack([n for ct in cts for n in (ct.c1, ct.c2)])
@@ -250,13 +245,15 @@ class Tracker(PathPolyModel):
         return roles
 
     def setup(self) -> None:
+        self.verifier = self.manager_of(self.config)
+        if self.verifier not in (None, *self.run.readers, *self.run.transits):
+            raise ValueError(f"tracker manager {self.verifier} is neither a reader nor a transit")
         self._setup_group()
         self.mac_key = self.rng.randbytes(32)
         q = self.params.q
         self.x0 = self.rng.randrange(1, q)
         self.a0 = self.rng.randrange(1, q)
 
-        self.verifier = self.manager_of(self.config)
         self.coeffs: dict[str, int] = {}
         equal_group = [t for t in self.config.params.get("equal", "").split(",") if t]
         shared = self.rng.randrange(1, q) if equal_group else None

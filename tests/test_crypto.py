@@ -530,62 +530,3 @@ def test_decrypt_refuses_a_zero_c1():
     for c1 in (0, c.DEFAULT_PARAMS.p):
         with pytest.raises(ValueError):
             c.elg_decrypt(priv, c.Ciphertext(c.DEFAULT_PARAMS, c1, 5))
-
-
-# --- one joint exponentiation for a^x * b^y ---------------------------------
-
-def _joint_cases(params, seed):
-    """Seeded component pairs, with p - v (outside <g>) and 1 among them,
-    and exponents at 0, 1, q - 1, q, above q and at random."""
-    p, q = params.p, params.q
-    rng = random.Random(seed)
-    components = [1, p - 1]
-    for _ in range(20):
-        v = rng.randrange(1, p)
-        components += [v, p - v]
-    exponents = [0, 1, q - 1, q, q + 1, 2 * q + 3, 2**64 + 5]
-    exponents += [rng.randrange(q) for _ in range(10)]
-    for _ in range(400):
-        a = c.Ciphertext(params, rng.choice(components), rng.choice(components))
-        b = c.Ciphertext(params, rng.choice(components), rng.choice(components))
-        yield a, rng.choice(exponents), b, rng.choice(exponents)
-
-
-@pytest.mark.parametrize("params", [c.DEFAULT_PARAMS, c.TEST_PARAMS], ids=["default", "test"])
-def test_ct_pow_mul_is_hom_mul_of_two_ct_pows(params):
-    for a, x, b, y in _joint_cases(params, 31):
-        expect = c.hom_mul(c.ct_pow(a, x), c.ct_pow(b, y))
-        assert c.ct_pow_mul(a, b, c.joint_digits(params, x, y)) == expect, (a, x, b, y)
-
-
-@pytest.mark.parametrize("params", [c.DEFAULT_PARAMS, c.TEST_PARAMS], ids=["default", "test"])
-def test_joint_digits_reduce_the_exponents_mod_q(params):
-    q = params.q
-    for x, y in ((0, 0), (1, q - 1), (q, q + 1), (5, 2 * q + 7)):
-        assert c.joint_digits(params, x, y) == c.joint_digits(params, x % q, y % q)
-    assert c.joint_digits(params, q, 2 * q) == ()
-    # base 4 read in two interleaved halves gives back both exponents
-    x, y = q - 1, q // 3
-    digits = c.joint_digits(params, x, y)
-    assert sum((d >> 2) << (2 * i) for i, d in enumerate(reversed(digits))) == x
-    assert sum((d & 3) << (2 * i) for i, d in enumerate(reversed(digits))) == y
-
-
-def test_ct_pow_mul_makes_no_builtin_pow_call(monkeypatch):
-    calls = []
-    monkeypatch.setattr(c, "pow", lambda *args: calls.append(args) or pow(*args), raising=False)
-    rng = random.Random(32)
-    params = c.DEFAULT_PARAMS
-    a, b = (c.Ciphertext(params, rng.randrange(1, params.p), rng.randrange(1, params.p))
-            for _ in range(2))
-    c.ct_pow_mul(a, b, c.joint_digits(params, rng.randrange(params.q), rng.randrange(params.q)))
-    assert calls == []
-
-
-def test_ct_pow_mul_rejects_mixed_groups():
-    rng = random.Random(33)
-    a = c.elg_encrypt(c.elg_keygen(rng, c.TEST_PARAMS).public, 2, rng)
-    b = c.elg_encrypt(c.elg_keygen(rng).public, 2, rng)
-    for first, second in ((a, b), (b, a)):
-        with pytest.raises(c.CryptoError):
-            c.ct_pow_mul(first, second, c.joint_digits(c.TEST_PARAMS, 3, 4))

@@ -657,7 +657,7 @@ def pow_spy(calls):
 
 
 class TestPathPolyState:
-    """The in-place parse and the joint fold of the shared Tracker/Checker
+    """The in-place parse and the fold of the shared Tracker/Checker
     state."""
 
     @pytest.mark.parametrize("protocol", ["tracker", "checker"])
@@ -714,14 +714,13 @@ class TestKnownStates:
         model, run = build_run(honest_config(protocol))
         params, gpow = model.params, crypto.gpow
         x0, coeff = model.x0, model.coeffs["r1"]
-        digits = crypto.joint_digits(params, x0, coeff)
         rng = random.Random(5)
         for _ in range(50):
             l1, l2, m1, m2, e = (rng.randrange(params.q) for _ in range(5))
             acc = crypto.Ciphertext(params, gpow(params, l1), gpow(params, l2))
             base = crypto.Ciphertext(params, gpow(params, m1), gpow(params, m2))
             # the fold
-            folded = crypto.ct_pow_mul(acc, base, digits)
+            folded = crypto.hom_mul(crypto.ct_pow(acc, x0), crypto.ct_pow(base, coeff))
             assert (folded.c1, folded.c2) == (
                 gpow(params, x0 * l1 + coeff * m1),
                 gpow(params, x0 * l2 + coeff * m2),
@@ -747,7 +746,7 @@ class TestKnownStates:
     )
     def test_corpus_report_is_the_same_without_remembering(self, name, monkeypatch):
         path = corpus_dir() / f"{name}.scn"
-        generic = counting(monkeypatch, "ct_pow_mul")
+        generic = counting(monkeypatch, "hom_mul")
         remembered = run_scenario(path).report_lines()
         assert generic == []  # every state in the corpus is one its model wrote
         forget_states(monkeypatch)
@@ -808,12 +807,29 @@ class TestKnownStates:
     def test_a_state_the_model_did_not_write_takes_the_generic_path(
         self, protocol, kind, monkeypatch
     ):
-        folds = counting(monkeypatch, "ct_pow_mul")
+        folds = counting(monkeypatch, "hom_mul")
         res = self.foreign_run(protocol, kind)
         assert len(folds) == 2  # at r2 and at r3: what r2 wrote came from a generic fold
         assert res.anomalies == self.FOREIGN[protocol, kind]
         forget_states(monkeypatch)
         assert self.foreign_run(protocol, kind).report_lines() == res.report_lines()
+
+    # (protocol, kind) -> SHA-256 of the foreign run's report
+    FOREIGN_SHA256 = {
+        ("tracker", "modified"): "e28459a0e422b5cc8d51ade9048f9dc093334604dacaa846963206fee9f59c8f",
+        ("tracker", "cloned"): "f2c20badf70462e6855c0db868fd762c6cc03b1dfc6a81552b97bd38ef426e92",
+        ("tracker", "tests-built"): "1cea5dab190010d907ce40a45d6712efdb3070531f9ebc33a7dd1ed22f6b9207",
+        ("checker", "modified"): "debe253238f42cc17113e3cf7cc897e10d8182d7fb9b43e2a7ff119071da761d",
+        ("checker", "cloned"): "a29be2d5fdcd2b006e6d1fd2b55f63968b3e544cc1003b7d43e56a6f141abb73",
+        ("checker", "tests-built"): "b3947ab48a2b14b6838ed4bd79ebd8ea0473a992d1347d022cbae96f3a095c93",
+    }
+
+    @pytest.mark.parametrize("protocol", ["tracker", "checker"])
+    @pytest.mark.parametrize("kind", ["modified", "cloned", "tests-built"])
+    def test_foreign_run_report_pinned(self, protocol, kind):
+        lines = self.foreign_run(protocol, kind).report_lines()
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == self.FOREIGN_SHA256[protocol, kind]
 
     def test_known_state_tracker_claim_makes_no_builtin_pow_call(self, monkeypatch):
         model, run = build_run(honest_config("tracker"))
@@ -904,6 +920,13 @@ class TestTracker:
         )
         with pytest.raises(SetupError, match="tracker reader " + token):
             build_run(cfg)
+
+    def test_an_undeclared_manager_is_refused(self):
+        # the parser refuses it at its param line; build_run refuses it too
+        script = [("move", "t1", "r1"), ("move", "t1", "r2"), ("claim", "t1")]
+        cfg = RunConfig.along("tracker", {"t1": ("r1", "r2")}, params={"manager": "m"}, script=script)
+        with pytest.raises(ValueError, match="tracker manager m is neither a reader nor a transit"):
+            run_protocol(cfg)
 
     def test_a_spare_last_reader_manages_by_default(self):
         cfg = RunConfig.along("tracker", {"t1": ("r1", "r2", "r3")}, ["r1", "r2", "r3", "m"])
