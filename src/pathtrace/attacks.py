@@ -1,7 +1,7 @@
 """Scripted reproductions of each scheme's documented weakness.
 
 Every attack drives a normal protocol run, performs the adversary's moves
-through the Dolev-Yao surface (observing, injecting, reading tags,
+through the run's ``Network`` (observing, injecting, reading tags,
 compromising readers) and returns whether it succeeded, the finalized run
 and evidence strong enough to re-check the violation from the outside:
 with the run's trace, soundness/sortedness verdicts and classifier labels
@@ -21,13 +21,13 @@ import functools
 import inspect
 from dataclasses import dataclass, field
 from random import Random
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from pathtrace import crypto
 from pathtrace import trace as tr
-from pathtrace.network import AdvModel, read_snapshot
+from pathtrace.network import AdvModel, Network, read_snapshot
 from pathtrace.protocols import RunConfig, build_run, finalize, play, run_protocol
-from pathtrace.protocols.base import Run, RunResult, register_strategy
+from pathtrace.protocols.base import ProtocolModel, RunResult
 from pathtrace.protocols.ray import Ray
 from pathtrace.protocols.resc import Resc
 from pathtrace.protocols.rfchain import salted_key, split_salted, step_input
@@ -146,25 +146,25 @@ def attack(
     return register
 
 
-@register_strategy("drop_to_tags")
-def _drop_to_tags_factory(run: Run):
-    """Suppress every over-the-air message addressed to a tag.
-
-    The payloads are still observed before the drop, so the adversary can
-    re-deliver them later in an order of its own choosing.
-    """
-    tags = set(run.config.tags)
-
-    def strategy(env, net):
-        if env.receiver in tags:
-            return None
-        return env.payload
-
-    return strategy
-
-
 def _claim_verdict(result: RunResult) -> tr.Verdict | None:
     return result.verdicts[-1] if result.verdicts else None
+
+
+def _observed(net: Network, receiver: str) -> dict[str, bytes]:
+    """What the adversary saw of each sender's message to ``receiver``."""
+    return {m.sender: m.seen for m in net.log if m.receiver == receiver and m.seen is not None}
+
+
+def _forge(
+    protocol: ProtocolModel, forgeries: Iterable[tuple[str, bytes]]
+) -> tuple[list[bool], RunResult, tr.Verdict | None]:
+    """Inject each (sender, payload) into tag ``t1``, claim it and finalize:
+    whether the tag accepted each payload, the result and its verdict."""
+    net = protocol.net
+    accepted = [net.inject(sender, "t1", payload) == b"ok" for sender, payload in forgeries]
+    protocol.claim("t1")
+    result = finalize(protocol, protocol.run)
+    return accepted, result, _claim_verdict(result)
 
 
 def _labels(result: RunResult) -> list[str]:
@@ -256,12 +256,12 @@ def attack_rfchain_linking(
     protocol, run = build_run(cfg)
     play(protocol, cfg.script)
 
-    identity, prev_levels = read_rfchain_tag(run.adv.read_tag(target))
+    identity, prev_levels = read_rfchain_tag(run.net.read_tag(target))
     steps = len(prev_levels)
 
     secrets: dict[str, bytes] | None = None
     if insider:
-        secrets = run.adv.compromise(hops[0])
+        secrets = run.net.compromise(hops[0])
 
     records = protocol.ledger.records()
     linked: dict[int, int] = {}
@@ -308,7 +308,7 @@ def probe_rfchain_length_extension(seed: int = 0):
         "rfchain", {"t1": ("r1", "r2", "r3")}, seed=seed, script=[("move", "t1", "r1")]
     )
     protocol, run = build_run(cfg)
-    fields = read_snapshot(run.adv.read_tag("t1"))
+    fields = read_snapshot(run.net.read_tag("t1"))
     identity = fields["id"]
     base = fields["chain"]  # a_0 = H(ID || f || pwd || r), secrets unknown
     secret_len = len(identity) + 48  # ID plus three 16-byte system values
@@ -385,20 +385,10 @@ def attack_ray_out_of_order(
     # the radio to the tag is suppressed, but each Move is still recorded
     play(protocol, [("move", "t1", token) for token in readers])
 
-    observed = {
-        m.sender: m.seen
-        for m in run.net.log
-        if m.receiver == "t1" and m.sender in readers and m.seen is not None
-    }
-    accepted = []
-    for idx in order:
-        token = readers[idx]
-        reply = run.adv.inject(token, "t1", observed[token])
-        accepted.append(reply == b"ok")
-    protocol.claim("t1")
-    result = finalize(protocol, run)
-
-    verdict = _claim_verdict(result)
+    observed = _observed(run.net, "t1")
+    accepted, result, verdict = _forge(
+        protocol, ((readers[idx], observed[readers[idx]]) for idx in order)
+    )
     succeeded = all(accepted) and verdict is not None and not verdict.sorted
     return succeeded, result, {
         "order": tuple(order),
@@ -438,26 +428,12 @@ def attack_ray_impersonation(
 
     obs_token = readers[observed_index]
     protocol.visit("t1", obs_token)  # the single over-the-air observation
-    observed = next(
-        m.seen
-        for m in run.net.log
-        if m.sender == obs_token and m.receiver == "t1" and m.seen is not None
-    )
     # PID values are public; c xor term is path-level, so it cancels
-    shared = crypto.xor_bytes(observed, Ray.pid(obs_token))
-    accepted = []
-    derived = []
-    for token in readers:
-        if token == obs_token:
-            continue
-        value = crypto.xor_bytes(shared, Ray.pid(token))
-        derived.append(token)
-        reply = run.adv.inject(token, "t1", value)
-        accepted.append(reply == b"ok")
-    protocol.claim("t1")
-    result = finalize(protocol, run)
-
-    verdict = _claim_verdict(result)
+    shared = crypto.xor_bytes(_observed(run.net, "t1")[obs_token], Ray.pid(obs_token))
+    derived = [token for token in readers if token != obs_token]
+    accepted, result, verdict = _forge(
+        protocol, ((token, crypto.xor_bytes(shared, Ray.pid(token))) for token in derived)
+    )
     succeeded = bool(accepted) and all(accepted)
     return succeeded, result, {
         "observed_reader": obs_token,
@@ -540,27 +516,23 @@ def attack_resc_key_disclosure(seed: int = 0, honest_steps: int = 2, path_len: i
     protocol, run = build_run(cfg)
     play(protocol, cfg.script)
 
-    fields = read_snapshot(run.adv.read_tag("t1"))
+    fields = read_snapshot(run.net.read_tag("t1"))
     tid = fields["tid"]
     remaining = list(range(honest_steps + 1, path_len + 1))
     if not remaining:
         protocol.claim("t1")
         return False, finalize(protocol, run), {"reason": "journey complete, no unused keys"}
 
-    last_ts = crypto.bytes_to_int(fields[f"ts{honest_steps}"]) if honest_steps else 0
-    deposited = []
-    for slot in remaining:
-        key = fields[f"k{slot}"]
-        hello = run.adv.inject(readers[slot - 1], "t1", b"HELLO")
-        _, nonce, _ = crypto.split_length_prefixed(hello)
-        last_ts += 1
-        deposit = Resc.deposit(tid, slot, last_ts, key, nonce)
-        reply = run.adv.inject(readers[slot - 1], "t1", deposit)
-        deposited.append(reply == b"ok")
-    protocol.claim("t1")
-    result = finalize(protocol, run)
+    def deposits():
+        # each greeting is injected just before its slot's deposit
+        last_ts = crypto.bytes_to_int(fields[f"ts{honest_steps}"]) if honest_steps else 0
+        for slot in remaining:
+            hello = run.net.inject(readers[slot - 1], "t1", b"HELLO")
+            _, nonce, _ = crypto.split_length_prefixed(hello)
+            last_ts += 1
+            yield readers[slot - 1], Resc.deposit(tid, slot, last_ts, fields[f"k{slot}"], nonce)
 
-    verdict = _claim_verdict(result)
+    deposited, result, verdict = _forge(protocol, deposits())
     succeeded = all(deposited) and verdict is not None and not verdict.sound
     return succeeded, result, {
         "honest_steps": honest_steps,

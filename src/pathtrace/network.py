@@ -6,7 +6,9 @@ the adversary's knowledge: the payload and every field ``decompose`` reads
 out of it.  Observed payloads are decomposed on the first query that
 follows them, so a run that never asks pays for no decomposition.
 
-Two capability levels:
+The ``Network`` is the adversary's one handle: ``STRATEGIES`` names the
+strategies a run may choose, and the methods ``read_tag``, ``write_tag``,
+``compromise`` and ``inject`` are its capabilities, at two levels:
 
 * AdvT - full network control plus reading and writing tag memory;
 * AdvR - additionally compromises readers, obtaining their secrets.
@@ -208,8 +210,26 @@ def null_strategy(env: Envelope, net: "Network") -> bytes | None:
     return env.payload
 
 
+def drop_all(env: Envelope, net: "Network") -> bytes | None:
+    return None
+
+
+def drop_to_tags(env: Envelope, net: "Network") -> bytes | None:
+    """Drop every message to a tag.  The adversary still observes each, so
+    it can re-deliver them later in an order of its own choosing."""
+    return None if env.receiver in net._tags else env.payload
+
+
+# the strategies a run names by ``RunConfig.strategy``
+STRATEGIES: dict[str, Strategy] = {
+    "null": null_strategy,
+    "drop_all": drop_all,
+    "drop_to_tags": drop_to_tags,
+}
+
+
 class Network:
-    """Message fabric, message log and adversary state for one run."""
+    """One run's message fabric and log, and the adversary's state and capabilities."""
 
     def __init__(self, model: AdvModel = AdvModel.ADV_T, strategy: Strategy | None = None) -> None:
         self.model = model
@@ -297,47 +317,43 @@ class Network:
             return None
         return self.transmit(receiver, sender, response)
 
-
-class AdversaryContext:
-    """Capability surface handed to strategies and attack scripts."""
-
-    def __init__(self, net: Network) -> None:
-        self.net = net
+    # --- adversary capabilities -----------------------------------------
 
     def read_tag(self, token: str) -> bytes:
         """Skim the tag's memory contents (both adversary models)."""
-        snapshot = self.net.tag_memory(token).snapshot()
-        self.net._record("adv", token, snapshot, "read_tag", snapshot)
+        snapshot = self._tags[token].snapshot()
+        self._record("adv", token, snapshot, "read_tag", snapshot)
         return snapshot
 
     def write_tag(self, token: str, data: bytes) -> None:
-        """Overwrite tag memory (both adversary models, capacity checked)."""
-        self.net._record("adv", token, data, "write_tag")
-        self.net.tag_memory(token).overwrite(data)
+        """Overwrite tag memory (both adversary models); a write the tag's
+        capacity refuses raises TagCapacityError and is not logged."""
+        self._tags[token].overwrite(data)
+        self._record("adv", token, data, "write_tag")
 
     def compromise(self, token: str) -> dict[str, bytes]:
         """Obtain a reader's secrets; AdvR only."""
-        if self.net.model is not AdvModel.ADV_R:
+        if self.model is not AdvModel.ADV_R:
             raise CapabilityError(f"compromising {token} requires AdvR")
-        provider = self.net._secrets.get(token)
+        provider = self._secrets.get(token)
         if provider is None:
             raise CapabilityError(f"no compromisable secrets registered for {token}")
         secrets = provider()
         blob = crypto.concat_length_prefixed(
             *(part for name, value in secrets.items() for part in (name.encode(), value))
         )
-        self.net._record("adv", token, blob, "compromise", blob)
-        if token not in self.net.compromised:
-            self.net.compromised.append(token)
+        self._record("adv", token, blob, "compromise", blob)
+        if token not in self.compromised:
+            self.compromised.append(token)
         return secrets
 
     def inject(self, sender: str, receiver: str, payload: bytes) -> bytes | None:
         """Deliver an adversary-made message to a registered handler."""
-        self.net._record(sender, receiver, payload, "injected")
-        handler = self.net._handlers.get(receiver)
+        self._record(sender, receiver, payload, "injected")
+        handler = self._handlers.get(receiver)
         if handler is None:
             return None
         response = handler(payload, sender)
         if response is not None:
-            self.net._record(receiver, sender, response, "delivered", response)
+            self._record(receiver, sender, response, "delivered", response)
         return response

@@ -165,7 +165,7 @@ def _build_world(
     protocol, run = build_run(cfg)
     world = ChallengeWorld(tags=cfg.tags, paths=dict(paths), transcripts={})
     if compromise is not None:
-        world.view["secrets"] = run.adv.compromise(compromise)
+        world.view["secrets"] = run.net.compromise(compromise)
     length = max(len(p) for p in paths.values())
     for step in range(length):
         for tag_token in cfg.tags:
@@ -217,7 +217,7 @@ def _rfchain_record_world(game: PrivacyGame, seed: int) -> ChallengeWorld:
     play(protocol, [("move", tag_token, hop) for hop in readers for tag_token in cfg.tags])
     if run.stalled:
         raise RuntimeError("rfchain record world stalled")
-    view = {} if game.distinguisher == "record-algebra" else {"snapshot": run.adv.read_tag("ta")}
+    view = {} if game.distinguisher == "record-algebra" else {"snapshot": run.net.read_tag("ta")}
     ledger, truth = protocol.ledger.records(), list(protocol.ledger_truth)
     return ChallengeWorld(cfg.tags, paths, {}, view, ledger=ledger, truth=truth)
 

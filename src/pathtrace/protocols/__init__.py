@@ -8,7 +8,6 @@ from __future__ import annotations
 from pathtrace.protocols.base import (
     DEFAULT_TAG_CAPACITY,
     PROTOCOLS,
-    STRATEGIES,
     ProtocolModel,
     Run,
     RunConfig,
@@ -18,7 +17,6 @@ from pathtrace.protocols.base import (
     finalize,
     play,
     register_protocol,
-    register_strategy,
     run_protocol,
 )
 from pathtrace.protocols.burbridge import Burbridge
@@ -32,7 +30,6 @@ from pathtrace.protocols.tracker import Tracker
 __all__ = [
     "DEFAULT_TAG_CAPACITY",
     "PROTOCOLS",
-    "STRATEGIES",
     "ProtocolModel",
     "Run",
     "RunConfig",
@@ -49,6 +46,5 @@ __all__ = [
     "finalize",
     "play",
     "register_protocol",
-    "register_strategy",
     "run_protocol",
 ]

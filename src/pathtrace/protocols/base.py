@@ -27,7 +27,7 @@ from random import Random
 from typing import Callable, Iterable, TypeVar
 
 from pathtrace import trace as tr
-from pathtrace.network import AdvModel, AdversaryContext, Message, Network, TagMemory
+from pathtrace.network import STRATEGIES, AdvModel, Message, Network, TagMemory
 
 DEFAULT_TAG_CAPACITY = 512
 
@@ -110,7 +110,6 @@ class Run:
         self.rng = Random(config.seed)
         self.trace = tr.Trace()
         self.net = Network(config.adversary)
-        self.adv = AdversaryContext(self.net)
         self.readers: dict[str, tr.Identifier] = {}
         self.transits: dict[str, tr.Identifier] = {}
         self.tags: dict[str, tr.Identifier] = {}
@@ -337,33 +336,10 @@ class RunResult:
 
 PROTOCOLS: dict[str, type[ProtocolModel]] = {}
 
-StrategyFactory = Callable[[Run], Callable]
-STRATEGIES: dict[str, StrategyFactory] = {}
-
 
 def register_protocol(cls: type[ProtocolModel]) -> type[ProtocolModel]:
     PROTOCOLS[cls.name] = cls
     return cls
-
-
-def register_strategy(name: str):
-    def add(factory: StrategyFactory) -> StrategyFactory:
-        STRATEGIES[name] = factory
-        return factory
-
-    return add
-
-
-@register_strategy("null")
-def _null_factory(run: Run):
-    from pathtrace.network import null_strategy
-
-    return null_strategy
-
-
-@register_strategy("drop_all")
-def _drop_all_factory(run: Run):
-    return lambda env, net: None
 
 
 def check_setting(protocol: str, setting: str, value: str) -> None:
@@ -402,12 +378,12 @@ def build_run(config: RunConfig) -> tuple[ProtocolModel, Run]:
     protocol = PROTOCOLS[config.protocol](run)
     if config.strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy: {config.strategy}")
-    run.net.strategy = STRATEGIES[config.strategy](run)
+    run.net.strategy = STRATEGIES[config.strategy]
     protocol.setup()
     for token in protocol.compromisable():
         run.net.attach_secrets(token, weak_partial(protocol.reader_secrets, token))
     for reader_token in config.compromise:
-        run.adv.compromise(reader_token)
+        run.net.compromise(reader_token)
     return protocol, run
 
 

@@ -34,7 +34,7 @@ DOC_BITS = 256
 class Burbridge(ProtocolModel):
     name = "burbridge"
     architecture = "offline"
-    modes = ("default", "shared", "per_tag")
+    modes = ("default", "per_tag")
     path_rule = "at least one"
     verifier = "scc"  # the supply-chain controller, which issues and attributes
 

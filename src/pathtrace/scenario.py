@@ -29,8 +29,8 @@ scenario says what to execute with them and what to expect.
 Each kind accepts ``COMMON_DIRECTIVES`` and its own ``KIND_DIRECTIVES``:
 a run the world and script, an attack or probe ``attack``, a privacy
 game ``game``, ``distinguisher``, ``trials`` and ``worlds``.  Any other
-directive fails at its line, and so do a ``strategy`` outside
-``STRATEGIES``, a ``distinguisher`` outside ``DISTINGUISHERS`` and a
+directive fails at its line, and so do a ``strategy`` outside the
+network's ``STRATEGIES``, a ``distinguisher`` outside ``DISTINGUISHERS`` and a
 ``param`` key outside the scheme's ``param_keys``: only Tracker reads
 any, ``manager`` (the verifying reader) and ``equal`` (readers sharing
 one coefficient).  A token declared twice (a tag, or a reader across
@@ -72,7 +72,7 @@ from pathlib import Path
 
 from pathtrace import trace as tr
 from pathtrace.attacks import ATTACKS, AttackOutcome, BoundedSearchError
-from pathtrace.network import AdvModel, CapabilityError, TagCapacityError
+from pathtrace.network import STRATEGIES, AdvModel, CapabilityError, TagCapacityError
 from pathtrace.privacy import (
     DISTINGUISHERS,
     MAX_WORLDS,
@@ -81,7 +81,7 @@ from pathtrace.privacy import (
     UnsupportedGameError,
     run_game,
 )
-from pathtrace.protocols import PROTOCOLS, STRATEGIES, RunConfig, run_protocol
+from pathtrace.protocols import PROTOCOLS, RunConfig, run_protocol
 from pathtrace.protocols.base import (
     PathRuleError,
     RunResult,

@@ -25,8 +25,8 @@ from pathtrace.attacks import (
     randbelow,
     tracker_collision_rate,
 )
-from pathtrace.network import AdvModel, CapabilityError
-from pathtrace.protocols.base import STRATEGIES, build_run
+from pathtrace.network import STRATEGIES, AdvModel, CapabilityError
+from pathtrace.protocols.base import build_run
 from pathtrace.stats import binomial_acceptance
 from pathtrace.trace import AttackLabel, classify_claim
 

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +14,6 @@ from pathtrace import crypto, network
 from pathtrace.attacks import ATTACKS
 from pathtrace.network import (
     AdvModel,
-    AdversaryContext,
     CapabilityError,
     Knowledge,
     Message,
@@ -198,7 +201,7 @@ class TestLazyKnowledge:
         run = honest_world("ray", tags=2)
         response = crypto.concat_length_prefixed(b"handler-field-one", b"handler-field-two")
         run.net.register_handler("sink", lambda payload, sender: response)
-        assert run.adv.inject("r1", "sink", b"spoofed") == response
+        assert run.net.inject("r1", "sink", b"spoofed") == response
         knowledge = run.net.knowledge
         assert all(knowledge.knows(Ray.pid(f"r{i}")) for i in range(1, 7))
         assert knowledge.knows(response) and knowledge.knows(b"handler-field-two")
@@ -315,13 +318,12 @@ class TestMessageLog:
         net.attach_tag("t1", TagMemory(capacity_bits=1024))
         net.attach_secrets("r1", lambda: {"key": b"\x01" * 32})
         net.register_handler("t1", lambda payload, sender: b"ack")
-        adv = AdversaryContext(net)
         net.transmit("issuer", "db", b"reg", trusted=True)
         net.transmit("r1", "t1", b"ping")
-        snap = adv.read_tag("t1")
-        adv.write_tag("t1", snap)
-        adv.compromise("r1")
-        adv.inject("r2", "t1", b"spoof")
+        snap = net.read_tag("t1")
+        net.write_tag("t1", snap)
+        net.compromise("r1")
+        net.inject("r2", "t1", b"spoof")
         assert [(m.seq, m.action) for m in net.log] == [
             (1, "trusted"), (2, "delivered"), (3, "read_tag"), (4, "write_tag"),
             (5, "compromise"), (6, "injected"), (7, "delivered"),
@@ -346,7 +348,7 @@ class TestMessageLog:
         def strategy(env, net):
             seen_by_strategy.append(net.knowledge.knows(env.payload))
             if env.receiver == "t1":
-                AdversaryContext(net).inject("r9", "t2", b"extra")
+                net.inject("r9", "t2", b"extra")
             return env.payload
 
         net = make_net(strategy=strategy)
@@ -372,50 +374,83 @@ class TestMessageLog:
 
 
 class TestAdversaryContext:
+    """The adversary's capabilities and named strategies, all ``Network``'s."""
+
     def test_read_and_write_tag(self):
         net = make_net()
         mem = TagMemory(capacity_bits=1024)
         mem.store("id", b"t1-identity")
         net.attach_tag("t1", mem)
-        adv = AdversaryContext(net)
-        snap = adv.read_tag("t1")
+        snap = net.read_tag("t1")
         assert net.knowledge.knows(b"t1-identity")
-        adv.write_tag("t1", snap)
+        net.write_tag("t1", snap)
         assert net.tag_memory("t1").load("id") == b"t1-identity"
 
     def test_write_respects_capacity(self):
         net = make_net()
         net.attach_tag("t1", TagMemory(capacity_bits=64))
-        adv = AdversaryContext(net)
         with pytest.raises(TagCapacityError):
-            adv.write_tag("t1", b"\x00" * 9)
+            net.write_tag("t1", b"\x00" * 9)
+
+    def test_refused_write_leaves_log_and_memory_unchanged(self):
+        net = make_net()
+        mem = TagMemory(capacity_bits=64)
+        mem.store("id", b"\x01" * 8)
+        net.attach_tag("t1", mem)
+        net.transmit("r1", "t1", b"ping")
+        snap = mem.snapshot()
+        with pytest.raises(TagCapacityError):
+            net.write_tag("t1", b"\x00" * 9)
+        assert [(m.seq, m.action) for m in net.log] == [(1, "delivered")]
+        assert mem.snapshot() == snap and mem.used_bits() == 64
+        net.write_tag("t1", snap)
+        assert [(m.seq, m.action) for m in net.log] == [(1, "delivered"), (2, "write_tag")]
 
     def test_compromise_requires_advr(self):
         net = make_net(model=AdvModel.ADV_T)
         net.attach_secrets("r1", lambda: {"key": b"\x01" * 32})
-        adv = AdversaryContext(net)
         with pytest.raises(CapabilityError):
-            adv.compromise("r1")
+            net.compromise("r1")
 
     def test_compromise_yields_secrets(self):
         net = make_net(model=AdvModel.ADV_R)
         net.attach_secrets("r1", lambda: {"key": b"\x01" * 32})
-        adv = AdversaryContext(net)
-        secrets = adv.compromise("r1")
+        secrets = net.compromise("r1")
         assert secrets == {"key": b"\x01" * 32}
         assert net.knowledge.knows(b"\x01" * 32)
         assert net.compromised == ["r1"]
 
     def test_compromise_unknown_reader(self):
         net = make_net(model=AdvModel.ADV_R)
-        adv = AdversaryContext(net)
         with pytest.raises(CapabilityError):
-            adv.compromise("nobody")
+            net.compromise("nobody")
 
     def test_inject_reaches_handler(self):
         net = make_net()
         seen = []
         net.register_handler("t1", lambda payload, sender: seen.append((sender, payload)) or b"ok")
-        adv = AdversaryContext(net)
-        assert adv.inject("r2", "t1", b"spoof") == b"ok"
+        assert net.inject("r2", "t1", b"spoof") == b"ok"
         assert seen == [("r2", b"spoof")]
+
+    def test_named_strategies_need_no_attacks_import(self):
+        # a fresh interpreter, since pytest has already imported every module
+        src = Path(__file__).resolve().parents[1] / "src"
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        code = (
+            "import sys\n"
+            "from pathtrace.protocols import RunConfig, run_protocol\n"
+            "cfg = RunConfig.along('ray', {'t1': ('r1', 'r2')}, strategy='drop_to_tags',"
+            " script=[('move', 't1', 'r1')])\n"
+            "result = run_protocol(cfg)\n"
+            "print('pathtrace.attacks' in sys.modules, result.stalled,"
+            " [m.action for m in result.log if m.receiver == 't1'])\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.stderr == ""
+        assert done.stdout == "False True ['trusted', 'dropped']\n"

@@ -378,8 +378,8 @@ class TestAtomDecomposition:
 
 
 # Every (protocol, declared mode, game kind, distinguisher, adversary) game
-# at 120 trials, 8 worlds and seed 3: the SHA-256 of its report for the 144
-# that play, the exception type for the 120 that are refused.
+# at 120 trials, 8 worlds and seed 3: the SHA-256 of its report for the 132
+# that play, the exception type for the 108 that are refused.
 GAME_PINS = {
     "burbridge/default/step-unlinkability/full-transcript/AdvR": "85ae9c163a2ee7dd01ce85d8025213bc239a5b118fe433600167223f7dc72040",
     "burbridge/default/step-unlinkability/full-transcript/AdvT": "6918a7bd9274adbd3ef4fea6044935ecb9bea8fef6c56cdb343cf1e70a8ccae7",
@@ -429,30 +429,6 @@ GAME_PINS = {
     "burbridge/per_tag/tag-unlinkability/shared-atom/AdvT": "c366a8a4d23316ca26713961bb25c2733b13aa51c5eaed9a94ef62fe834c80c9",
     "burbridge/per_tag/tag-unlinkability/xor-structure/AdvR": "UnsupportedGameError",
     "burbridge/per_tag/tag-unlinkability/xor-structure/AdvT": "UnsupportedGameError",
-    "burbridge/shared/step-unlinkability/full-transcript/AdvR": "30e9bf7c3e5d4144286602c0e497a0c7bdff80630f85727ca0c4370f38c58c01",
-    "burbridge/shared/step-unlinkability/full-transcript/AdvT": "bb8b168361c53e8330d8943c4ee99639a6a77429f914a65221224b5121ace588",
-    "burbridge/shared/step-unlinkability/random/AdvR": "8e6251d60569c99bb45fa2dcaf5d328fbc6d6dd748179c4642e76bbd6dddde89",
-    "burbridge/shared/step-unlinkability/random/AdvT": "588bcfbe22c790f4cdf778990a3da2db43359c8625f9fe378fea1cad09a63caf",
-    "burbridge/shared/step-unlinkability/record-algebra/AdvR": "UnsupportedGameError",
-    "burbridge/shared/step-unlinkability/record-algebra/AdvT": "UnsupportedGameError",
-    "burbridge/shared/step-unlinkability/record-linking/AdvR": "UnsupportedGameError",
-    "burbridge/shared/step-unlinkability/record-linking/AdvT": "UnsupportedGameError",
-    "burbridge/shared/step-unlinkability/shared-atom/AdvR": "17e02af2db16b7cf13154d422cf0128daf16b92c6a334e862c25be50df5ec552",
-    "burbridge/shared/step-unlinkability/shared-atom/AdvT": "e3279e52821a9d643cc930cb86d98346db354880712cf531a5a107e724903c5b",
-    "burbridge/shared/step-unlinkability/xor-structure/AdvR": "UnsupportedGameError",
-    "burbridge/shared/step-unlinkability/xor-structure/AdvT": "UnsupportedGameError",
-    "burbridge/shared/tag-unlinkability/full-transcript/AdvR": "a514fc3466706f8bcd277b9ce135ae3546cd17cb24e87feb8b240c34e1e97540",
-    "burbridge/shared/tag-unlinkability/full-transcript/AdvT": "8c50c959de7c606302416cc226281e0af1f4bc656ef8693869be47e43e3d1a15",
-    "burbridge/shared/tag-unlinkability/random/AdvR": "cd98f70e8efc976ddf605331434034fbbe384361bf1a747b2b001f2291ed4dc9",
-    "burbridge/shared/tag-unlinkability/random/AdvT": "36a07d425c7b7610fa0d458de113890c775375512db5cb0c058682e429bd1e0f",
-    "burbridge/shared/tag-unlinkability/record-algebra/AdvR": "UnsupportedGameError",
-    "burbridge/shared/tag-unlinkability/record-algebra/AdvT": "UnsupportedGameError",
-    "burbridge/shared/tag-unlinkability/record-linking/AdvR": "UnsupportedGameError",
-    "burbridge/shared/tag-unlinkability/record-linking/AdvT": "UnsupportedGameError",
-    "burbridge/shared/tag-unlinkability/shared-atom/AdvR": "4c3b4a13dcfb3ea24397a9758d37b3ee0d6afac007a69ccd6083b1624ef0eea6",
-    "burbridge/shared/tag-unlinkability/shared-atom/AdvT": "e6ef5bfb531dd23289b441497e276f3cae1979aa694198bdb80a1c4492761f56",
-    "burbridge/shared/tag-unlinkability/xor-structure/AdvR": "UnsupportedGameError",
-    "burbridge/shared/tag-unlinkability/xor-structure/AdvT": "UnsupportedGameError",
     "checker/default/step-unlinkability/full-transcript/AdvR": "d180f7259792d5038f4fb41bd7647f61c830745eb21ddf2b6bef420213fd5fcd",
     "checker/default/step-unlinkability/full-transcript/AdvT": "df9b2ad7b57215a2f812b7bfa070fa09e292ec84da36f6be26818437eb92e7e4",
     "checker/default/step-unlinkability/random/AdvR": "bd273b154752482a3dadbdcbcd41558c26d519801b6ea5de8bc37077abc3340e",

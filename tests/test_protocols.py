@@ -17,7 +17,7 @@ import weakref
 import pytest
 
 from pathtrace import crypto
-from pathtrace.network import AdvModel, CapabilityError, TagCapacityError
+from pathtrace.network import AdvModel, CapabilityError, TagCapacityError, read_snapshot
 from pathtrace import trace as tr
 from pathtrace.protocols import (
     DEFAULT_TAG_CAPACITY,
@@ -33,7 +33,7 @@ from pathtrace.protocols import checker as checker_mod
 from pathtrace.protocols import rfchain as rfchain_mod
 from pathtrace.protocols import tracker as tracker_mod
 from pathtrace.protocols.base import SetupError
-from pathtrace.protocols.resc import SLOT_BITS, storage_bits
+from pathtrace.protocols.resc import SLOT_BITS, Resc, storage_bits
 from pathtrace.protocols.stepauth import secret_size_bits
 from pathtrace.scenario import corpus_dir, run_scenario
 from pathtrace.trace import AttackLabel, classify_claim
@@ -115,7 +115,7 @@ class TestModes:
             ("tracker", ("default",)),
             ("ray", ("default", "prf")),
             ("rfchain", ("default", "patched")),
-            ("burbridge", ("default", "shared", "per_tag")),
+            ("burbridge", ("default", "per_tag")),
         ],
     )
     def test_declared_modes_build_and_others_are_refused(self, protocol, modes):
@@ -173,13 +173,13 @@ class TestCompromisableReaders:
         manager = cfg.params.get("manager")
         holders = [token for token, _ in cfg.readers if token != manager]
         for token in holders:
-            assert run.adv.compromise(token) == model.reader_secrets(token)
+            assert run.net.compromise(token) == model.reader_secrets(token)
         assert run.net.compromised == holders
         for token in ["w"] + ([manager] if manager else []):
             with pytest.raises(
                 CapabilityError, match=f"^no compromisable secrets registered for {token}$"
             ):
-                run.adv.compromise(token)
+                run.net.compromise(token)
 
 
 class TestWorldLifetime:
@@ -194,7 +194,7 @@ class TestWorldLifetime:
         gc.disable()
         try:
             model, run = build_run(cfg)
-            assert run.adv.compromise("r1") == model.reader_secrets("r1")
+            assert run.net.compromise("r1") == model.reader_secrets("r1")
             play(model, cfg.script)
             result = finalize(model, run)
             alive = weakref.ref(run)
@@ -444,12 +444,12 @@ class TestWorldBuilder:
         # when its field values fit the scheme's tag_bits(3)
         model, run = build_run(honest_world(protocol, {"t1": ("r1", "r2", "r3")}))
         play(model, [("move", "t1", "r1")])
-        snapshot = run.adv.read_tag("t1")
+        snapshot = run.net.read_tag("t1")
         if protocol in ("ray", "burbridge"):  # 864 > 768 and 600 > 512 bits
             with pytest.raises(TagCapacityError):
-                run.adv.write_tag("t1", snapshot)
+                run.net.write_tag("t1", snapshot)
         else:
-            run.adv.write_tag("t1", snapshot)
+            run.net.write_tag("t1", snapshot)
             assert run.memory("t1").snapshot() == snapshot
 
 
@@ -598,7 +598,7 @@ class TestAdversarialInput:
                 *(part for name in names for part in (name.encode(), b"\xff"))
             ),
         }[kind]
-        run.adv.write_tag("t1", blob)
+        run.net.write_tag("t1", blob)
         model.visit("t1", "r2")
         res = run_script(model, run, [("claim", "t1")])
         assert res.stalled
@@ -948,6 +948,24 @@ class TestTracker:
             seen.add(run.memory("t1").load("c1"))
         assert len(seen) == 4
 
+    def test_state_with_another_tags_mac_refused(self):
+        # t1 keeps its own identity ciphertext c1 but carries t2's mac and
+        # path ciphertexts c2, c3: the manager sees a foreign mac
+        cfg = RunConfig.along(
+            "tracker", {"t1": ("r1", "r2"), "t2": ("r1", "r2")},
+            readers=["r1", "r2", "m"], params={"manager": "m"},
+        )
+        model, run = build_run(cfg)
+        play(model, [("move", t, r) for r in ("r1", "r2") for t in ("t1", "t2")])
+        own, other = run.memory("t1"), run.memory("t2")
+        run.net.write_tag("t1", crypto.concat_length_prefixed(
+            b"c1", own.load("c1"), b"c2", other.load("c2"), b"c3", other.load("c3")
+        ))
+        model.claim("t1")
+        res = finalize(model, run)
+        assert res.anomalies == ["tracker manager mac check failed for t1"]
+        assert res.step_log[-1] == "claim t1 rejected" and not res.verdicts
+
 
 class TestChecker:
     def test_every_hop_claims_its_prefix(self):
@@ -1239,7 +1257,7 @@ class TestStepAuth:
         cfg.script = []
         protocol, run = build_run(cfg)
         # graft t2's secret onto t1 and present it
-        run.adv.write_tag("t1", run.memory("t2").snapshot())
+        run.net.write_tag("t1", run.memory("t2").snapshot())
         protocol.visit("t1", "r1")
         res = finalize(protocol, run)
         assert res.stalled
@@ -1249,7 +1267,7 @@ class TestStepAuth:
         model, run = build_run(honest_config("stepauth"))
         model.visit("t1", "r1")
         terminal = crypto.concat_length_prefixed(b"END", b"\xff", b"r1")
-        run.adv.write_tag("t1", crypto.concat_length_prefixed(b"secret", terminal))
+        run.net.write_tag("t1", crypto.concat_length_prefixed(b"secret", terminal))
         model.claim("t1")
         res = finalize(model, run)
         assert res.anomalies == ["stepauth checkpoint: t1 has not finished its path"]
@@ -1554,6 +1572,15 @@ class TestRfChain:
         assert not finalize(protocol, run).anomalies
         assert [checks for _, checks in scans] == [1] * 160
 
+    def test_written_chain_that_is_not_the_initial_secret_refused(self):
+        model, run = build_run(RunConfig.along("rfchain", {"t1": ("r1", "r2")}))
+        identity = run.memory("t1").load("id")
+        run.net.write_tag("t1", crypto.concat_length_prefixed(b"id", identity, b"chain", bytes(32)))
+        model.visit("t1", "r1")
+        res = finalize(model, run)
+        assert res.anomalies == ["rfchain r1 rejects t1: initial secret mismatch"]
+        assert res.stalled and len(model.ledger) == 0
+
 
 class TestRay:
     def test_any_visit_order_is_accepted(self):
@@ -1605,13 +1632,21 @@ class TestRay:
         protocol, run = build_run(cfg)
         protocol.visit("t2", "r4")
         protocol.visit("t1", "r1")
-        run.adv.write_tag("t1", run.adv.read_tag("t2"))
+        run.net.write_tag("t1", run.net.read_tag("t2"))
         challenge = protocol.challenges
-        assert run.adv.inject("r2", "t1", challenge[("t2", "r2")]) == b"ok"
+        assert run.net.inject("r2", "t1", challenge[("t2", "r2")]) == b"ok"
         mem = run.memory("t1")
         consumed = crypto.split_length_prefixed(mem.load("consumed"))
         assert consumed == [challenge[("t2", "r4")], challenge[("t2", "r2")]]
         assert crypto.split_length_prefixed(mem.load("pending")) == [challenge[("t2", "r3")]]
+
+    def test_off_path_reader_holds_no_challenge(self):
+        cfg = RunConfig.along("ray", {"t1": ("r1", "r2")}, readers=["r1", "r2", "r3"])
+        model, run = build_run(cfg)
+        model.visit("t1", "r3")
+        res = finalize(model, run)
+        assert res.anomalies == ["ray r3 holds no challenge for t1"]
+        assert res.stalled and res.step_log == ["visit t1 r3 failed"]
 
 
 class TestResc:
@@ -1676,6 +1711,21 @@ class TestResc:
         cfg.script[-1] = ("claim", "t1", "r1")
         with pytest.raises(VerifierPolicyError):
             run_protocol(cfg)
+
+    def test_deposits_stamped_out_of_order_refused(self):
+        # AdvT reads the slot keys off the tag and fills both slots itself,
+        # the second stamped earlier than the first
+        model, run = build_run(RunConfig.along("resc", {"t1": ("r1", "r2")}))
+        fields = read_snapshot(run.net.read_tag("t1"))
+        for slot, ts in ((1, 5), (2, 3)):
+            reader = f"r{slot}"
+            _, nonce, _ = crypto.split_length_prefixed(run.net.inject(reader, "t1", b"HELLO"))
+            deposit = Resc.deposit(fields["tid"], slot, ts, fields[f"k{slot}"], nonce)
+            assert run.net.inject(reader, "t1", deposit) == b"ok"
+        model.claim("t1")
+        res = finalize(model, run)
+        assert res.anomalies == ["resc database: timestamps of t1 out of order"]
+        assert res.step_log == ["claim t1 rejected"] and not res.verdicts
 
 
 def bypass_config(mode: str, seed: int = 3) -> RunConfig:
