@@ -17,7 +17,7 @@ import weakref
 import pytest
 
 from pathtrace import crypto
-from pathtrace.network import AdvModel, CapabilityError, TagCapacityError, read_snapshot
+from pathtrace.network import STRATEGIES, AdvModel, CapabilityError, TagCapacityError, read_snapshot
 from pathtrace import trace as tr
 from pathtrace.protocols import (
     DEFAULT_TAG_CAPACITY,
@@ -358,6 +358,28 @@ class TestHonestRuns:
         assert len(res.verdicts) == {"checker": 12, "stepauth": 6}.get(protocol, 3)
         digest = hashlib.sha256("\n".join(res.report_lines()).encode()).hexdigest()
         assert digest == REPORT_SHA256[(protocol, mode)]
+
+
+class TestNamedStrategies:
+    """Each name in ``STRATEGIES`` decides every untrusted message of every
+    scheme's honest run, and trusted links bypass it."""
+
+    @pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+    @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
+    def test_strategy_decides_each_untrusted_message(self, protocol, strategy):
+        cfg = honest_config(protocol)
+        cfg.strategy = strategy
+        _, run = build_run(cfg)
+        assert run.net.strategy is STRATEGIES[strategy]
+        res = run_protocol(cfg)
+        assert f"strategy={strategy}" in res.report_lines()
+        for m in res.log:
+            if m.action == "trusted":
+                continue
+            dropped = strategy == "drop_all" or (strategy == "drop_to_tags" and m.receiver in cfg.tags)
+            assert m.action == ("dropped" if dropped else "delivered"), (m, strategy)
+        # every scheme needs each of its messages, so any drop stalls the run
+        assert res.stalled == (strategy != "null")
 
 
 BUILDER_PATHS = {"t1": ("r1", "r2", "r3"), "t2": ("r4", "r2")}
