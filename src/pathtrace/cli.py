@@ -15,7 +15,9 @@ Four commands:
 ``attack`` and ``privacy`` exit 3 on any of ``scenario.CAPABILITY_ERRORS``,
 as ``run`` does; the exit codes are defined in ``scenario``.
 
-``--out FILE`` additionally writes the printed report to a file.
+``--out FILE`` additionally writes the printed report to a file; a file
+that cannot be written makes the command exit 2 after printing, as does
+a ``matrix`` directory that is not a directory.
 """
 
 from __future__ import annotations
@@ -32,7 +34,9 @@ from pathtrace.privacy import GameKind, PrivacyGame, run_game
 from pathtrace.scenario import CAPABILITY_ERRORS, EXIT_CAPABILITY, EXIT_PARSE, corpus_dir, run_scenario
 
 
-def _emit(lines: list[str], out: str | None) -> None:
+def _emit(lines: list[str], out: str | None, code: int) -> int:
+    """Print ``lines`` and write them to ``out`` if given; returns the
+    command's exit ``code``, or EXIT_PARSE when ``out`` cannot be written."""
     text = "\n".join(lines)
     try:
         print(text, flush=True)
@@ -41,20 +45,26 @@ def _emit(lines: list[str], out: str | None) -> None:
         # stays quiet and the exit code still tells the outcome
         sys.stdout = open(os.devnull, "w")
     if out:
-        Path(out).write_text(text + "\n")
+        try:
+            Path(out).write_text(text + "\n")
+        except OSError as exc:
+            print(f"error: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
+            return EXIT_PARSE
+    return code
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     result = run_scenario(args.file)
-    _emit(result.report_lines(), args.out)
-    return result.exit_code
+    return _emit(result.report_lines(), args.out, result.exit_code)
 
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
     directory = Path(args.dir) if args.dir else corpus_dir()
+    if not directory.is_dir():
+        print(f"error: {directory} is not a directory", file=sys.stderr)
+        return EXIT_PARSE
     code, lines = emit_matrix(directory)
-    _emit(lines, args.out)
-    return code
+    return _emit(lines, args.out, code)
 
 
 def _cmd_attack(args: argparse.Namespace) -> int:
@@ -70,8 +80,7 @@ def _cmd_attack(args: argparse.Namespace) -> int:
     except CAPABILITY_ERRORS as exc:
         print(f"capability: {exc}", file=sys.stderr)
         return EXIT_CAPABILITY
-    _emit(outcome.report_lines(), args.out)
-    return 0 if outcome.succeeded else 1
+    return _emit(outcome.report_lines(), args.out, 0 if outcome.succeeded else 1)
 
 
 def _cmd_privacy(args: argparse.Namespace) -> int:
@@ -96,8 +105,7 @@ def _cmd_privacy(args: argparse.Namespace) -> int:
     lines = result.report_lines()
     if args.trials < 100:
         lines.append("warning: fewer than 100 trials; not a reportable result")
-    _emit(lines, args.out)
-    return 0
+    return _emit(lines, args.out, 0)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -10,6 +10,15 @@ system secrets walks the signature chain from the tag, recomputes every
 step key, and checks that each chain level has its ledger record before
 announcing the path claim.
 
+The ledger also remembers, for each record a reader made and posted
+unmodified, the step it was made for: (identity, index, prev_chain).  A
+claimed step the model wrote itself is found by one O(1) lookup of that
+triple in either mode, with no record recomputed or trial-checked.  The
+answer is the same as a full check's: the record made for that step is on
+the append-only ledger, and the full check accepts it by construction.
+A step whose record the model did not write (modified or injected in
+transit, or added to the ledger directly) takes the full check below.
+
 In the default mode a record matches a step exactly when it equals the
 record the verifier recomputes, so the ledger keeps a set of its records
 and each claimed step costs one O(1) lookup.  Patched records carry a
@@ -24,10 +33,12 @@ the levels below it, so the shapes tell the steps apart and a claimed step
 scans only its own step's records: one per tag that took that step.  A
 scan moves the record it matches to the end of its bucket, so records no
 claim has matched yet are tried first.  When each of N tags is claimed
-once, a claimed step checks its own record and the never-matched records
-filed before it: over the N claims, about N^2/4 checks per step for a
-random claim order rather than N^2/2, and N when tags are claimed in the
-order they visited.  The ledger splits each patched payload into (salt,
+once and the model wrote none of their records, a claimed step checks its
+own record and the never-matched records filed before it: over the N
+claims, about N^2/4 checks per step for a random claim order rather than
+N^2/2, and N when tags are claimed in the order they visited.  An honest
+run's claims make no such check, so that N^2/4 applies only to records
+the model did not write.  The ledger splits each patched payload into (salt,
 body) once, when it is added, and a wrong record is rejected on the
 synthetic IV of its pseudo-identity: one hash for the salted key and one
 MAC, with no keystream derived.
@@ -57,6 +68,12 @@ CHAIN_BITS = 512
 class SharedLedger:
     """Append-only (pseudo_id, payload) records; no deletion, no mutation.
 
+    ``_written`` holds the (identity, index, prev_chain) step of every
+    record that ``add`` was told the model made unmodified for it; ``wrote``
+    answers from it.  Records added without a step (tampered in transit,
+    injected, or rebuilt from ``records()``) are in the ledger all the same,
+    and the verifier finds them by its full check.
+
     ``salted`` files (pseudo, salt, body) of every record whose payload
     splits as a patched one under its shape ``(len(pseudo), len(body))``;
     malformed payloads are left out of it.  A bucket holds the records no
@@ -68,15 +85,26 @@ class SharedLedger:
     def __init__(self) -> None:
         self._records: list[tuple[bytes, bytes]] = []
         self._record_set: set[tuple[bytes, bytes]] = set()
+        self._written: set[tuple[bytes, int, bytes]] = set()
         self.salted: dict[tuple[int, int], list[tuple[bytes, bytes, bytes]]] = {}
 
-    def add(self, pseudo_id: bytes, payload: bytes) -> None:
+    def add(
+        self, pseudo_id: bytes, payload: bytes, step: tuple[bytes, int, bytes] | None = None
+    ) -> None:
+        """Append a record; ``step`` is the (identity, index, prev_chain) the
+        model made exactly this record for, when it arrived unmodified."""
         self._records.append((pseudo_id, payload))
         self._record_set.add((pseudo_id, payload))
+        if step is not None:
+            self._written.add(step)
         split = split_salted(payload)
         if split is not None:
             salt, body = split
             self.salted.setdefault((len(pseudo_id), len(body)), []).append((pseudo_id, salt, body))
+
+    def wrote(self, identity: bytes, index: int, prev_chain: bytes) -> bool:
+        """Does the ledger hold the record the model made for this step?"""
+        return (identity, index, prev_chain) in self._written
 
     def salted_for(self, identity: bytes, prev_chain: bytes) -> list[tuple[bytes, bytes, bytes]]:
         """The patched records whose ciphertexts are as long as encryptions
@@ -241,7 +269,8 @@ class RfChain(ProtocolModel):
         )
         if record is None:
             return False
-        self.ledger.add(*record)
+        made = record == [pseudo, payload]
+        self.ledger.add(*record, step=(identity, index, chain) if made else None)
         self.ledger_truth.append((tag_token, index))
         new_chain = crypto.sign(self.sign_sk[reader_token], chain).to_bytes()
         written = self.net.transmit(reader_token, tag_token, new_chain)
@@ -274,7 +303,9 @@ class RfChain(ProtocolModel):
         patched = self.config.mode == "patched"
         for i in range(1, len(path) + 1):
             prev_chain = levels[len(path) - (i - 1)]
-            if patched:
+            if self.ledger.wrote(identity, i, prev_chain):
+                found = True
+            elif patched:
                 salted = self.ledger.salted_for(identity, prev_chain)
                 found = self._scan_salted(salted, identity, i, prev_chain)
             else:

@@ -99,6 +99,24 @@ class TestBrokenPipe:
         assert target.read_text() == "\n".join(run_scenario(scn).report_lines()) + "\n"
 
 
+class TestUnwritableOut:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", str(HONEST)],
+            ["attack", "burbridge-bypass"],
+            ["privacy", "ray", "tag-unlinkability", "--trials", "10"],
+        ],
+    )
+    def test_report_printed_then_exit_2(self, tmp_path, capsys, argv):
+        target = tmp_path / "missing" / "report.txt"
+        assert main(argv + ["--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out.strip()
+        assert captured.err == f"error: cannot write {target}: No such file or directory\n"
+        assert not target.parent.exists()
+
+
 class TestMatrix:
     def test_bundled_corpus(self, capsys):
         assert main(["matrix"]) == 0
@@ -136,6 +154,16 @@ class TestMatrix:
         target = tmp_path / "matrix.txt"
         main(["matrix", "--out", str(target)])
         assert target.read_text() == capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_directory_that_is_not_one_refused(self, tmp_path, capsys, kind):
+        target = tmp_path / "corpus"
+        if kind == "file":
+            target.write_text(HONEST.read_text())
+        assert main(["matrix", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {target} is not a directory\n"
 
 
 class TestAttack:

@@ -1535,9 +1535,20 @@ class TestRfChain:
         assert protocol.ledger_truth == [(t, i) for i in (1, 2, 3) for t in tags]
 
     @staticmethod
-    def _forty_tag_run():
+    def _rebuilt_ledger(protocol):
+        """Replace the ledger by one holding the same records in the same
+        order, added without the steps the model made them for, so that
+        claims find every record by the full check."""
+        records = protocol.ledger.records()
+        protocol.ledger = rfchain_mod.SharedLedger()
+        for record in records:
+            protocol.ledger.add(*record)
+
+    @classmethod
+    def _forty_tag_run(cls):
         """40 patched tags that visited r1 .. r4 in turn, in tag order at
-        each reader, before any claim."""
+        each reader, before any claim; the ledger is rebuilt without its
+        steps, so every claimed step scans."""
         tags = [f"t{n:02d}" for n in range(40)]
         cfg = honest_config("rfchain")
         cfg.mode = "patched"
@@ -1549,6 +1560,7 @@ class TestRfChain:
         for reader_token, _ in cfg.readers:
             for tag_token in tags:
                 protocol.visit(tag_token, reader_token)
+        cls._rebuilt_ledger(protocol)
         return protocol, run, tags
 
     @staticmethod
@@ -1593,6 +1605,121 @@ class TestRfChain:
             protocol.claim(tag_token)
         assert not finalize(protocol, run).anomalies
         assert [checks for _, checks in scans] == [1] * 160
+
+    @pytest.mark.parametrize("mode", ["default", "patched"])
+    def test_honest_claims_find_every_step_without_a_check(self, mode, monkeypatch):
+        # every record of an honest run was made and posted unmodified, so
+        # each claimed step is a lookup: no scan, no trial decryption and
+        # no record recomputed, however often a tag is claimed
+        tags = ("t1", "t2", "t3")
+        protocol, run = self._visited_run(mode, tags=tags)
+        calls = {"scan": 0, "sym_matches": 0, "default_record": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(protocol, "_scan_salted", counted("scan", protocol._scan_salted))
+        monkeypatch.setattr(crypto, "sym_matches", counted("sym_matches", crypto.sym_matches))
+        monkeypatch.setattr(
+            protocol, "_default_record", counted("default_record", protocol._default_record)
+        )
+        for tag_token in ("t2", "t1", "t3", "t2"):
+            protocol.claim(tag_token)
+        res = finalize(protocol, run)
+        assert not res.anomalies and len(res.verdicts) == 4
+        assert all(v.sound and v.sorted for v in res.verdicts)
+        assert calls == {"scan": 0, "sym_matches": 0, "default_record": 0}
+
+    @staticmethod
+    def _flipping(readers, target: int):
+        """A strategy that flips the last byte of the ``target``-th record
+        (counting from 1) a reader posts to the ledger."""
+        posted = 0
+
+        def strategy(env, net):
+            nonlocal posted
+            if env.sender in readers and env.receiver == rfchain_mod.RfChain.verifier:
+                posted += 1
+                if posted == target:
+                    return env.payload[:-1] + bytes([env.payload[-1] ^ 0x01])
+            return env.payload
+
+        return strategy
+
+    @pytest.mark.parametrize("mode", ["default", "patched"])
+    @pytest.mark.parametrize("step", [1, 2, 3])
+    def test_record_modified_in_transit_leaves_no_step(self, mode, step):
+        cfg = honest_config("rfchain")
+        cfg.mode = mode
+        cfg.script = [("move", "t1", r) for r in ("r1", "r2", "r3")]
+        protocol, run = build_run(cfg)
+        run.net.strategy = self._flipping(("r1", "r2", "r3"), step)
+        play(protocol, cfg.script)
+        identity, levels = self._levels(run, "t1")
+        assert [protocol.ledger.wrote(identity, i, levels[i - 1]) for i in (1, 2, 3)] == [
+            i != step for i in (1, 2, 3)
+        ]
+        assert len(protocol.ledger) == 3
+        protocol.claim("t1")
+        res = finalize(protocol, run)
+        assert not res.verdicts
+        assert res.anomalies == [f"rfchain verifier: missing ledger record for step {step} of t1"]
+
+    @staticmethod
+    def _seeded_world(mode: str, seed: int):
+        """Six tags on seeded paths of one to four of five readers, visits
+        interleaved at random, with claims made mid-journey and repeated;
+        in every other seed one posted record is flipped in transit."""
+        rng = random.Random(seed)
+        readers = [f"r{n}" for n in range(1, 6)]
+        tags = [f"t{n}" for n in range(1, 7)]
+        paths = {t: rng.sample(readers, rng.randint(1, 4)) for t in tags}
+        cursor = dict.fromkeys(tags, 0)
+        script = []
+        while any(cursor[t] < len(paths[t]) for t in tags):
+            tag_token = rng.choice([t for t in tags if cursor[t] < len(paths[t])])
+            script.append(("move", tag_token, paths[tag_token][cursor[tag_token]]))
+            cursor[tag_token] += 1
+            if rng.random() < 0.3:
+                script.append(("claim", rng.choice([t for t in tags if cursor[t]])))
+        script += [("claim", t) for t in rng.sample(tags, len(tags))]
+        cfg = honest_config("rfchain", seed)
+        cfg.mode = mode
+        cfg.readers = [(r, None) for r in readers]
+        cfg.transits = []
+        cfg.tags = tags
+        cfg.capacities = {t: 1024 for t in tags}
+        cfg.script = script
+        flipped = rng.randint(1, sum(len(p) for p in paths.values())) if seed % 2 else 0
+        return cfg, readers, flipped
+
+    @pytest.mark.parametrize("mode", ["default", "patched"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_report_equals_a_ledger_rebuilt_without_steps(self, mode, seed):
+        # the same run twice: once as the model wrote its ledger, once with
+        # the ledger rebuilt without its steps before every claim, so that
+        # each claimed step takes the full check
+        reports = []
+        for rebuild in (False, True):
+            cfg, readers, flipped = self._seeded_world(mode, seed)
+            protocol, run = build_run(cfg)
+            run.net.strategy = self._flipping(readers, flipped)
+            for step in cfg.script:
+                if step[0] == "move":
+                    protocol.visit(step[1], step[2])
+                    continue
+                if rebuild:
+                    self._rebuilt_ledger(protocol)
+                protocol.claim(step[1])
+            reports.append(finalize(protocol, run).report_lines())
+        assert reports[0] == reports[1]
+        assert any(line.startswith("verdict ") for line in reports[0])
+        missing = any("missing ledger record" in line for line in reports[0])
+        assert missing == bool(flipped)
 
     def test_written_chain_that_is_not_the_initial_secret_refused(self):
         model, run = build_run(RunConfig.along("rfchain", {"t1": ("r1", "r2")}))
