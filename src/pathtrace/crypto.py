@@ -16,18 +16,20 @@ sized for simulation rather than real security:
 * ElGamal itself is exponent-encoded over a prime-order subgroup, giving the
   multiplicative homomorphism and ciphertext exponentiation the polynomial
   path encodings need, with verification by comparison instead of discrete
-  logs.  Powers of a fixed base come from a fixed-window table, one row of
-  precomputed powers per window of the exponent.  The generator's table
-  has 8-bit windows and is built once per parameter set, the first time
-  ``gpow`` uses it; each public key builds a 4-bit table of its own once
-  it has been raised a few times, and the table goes with the key.
-  A caller that drew every exponent of a ciphertext knows the discrete
-  log base g of each component, and can skip the group operations:
-  raising g to the folded, rerandomized or decrypting log with ``gpow``
-  gives the same element, since g has order q and (g^l)^k = g^(k*l mod q).
+  logs.  Powers of the generator come from a fixed-window table with 8-bit
+  windows, one row of precomputed powers per byte of the exponent, built
+  once per parameter set the first time ``gpow`` uses it; a raise is one
+  reduction of the product of one entry per row.  Any other base is
+  raised with the builtin ``pow``.
+  A caller that drew every exponent of an element knows its discrete log
+  base g, and can skip the group operations: raising g to the folded,
+  rerandomized, decrypting or shared log with ``gpow`` gives the same
+  element, since g has order q and (g^l)^k = g^(k*l mod q).
   The path-polynomial models raise logs for the states they wrote
   themselves; any other state goes through ``ct_pow``, ``hom_mul``,
-  ``rerandomize`` and ``elg_decrypt`` (``protocols.tracker``).
+  ``rerandomize`` and ``elg_decrypt`` (``protocols.tracker``).  The KEM
+  takes a map of known logs too (``protocols.stepauth``): a key whose log
+  is known is raised as g^(k*x), and so is a KEM element the map holds.
 
 All randomness comes from caller-provided ``random.Random`` instances.
 """
@@ -39,8 +41,10 @@ import hashlib
 import hmac as _hmac
 import struct
 from dataclasses import dataclass
+from math import prod
+from operator import getitem
 from random import Random
-from typing import NamedTuple
+from typing import Mapping, NamedTuple
 
 
 class CryptoError(Exception):
@@ -364,85 +368,41 @@ DEFAULT_PARAMS = ElgamalParams(p=2305843009213699919, q=1152921504606849959, g=4
 TEST_PARAMS = ElgamalParams(p=23, q=11, g=2)
 
 
-def _window_table(base: int, p: int, width: int, rows: int) -> list[list[int]]:
-    """Row i holds base^(j * 2^(width*i)) mod p for j = 0 .. 2^width - 1, so
-    one entry per row raises base to an exponent below 2^(width*rows)."""
-    size = 1 << width
+@functools.cache
+def _generator_table(params: ElgamalParams) -> list[list[int]]:
+    """Powers of g in 8-bit windows, one row per byte of an exponent below
+    q: row i holds g^(j * 256^i) mod p for j = 0 .. 255."""
+    p = params.p
+    base = params.g
     table = []
-    for _ in range(rows):
-        row = [1] * size
-        for j in range(1, size):
+    for _ in range((params.q.bit_length() + 7) // 8):
+        row = [1] * 256
+        for j in range(1, 256):
             row[j] = row[j - 1] * base % p
         table.append(row)
         base = row[-1] * base % p
     return table
 
 
-def _exponent_bytes(params: ElgamalParams) -> int:
-    return (params.q.bit_length() + 7) // 8
-
-
-@functools.cache
-def _generator_table(params: ElgamalParams) -> list[list[int]]:
-    """Powers of g in 8-bit windows, one row per byte of an exponent below q."""
-    return _window_table(params.g, params.p, 8, _exponent_bytes(params))
-
-
 def gpow(params: ElgamalParams, e: int) -> int:
     """``pow(params.g, e, params.p)`` for any integer e, since g has order q:
-    one table multiply per non-zero byte of e mod q, from the generator's
-    8-bit window table."""
+    one reduction of the product of one table entry per byte of e mod q,
+    from the generator's 8-bit window table.  Entry 0 of every row is 1,
+    so a zero byte leaves the product alone."""
     table = _generator_table(params)
-    p = params.p
-    acc = 1
-    for row, j in zip(table, (e % params.q).to_bytes(len(table), "little")):
-        if j:
-            acc = acc * row[j] % p
-    return acc
-
-
-# A key's table costs about as much to build as four builtin pows, so it is
-# built at the key's fourth raise: a key raised only a few times (the
-# privacy games make many) never pays for one.
-KEY_TABLE_RAISE = 4
-# 4-bit windows, two per exponent byte: 16 rows of 16 entries build in about
-# 70 us; 8-bit windows would halve the multiplies per raise but build eight
-# times the entries.
-KEY_TABLE_WIDTH = 4
+    return prod(map(getitem, table, (e % params.q).to_bytes(len(table), "little"))) % params.p
 
 
 @dataclass(frozen=True)
 class ElgamalPublic:
-    """Public key h = g^x.  Besides its two fields the key carries a count of
-    its raises and, from its ``KEY_TABLE_RAISE``-th raise on, a window
-    table of the powers of h; neither takes part in equality or repr."""
+    """Public key h = g^x."""
 
     params: ElgamalParams
     h: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_raises", 0)
-        object.__setattr__(self, "_table", None)
-
     def hpow(self, e: int) -> int:
-        """``pow(h, e, p)`` for 0 <= e < q.  Each window of e picks one table
-        entry, which is exact for any h, in the subgroup or not."""
-        p = self.params.p
-        table = self._table
-        if table is None:
-            raises = self._raises + 1
-            if raises < KEY_TABLE_RAISE:
-                object.__setattr__(self, "_raises", raises)
-                return pow(self.h, e, p)
-            rows = _window_table(self.h, p, KEY_TABLE_WIDTH, 2 * _exponent_bytes(self.params))
-            # the rows of the low and of the high window of each exponent byte
-            table = list(zip(rows[::2], rows[1::2]))
-            object.__setattr__(self, "_table", table)
-        acc = 1
-        for (low, high), j in zip(table, e.to_bytes(len(table), "little")):
-            if j:
-                acc = acc * low[j & 15] * high[j >> 4] % p
-        return acc
+        """``pow(h, e, p)``: exact for any h, in the subgroup or not."""
+        return pow(self.h, e, self.params.p)
 
 
 @dataclass(frozen=True)
@@ -529,23 +489,41 @@ def new_box_keypair(
     return BoxPrivate(key_id, priv), BoxPublic(key_id, priv.public)
 
 
-def pk_enc(box: BoxPublic, plaintext: bytes, rng: Random) -> bytes:
+def _kem_key(box_id: str, shared: int) -> bytes:
+    return hash_bytes(b"kem" + box_id.encode() + int_to_bytes(shared))
+
+
+def pk_enc(
+    box: BoxPublic, plaintext: bytes, rng: Random, logs: dict[int, int] | None = None
+) -> bytes:
+    """KEM element c1 = g^k and the body under a key hashed from h^k.
+
+    ``logs`` maps group elements to their discrete logs base g, for a
+    caller that made them: when it holds the log x of h, the shared
+    element is g^(k*x mod q) by ``gpow`` instead of h^k.  c1's log k is
+    added to it, for ``pk_dec``."""
     params = box.pub.params
-    x = rng.randrange(1, params.q)
-    c1 = gpow(params, x)
-    shared = box.pub.hpow(x)
-    k = hash_bytes(b"kem" + box.key_id.encode() + int_to_bytes(shared))
-    return int_to_bytes(c1) + sym_enc(k, plaintext)
+    k = rng.randrange(1, params.q)
+    c1 = gpow(params, k)
+    x = None if logs is None else logs.get(box.pub.h)
+    shared = box.pub.hpow(k) if x is None else gpow(params, k * x)
+    if logs is not None:
+        logs[c1] = k
+    return int_to_bytes(c1) + sym_enc(_kem_key(box.key_id, shared), plaintext)
 
 
-def pk_dec(box: BoxPrivate, blob: bytes) -> bytes:
+def pk_dec(box: BoxPrivate, blob: bytes, logs: Mapping[int, int] | None = None) -> bytes:
+    """The plaintext of a ``pk_enc`` blob; the shared element is c1^x, or
+    g^(k*x mod q) by ``gpow`` when ``logs`` holds c1's log k, which is
+    the same element for any x."""
     if len(blob) < 8:
         raise AuthenticationError("blob too short")
     params = box.priv.params
     c1 = bytes_to_int(blob[:8])
-    shared = pow(c1, box.priv.x, params.p)
-    k = hash_bytes(b"kem" + box.key_id.encode() + int_to_bytes(shared))
-    return sym_dec(k, blob[8:])
+    k = None if logs is None else logs.get(c1)
+    x = box.priv.x
+    shared = pow(c1, x, params.p) if k is None else gpow(params, k * x)
+    return sym_dec(_kem_key(box.key_id, shared), blob[8:])
 
 
 # --- path polynomials ------------------------------------------------------

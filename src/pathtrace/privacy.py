@@ -39,6 +39,7 @@ are conventions of this artifact, not measured constants of the schemes.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 from random import Random
 from typing import Any, Callable
@@ -127,6 +128,14 @@ class ChallengeWorld:
     view: dict[str, Any] = field(default_factory=dict)
     ledger: list[tuple[bytes, bytes]] = field(default_factory=list)
     truth: list[tuple[str, int]] = field(default_factory=list)
+
+    @functools.cached_property
+    def positions(self) -> dict[str, list[int]]:
+        """Each tag's ledger positions, in ledger order."""
+        out: dict[str, list[int]] = {tag_token: [] for tag_token in self.tags}
+        for j, (tag_token, _) in enumerate(self.truth):
+            out[tag_token].append(j)
+        return out
 
     def window(self, tag_token: str, steps: tuple[int, ...]) -> tuple[bytes, ...]:
         out: list[bytes] = []
@@ -356,7 +365,7 @@ MAX_WORLDS = 4096
 
 def _validate(game: PrivacyGame) -> Distinguisher:
     if game.protocol not in PROTOCOLS:
-        raise UnsupportedGameError(f"no games for unknown protocol {game.protocol!r}")
+        raise ValueError(f"unknown protocol {game.protocol!r}")
     if game.distinguisher not in DISTINGUISHERS:
         raise UnsupportedGameError(f"unknown distinguisher {game.distinguisher!r}")
     protocol, kind = SCOPES.get(game.distinguisher, (game.protocol, game.kind))
@@ -380,8 +389,7 @@ def _windows(
 ) -> tuple[tuple, tuple]:
     """The round's two windows; ``bit`` is its hidden answer."""
     if world.truth:  # two ledger records: both by `ta`, or one each
-        a_positions = [j for j, (token, _) in enumerate(world.truth) if token == "ta"]
-        b_positions = [j for j, (token, _) in enumerate(world.truth) if token == "tb"]
+        a_positions, b_positions = world.positions["ta"], world.positions["tb"]
         i = rng.choice(a_positions)
         j = rng.choice([p for p in a_positions if p != i]) if bit else rng.choice(b_positions)
         return world.ledger[i], world.ledger[j]

@@ -13,6 +13,13 @@ Identity lives only inside the encrypted bodies: the over-the-air blobs
 carry no tag identifier, and a blob replayed onto a different tag is
 rejected when the peeled body names the wrong tag.
 
+The model made every reader key and drew every KEM exponent, so it knows
+the discrete log of each KEM element it wrote: ``crypto.pk_enc`` and
+``crypto.pk_dec`` raise the generator to the product of the two logs
+instead of calling the builtin ``pow``.  A KEM element the model did not
+make is decapsulated with ``pow``.  Both give the same shared element, and
+every peel still verifies the signature, decapsulates and decrypts.
+
 Storage grows with path length l: one signed layer costs 896 nominal bits
 (512 key encapsulation + 256 body + 128 signature) and the terminal record
 128, giving 1024 + 896*(l-1) total.
@@ -49,10 +56,14 @@ class StepAuth(ProtocolModel):
         self.sign_sk, self.sign_vk = crypto.new_signing_keypair("mgr", self.rng)
         self.box_priv: dict[str, crypto.BoxPrivate] = {}
         self.box_pub: dict[str, crypto.BoxPublic] = {}
+        # group element -> its log base g, for every reader key and KEM
+        # element the model made; pk_enc and pk_dec raise g to known logs
+        self.logs: dict[int, int] = {}
         for token in self.run.readers:
             priv, pub = crypto.new_box_keypair(token, self.rng)
             self.box_priv[token] = priv
             self.box_pub[token] = pub
+            self.logs[pub.pub.h] = priv.priv.x
 
         for tag_token, (path,) in self.paths_of.items():
             blob = self._build_secret(tag_token, path)
@@ -78,7 +89,7 @@ class StepAuth(ProtocolModel):
                     inner,
                 ),
             )
-            kem = crypto.pk_enc(self.box_pub[path[i - 1]], session, self.rng)
+            kem = crypto.pk_enc(self.box_pub[path[i - 1]], session, self.rng, self.logs)
             message = crypto.concat_length_prefixed(kem, body)
             inner = crypto.sign(self.sign_sk, message).to_bytes()
         return inner
@@ -110,7 +121,7 @@ class StepAuth(ProtocolModel):
             return False
         kem, body = layer
         try:
-            session = crypto.pk_dec(self.box_priv[reader_token], kem)
+            session = crypto.pk_dec(self.box_priv[reader_token], kem, self.logs)
             plain = crypto.sym_dec(session, body)
         except crypto.AuthenticationError:
             self.net.log_anomaly(

@@ -264,6 +264,13 @@ class TestPrivacy:
         assert "tracker does not know mode patched" in captured.err
         assert captured.out == ""
 
+    def test_unknown_protocol_exit_two(self, capsys):
+        code = main(["privacy", "nosuch", "tag-unlinkability", "--trials", "10"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: unknown protocol 'nosuch'\n"
+        assert captured.out == ""
+
     def test_distinguisher_for_other_game(self, capsys):
         code = main(
             ["privacy", "ray", "tag-unlinkability", "--distinguisher", "xor-structure"]

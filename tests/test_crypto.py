@@ -412,6 +412,38 @@ def test_box_round_trip_and_wrong_key():
         c.pk_dec(priv_b, blob)
 
 
+def counted_pow(monkeypatch):
+    """Shadow the builtin pow in ``crypto``; returns the list of its calls."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(c, "pow", spy, raising=False)
+    return calls
+
+
+@pytest.mark.parametrize("params", [c.DEFAULT_PARAMS, c.TEST_PARAMS], ids=["default", "test"])
+def test_box_with_known_logs_makes_the_same_blob_without_pow(params, monkeypatch):
+    rng = random.Random(15)
+    priv, pub = c.new_box_keypair("a", rng, params)
+    logs = {pub.pub.h: priv.priv.x}
+    calls = counted_pow(monkeypatch)
+    for seed in range(40):
+        known = c.pk_enc(pub, b"layered secret", random.Random(seed), logs)
+        assert calls == []
+        c1 = c.bytes_to_int(known[:8])
+        assert c.gpow(params, logs[c1]) == c1
+        assert c.pk_dec(priv, known, logs) == b"layered secret"
+        assert calls == []
+        # the same draws, the same bytes, through builtin pows
+        assert c.pk_enc(pub, b"layered secret", random.Random(seed)) == known
+        assert c.pk_dec(priv, known) == b"layered secret"
+        assert len(calls) == 2
+        calls.clear()
+
+
 # --- path polynomial -------------------------------------------------------
 
 def oracle_poly_eval(p: int, a0: int, steps: list[int], x: int) -> int:
@@ -454,62 +486,17 @@ def test_puf_deterministic_per_device():
 @pytest.mark.parametrize("params", [c.DEFAULT_PARAMS, c.TEST_PARAMS], ids=["default", "test"])
 def test_gpow_is_pow_of_the_generator(params):
     q = params.q
-    exponents = [0, 1, 255, 256, q - 1, q, q + 5, 2**64 + 3, -1]
+    exponents = [0, 1, 255, 256, q - 1, q, q + 5, 2**64 + 3, -1, -q, 2 * q, q * 2**70]
     rng = random.Random(13)
     exponents += [rng.randrange(-(2**80), 2**80) for _ in range(1000)]
+    exponents += [q * rng.randrange(-(2**20), 2**20) for _ in range(100)]
+    # products of two logs, as the known-log paths raise them
+    exponents += [rng.randrange(q) * rng.randrange(q) for _ in range(100)]
     for e in exponents:
         assert c.gpow(params, e) == pow(params.g, e, params.p), e
 
 
-# --- per-key window tables and one-pow decryption ---------------------------
-
-def _exponents(params, seed):
-    rng = random.Random(seed)
-    edges = [e for e in (15, 16, 255, 256) if e < params.q]
-    return [0, 1, *edges, params.q - 1] + [rng.randrange(params.q) for _ in range(300)]
-
-
-@pytest.mark.parametrize("params", [c.DEFAULT_PARAMS, c.TEST_PARAMS], ids=["default", "test"])
-def test_key_raise_is_pow_below_and_above_the_table_threshold(params):
-    rng = random.Random(21)
-    pub = c.elg_keygen(rng, params).public
-    for i, e in enumerate(_exponents(params, 22)):
-        assert (pub._table is None) == (i < c.KEY_TABLE_RAISE), i
-        assert pub.hpow(e) == pow(pub.h, e, params.p), e
-
-
-@pytest.mark.parametrize("params", [c.DEFAULT_PARAMS, c.TEST_PARAMS], ids=["default", "test"])
-def test_key_raise_is_exact_outside_the_subgroup(params):
-    # p - g^x and p - 1 have even order, so neither lies in <g>
-    p = params.p
-    rng = random.Random(23)
-    for h in (p - c.gpow(params, rng.randrange(1, params.q)), p - 1):
-        assert pow(h, params.q, p) == p - 1
-        pub = c.ElgamalPublic(params, h)
-        for e in _exponents(params, 24):
-            assert pub.hpow(e) == pow(h, e, p), (h, e)
-        assert pub._table is not None
-
-
-def test_key_raised_fewer_times_than_the_threshold_builds_no_table():
-    rng = random.Random(25)
-    priv = c.elg_keygen(rng)
-    for _ in range(c.KEY_TABLE_RAISE - 1):
-        c.elg_encrypt(priv.public, 5, rng)
-    assert priv.public._table is None
-    c.rerandomize(priv.public, c.Ciphertext(c.DEFAULT_PARAMS, 1, 1), rng)
-    assert priv.public._table is not None
-
-
-def test_key_table_leaves_equality_hash_and_repr_alone():
-    rng = random.Random(26)
-    pub = c.elg_keygen(rng).public
-    fresh = c.ElgamalPublic(pub.params, pub.h)
-    for _ in range(c.KEY_TABLE_RAISE):
-        pub.hpow(7)
-    assert pub == fresh and hash(pub) == hash(fresh) and repr(pub) == repr(fresh)
-    assert fresh._table is None
-
+# --- one-pow decryption ----------------------------------------------------
 
 @pytest.mark.parametrize("params", [c.DEFAULT_PARAMS, c.TEST_PARAMS], ids=["default", "test"])
 def test_decrypt_equals_the_inverse_formula(params):

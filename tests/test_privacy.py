@@ -30,8 +30,8 @@ ALL_PROTOCOLS = ["tracker", "checker", "stepauth", "rfchain", "ray", "resc", "bu
 
 
 class TestGameValidation:
-    def test_unknown_protocol_unsupported(self):
-        with pytest.raises(UnsupportedGameError):
+    def test_unknown_protocol_is_an_input_error(self):
+        with pytest.raises(ValueError, match="unknown protocol 'nosuch'"):
             run_game(PrivacyGame(kind=GameKind.TAG, protocol="nosuch"))
 
     def test_unknown_distinguisher_unsupported(self):

@@ -12,6 +12,7 @@ import gc
 import hashlib
 import itertools
 import random
+import sys
 import weakref
 
 import pytest
@@ -1305,6 +1306,66 @@ class TestStepAuth:
             res = run_protocol(cfg)
             assert res.stalled
             assert not res.verdicts
+
+
+    @staticmethod
+    def first_layer_kem(model, run):
+        """The KEM of the outer layer of t1's secret, made for r1."""
+        sig = crypto.parse_signature(run.memory("t1").load("secret"))
+        return crypto.split_fields(sig.message, 2)[0]
+
+    @pytest.mark.parametrize("flip", [None, 0, 7], ids=["made", "c1-byte-0", "c1-byte-7"])
+    def test_layer_for_another_reader_gives_the_generic_result(self, flip, monkeypatch):
+        model, run = build_run(honest_config("stepauth"))
+        kem = self.first_layer_kem(model, run)
+        if flip is not None:
+            kem = kem[:flip] + bytes([kem[flip] ^ 1]) + kem[flip + 1 :]
+        c1 = crypto.bytes_to_int(kem[:8])
+        assert (c1 in model.logs) is (flip is None)
+        keys = []
+        sym_dec = crypto.sym_dec
+        monkeypatch.setattr(
+            crypto, "sym_dec", lambda key, blob: keys.append(key) or sym_dec(key, blob)
+        )
+        calls = []
+        monkeypatch.setattr(crypto, "pow", pow_spy(calls), raising=False)
+        box = model.box_priv["r2"]
+        with pytest.raises(crypto.AuthenticationError):
+            crypto.pk_dec(box, kem, model.logs)
+        # a known element is raised from its log; any other takes the pow
+        assert len(calls) == (flip is not None)
+        shared = pow(c1, box.priv.x, crypto.DEFAULT_PARAMS.p)
+        assert keys == [crypto.hash_bytes(b"kemr2" + crypto.int_to_bytes(shared))]
+
+    def test_every_peel_verifies_decapsulates_and_decrypts(self, monkeypatch):
+        model, run = build_run(honest_config("stepauth"))
+        assert len(model.logs) == 3 + 3  # three reader keys and three layers
+        calls = []
+        monkeypatch.setattr(crypto, "pow", pow_spy(calls), raising=False)
+        checks = {name: counting(monkeypatch, name) for name in ("verify", "pk_dec", "sym_dec")}
+        play(model, run.config.script)
+        res = finalize(model, run)
+        assert not res.anomalies and calls == []
+        # sym_dec opens each KEM's session key, then each layer's body
+        counts = {name: len(c) for name, c in checks.items()}
+        assert counts == {"verify": 3, "pk_dec": 3, "sym_dec": 6}
+
+
+class TestNoBuiltinPow:
+    """An honest run raises only the generator, to logs its model knows."""
+
+    @pytest.mark.parametrize("protocol,mode", sorted(REPORT_SHA256))
+    def test_honest_run_makes_no_builtin_pow_call(self, protocol, mode, monkeypatch):
+        calls = []
+        modules = {crypto, *(sys.modules[cls.__module__] for cls in PROTOCOLS.values())}
+        for module in modules:
+            monkeypatch.setattr(module, "pow", pow_spy(calls), raising=False)
+        model, run = build_run(multi_tag_config(protocol, mode))
+        play(model, run.config.script)
+        lines = finalize(model, run).report_lines()
+        assert calls == []
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == REPORT_SHA256[protocol, mode]
 
 
 class TestRfChain:
