@@ -336,11 +336,6 @@ def sym_matches(key: bytes, plaintext: bytes, ciphertext: bytes) -> bool:
     return ciphertext == sym_enc(key, plaintext)
 
 
-def sym_len(plaintext_len: int) -> int:
-    """Byte length of ``sym_enc`` output for a plaintext of this length."""
-    return _SIV_LEN + plaintext_len
-
-
 def sym_dec(key: bytes, ciphertext: bytes) -> bytes:
     if len(ciphertext) < _SIV_LEN:
         raise AuthenticationError("ciphertext too short")

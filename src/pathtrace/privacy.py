@@ -367,7 +367,7 @@ def _validate(game: PrivacyGame) -> Distinguisher:
     if game.protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {game.protocol!r}")
     if game.distinguisher not in DISTINGUISHERS:
-        raise UnsupportedGameError(f"unknown distinguisher {game.distinguisher!r}")
+        raise ValueError(f"unknown distinguisher {game.distinguisher!r}")
     protocol, kind = SCOPES.get(game.distinguisher, (game.protocol, game.kind))
     if protocol != game.protocol:
         raise UnsupportedGameError(

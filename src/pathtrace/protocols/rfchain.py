@@ -12,36 +12,15 @@ announcing the path claim.
 
 The ledger also remembers, for each record a reader made and posted
 unmodified, the step it was made for: (identity, index, prev_chain).  A
-claimed step the model wrote itself is found by one O(1) lookup of that
-triple in either mode, with no record recomputed or trial-checked.  The
-answer is the same as a full check's: the record made for that step is on
-the append-only ledger, and the full check accepts it by construction.
-A step whose record the model did not write (modified or injected in
-transit, or added to the ledger directly) takes the full check below.
-
-In the default mode a record matches a step exactly when it equals the
-record the verifier recomputes, so the ledger keeps a set of its records
-and each claimed step costs one O(1) lookup.  Patched records carry a
-salt that only the record itself reveals, so no expected record can be
-computed in advance: the verifier scans for it.  It scans only the records
-of the step's shape, since the ledger files each patched record by the
-lengths of its pseudo-identity and body.  The filing is exact: a
-ciphertext of ``sym_enc`` is always ``crypto.sym_len`` of its plaintext,
-so a record of another shape fails the pseudo-identity or the mask check
-anyway, and record lengths are public on the ledger.  Chain level i embeds
-the levels below it, so the shapes tell the steps apart and a claimed step
-scans only its own step's records: one per tag that took that step.  A
-scan moves the record it matches to the end of its bucket, so records no
-claim has matched yet are tried first.  When each of N tags is claimed
-once and the model wrote none of their records, a claimed step checks its
-own record and the never-matched records filed before it: over the N
-claims, about N^2/4 checks per step for a random claim order rather than
-N^2/2, and N when tags are claimed in the order they visited.  An honest
-run's claims make no such check, so that N^2/4 applies only to records
-the model did not write.  The ledger splits each patched payload into (salt,
-body) once, when it is added, and a wrong record is rejected on the
-synthetic IV of its pseudo-identity: one hash for the salted key and one
-MAC, with no keystream derived.
+claimed step the model wrote itself is found by one lookup of that triple
+in either mode, with no record recomputed or trial-checked.  The answer is
+the same as a full check's: the record made for that step is on the
+append-only ledger, and the full check accepts it by construction.  A step
+whose record the model did not write (modified or injected in transit, or
+added to the ledger directly) takes the full check, one pass over the
+ledger: in the default mode for the one record the verifier recomputes, in
+the patched mode for a record that ``_record_matches`` accepts, since a
+salt that only the record reveals leaves nothing to recompute in advance.
 
 Reusing H(h_i) as both mask and pseudo-identity key is what the linking
 attack exploits.  The "patched" mode stores a fresh per-step salt in the
@@ -72,21 +51,11 @@ class SharedLedger:
     record that ``add`` was told the model made unmodified for it; ``wrote``
     answers from it.  Records added without a step (tampered in transit,
     injected, or rebuilt from ``records()``) are in the ledger all the same,
-    and the verifier finds them by its full check.
-
-    ``salted`` files (pseudo, salt, body) of every record whose payload
-    splits as a patched one under its shape ``(len(pseudo), len(body))``;
-    malformed payloads are left out of it.  A bucket holds the records no
-    claim has matched in ledger order, followed by the matched ones in the
-    order of their latest match: ``RfChain._scan_salted`` moves each record
-    it matches to the end.  Only the order of a scan depends on it, never
-    its answer; ``records()`` stays in ledger order."""
+    and the verifier finds them by its full check over ``records()``."""
 
     def __init__(self) -> None:
         self._records: list[tuple[bytes, bytes]] = []
-        self._record_set: set[tuple[bytes, bytes]] = set()
         self._written: set[tuple[bytes, int, bytes]] = set()
-        self.salted: dict[tuple[int, int], list[tuple[bytes, bytes, bytes]]] = {}
 
     def add(
         self, pseudo_id: bytes, payload: bytes, step: tuple[bytes, int, bytes] | None = None
@@ -94,26 +63,12 @@ class SharedLedger:
         """Append a record; ``step`` is the (identity, index, prev_chain) the
         model made exactly this record for, when it arrived unmodified."""
         self._records.append((pseudo_id, payload))
-        self._record_set.add((pseudo_id, payload))
         if step is not None:
             self._written.add(step)
-        split = split_salted(payload)
-        if split is not None:
-            salt, body = split
-            self.salted.setdefault((len(pseudo_id), len(body)), []).append((pseudo_id, salt, body))
 
     def wrote(self, identity: bytes, index: int, prev_chain: bytes) -> bool:
         """Does the ledger hold the record the model made for this step?"""
         return (identity, index, prev_chain) in self._written
-
-    def salted_for(self, identity: bytes, prev_chain: bytes) -> list[tuple[bytes, bytes, bytes]]:
-        """The patched records whose ciphertexts are as long as encryptions
-        of ``identity`` and ``prev_chain``: the only ones that can match."""
-        shape = (crypto.sym_len(len(identity)), crypto.sym_len(len(prev_chain)))
-        return self.salted.get(shape, [])
-
-    def __contains__(self, record: tuple[bytes, bytes]) -> bool:
-        return record in self._record_set
 
     def records(self) -> list[tuple[bytes, bytes]]:
         return list(self._records)
@@ -206,28 +161,32 @@ class RfChain(ProtocolModel):
         self, pseudo: bytes, payload: bytes, identity: bytes, index: int, prev_chain: bytes
     ) -> bool:
         """Does the single record (pseudo, payload) mirror ``prev_chain`` at
-        step ``index``?  Runs the same checks as the verifier."""
+        step ``index``?  The verifier's patched full check runs it on each
+        record; a wrong record is rejected on the synthetic IV of its
+        pseudo-identity, with no keystream derived."""
         if self.config.mode == "patched":
             split = split_salted(payload)
-            return split is not None and self._scan_salted(
-                [(pseudo, *split)], identity, index, prev_chain
-            )
+            if split is None:
+                return False
+            salt, body = split
+            h = step_input(identity, self.f, self.pwd, self.nonce, index)
+            if not crypto.sym_matches(salted_key(h, salt, b"pid"), identity, pseudo):
+                return False
+            return crypto.sym_matches(salted_key(h, salt, b"mask"), prev_chain, body)
         return (pseudo, payload) == self._default_record(identity, index, prev_chain)
 
-    def _scan_salted(
-        self, salted: list[tuple[bytes, bytes, bytes]], identity: bytes, index: int, prev_chain: bytes
-    ) -> bool:
-        """Does some patched record mirror ``prev_chain`` at step ``index``?
-        Accepts exactly the records ``_record_matches`` accepts, and moves
-        the one it matched to the end of ``salted``, a ledger bucket."""
-        h = step_input(identity, self.f, self.pwd, self.nonce, index)
-        for k, (pseudo, salt, body) in enumerate(salted):
-            if not crypto.sym_matches(salted_key(h, salt, b"pid"), identity, pseudo):
-                continue
-            if crypto.sym_matches(salted_key(h, salt, b"mask"), prev_chain, body):
-                salted.append(salted.pop(k))
-                return True
-        return False
+    def _on_ledger(self, identity: bytes, index: int, prev_chain: bytes) -> bool:
+        """Does the ledger hold a record mirroring ``prev_chain`` at step
+        ``index``?  A step the model wrote is one lookup; any other step
+        takes the full check, one pass over the ledger."""
+        if self.ledger.wrote(identity, index, prev_chain):
+            return True
+        if self.config.mode == "patched":
+            return any(
+                self._record_matches(pseudo, payload, identity, index, prev_chain)
+                for pseudo, payload in self.ledger.records()
+            )
+        return self._default_record(identity, index, prev_chain) in self.ledger.records()
 
     def _present(self, tag_token: str, receiver: str, malformed: str) -> list[bytes] | None:
         """[identity, chain] as ``receiver`` gets them (``_receive``)."""
@@ -300,17 +259,8 @@ class RfChain(ProtocolModel):
             return False
         path = tuple(reversed(signers))
         # levels holds a_n .. a_0; record i must mirror a_{i-1}
-        patched = self.config.mode == "patched"
         for i in range(1, len(path) + 1):
-            prev_chain = levels[len(path) - (i - 1)]
-            if self.ledger.wrote(identity, i, prev_chain):
-                found = True
-            elif patched:
-                salted = self.ledger.salted_for(identity, prev_chain)
-                found = self._scan_salted(salted, identity, i, prev_chain)
-            else:
-                found = self._default_record(identity, i, prev_chain) in self.ledger
-            if not found:
+            if not self._on_ledger(identity, i, levels[len(path) - (i - 1)]):
                 self.net.log_anomaly(
                     f"rfchain verifier: missing ledger record for step {i} of {tag_token}"
                 )

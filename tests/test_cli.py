@@ -271,6 +271,15 @@ class TestPrivacy:
         assert captured.err == "error: unknown protocol 'nosuch'\n"
         assert captured.out == ""
 
+    def test_unknown_distinguisher_exit_two(self, capsys):
+        code = main(
+            ["privacy", "tracker", "tag-unlinkability", "--distinguisher", "nosuch", "--trials", "10"]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: unknown distinguisher 'nosuch'\n"
+        assert captured.out == ""
+
     def test_distinguisher_for_other_game(self, capsys):
         code = main(
             ["privacy", "ray", "tag-unlinkability", "--distinguisher", "xor-structure"]

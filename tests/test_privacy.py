@@ -34,8 +34,8 @@ class TestGameValidation:
         with pytest.raises(ValueError, match="unknown protocol 'nosuch'"):
             run_game(PrivacyGame(kind=GameKind.TAG, protocol="nosuch"))
 
-    def test_unknown_distinguisher_unsupported(self):
-        with pytest.raises(UnsupportedGameError):
+    def test_unknown_distinguisher_refused(self):
+        with pytest.raises(ValueError, match="unknown distinguisher 'nosuch'"):
             run_game(
                 PrivacyGame(kind=GameKind.TAG, protocol="tracker", distinguisher="nosuch")
             )
