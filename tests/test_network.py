@@ -25,6 +25,8 @@ from pathtrace.network import (
 from pathtrace.protocols import RunConfig, build_run
 from pathtrace.protocols.ray import Ray
 
+from pins import with_manager
+
 
 class TestTagMemory:
     def test_store_load_and_accounting(self):
@@ -164,10 +166,7 @@ def honest_world(protocol: str, tags: int = 100, hops: int = 4, seed: int = 3):
         valid_paths=[] if protocol == "rfchain" else sorted(paths.items()),
         capacities=dict.fromkeys(names, 8192),
     )
-    if protocol == "tracker":
-        cfg.readers.append(("m", None))
-        cfg.params["manager"] = "m"
-    model, run = build_run(cfg)
+    model, run = build_run(with_manager(cfg))
     for step in range(hops):
         for tag in names:
             model.visit(tag, paths[tag][step])

@@ -9,7 +9,6 @@ documented weakness or rejection behavior.
 from __future__ import annotations
 
 import gc
-import hashlib
 import itertools
 import random
 import sys
@@ -39,74 +38,10 @@ from pathtrace.protocols.stepauth import secret_size_bits
 from pathtrace.scenario import corpus_dir, run_scenario
 from pathtrace.trace import AttackLabel, classify_claim
 
-
-def honest_config(protocol: str, seed: int = 7) -> RunConfig:
-    """One tag travelling r1-w-r2-r3 (w is a bare transit) plus a claim."""
-    readers = [("r1", None), ("r2", None), ("r3", None)]
-    script = [
-        ("move", "t1", "r1"),
-        ("move", "t1", "w"),
-        ("move", "t1", "r2"),
-        ("move", "t1", "r3"),
-        ("claim", "t1"),
-    ]
-    cfg = RunConfig(
-        protocol=protocol,
-        seed=seed,
-        readers=list(readers),
-        transits=["w"],
-        tags=["t1"],
-        valid_paths=[("t1", ("r1", "r2", "r3"))],
-        script=list(script),
-        capacities={"t1": PROTOCOLS[protocol].tag_bits(3)},
-    )
-    if protocol == "tracker":
-        cfg.readers.append(("m", None))
-        cfg.params["manager"] = "m"
-    elif protocol == "rfchain":
-        cfg.valid_paths = []
-    return cfg
-
+import pins
+from pins import MULTI_TAG_RUNS, honest_config, multi_tag_config, with_manager
 
 ALL_PROTOCOLS = ["tracker", "checker", "stepauth", "rfchain", "ray", "resc", "burbridge"]
-
-MULTI_PATHS = {"t1": ("r1", "r2", "r3"), "t2": ("r2", "r4", "r1"), "t3": ("r4", "r3", "r2")}
-
-
-def multi_tag_config(protocol: str, mode: str = "default") -> RunConfig:
-    """Three tags on their own 3-hop paths over four readers; the visits
-    interleave hop by hop, then every tag is claimed in a fixed order."""
-    tags = sorted(MULTI_PATHS)
-    script = [("move", t, MULTI_PATHS[t][hop]) for hop in range(3) for t in tags]
-    script += [("claim", t) for t in ("t2", "t3", "t1")]
-    cfg = RunConfig(
-        protocol=protocol,
-        seed=29,
-        mode=mode,
-        readers=[("r1", "acme"), ("r2", "bolt"), ("r3", "crate"), ("r4", "dock")],
-        tags=tags,
-        valid_paths=[] if protocol == "rfchain" else sorted(MULTI_PATHS.items()),
-        script=script,
-        capacities={t: 8192 for t in tags},
-    )
-    if protocol == "tracker":
-        cfg.readers.append(("m", None))
-        cfg.params["manager"] = "m"
-    return cfg
-
-
-# SHA-256 of the report of each multi-tag world.  A change in the order of
-# any RNG draw changes the report, which two runs of the same code cannot show.
-REPORT_SHA256 = {
-    ("tracker", "default"): "a17ad45ef1105cf94ebc91047f6ff3da579bffa3349155a68c690c60d9c6c300",
-    ("checker", "default"): "f7caabf3d754f1a541a5c35a3e6f983dbb6ea685b602edfbf59b92b9768a6e81",
-    ("stepauth", "default"): "571275d14a2d3bde14c279896cc27b82830c752fd15c332de8f60dee5a345b8b",
-    ("rfchain", "default"): "c56e9742a93bcc2918f372426c4a0ffd58f33732ffd8591dc9e916a975728ee0",
-    ("rfchain", "patched"): "33d08a4d18fb611e3acf9ace91b416b8ece694f5752ad076753377934354ce3e",
-    ("ray", "default"): "057b622c799800d9ea35df1e12f863850ddd869ff4f7850861d4ffb45110afde",
-    ("resc", "default"): "d372b419121279fa96e993aec39f1022c1a0ace0b6375e568d2c0ee8970bb3d0",
-    ("burbridge", "default"): "799d9ee7703f60c8c7d727665e1c6de49f89ccdeba3407ae305e41358452d828",
-}
 
 
 class TestModes:
@@ -352,13 +287,11 @@ class TestHonestRuns:
         second = run_protocol(honest_config(protocol, seed=11))
         assert first.report_lines() == second.report_lines()
 
-    @pytest.mark.parametrize("protocol,mode", sorted(REPORT_SHA256))
-    def test_multi_tag_report_pinned(self, protocol, mode):
+    @pytest.mark.parametrize("protocol,mode", MULTI_TAG_RUNS)
+    def test_multi_tag_run_judges_every_claim(self, protocol, mode):
         res = run_protocol(multi_tag_config(protocol, mode))
         assert not res.stalled
         assert len(res.verdicts) == {"checker": 12, "stepauth": 6}.get(protocol, 3)
-        digest = hashlib.sha256("\n".join(res.report_lines()).encode()).hexdigest()
-        assert digest == REPORT_SHA256[(protocol, mode)]
 
 
 class TestNamedStrategies:
@@ -397,11 +330,7 @@ BUILDER_SCRIPT = [
 
 def honest_world(protocol: str, paths) -> RunConfig:
     """``RunConfig.along``, with Tracker's manager on no path."""
-    if protocol != "tracker":
-        return RunConfig.along(protocol, paths)
-    cfg = RunConfig.along(protocol, paths, params={"manager": "m"})
-    cfg.readers.append(("m", None))
-    return cfg
+    return with_manager(RunConfig.along(protocol, paths))
 
 
 # (protocol, visits) whose own snapshot exceeds tag_bits(3), with its bits
@@ -804,69 +733,17 @@ class TestKnownStates:
         ("checker", "tests-built"): [],
     }
 
-    @staticmethod
-    def foreign_run(protocol, kind):
-        """t1 and t2 visit r1; then ``kind`` replaces a state the model
-        wrote, and the tag that presents it visits r2 and r3 and is claimed."""
-        cfg = honest_config(protocol)
-        cfg.tags.append("t2")
-        cfg.valid_paths.append(("t2", ("r1", "r2")))
-        cfg.capacities["t2"] = cfg.capacities["t1"]
-        model, run = build_run(cfg)
-        model.visit("t1", "r1")
-        model.visit("t2", "r1")
-        tag = "t2" if kind == "cloned" else "t1"
-        p = model.params.p
-        if kind == "modified":
-            # the accumulator's c2 times g: still a group element, another path
-            def strategy(env, net):
-                if (env.sender, env.receiver) != ("t1", "r2"):
-                    return env.payload
-                c2 = crypto.bytes_to_int(env.payload[-8:]) * model.params.g % p
-                return env.payload[:-8] + crypto.int_to_bytes(c2)
-
-            run.net.strategy = strategy
-        elif kind == "cloned":
-            for name in model.STATE:
-                run.memory("t2").store(name, run.memory("t1").load(name))
-        else:
-            rng = random.Random(3)
-            state = model._read_state(model._state_blob("t1"))
-            for name, ct in zip(model.STATE, state):
-                run.memory("t1").store(name, crypto.rerandomize(model.pub, ct, rng).to_bytes())
-        for reader in ("r2", "r3"):
-            model.visit(tag, reader)
-        model.claim(tag)
-        return finalize(model, run)
-
     @pytest.mark.parametrize("protocol", ["tracker", "checker"])
     @pytest.mark.parametrize("kind", ["modified", "cloned", "tests-built"])
     def test_a_state_the_model_did_not_write_takes_the_generic_path(
         self, protocol, kind, monkeypatch
     ):
         folds = counting(monkeypatch, "hom_mul")
-        res = self.foreign_run(protocol, kind)
+        res = pins.foreign_run(protocol, kind)
         assert len(folds) == 2  # at r2 and at r3: what r2 wrote came from a generic fold
         assert res.anomalies == self.FOREIGN[protocol, kind]
         forget_states(monkeypatch)
-        assert self.foreign_run(protocol, kind).report_lines() == res.report_lines()
-
-    # (protocol, kind) -> SHA-256 of the foreign run's report
-    FOREIGN_SHA256 = {
-        ("tracker", "modified"): "e28459a0e422b5cc8d51ade9048f9dc093334604dacaa846963206fee9f59c8f",
-        ("tracker", "cloned"): "f2c20badf70462e6855c0db868fd762c6cc03b1dfc6a81552b97bd38ef426e92",
-        ("tracker", "tests-built"): "1cea5dab190010d907ce40a45d6712efdb3070531f9ebc33a7dd1ed22f6b9207",
-        ("checker", "modified"): "debe253238f42cc17113e3cf7cc897e10d8182d7fb9b43e2a7ff119071da761d",
-        ("checker", "cloned"): "a29be2d5fdcd2b006e6d1fd2b55f63968b3e544cc1003b7d43e56a6f141abb73",
-        ("checker", "tests-built"): "b3947ab48a2b14b6838ed4bd79ebd8ea0473a992d1347d022cbae96f3a095c93",
-    }
-
-    @pytest.mark.parametrize("protocol", ["tracker", "checker"])
-    @pytest.mark.parametrize("kind", ["modified", "cloned", "tests-built"])
-    def test_foreign_run_report_pinned(self, protocol, kind):
-        lines = self.foreign_run(protocol, kind).report_lines()
-        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-        assert digest == self.FOREIGN_SHA256[protocol, kind]
+        assert pins.foreign_run(protocol, kind).report_lines() == res.report_lines()
 
     def test_known_state_tracker_claim_makes_no_builtin_pow_call(self, monkeypatch):
         model, run = build_run(honest_config("tracker"))
@@ -895,7 +772,7 @@ class TestKnownStates:
     def test_each_tag_keeps_one_remembered_state(self):
         model, run = build_run(multi_tag_config("checker"))
         play(model, run.config.script)
-        assert sorted(model._known) == sorted(MULTI_PATHS)
+        assert sorted(model._known) == sorted(pins.MULTI_PATHS)
         for tag_token, known in model._known.items():
             assert known.blob == model._state_blob(tag_token)
 
@@ -1368,7 +1245,7 @@ class TestStepAuth:
 class TestNoBuiltinPow:
     """An honest run raises only the generator, to logs its model knows."""
 
-    @pytest.mark.parametrize("protocol,mode", sorted(REPORT_SHA256))
+    @pytest.mark.parametrize("protocol,mode", MULTI_TAG_RUNS)
     def test_honest_run_makes_no_builtin_pow_call(self, protocol, mode, monkeypatch):
         calls = []
         modules = {crypto, *(sys.modules[cls.__module__] for cls in PROTOCOLS.values())}
@@ -1378,8 +1255,7 @@ class TestNoBuiltinPow:
         play(model, run.config.script)
         lines = finalize(model, run).report_lines()
         assert calls == []
-        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-        assert digest == REPORT_SHA256[protocol, mode]
+        assert pins.sha256_lines(lines) == pins.manifest()[f"report/{protocol}/{mode}"]
 
 
 class TestRfChain:
