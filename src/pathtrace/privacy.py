@@ -361,6 +361,9 @@ SCOPES: dict[str, tuple[str, GameKind]] = {
 # pool world before its first round, so the pool costs time and memory in
 # proportion to its size however few worlds the rounds build.
 MAX_WORLDS = 4096
+# The most rounds a game plays: a round costs a few microseconds once the
+# pool is built, so this keeps a game under about half a second.
+MAX_TRIALS = 100_000
 
 
 def _validate(game: PrivacyGame) -> Distinguisher:
@@ -377,6 +380,8 @@ def _validate(game: PrivacyGame) -> Distinguisher:
         raise UnsupportedGameError(f"{game.distinguisher} plays {kind} only, not {game.kind}")
     if game.trials < 1:
         raise ValueError("trials must be positive")
+    if game.trials > MAX_TRIALS:
+        raise ValueError(f"trials must be at most {MAX_TRIALS}")
     if game.worlds < 1:
         raise ValueError("world pool must be positive")
     if game.worlds > MAX_WORLDS:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from pathtrace import crypto
 from pathtrace.network import read_snapshot
-from pathtrace.protocols.base import ProtocolModel, register_protocol, weak_partial
+from pathtrace.protocols.base import ProtocolModel, SetupError, register_protocol, weak_partial
 from pathtrace.trace import backend
 
 KEY_BITS = 128
@@ -31,6 +31,8 @@ INDEX_BITS = 20
 TS_BITS = 23
 SIG_BITS = 512
 SLOT_BITS = KEY_BITS + INDEX_BITS + TS_BITS + SIG_BITS
+# the tag's slot pointer is one byte and ends one past the last slot
+MAX_SLOTS = 254
 
 
 def storage_bits(path_length: int) -> int:
@@ -58,6 +60,19 @@ class Resc(ProtocolModel):
     path_reader_holds = "reader key"
     verifier = "db"  # the back-end database, the only verifier
     tag_bits = staticmethod(storage_bits)
+
+    @classmethod
+    def check_setup(cls, config, paths_of) -> None:
+        super().check_setup(config, paths_of)
+        for tag_token, paths in paths_of.items():
+            for path in paths:
+                if len(path) > MAX_SLOTS:
+                    raise SetupError(
+                        f"resc path of {tag_token} has {len(path)} readers; its tag's"
+                        f" one-byte slot pointer counts at most {MAX_SLOTS}",
+                        tag_token,
+                        path,
+                    )
 
     def setup(self) -> None:
         self.reader_keys = {token: self.rng.randbytes(32) for token in self.run.readers}

@@ -75,6 +75,7 @@ from pathtrace.attacks import ATTACKS, AttackOutcome, BoundedSearchError
 from pathtrace.network import STRATEGIES, AdvModel, CapabilityError, TagCapacityError
 from pathtrace.privacy import (
     DISTINGUISHERS,
+    MAX_TRIALS,
     MAX_WORLDS,
     GameKind,
     PrivacyGame,
@@ -349,7 +350,9 @@ def parse_scenario(path: Path) -> Scenario:
         elif key == "distinguisher":
             scn.distinguisher = single(lineno, key, args)
         elif key == "trials":
-            scn.trials = integer(lineno, key, single(lineno, key, args), minimum=1)
+            scn.trials = integer(
+                lineno, key, single(lineno, key, args), minimum=1, maximum=MAX_TRIALS
+            )
         elif key == "worlds":
             scn.worlds = integer(
                 lineno, key, single(lineno, key, args), minimum=1, maximum=MAX_WORLDS

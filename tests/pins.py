@@ -6,7 +6,8 @@ SHA-256 of stdout]`` of that ``pathtrace`` command.  Every other key pins
 the SHA-256 of a report's newline-joined lines: ``corpus/<scenario>``,
 ``report/<protocol>/<mode>``, ``foreign/<protocol>/<kind>`` and each game
 ``game/<protocol>/<mode>/<kind>/<distinguisher>/<adversary>`` at 120
-trials, 8 worlds and seed 3, or else the name of the exception refusing it.
+trials, 8 worlds and seed 3, or else the name of the exception refusing it;
+``kat/<name>`` pins the hex of a crypto kernel's output.
 
 With ``src`` on ``PYTHONPATH`` and no arguments, it prints the manifest:
 ``python tests/pins.py > tests/pins.json`` re-pins, and
@@ -53,6 +54,17 @@ def honest_config(protocol: str, seed: int = 7) -> RunConfig:
 
 
 MULTI_PATHS = {"t1": ("r1", "r2", "r3"), "t2": ("r2", "r4", "r1"), "t3": ("r4", "r3", "r2")}
+
+# each crypto kernel's known answer, pinned when the kernels were byte-wise
+# loops: a rewritten kernel must reproduce it exactly
+KAT_TEXT = b"pathtrace known-answer plaintext, 45 bytes.."
+KNOWN_ANSWERS = {
+    "mac": (crypto.mac, bytes(range(32)), KAT_TEXT),
+    "sym_enc": (crypto.sym_enc, bytes(range(32)), KAT_TEXT),
+    "sym_enc-empty": (crypto.sym_enc, bytes(range(32)), b""),
+    "xor_stream": (crypto.xor_stream, KAT_TEXT, b"stream-key"),
+    "expand_key": (crypto.expand_key, b"short-key", 80),
+}
 
 # the multi-tag worlds whose reports are pinned
 MULTI_TAG_RUNS = sorted([(p, "default") for p in PROTOCOLS] + [("rfchain", "patched")])
@@ -125,6 +137,10 @@ def _stdout(*argv: str) -> list:
     return [code, hashlib.sha256(out.getvalue().encode()).hexdigest()]
 
 
+def _hex(kernel, *args) -> str:
+    return kernel(*args).hex()
+
+
 def _game(game: PrivacyGame) -> str:
     try:
         return sha256_lines(run_game(game).report_lines())
@@ -137,6 +153,8 @@ def outputs() -> dict:
     pins = {"matrix": partial(_stdout, "matrix")}
     for name in ATTACKS:
         pins[f"attack/{name}"] = partial(_stdout, "attack", name)
+    for name, (kernel, *args) in KNOWN_ANSWERS.items():
+        pins[f"kat/{name}"] = partial(_hex, kernel, *args)
     for path in corpus_dir().glob("*.scn"):
         pins[f"corpus/{path.stem}"] = partial(_report, run_scenario, path)
     for protocol, mode in MULTI_TAG_RUNS:

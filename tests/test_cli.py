@@ -228,10 +228,17 @@ class TestPrivacy:
         assert message in captured.err
         assert captured.out == ""
 
-    def test_too_many_worlds_exit_two(self, capsys):
-        assert main(["privacy", "tracker", "tag-unlinkability", "--worlds", "4097"]) == 2
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--worlds", "4097", "world pool must be at most 4096"),
+            ("--trials", "100001", "trials must be at most 100000"),
+        ],
+    )
+    def test_too_large_sizes_exit_two(self, flag, value, message, capsys):
+        assert main(["privacy", "tracker", "tag-unlinkability", flag, value]) == 2
         captured = capsys.readouterr()
-        assert "world pool must be at most 4096" in captured.err
+        assert captured.err == f"error: {message}\n"
         assert captured.out == ""
 
     def test_unknown_mode_exit_two(self, capsys):

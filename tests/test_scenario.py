@@ -2,6 +2,7 @@
 
 import random
 import re
+import signal
 
 import pytest
 
@@ -15,6 +16,7 @@ from pathtrace.matrix import (
     split_cell,
 )
 from pathtrace.network import AdvModel
+from pathtrace.privacy import MAX_TRIALS as MAX_GAME_TRIALS, MAX_WORLDS
 from pathtrace.protocols import PROTOCOLS
 from pathtrace.scenario import (
     EXIT_CAPABILITY,
@@ -175,6 +177,7 @@ class TestParsing:
             ("worlds -2\n", "worlds must be at least 1"),
             ("worlds 1.5\n", "worlds '1.5' is not an integer"),
             ("worlds 4097\n", "worlds must be at most 4096"),
+            ("trials 100001\n", "trials must be at most 100000"),
             ("expect advantage_max abc\n", "advantage_max 'abc' is not a finite number"),
             ("expect advantage_min nan\n", "advantage_min 'nan' is not a finite number"),
             ("attack ray-out-of-order order=1,x\n", "attack argument 'order=1,x' is not a list"),
@@ -489,6 +492,27 @@ class TestSetupPreconditions:
         waypoint = write(tmp_path, body.replace("validpath t1 r1 x1 r2", "validpath t1 r1 r2"))
         assert run_scenario(waypoint).exit_code == EXIT_OK
 
+    @pytest.mark.parametrize("length", [254, 255])
+    def test_resc_path_beyond_its_slot_pointer_fails_at_the_validpath_line(
+        self, tmp_path, length
+    ):
+        # the parent ran every visit and then ended in OverflowError, with no line
+        readers = [f"r{i}" for i in range(1, length + 1)]
+        text = "\n".join(
+            ["protocol resc", "kind run", *(f"reader {r}" for r in readers), "tag t1"]
+            + ["capacity t1 1000000", "validpath t1 " + " ".join(readers)]
+            + [*(f"move t1 {r}" for r in readers), "claim t1", ""]
+        )
+        result = run_scenario(write(tmp_path, text))
+        if length == 254:
+            assert result.exit_code == EXIT_OK
+        else:
+            assert result.exit_code == EXIT_PARSE
+            assert result.failures == [
+                f"case.scn:{length + 5}: resc path of t1 has 255 readers; its tag's"
+                " one-byte slot pointer counts at most 254"
+            ]
+
     def test_tracker_without_a_manager_transmits_nothing(self, tmp_path):
         # no reader and no param manager: nobody can verify the claim
         result = run_scenario(write(tmp_path, "protocol tracker\nkind run\ntag t1\nclaim t1\n"))
@@ -727,16 +751,35 @@ def _mutate(rng, lines):
     return lines
 
 
-class TestMutationFuzz:
-    """200 seeded mutants of the bundled corpus: each ends in a documented
-    exit code, and a file that does not parse names its line unless the
-    whole file lacks a directive."""
+class MutantOverran(BaseException):
+    """A mutant ran past its clock.  Not an Exception, which
+    ``run_scenario``'s catch-all would turn into exit 2."""
 
+
+class TestMutationFuzz:
+    """200 seeded mutants of the bundled corpus, then each privacy file
+    with a ``trials`` or ``worlds`` line just above its bound: each ends in
+    a documented exit code within ``CLOCK_S`` seconds, and a file that does
+    not parse names its line unless the whole file lacks a directive."""
+
+    CLOCK_S = 10
     WHOLE_FILE = (
         "missing protocol directive",
         "attack scenario without attack directive",
         "privacy scenario without game directive",
     )
+
+    def run_within_clock(self, path):
+        def overran(signum, frame):
+            raise MutantOverran(f"{path.name} ran past {self.CLOCK_S} s")
+
+        previous = signal.signal(signal.SIGALRM, overran)
+        signal.setitimer(signal.ITIMER_REAL, self.CLOCK_S)
+        try:
+            return run_scenario(path)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_mutants_end_in_a_documented_exit_code(self, tmp_path):
         rng = random.Random(20261018)
@@ -746,7 +789,7 @@ class TestMutationFuzz:
             for k in range(8):
                 text = "\n".join(_mutate(rng, lines)) + "\n"
                 path = write(tmp_path, text, f"{source.stem}-{k}.scn")
-                result = run_scenario(path)
+                result = self.run_within_clock(path)
                 codes.add(result.exit_code)
                 assert result.exit_code in (EXIT_OK, EXIT_EXPECT, EXIT_PARSE, EXIT_CAPABILITY)
                 if result.exit_code == EXIT_PARSE:
@@ -755,6 +798,15 @@ class TestMutationFuzz:
                         f"{path.name}: {message}" for message in self.WHOLE_FILE
                     ], failure
         assert {EXIT_OK, EXIT_EXPECT, EXIT_PARSE} <= codes
+        for source in sorted(corpus_dir().glob("*.scn")):
+            lines = source.read_text().splitlines()
+            if "kind privacy" not in lines:
+                continue
+            for line in (f"trials {MAX_GAME_TRIALS + 1}", f"worlds {MAX_WORLDS + 1}"):
+                path = write(tmp_path, "\n".join([*lines, line, ""]), f"{source.stem}-big.scn")
+                result = self.run_within_clock(path)
+                assert result.exit_code == EXIT_PARSE
+                assert result.failures[0].startswith(f"{path.name}:{len(lines) + 1}: "), line
 
 
 def _result(name, protocol, adversary, exit_code=EXIT_OK, directives=()):
