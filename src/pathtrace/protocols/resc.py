@@ -23,7 +23,13 @@ from __future__ import annotations
 
 from pathtrace import crypto
 from pathtrace.network import read_snapshot
-from pathtrace.protocols.base import ProtocolModel, SetupError, register_protocol, weak_partial
+from pathtrace.protocols.base import (
+    ProtocolModel,
+    RunConfig,
+    SetupError,
+    register_protocol,
+    weak_partial,
+)
 from pathtrace.trace import backend
 
 KEY_BITS = 128
@@ -62,7 +68,7 @@ class Resc(ProtocolModel):
     tag_bits = staticmethod(storage_bits)
 
     @classmethod
-    def check_setup(cls, config, paths_of) -> None:
+    def check_setup(cls, config: RunConfig, paths_of: dict[str, list[tuple[str, ...]]]) -> None:
         super().check_setup(config, paths_of)
         for tag_token, paths in paths_of.items():
             for path in paths:

@@ -55,17 +55,6 @@ def honest_config(protocol: str, seed: int = 7) -> RunConfig:
 
 MULTI_PATHS = {"t1": ("r1", "r2", "r3"), "t2": ("r2", "r4", "r1"), "t3": ("r4", "r3", "r2")}
 
-# each crypto kernel's known answer, pinned when the kernels were byte-wise
-# loops: a rewritten kernel must reproduce it exactly
-KAT_TEXT = b"pathtrace known-answer plaintext, 45 bytes.."
-KNOWN_ANSWERS = {
-    "mac": (crypto.mac, bytes(range(32)), KAT_TEXT),
-    "sym_enc": (crypto.sym_enc, bytes(range(32)), KAT_TEXT),
-    "sym_enc-empty": (crypto.sym_enc, bytes(range(32)), b""),
-    "xor_stream": (crypto.xor_stream, KAT_TEXT, b"stream-key"),
-    "expand_key": (crypto.expand_key, b"short-key", 80),
-}
-
 # the multi-tag worlds whose reports are pinned
 MULTI_TAG_RUNS = sorted([(p, "default") for p in PROTOCOLS] + [("rfchain", "patched")])
 
@@ -120,6 +109,19 @@ def foreign_run(protocol: str, kind: str):
         model.visit(tag, reader)
     model.claim(tag)
     return finalize(model, run)
+
+
+# each crypto kernel's known answer, pinned when the kernels were byte-wise
+# loops: a rewritten kernel must reproduce it exactly
+KAT_KEY = bytes(range(32))
+KAT_TEXT = b"pathtrace known-answer plaintext, 45 bytes.."
+KNOWN_ANSWERS = {
+    "mac": (crypto.mac, KAT_KEY, KAT_TEXT),
+    "sym_enc": (crypto.sym_enc, KAT_KEY, KAT_TEXT),
+    "sym_enc-empty": (crypto.sym_enc, KAT_KEY, b""),
+    "xor_stream": (crypto.xor_stream, KAT_TEXT, b"stream-key"),
+    "expand_key": (crypto.expand_key, b"short-key", 80),
+}
 
 
 def sha256_lines(lines: list[str]) -> str:

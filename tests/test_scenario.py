@@ -496,7 +496,8 @@ class TestSetupPreconditions:
     def test_resc_path_beyond_its_slot_pointer_fails_at_the_validpath_line(
         self, tmp_path, length
     ):
-        # the parent ran every visit and then ended in OverflowError, with no line
+        # a 255th slot needs pointer 256, which its byte cannot hold: unrefused,
+        # the run made every visit and then ended in OverflowError, with no line
         readers = [f"r{i}" for i in range(1, length + 1)]
         text = "\n".join(
             ["protocol resc", "kind run", *(f"reader {r}" for r in readers), "tag t1"]
