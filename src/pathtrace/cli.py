@@ -72,8 +72,8 @@ def _cmd_attack(args: argparse.Namespace) -> int:
     kwargs = {}
     if args.seed is not None:
         if "seed" not in op.spec.settings:
-            print(f"attack {args.name} does not take a seed", file=sys.stderr)
-            return 2
+            print(f"error: attack {args.name} does not take a seed", file=sys.stderr)
+            return EXIT_PARSE
         kwargs["seed"] = args.seed
     try:
         outcome = op(**kwargs)

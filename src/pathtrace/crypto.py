@@ -395,10 +395,6 @@ class ElgamalPublic:
     params: ElgamalParams
     h: int
 
-    def hpow(self, e: int) -> int:
-        """``pow(h, e, p)``: exact for any h, in the subgroup or not."""
-        return pow(self.h, e, self.params.p)
-
 
 @dataclass(frozen=True)
 class ElgamalPrivate:
@@ -431,7 +427,7 @@ def encode_exponent(params: ElgamalParams, k: int) -> int:
 def elg_encrypt(pub: ElgamalPublic, m: int, rng: Random) -> Ciphertext:
     p = pub.params.p
     r = rng.randrange(1, pub.params.q)
-    return Ciphertext(pub.params, gpow(pub.params, r), (m % p) * pub.hpow(r) % p)
+    return Ciphertext(pub.params, gpow(pub.params, r), (m % p) * pow(pub.h, r, p) % p)
 
 
 def elg_decrypt(priv: ElgamalPrivate, ct: Ciphertext) -> int:
@@ -460,7 +456,7 @@ def ct_pow(ct: Ciphertext, e: int) -> Ciphertext:
 def rerandomize(pub: ElgamalPublic, ct: Ciphertext, rng: Random) -> Ciphertext:
     p = pub.params.p
     r = rng.randrange(1, pub.params.q)
-    return Ciphertext(ct.params, ct.c1 * gpow(pub.params, r) % p, ct.c2 * pub.hpow(r) % p)
+    return Ciphertext(ct.params, ct.c1 * gpow(pub.params, r) % p, ct.c2 * pow(pub.h, r, p) % p)
 
 
 # --- public-key encryption (ElGamal KEM + symmetric body) ------------------
@@ -501,7 +497,7 @@ def pk_enc(
     k = rng.randrange(1, params.q)
     c1 = gpow(params, k)
     x = None if logs is None else logs.get(box.pub.h)
-    shared = box.pub.hpow(k) if x is None else gpow(params, k * x)
+    shared = pow(box.pub.h, k, params.p) if x is None else gpow(params, k * x)
     if logs is not None:
         logs[c1] = k
     return int_to_bytes(c1) + sym_enc(_kem_key(box.key_id, shared), plaintext)

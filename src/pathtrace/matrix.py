@@ -19,22 +19,17 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from pathtrace.protocols import PROTOCOLS
-from pathtrace.scenario import EXIT_OK, ScenarioResult, run_corpus
+from pathtrace.scenario import EXIT_OK, FOOTNOTE_LEGEND, MATRIX_PROPERTIES, ScenarioResult, run_corpus
 
 MODEL_RANK = {"X": 0, "AdvT": 1, "AdvR": 2}
 RANK_MODEL = {rank: model for model, rank in MODEL_RANK.items()}
 ROW_ORDER = ("burbridge", "rfchain", "resc", "stepauth", "ray", "tracker", "checker")
-PROPERTY_ORDER = ("sound_sorted", "complete", "authorized", "privacy")
+PROPERTY_ORDER = tuple(MATRIX_PROPERTIES.values())
 PROPERTY_HEADERS = {
     "sound_sorted": "sorted+sound",
     "complete": "sorted+sound+complete",
     "authorized": "authorized",
     "privacy": "privacy",
-}
-FOOTNOTE_LEGEND = {
-    1: "attack reproduced in corpus",
-    2: "weakness reproduced in corpus",
-    4: "holds only with a single registered path",
 }
 
 

@@ -202,7 +202,7 @@ class Message(NamedTuple):
 
 
 # A strategy sees each untrusted envelope and returns the payload to deliver,
-# or None to drop it.  Stateful strategies are objects with __call__.
+# or None to drop it.
 Strategy = Callable[[Envelope, "Network"], "bytes | None"]
 
 

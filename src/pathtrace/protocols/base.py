@@ -363,17 +363,25 @@ def weak_partial(method: Callable, *args: object) -> Callable:
 
 def build_run(config: RunConfig) -> tuple[ProtocolModel, Run]:
     """Construct the world, run protocol setup and register each
-    compromisable reader's secrets (no movement yet)."""
+    compromisable reader's secrets (no movement yet).  A token that names
+    two parties (two of its tags, readers and transits, or one of them and
+    the scheme's fixed verifier) is refused with a ValueError."""
     if config.protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol: {config.protocol}")
     check_setting(config.protocol, "mode", config.mode)
     for key in config.params:
         check_setting(config.protocol, "param", key)
+    # the network routes by bare token: one token names one party
+    verifier = PROTOCOLS[config.protocol].verifier
+    readers = [token for token, _ in config.readers]
     declared: set[str] = set()
-    for token in config.tags:
-        if token in declared:
-            raise ValueError(f"tag {token} is declared twice")
-        declared.add(token)
+    for role, tokens in (("tag", config.tags), ("reader", readers), ("transit", config.transits)):
+        for token in tokens:
+            if token in declared:
+                raise ValueError(f"{role} {token} is declared twice")
+            if token == verifier:
+                raise ValueError(f"{role} {token} is the fixed verifier of {config.protocol}")
+            declared.add(token)
     run = Run(config)
     protocol = PROTOCOLS[config.protocol](run)
     if config.strategy not in STRATEGIES:

@@ -26,30 +26,31 @@ The run settings (protocol, seed, mode, adversary, readers, script, ...)
 parse straight into the scenario's ``RunConfig``; the rest of the
 scenario says what to execute with them and what to expect.
 
-Each kind accepts ``COMMON_DIRECTIVES`` and its own ``KIND_DIRECTIVES``:
-a run the world and script, an attack or probe ``attack``, a privacy
-game ``game``, ``distinguisher``, ``trials`` and ``worlds``.  Any other
-directive fails at its line, and so do a ``strategy`` outside the
-network's ``STRATEGIES``, a ``distinguisher`` outside ``DISTINGUISHERS`` and a
-``param`` key outside the scheme's ``param_keys``: only Tracker reads
-any, ``manager`` (the verifying reader) and ``equal`` (readers sharing
-one coefficient).  A token declared twice (a tag, or a reader across
-``reader`` and ``transit``) fails at its second line, a tag whose
-paths break the scheme's ``path_rule`` fails at its ``tag`` line, and a
-path that breaks a precondition of the scheme's setup (``check_setup``:
-a transit reader, or Tracker's manager, on a path whose readers the
-scheme keys) fails at its first ``validpath`` line.  A
-``move``, ``claim``, ``compromise``, ``validpath``, ``capacity``,
-``param manager`` or ``param equal`` line that names a tag or reader
-declared nowhere in the file fails at its line; a claim may also name
-the scheme's fixed verifier, which no file declares.  An ``attack``
-registered for another scheme than the file's ``protocol`` fails at its
-line, and so does a keyword the attack does not take, of another type
-than its default's, or refused by the attack's ``check`` (an index off
-the path, a size below 1 or above its ``attacks`` bound); a ``mode``
-line fails when the attack takes no mode.  A distinguisher that is known
-but limited to another scheme or game is refused only at execution, as
-exit 3.
+``DIRECTIVES`` states, for each directive, the kinds that take it, its
+fewest and most values and the roles of the values that name a tag or
+reader.  A directive it does not know, or with too few or too many
+values, fails at its line, and so does one the scenario's kind does not
+take; so do a ``strategy`` outside the network's ``STRATEGIES``, a
+``distinguisher`` outside ``DISTINGUISHERS`` and a ``param`` key outside
+the scheme's ``param_keys``: only Tracker reads any, ``manager`` (the
+verifying reader) and ``equal`` (readers sharing one coefficient).  The
+network routes by bare token, so one token names one party: a token
+declared twice (across ``tag``, ``reader`` and ``transit``) fails at its
+second line, and one that is the scheme's fixed verifier fails at its
+declaring line.  A tag whose paths break the scheme's ``path_rule``
+fails at its ``tag`` line, and a path that breaks a precondition of the
+scheme's setup (``check_setup``: a transit reader, or Tracker's manager,
+on a path whose readers the scheme keys) fails at its first
+``validpath`` line.  A value that names a tag or reader the file does
+not declare as one, ``param manager`` and ``param equal`` readers
+included, fails at its line; a claim may also name the scheme's fixed
+verifier, which no file declares.  An ``attack`` registered for another
+scheme than the file's ``protocol`` fails at its line, and so does a
+keyword the attack does not take, of another type than its default's,
+or refused by the attack's ``check`` (an index off the path, a size
+below 1 or above its ``attacks`` bound); a ``mode`` line fails when the
+attack takes no mode.  A distinguisher that is known but limited to another
+scheme or game is refused only at execution, as exit 3.
 
 Matrix directives feed the solution table: `matrix <prop> hold <model>`
 claims the property held in this scenario's adversary model, while
@@ -69,6 +70,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from pathtrace import trace as tr
 from pathtrace.attacks import ATTACKS, AttackOutcome, BoundedSearchError
@@ -105,12 +107,50 @@ CAPABILITY_ERRORS = (
     UnsupportedGameError,
 )
 
-COMMON_DIRECTIVES = ("protocol", "kind", "seed", "mode", "adversary", "expect", "matrix")
-KIND_DIRECTIVES = {
-    "run": ("strategy", "compromise", "reader", "transit", "tag", "validpath", "capacity",
-            "param", "move", "claim"),
-    "attack": ("attack",),
-    "privacy": ("game", "distinguisher", "trials", "worlds"),
+KINDS = ("run", "attack", "privacy")
+
+
+class Directive(NamedTuple):
+    """What a scenario line may hold: the kinds that take it, its fewest
+    and most values (refused as ``<key> needs <needs>``), and, when its
+    values name tags or readers, the role of its first value and of each
+    other value (None: they name neither)."""
+
+    kinds: tuple[str, ...]
+    fewest: int = 0
+    most: float = math.inf
+    needs: str = ""
+    roles: tuple[str, str | None] | None = None
+
+
+_ONE = (1, 1, "exactly one value")  # the bounds and refusal of a single value
+_RUN, _ANY = ("run",), math.inf
+
+# every directive; `protocol`, `kind`, `adversary`, `attack`, `game` and
+# `matrix` check their values themselves
+DIRECTIVES = {
+    "protocol": Directive(KINDS),
+    "kind": Directive(KINDS),
+    "seed": Directive(KINDS, *_ONE),
+    "mode": Directive(KINDS, *_ONE),
+    "adversary": Directive(KINDS),
+    "expect": Directive(KINDS, 2, 2, "a key and a value"),
+    "matrix": Directive(KINDS),
+    "strategy": Directive(_RUN, *_ONE),
+    "compromise": Directive(_RUN, 1, _ANY, "at least one reader", ("reader", "reader")),
+    "reader": Directive(_RUN, 1, 2, "a token and at most one participant"),
+    "transit": Directive(_RUN, 1, _ANY, "at least one reader"),
+    "tag": Directive(_RUN, 1, _ANY, "at least one tag"),
+    "validpath": Directive(_RUN, 2, _ANY, "a tag and at least one reader", ("tag", "reader")),
+    "capacity": Directive(_RUN, 2, 2, "a tag and a bit count", ("tag", None)),
+    "param": Directive(_RUN, 2, _ANY, "a key and a value"),
+    "move": Directive(_RUN, 2, 2, "a tag and a reader", ("tag", "reader")),
+    "claim": Directive(_RUN, 1, 2, "a tag and at most one verifier", ("tag", "verifier")),
+    "attack": Directive(("attack",)),
+    "game": Directive(("privacy",)),
+    "distinguisher": Directive(("privacy",), *_ONE),
+    "trials": Directive(("privacy",), *_ONE),
+    "worlds": Directive(("privacy",), *_ONE),
 }
 
 # expect keys whose value is a float threshold on a game's advantage
@@ -123,7 +163,12 @@ MATRIX_PROPERTIES = {
     "priv": "privacy",
 }
 MATRIX_ACTIONS = ("hold", "break", "weakness", "caveat")
-KNOWN_FOOTNOTES = (1, 2, 4)
+FOOTNOTE_LEGEND = {
+    1: "attack reproduced in corpus",
+    2: "weakness reproduced in corpus",
+    4: "holds only with a single registered path",
+}
+KNOWN_FOOTNOTES = tuple(FOOTNOTE_LEGEND)
 
 
 class ScenarioError(Exception):
@@ -207,44 +252,34 @@ def parse_scenario(path: Path) -> Scenario:
     # (line, setting, value) of each mode, an attack's included, and of
     # each param key: checking them needs the protocol, which may come last
     settings: list[tuple[int, str, str]] = []
-    # the declaring line of each tag, and of each reader or transit token
-    tag_line: dict[str, int] = {}
-    reader_line: dict[str, int] = {}
+    # the declaring line of each tag, reader and transit token, and whether
+    # it names a tag or a reader
+    declared: dict[str, tuple[int, str]] = {}
     path_line: dict[tuple[str, tuple[str, ...]], int] = {}  # first line of each valid path
-    # (line, role, token) of each name a line that is not a declaration
-    # uses: a declaration may come later in the file
-    uses: list[tuple[int, str, str]] = []
+    # (line, roles, tokens) of the names each line that is not a
+    # declaration uses: a declaration may come later in the file
+    uses: list[tuple[int, tuple[str, str | None], list[str]]] = []
 
     def err(lineno: int, message: str) -> ScenarioError:
         return ScenarioError(f"{scn.path.name}:{lineno}: {message}")
 
-    def declare(lineno: int, seen: dict[str, int], tokens: list[str]) -> list[str]:
+    def declare(lineno: int, role: str, tokens: list[str]) -> list[str]:
         for token in tokens:
-            if token in seen:
-                raise err(lineno, f"{token} is declared twice, first at line {seen[token]}")
-            seen[token] = lineno
+            if token in declared:
+                raise err(lineno, f"{token} is declared twice, first at line {declared[token][0]}")
+            declared[token] = (lineno, role)
         return tokens
 
-    def single(lineno: int, key: str, args: list[str]) -> str:
-        if len(args) != 1:
-            raise err(lineno, f"{key} needs exactly one value")
-        return args[0]
-
-    def nonempty(lineno: int, key: str, what: str, args: list[str]) -> list[str]:
-        if not args:
-            raise err(lineno, f"{key} needs at least one {what}")
-        return args
-
     def integer(
-        lineno: int, key: str, token: str, minimum: int | None = None, maximum: int | None = None
+        lineno: int, key: str, token: str, minimum: float = -math.inf, maximum: float = math.inf
     ) -> int:
         try:
             value = int(token)
         except ValueError:
             raise err(lineno, f"{key} {token!r} is not an integer") from None
-        if minimum is not None and value < minimum:
+        if value < minimum:
             raise err(lineno, f"{key} must be at least {minimum}")
-        if maximum is not None and value > maximum:
+        if value > maximum:
             raise err(lineno, f"{key} must be at most {maximum}")
         return value
 
@@ -259,19 +294,26 @@ def parse_scenario(path: Path) -> Scenario:
             continue
         words = line.split()
         key, args = words[0], words[1:]
+        rule = DIRECTIVES.get(key)
+        if rule is None:
+            raise err(lineno, f"unknown directive {key!r}")
+        if not rule.fewest <= len(args) <= rule.most:
+            raise err(lineno, f"{key} needs {rule.needs}")
+        if rule.roles:
+            uses.append((lineno, rule.roles, args))
         line_of[key] = lineno
         if key == "protocol":
             if len(args) != 1 or args[0] not in PROTOCOLS:
                 raise err(lineno, f"unknown protocol {' '.join(args) or '?'}")
             cfg.protocol = args[0]
         elif key == "kind":
-            if len(args) != 1 or args[0] not in ("run", "attack", "privacy", "probe"):
+            if len(args) != 1 or args[0] not in (*KINDS, "probe"):
                 raise err(lineno, "kind must be run, attack, privacy or probe")
             scn.kind = "attack" if args[0] == "probe" else args[0]
         elif key == "seed":
-            cfg.seed = integer(lineno, key, single(lineno, key, args))
+            cfg.seed = integer(lineno, key, args[0])
         elif key == "mode":
-            cfg.mode = single(lineno, key, args)
+            cfg.mode = args[0]
             settings.append((lineno, key, cfg.mode))
         elif key == "adversary":
             try:
@@ -279,49 +321,30 @@ def parse_scenario(path: Path) -> Scenario:
             except ValueError:
                 raise err(lineno, "adversary must be AdvT or AdvR") from None
         elif key == "strategy":
-            cfg.strategy = single(lineno, key, args)
+            cfg.strategy = args[0]
         elif key == "compromise":
-            cfg.compromise.extend(nonempty(lineno, key, "reader", args))
-            uses += [(lineno, "reader", token) for token in args]
+            cfg.compromise.extend(args)
         elif key == "reader":
-            if len(args) not in (1, 2):
-                raise err(lineno, "reader needs a token and at most one participant")
-            declare(lineno, reader_line, args[:1])
+            declare(lineno, "reader", args[:1])
             cfg.readers.append((args[0], args[1] if len(args) > 1 else None))
         elif key == "transit":
-            cfg.transits.extend(declare(lineno, reader_line, nonempty(lineno, key, "reader", args)))
+            cfg.transits.extend(declare(lineno, "reader", args))
         elif key == "tag":
-            cfg.tags.extend(declare(lineno, tag_line, nonempty(lineno, key, "tag", args)))
+            cfg.tags.extend(declare(lineno, "tag", args))
         elif key == "validpath":
-            if len(args) < 2:
-                raise err(lineno, "validpath needs a tag and at least one reader")
             cfg.valid_paths.append((args[0], tuple(args[1:])))
             path_line.setdefault(cfg.valid_paths[-1], lineno)
-            uses += [(lineno, "tag", args[0]), *((lineno, "reader", r) for r in args[1:])]
         elif key == "capacity":
-            if len(args) != 2:
-                raise err(lineno, "capacity needs a tag and a bit count")
             cfg.capacities[args[0]] = integer(lineno, key, args[1], minimum=0)
-            uses.append((lineno, "tag", args[0]))
         elif key == "param":
-            if len(args) < 2:
-                raise err(lineno, "param needs a key and a value")
-            cfg.params[args[0]] = " ".join(args[1:])
+            cfg.params[args[0]] = value = " ".join(args[1:])
             settings.append((lineno, key, args[0]))
             if args[0] == "manager":
-                uses.append((lineno, "manager", cfg.params["manager"]))
+                uses.append((lineno, ("manager", None), [value]))
             elif args[0] == "equal":
-                uses += [(lineno, "reader", r) for r in cfg.params["equal"].split(",") if r]
-        elif key == "move":
-            if len(args) != 2:
-                raise err(lineno, "move needs a tag and a reader")
-            cfg.script.append(("move", args[0], args[1]))
-            uses += [(lineno, "tag", args[0]), (lineno, "reader", args[1])]
-        elif key == "claim":
-            if len(args) not in (1, 2):
-                raise err(lineno, "claim needs a tag and at most one verifier")
-            cfg.script.append(("claim", *args))
-            uses += [(lineno, "tag", args[0]), *((lineno, "verifier", v) for v in args[1:])]
+                uses.append((lineno, ("reader", "reader"), [r for r in value.split(",") if r]))
+        elif key in ("move", "claim"):
+            cfg.script.append((key, *args))
         elif key == "attack":
             if not args or args[0] not in ATTACKS:
                 raise err(lineno, f"unknown attack {' '.join(args[:1]) or '?'}")
@@ -348,18 +371,12 @@ def parse_scenario(path: Path) -> Scenario:
                 raise err(lineno, f"game must be one of {sorted(kinds)}")
             scn.game = kinds[args[0]]
         elif key == "distinguisher":
-            scn.distinguisher = single(lineno, key, args)
+            scn.distinguisher = args[0]
         elif key == "trials":
-            scn.trials = integer(
-                lineno, key, single(lineno, key, args), minimum=1, maximum=MAX_TRIALS
-            )
+            scn.trials = integer(lineno, key, args[0], minimum=1, maximum=MAX_TRIALS)
         elif key == "worlds":
-            scn.worlds = integer(
-                lineno, key, single(lineno, key, args), minimum=1, maximum=MAX_WORLDS
-            )
+            scn.worlds = integer(lineno, key, args[0], minimum=1, maximum=MAX_WORLDS)
         elif key == "expect":
-            if len(args) != 2:
-                raise err(lineno, "expect needs a key and a value")
             if args[0] in _THRESHOLD_KEYS:
                 try:
                     threshold = float(args[1])
@@ -369,15 +386,13 @@ def parse_scenario(path: Path) -> Scenario:
                 if not math.isfinite(threshold):
                     raise err(lineno, f"{args[0]} {args[1]!r} is not a finite number")
             scn.expects.append((args[0], args[1]))
-        elif key == "matrix":
+        else:  # matrix
             scn.directives.append(_parse_matrix(err, lineno, args))
-        else:
-            raise err(lineno, f"unknown directive {key!r}")
 
     if "protocol" not in line_of:
         raise ScenarioError(f"{scn.path.name}: missing protocol directive")
     for key, lineno in line_of.items():
-        if key not in COMMON_DIRECTIVES and key not in KIND_DIRECTIVES[scn.kind]:
+        if scn.kind not in DIRECTIVES[key].kinds:
             article = "an" if scn.kind == "attack" else "a"
             raise err(lineno, f"{key} does not apply to {article} {scn.kind} scenario")
     if cfg.strategy not in STRATEGIES:
@@ -409,16 +424,22 @@ def parse_scenario(path: Path) -> Scenario:
         except ValueError as exc:
             raise err(lineno, str(exc)) from None
     if scn.kind == "run":
-        fixed_verifier = PROTOCOLS[cfg.protocol].verifier
-        for lineno, role, token in uses:
-            declared = tag_line if role == "tag" else reader_line
-            if token not in declared and not (role == "verifier" and token == fixed_verifier):
-                raise err(lineno, f"{role} {token} is not declared")
         scheme = PROTOCOLS[cfg.protocol]
+        # the network routes by bare token: one token names one party
+        if scheme.verifier in declared:
+            message = f"{scheme.verifier} is the fixed verifier of {cfg.protocol}"
+            raise err(declared[scheme.verifier][0], message)
+        for lineno, (first, rest), tokens in uses:
+            for i, token in enumerate(tokens):
+                role = rest if i else first
+                if role is None or (role == "verifier" and token == scheme.verifier):
+                    continue
+                if declared.get(token, (0, None))[1] != ("tag" if role == "tag" else "reader"):
+                    raise err(lineno, f"{role} {token} is not declared")
         try:
             scheme.check_setup(cfg, scheme.registered_paths(cfg.tags, cfg.valid_paths))
         except PathRuleError as exc:
-            raise err(tag_line[exc.tag], str(exc)) from None
+            raise err(declared[exc.tag][0], str(exc)) from None
         except SetupError as exc:
             raise err(path_line[exc.tag, exc.path], str(exc)) from None
     if scn.kind == "privacy" and scn.game is None:
@@ -435,12 +456,10 @@ def _parse_matrix(err, lineno: int, args: list[str]) -> MatrixDirective:
         if len(args) != 3 or args[2] not in [m.value for m in AdvModel]:
             raise err(lineno, "matrix hold needs a model, AdvT or AdvR")
         return MatrixDirective(prop=prop, action=action, model=args[2])
-    footnote = 1 if len(args) == 2 else None
-    if footnote is None:
-        try:
-            footnote = int(args[2])
-        except ValueError:
-            raise err(lineno, f"footnote {args[2]!r} is not a number")
+    try:
+        footnote = int(args[2]) if len(args) > 2 else 1
+    except ValueError:
+        raise err(lineno, f"footnote {args[2]!r} is not a number")
     if footnote not in KNOWN_FOOTNOTES:
         raise err(lineno, f"unknown footnote {footnote}; known: {KNOWN_FOOTNOTES}")
     return MatrixDirective(prop=prop, action=action, footnote=footnote)
@@ -464,30 +483,26 @@ def _check_expects(
     expects: list[tuple[str, str]],
     facts: dict[str, str],
     membership: dict[str, list[str]],
+    advantage: float | None = None,
 ) -> list[str]:
-    failures = []
+    """The failed ``expects``: each key against its membership list or its
+    fact, then, when a game's ``advantage`` is given, each threshold key
+    against it."""
+    failures, thresholds = [], []
     for key, want in expects:
-        if key in membership:
+        if advantage is not None and key in _THRESHOLD_KEYS:
+            if key == "advantage_min" and advantage < float(want):
+                thresholds.append(f"advantage {advantage:.4f} below {want}")
+            elif key == "advantage_max" and advantage > float(want):
+                thresholds.append(f"advantage {advantage:.4f} above {want}")
+        elif key in membership:
             if want not in membership[key]:
                 failures.append(f"{key}: {want!r} not in {membership[key]}")
-            continue
-        got = facts.get(key)
-        if got is None:
+        elif key not in facts:
             failures.append(f"{key}: nothing to compare against")
-        elif got != want:
-            failures.append(f"{key}: expected {want!r}, got {got!r}")
-    return failures
-
-
-def _float_expects(expects: list[tuple[str, str]], advantage: float) -> list[str]:
-    """Threshold expectations (advantage_min / advantage_max)."""
-    failures = []
-    for key, want in expects:
-        if key == "advantage_min" and advantage < float(want):
-            failures.append(f"advantage {advantage:.4f} below {want}")
-        elif key == "advantage_max" and advantage > float(want):
-            failures.append(f"advantage {advantage:.4f} above {want}")
-    return failures
+        elif facts[key] != want:
+            failures.append(f"{key}: expected {want!r}, got {facts[key]!r}")
+    return failures + thresholds
 
 
 def _run_facts(result: RunResult) -> tuple[dict[str, str], dict[str, list[str]]]:
@@ -570,10 +585,7 @@ def _execute_privacy(scn: Scenario) -> tuple[list[str], list[str]]:
         "wins": str(result.wins),
         "trials": str(result.trials),
     }
-    plain = [e for e in scn.expects if e[0] not in _THRESHOLD_KEYS]
-    failures = _check_expects(plain, facts, {})
-    failures += _float_expects(scn.expects, result.advantage)
-    return failures, result.report_lines()
+    return _check_expects(scn.expects, facts, {}, result.advantage), result.report_lines()
 
 
 def execute_scenario(scn: Scenario) -> ScenarioResult:

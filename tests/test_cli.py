@@ -175,7 +175,7 @@ class TestAttack:
 
         assert ATTACKS["fixed-op"] is fixed_op
         assert main(["attack", "fixed-op", "--seed", "1"]) == 2
-        assert "does not take a seed" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: attack fixed-op does not take a seed\n"
 
     def test_unknown_name_rejected(self):
         with pytest.raises(SystemExit) as exc:

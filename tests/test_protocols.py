@@ -95,6 +95,25 @@ class TestDuplicateTags:
         with pytest.raises(ValueError, match="^tag t1 is declared twice$"):
             build_run(cfg)
 
+    @pytest.mark.parametrize(
+        "protocol,field,value,message",
+        [
+            ("tracker", "tags", ["t1", "r2"], "reader r2 is declared twice"),
+            ("checker", "transits", ["t1"], "transit t1 is declared twice"),
+            ("tracker", "transits", ["w", "r1"], "transit r1 is declared twice"),
+            ("ray", "tags", ["t1", "co"], "tag co is the fixed verifier of ray"),
+            ("burbridge", "readers", [("scc", None)], "reader scc is the fixed verifier of burbridge"),
+            ("resc", "transits", ["db"], "transit db is the fixed verifier of resc"),
+        ],
+    )
+    def test_token_naming_two_parties_refused(self, protocol, field, value, message):
+        # the network routes by bare token: a message to either party would
+        # reach the other's handler
+        cfg = honest_config(protocol)
+        setattr(cfg, field, value)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build_run(cfg)
+
 
 class TestCompromisableReaders:
     """Under AdvR every configured reader that holds a secret surrenders

@@ -1,5 +1,6 @@
 """Scenario parsing, execution, corpus runs and matrix assembly."""
 
+import math
 import random
 import re
 import signal
@@ -19,10 +20,12 @@ from pathtrace.network import AdvModel
 from pathtrace.privacy import MAX_TRIALS as MAX_GAME_TRIALS, MAX_WORLDS
 from pathtrace.protocols import PROTOCOLS
 from pathtrace.scenario import (
+    DIRECTIVES,
     EXIT_CAPABILITY,
     EXIT_EXPECT,
     EXIT_OK,
     EXIT_PARSE,
+    KINDS,
     MatrixDirective,
     Scenario,
     ScenarioError,
@@ -238,6 +241,11 @@ class TestParsing:
             ("reader r1\nreader r1 acme\n", "r1"),
             ("reader r1\ntransit w r1\n", "r1"),
             ("transit w\nreader w\n", "w"),
+            # a tag shares no token with a reader or transit: the network
+            # routes by bare token, and would send the reader's messages to it
+            ("reader r2\ntag t1 r2\n", "r2"),
+            ("tag t9\ntransit t9\n", "t9"),
+            ("tag t1\nreader t1 acme\n", "t1"),
         ],
     )
     def test_repeated_token_fails_at_its_second_line(self, tmp_path, body, token):
@@ -247,6 +255,39 @@ class TestParsing:
         ):
             parse_scenario(path)
         assert run_scenario(path).exit_code == EXIT_PARSE
+
+    @pytest.mark.parametrize(
+        "protocol,directive",
+        [("burbridge", "tag"), ("rfchain", "reader"), ("resc", "transit"), ("ray", "tag")],
+    )
+    def test_token_of_the_fixed_verifier_fails_at_its_declaring_line(
+        self, tmp_path, protocol, directive
+    ):
+        verifier = PROTOCOLS[protocol].verifier
+        # checked once the whole file is read: the protocol may come last
+        path = write(tmp_path, f"kind run\n{directive} {verifier}\nprotocol {protocol}\n")
+        failure = f"case.scn:2: {verifier} is the fixed verifier of {protocol}"
+        with pytest.raises(ScenarioError, match=f"^{failure}$"):
+            parse_scenario(path)
+        assert run_scenario(path).failures == [failure]
+
+    @pytest.mark.parametrize(
+        "text,old,new,failure",
+        [
+            # drop_to_tags dropped reader r2's message as if r2 were the tag
+            (TRACKER_RUN.replace("seed 7", "seed 7\nstrategy drop_to_tags"),
+             "tag t1\n", "tag t1 r2\n", "case.scn:13: r2 is declared twice, first at line 9"),
+            # Ray's owner loaded tag co's challenges onto itself
+            ((corpus_dir() / "ray-honest.scn").read_text(), "tag t1\n", "tag t1 co\n",
+             "case.scn:13: co is the fixed verifier of ray"),
+        ],
+        ids=["tracker-tag-named-as-a-reader", "ray-tag-named-as-the-owner"],
+    )
+    def test_world_whose_token_names_two_parties_is_refused(self, tmp_path, text, old, new, failure):
+        # unrefused, each ran to exit 0 or 1 with a message misrouted
+        assert old in text
+        result = run_scenario(write(tmp_path, text.replace(old, new)))
+        assert (result.exit_code, result.failures) == (EXIT_PARSE, [failure])
 
     @pytest.mark.parametrize(
         "line,message",
@@ -404,6 +445,38 @@ class TestParsing:
     def test_privacy_kind_needs_game(self, tmp_path):
         with pytest.raises(ScenarioError, match="without game directive"):
             parse_scenario(write(tmp_path, "protocol ray\nkind privacy\n"))
+
+
+# a value each directive with a check of its own takes, for a line that
+# must get past that check
+VALID_VALUES = {"attack": ["ray-out-of-order"], "game": ["tag-unlinkability"]}
+
+
+def _table_refusals():
+    """(kind, line, refusal) from ``DIRECTIVES``: each directive with one
+    value fewer than its fewest and one more than its most, in a kind that
+    takes it, then with a count it takes in each kind that does not."""
+    for key, rule in DIRECTIVES.items():
+        for count in (rule.fewest - 1, rule.most + 1):
+            if 0 <= count < math.inf:
+                yield rule.kinds[0], " ".join([key, *["1"] * count]), f"{key} needs {rule.needs}"
+        line = " ".join([key, *VALID_VALUES.get(key, ["1"] * rule.fewest)])
+        for kind in KINDS:
+            if kind not in rule.kinds:
+                article = "an" if kind == "attack" else "a"
+                yield kind, line, f"{key} does not apply to {article} {kind} scenario"
+
+
+class TestDirectiveTable:
+    @pytest.mark.parametrize(
+        "kind,line,refusal",
+        list(_table_refusals()),
+        ids=[f"{kind}:{line}" for kind, line, _ in _table_refusals()],
+    )
+    def test_refused_at_its_line(self, tmp_path, kind, line, refusal):
+        path = write(tmp_path, f"protocol tracker\nkind {kind}\n{line}\n")
+        result = run_scenario(path)
+        assert (result.exit_code, result.failures) == (EXIT_PARSE, [f"case.scn:3: {refusal}"])
 
 
 # readers r1 r2 r3 and no manager: the last reader, r3, would manage
