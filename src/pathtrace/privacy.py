@@ -47,7 +47,7 @@ from typing import Any, Callable
 from pathtrace import crypto
 from pathtrace.attacks import link_record, read_rfchain_tag
 from pathtrace.network import AdvModel, decompose
-from pathtrace.protocols import PROTOCOLS, RunConfig, build_run, play
+from pathtrace.protocols import PROTOCOLS, ProtocolModel, RunConfig, build_run
 from pathtrace.protocols.ray import Ray
 from pathtrace.stats import advantage as _advantage, wilson_interval
 
@@ -144,15 +144,22 @@ class ChallengeWorld:
         return tuple(out)
 
 
-def _world_config(
-    game: PrivacyGame, seed: int, readers: list[str], paths: dict[str, tuple[str, ...]]
-) -> RunConfig:
+def _build_world(
+    game: PrivacyGame,
+    seed: int,
+    readers: list[str],
+    paths: dict[str, tuple[str, ...]],
+    compromise: str | None = None,
+) -> tuple[ChallengeWorld, ProtocolModel]:
+    """Walk the tags of ``paths`` step by step, visits interleaved in
+    ``paths`` order, and keep what the adversary saw at each visit.  The
+    world comes back with the model that walked it."""
     params: dict[str, str] = {}
     if game.protocol == "tracker":
         # a dedicated manager, so every path reader keeps its coefficient
         readers = readers + ["m"]
         params["manager"] = "m"
-    return RunConfig.along(
+    cfg = RunConfig.along(
         game.protocol,
         paths,
         readers,
@@ -161,16 +168,6 @@ def _world_config(
         adversary=game.adversary,
         params=params,
     )
-
-
-def _build_world(
-    game: PrivacyGame,
-    seed: int,
-    readers: list[str],
-    paths: dict[str, tuple[str, ...]],
-    compromise: str | None = None,
-) -> ChallengeWorld:
-    cfg = _world_config(game, seed, readers, paths)
     protocol, run = build_run(cfg)
     world = ChallengeWorld(tags=cfg.tags, paths=dict(paths), transcripts={})
     if compromise is not None:
@@ -185,7 +182,7 @@ def _build_world(
             )
     if run.stalled:
         raise RuntimeError(f"challenge world for {game.protocol} stalled")
-    return world
+    return world, protocol
 
 
 def _tag_world(game: PrivacyGame, seed: int) -> ChallengeWorld:
@@ -195,7 +192,7 @@ def _tag_world(game: PrivacyGame, seed: int) -> ChallengeWorld:
     # any compromised reader sits at the unobserved gap step, so the game
     # measures linkability of windows the corrupted party did not handle
     compromise = readers[2] if game.adversary is AdvModel.ADV_R else None
-    return _build_world(game, seed, readers, {"ta": path, "tb": path}, compromise)
+    return _build_world(game, seed, readers, {"ta": path, "tb": path}, compromise)[0]
 
 
 def _step_world(game: PrivacyGame, seed: int, shared: bool) -> ChallengeWorld:
@@ -210,7 +207,7 @@ def _step_world(game: PrivacyGame, seed: int, shared: bool) -> ChallengeWorld:
         rng.shuffle(second)
     else:
         second = rng.sample(rest, STEP_PATH_LEN)
-    world = _build_world(game, seed, universe, {"ta": tuple(first), "tb": tuple(second)})
+    world, _ = _build_world(game, seed, universe, {"ta": tuple(first), "tb": tuple(second)})
     world.view["pids"] = {t: Ray.pid(t) for t in universe}
     return world
 
@@ -221,14 +218,11 @@ def _rfchain_record_world(game: PrivacyGame, seed: int) -> ChallengeWorld:
     ledger-only observer, which sees no tag."""
     readers = ["r1", "r2", "r3"]
     paths = dict.fromkeys(("ta", "tb"), tuple(readers))
-    cfg = _world_config(game, seed, readers, paths)
-    protocol, run = build_run(cfg)
-    play(protocol, [("move", tag_token, hop) for hop in readers for tag_token in cfg.tags])
-    if run.stalled:
-        raise RuntimeError("rfchain record world stalled")
-    view = {} if game.distinguisher == "record-algebra" else {"snapshot": run.net.read_tag("ta")}
-    ledger, truth = protocol.ledger.records(), list(protocol.ledger_truth)
-    return ChallengeWorld(cfg.tags, paths, {}, view, ledger=ledger, truth=truth)
+    world, protocol = _build_world(game, seed, readers, paths)
+    if game.distinguisher != "record-algebra":
+        world.view["snapshot"] = protocol.net.read_tag("ta")
+    world.ledger, world.truth = protocol.ledger.records(), list(protocol.ledger_truth)
+    return world
 
 
 # --- distinguishers ---------------------------------------------------------
@@ -245,9 +239,8 @@ def _guess_random(view, t1, t2) -> None:
 
 
 def _guess_shared_atom(view, t1, t2) -> bool | None:
-    if _atoms(t1) & _atoms(t2):
-        return True
-    return None
+    """Full-transcript search with no secret to decrypt under."""
+    return _guess_full_transcript({}, t1, t2)
 
 
 def _guess_full_transcript(view, t1, t2) -> bool | None:

@@ -38,13 +38,14 @@ network routes by bare token, so one token names one party: a token
 declared twice (across ``tag``, ``reader`` and ``transit``) fails at its
 second line, and one that is the scheme's fixed verifier fails at its
 declaring line.  A tag whose paths break the scheme's ``path_rule``
-fails at its ``tag`` line, and a path that breaks a precondition of the
-scheme's setup (``check_setup``: a transit reader, or Tracker's manager,
-on a path whose readers the scheme keys) fails at its first
-``validpath`` line.  A value that names a tag or reader the file does
-not declare as one, ``param manager`` and ``param equal`` readers
-included, fails at its line; a claim may also name the scheme's fixed
-verifier, which no file declares.  An ``attack`` registered for another
+fails at its ``tag`` line, a ``validpath`` line for a scheme that
+registers no paths (RF-Chain) fails at the first such line, and a path
+that breaks a precondition of the scheme's setup (``check_setup``: a
+transit reader, or Tracker's manager, on a path whose readers the scheme
+keys) fails at its first ``validpath`` line.  A value that names a tag
+or reader the file does not declare as one, ``param manager`` and
+``param equal`` readers included, fails at its line; a claim may also
+name the scheme's fixed verifier, which no file declares.  An ``attack`` registered for another
 scheme than the file's ``protocol`` fails at its line, and so does a
 keyword the attack does not take, of another type than its default's,
 or refused by the attack's ``check`` (an index off the path, a size
@@ -53,9 +54,10 @@ attack takes no mode.  A distinguisher that is known but limited to another
 scheme or game is refused only at execution, as exit 3.
 
 Matrix directives feed the solution table: `matrix <prop> hold <model>`
-claims the property held in this scenario's adversary model, while
-`break`/`weakness`/`caveat` attach a numbered footnote.  A directive
-counts as evidence only when every `expect` line of its scenario holds.
+claims the property held in this scenario's adversary model (a hold
+naming another model fails at its line), while `break`/`weakness`/`caveat`
+attach a numbered footnote.  A directive counts as evidence only when
+every `expect` line of its scenario holds.
 
 Exit codes: 0 all expectations hold, 1 some expectation failed, 2 the
 file does not parse, 3 the scenario demands a capability the configured
@@ -259,6 +261,7 @@ def parse_scenario(path: Path) -> Scenario:
     # (line, roles, tokens) of the names each line that is not a
     # declaration uses: a declaration may come later in the file
     uses: list[tuple[int, tuple[str, str | None], list[str]]] = []
+    holds: list[tuple[int, str]] = []  # (line, model) of each matrix hold
 
     def err(lineno: int, message: str) -> ScenarioError:
         return ScenarioError(f"{scn.path.name}:{lineno}: {message}")
@@ -387,7 +390,10 @@ def parse_scenario(path: Path) -> Scenario:
                     raise err(lineno, f"{args[0]} {args[1]!r} is not a finite number")
             scn.expects.append((args[0], args[1]))
         else:  # matrix
-            scn.directives.append(_parse_matrix(err, lineno, args))
+            directive = _parse_matrix(err, lineno, args)
+            scn.directives.append(directive)
+            if directive.model is not None:
+                holds.append((lineno, directive.model))
 
     if "protocol" not in line_of:
         raise ScenarioError(f"{scn.path.name}: missing protocol directive")
@@ -399,6 +405,10 @@ def parse_scenario(path: Path) -> Scenario:
         raise err(line_of["strategy"], f"unknown strategy {cfg.strategy}")
     if scn.distinguisher not in DISTINGUISHERS:
         raise err(line_of["distinguisher"], f"unknown distinguisher {scn.distinguisher}")
+    for lineno, model in holds:
+        if model != cfg.adversary.value:
+            message = f"matrix hold {model} is not this scenario's adversary {cfg.adversary}"
+            raise err(lineno, message)
     if scn.kind == "attack":
         if scn.attack is None:
             raise ScenarioError(f"{scn.path.name}: attack scenario without attack directive")
@@ -429,6 +439,9 @@ def parse_scenario(path: Path) -> Scenario:
         if scheme.verifier in declared:
             message = f"{scheme.verifier} is the fixed verifier of {cfg.protocol}"
             raise err(declared[scheme.verifier][0], message)
+        if path_line and scheme.path_rule == "none":
+            message = f"validpath does not apply: {cfg.protocol} registers no paths"
+            raise err(min(path_line.values()), message)
         for lineno, (first, rest), tokens in uses:
             for i, token in enumerate(tokens):
                 role = rest if i else first

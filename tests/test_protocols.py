@@ -1219,6 +1219,29 @@ class TestStepAuth:
 
 
     @staticmethod
+    def presented_to_r1(make_secret):
+        """The run in which t1's secret is replaced by ``make_secret(model)``
+        and presented to r1.  No adversary model holds the issuer key, so
+        only these unit tests can sign such a secret."""
+        model, run = build_run(honest_config("stepauth"))
+        run.net.write_tag("t1", crypto.concat_length_prefixed(b"secret", make_secret(model)))
+        model.visit("t1", "r1")
+        return finalize(model, run)
+
+    def test_issuer_signed_layer_that_is_not_two_fields_is_malformed(self):
+        message = crypto.concat_length_prefixed(b"kem", b"body", b"extra")
+        res = self.presented_to_r1(lambda model: crypto.sign(model.sign_sk, message).to_bytes())
+        assert res.anomalies == ["stepauth r1 rejects t1: malformed layer"]
+        assert not res.verdicts
+
+    def test_issuer_signed_terminal_layer_before_the_last_step_refused(self):
+        # the issuer's secret for the one-hop path r1 is a layer for r1 at
+        # step 1 whose inner blob is the terminal record
+        res = self.presented_to_r1(lambda model: model._build_secret("t1", ("r1",)))
+        assert res.anomalies == ["stepauth terminal layer at step 1 of 3 for t1"]
+        assert not res.verdicts
+
+    @staticmethod
     def first_layer_kem(model, run):
         """The KEM of the outer layer of t1's secret, made for r1."""
         sig = crypto.parse_signature(run.memory("t1").load("secret"))
@@ -1777,6 +1800,42 @@ class TestResc:
         res = finalize(model, run)
         assert res.anomalies == ["resc database: timestamps of t1 out of order"]
         assert res.step_log == ["claim t1 rejected"] and not res.verdicts
+
+    @staticmethod
+    def walked_pair():
+        """ReSC with tags ta and tb walked over r1 r2 r3, visits interleaved."""
+        path = ("r1", "r2", "r3")
+        model, run = build_run(RunConfig.along("resc", {"ta": path, "tb": path}))
+        play(model, [("move", tag, reader) for reader in path for tag in ("ta", "tb")])
+        return model, run
+
+    def test_image_of_another_tag_fails_the_identifier_check(self):
+        model, run = self.walked_pair()
+        run.net.write_tag("ta", run.net.read_tag("tb"))
+        model.claim("ta")
+        res = finalize(model, run)
+        assert res.anomalies == ["resc database: identifier mismatch for ta"]
+        assert not res.verdicts
+
+    @pytest.mark.parametrize(
+        "name,forge",
+        [
+            ("sig2", lambda value: value[:5] + bytes([value[5] ^ 1]) + value[6:]),
+            ("idx2", lambda value: crypto.int_to_bytes(3, 3)),
+        ],
+        ids=["sig-byte", "index"],
+    )
+    def test_forged_slot_fails_verification(self, name, forge):
+        # AdvT reads the walked tag, changes one slot field and writes it back
+        model, run = self.walked_pair()
+        fields = read_snapshot(run.net.read_tag("ta"))
+        fields[name] = forge(fields[name])
+        image = [part for key, value in fields.items() for part in (key.encode(), value)]
+        run.net.write_tag("ta", crypto.concat_length_prefixed(*image))
+        model.claim("ta")
+        res = finalize(model, run)
+        assert res.anomalies == ["resc database: slot 2 of ta fails verification"]
+        assert not res.verdicts
 
 
 def bypass_config(mode: str, seed: int = 3) -> RunConfig:

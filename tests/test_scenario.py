@@ -430,6 +430,43 @@ class TestParsing:
             scn = parse_scenario(write(tmp_path, f"protocol {protocol}\ntag t1\n"))
             assert scn.config.tags == ["t1"]
 
+    @pytest.mark.parametrize(
+        "text,refusal",
+        [
+            ("protocol tracker\nmatrix ss hold AdvR\n", "case.scn:2: matrix hold AdvR"),
+            ("protocol tracker\nmatrix ss hold AdvT\nadversary AdvR\n",
+             "case.scn:2: matrix hold AdvT is not this scenario's adversary AdvR"),
+            ("protocol tracker\nmatrix ss hold AdvR\nadversary AdvR\n", None),
+        ],
+        ids=["absent-adversary-is-AdvT", "adversary-after-hold", "matching"],
+    )
+    def test_matrix_hold_names_the_scenarios_adversary(self, tmp_path, text, refusal):
+        if refusal is None:
+            assert parse_scenario(write(tmp_path, text)).directives[0].model == "AdvR"
+        else:
+            with pytest.raises(ScenarioError, match=re.escape(refusal)):
+                parse_scenario(write(tmp_path, text))
+
+    def test_corpus_hold_under_another_model_fails_at_its_line(self, tmp_path):
+        lines = (corpus_dir() / "rfchain-honest.scn").read_text().splitlines()
+        assert "adversary AdvT" in lines
+        lineno = lines.index("matrix ss hold AdvT") + 1
+        lines[lineno - 1] = "matrix ss hold AdvR"
+        result = run_scenario(write(tmp_path, "\n".join(lines) + "\n"))
+        assert result.exit_code == EXIT_PARSE
+        assert result.failures == [
+            f"case.scn:{lineno}: matrix hold AdvR is not this scenario's adversary AdvT"
+        ]
+
+    def test_validpath_refused_for_a_scheme_that_registers_no_paths(self, tmp_path):
+        lines = (corpus_dir() / "rfchain-honest.scn").read_text().splitlines()
+        text = "\n".join([*lines, "validpath t1 r1 r2 r3", "validpath t1 r1", ""])
+        result = run_scenario(write(tmp_path, text))
+        assert result.exit_code == EXIT_PARSE
+        assert result.failures == [
+            f"case.scn:{len(lines) + 1}: validpath does not apply: rfchain registers no paths"
+        ]
+
     def test_parse_error_carries_line_number(self, tmp_path):
         with pytest.raises(ScenarioError, match=r"case\.scn:3"):
             parse_scenario(write(tmp_path, "protocol tracker\nseed 1\nfrobnicate\n"))
