@@ -21,7 +21,7 @@ import functools
 import inspect
 from dataclasses import dataclass, field
 from random import Random
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, NamedTuple
 
 from pathtrace import crypto
 from pathtrace import trace as tr
@@ -80,8 +80,7 @@ class AttackOutcome:
         return self.summary_lines() + (self.run.report_lines() if self.run is not None else [])
 
 
-@dataclass(frozen=True)
-class AttackSpec:
+class AttackSpec(NamedTuple):
     """One attack's declaration: the scheme it targets, the property a
     success violates, which ``RUN_SETTINGS`` it takes, the default and the
     value type of every keyword it accepts (those settings included),

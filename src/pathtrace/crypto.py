@@ -40,7 +40,6 @@ import functools
 import hashlib
 import hmac as _hmac
 import struct
-from dataclasses import dataclass
 from math import prod
 from operator import getitem
 from random import Random
@@ -233,14 +232,12 @@ class PufDevice:
         return mac(self._secret, b"puf" + challenge)
 
 
-@dataclass(frozen=True)
-class SigningKey:
+class SigningKey(NamedTuple):
     key_id: str
     secret: bytes
 
 
-@dataclass(frozen=True)
-class VerifyKey:
+class VerifyKey(NamedTuple):
     key_id: str
     secret: bytes  # model-internal; capability rules keep it out of reach
 
@@ -388,23 +385,20 @@ def gpow(params: ElgamalParams, e: int) -> int:
     return prod(map(getitem, table, (e % params.q).to_bytes(len(table), "little"))) % params.p
 
 
-@dataclass(frozen=True)
-class ElgamalPublic:
+class ElgamalPublic(NamedTuple):
     """Public key h = g^x."""
 
     params: ElgamalParams
     h: int
 
 
-@dataclass(frozen=True)
-class ElgamalPrivate:
+class ElgamalPrivate(NamedTuple):
     params: ElgamalParams
     x: int
     public: ElgamalPublic
 
 
-@dataclass(frozen=True)
-class Ciphertext:
+class Ciphertext(NamedTuple):
     params: ElgamalParams
     c1: int
     c2: int
@@ -461,14 +455,12 @@ def rerandomize(pub: ElgamalPublic, ct: Ciphertext, rng: Random) -> Ciphertext:
 
 # --- public-key encryption (ElGamal KEM + symmetric body) ------------------
 
-@dataclass(frozen=True)
-class BoxPublic:
+class BoxPublic(NamedTuple):
     key_id: str
     pub: ElgamalPublic
 
 
-@dataclass(frozen=True)
-class BoxPrivate:
+class BoxPrivate(NamedTuple):
     key_id: str
     priv: ElgamalPrivate
 

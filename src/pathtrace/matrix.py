@@ -15,8 +15,8 @@ warning and a nonzero exit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from pathtrace.protocols import PROTOCOLS
 from pathtrace.scenario import EXIT_OK, FOOTNOTE_LEGEND, MATRIX_PROPERTIES, ScenarioResult, run_corpus
@@ -33,8 +33,7 @@ PROPERTY_HEADERS = {
 }
 
 
-@dataclass(frozen=True)
-class MatrixRow:
+class MatrixRow(NamedTuple):
     protocol: str
     architecture: str
     sound_sorted: str

@@ -42,7 +42,7 @@ import enum
 import functools
 from dataclasses import dataclass, field
 from random import Random
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from pathtrace import crypto
 from pathtrace.attacks import link_record, read_rfchain_tag
@@ -64,8 +64,7 @@ class GameKind(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class PrivacyGame:
+class PrivacyGame(NamedTuple):
     kind: GameKind
     protocol: str
     distinguisher: str = "random"
@@ -76,8 +75,7 @@ class PrivacyGame:
     worlds: int = 32
 
 
-@dataclass(frozen=True)
-class GameResult:
+class GameResult(NamedTuple):
     game: PrivacyGame
     trials: int
     wins: int

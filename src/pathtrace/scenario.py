@@ -174,11 +174,15 @@ KNOWN_FOOTNOTES = tuple(FOOTNOTE_LEGEND)
 
 
 class ScenarioError(Exception):
-    """Malformed scenario file; message carries file:line diagnostics."""
+    """Malformed scenario file; message carries file:line diagnostics, and
+    ``scenario`` what was parsed of the file before the fault."""
+
+    def __init__(self, message: str, scenario: Scenario) -> None:
+        super().__init__(message)
+        self.scenario = scenario
 
 
-@dataclass(frozen=True)
-class MatrixDirective:
+class MatrixDirective(NamedTuple):
     prop: str  # MatrixRow field name
     action: str
     model: str | None = None  # hold
@@ -264,7 +268,7 @@ def parse_scenario(path: Path) -> Scenario:
     holds: list[tuple[int, str]] = []  # (line, model) of each matrix hold
 
     def err(lineno: int, message: str) -> ScenarioError:
-        return ScenarioError(f"{scn.path.name}:{lineno}: {message}")
+        return ScenarioError(f"{scn.path.name}:{lineno}: {message}", scn)
 
     def declare(lineno: int, role: str, tokens: list[str]) -> list[str]:
         for token in tokens:
@@ -289,7 +293,7 @@ def parse_scenario(path: Path) -> Scenario:
     try:
         text = scn.path.read_text()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
+        raise ScenarioError(f"{path}: {exc}", scn) from exc
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -396,7 +400,7 @@ def parse_scenario(path: Path) -> Scenario:
                 holds.append((lineno, directive.model))
 
     if "protocol" not in line_of:
-        raise ScenarioError(f"{scn.path.name}: missing protocol directive")
+        raise ScenarioError(f"{scn.path.name}: missing protocol directive", scn)
     for key, lineno in line_of.items():
         if scn.kind not in DIRECTIVES[key].kinds:
             article = "an" if scn.kind == "attack" else "a"
@@ -411,7 +415,8 @@ def parse_scenario(path: Path) -> Scenario:
             raise err(lineno, message)
     if scn.kind == "attack":
         if scn.attack is None:
-            raise ScenarioError(f"{scn.path.name}: attack scenario without attack directive")
+            message = f"{scn.path.name}: attack scenario without attack directive"
+            raise ScenarioError(message, scn)
         spec = ATTACKS[scn.attack].spec
         if spec.scheme != cfg.protocol:
             message = f"attack {scn.attack} targets {spec.scheme}, not {cfg.protocol}"
@@ -456,7 +461,7 @@ def parse_scenario(path: Path) -> Scenario:
         except SetupError as exc:
             raise err(path_line[exc.tag, exc.path], str(exc)) from None
     if scn.kind == "privacy" and scn.game is None:
-        raise ScenarioError(f"{scn.path.name}: privacy scenario without game directive")
+        raise ScenarioError(f"{scn.path.name}: privacy scenario without game directive", scn)
     return scn
 
 
@@ -619,18 +624,15 @@ def execute_scenario(scn: Scenario) -> ScenarioResult:
 
 
 def run_scenario(path: Path | str) -> ScenarioResult:
-    """Parse + execute.  Parse problems come back as exit 2 results, and so
-    does any other exception execution raises, as a ``file: Type: message``
-    failure: one bad file never ends a run or a corpus in a traceback."""
+    """Parse + execute.  A parse problem comes back as an exit 2 result
+    over what was parsed before it, and so does any other exception
+    execution raises, as a ``file: Type: message`` failure: one bad file
+    never ends a run or a corpus in a traceback."""
     path = Path(path)
     try:
         scn = parse_scenario(path)
     except ScenarioError as exc:
-        return ScenarioResult(
-            scenario=Scenario(path=path),
-            exit_code=EXIT_PARSE,
-            failures=[str(exc)],
-        )
+        return ScenarioResult(scenario=exc.scenario, exit_code=EXIT_PARSE, failures=[str(exc)])
     try:
         return execute_scenario(scn)
     except Exception as exc:

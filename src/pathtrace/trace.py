@@ -41,7 +41,7 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left
 from collections import defaultdict
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError
 from functools import lru_cache
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -407,8 +407,7 @@ def verdict_for(trace: Trace, claim_index: int) -> Verdict:
     )
 
 
-@dataclass(frozen=True)
-class SystemVerdict:
+class SystemVerdict(NamedTuple):
     """Do the properties hold for every claim in every trace?
 
     ``counterexamples`` maps a property name to the (trace_index, claim_index)

@@ -132,7 +132,7 @@ class TestMatrix:
         assert "Traceback" not in captured.out + captured.err
         assert "corpus scenarios=27" in captured.out
         assert "table-begin" in captured.out and "table-end" in captured.out
-        assert "scenario bad-trials protocol= kind=run adversary=AdvT exit=2" in captured.out
+        assert "scenario bad-trials protocol=tracker kind=privacy adversary=AdvT exit=2" in captured.out
         assert "expect-failed bad-trials.scn:4: trials 'abc' is not an integer" in captured.out
         assert "expect-failed bad-strategy.scn:5: unknown strategy nosuch" in captured.out
 

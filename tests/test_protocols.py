@@ -869,6 +869,24 @@ class TestTracker:
         res = finalize(model, run)
         assert not res.anomalies and len(res.verdicts) == 1 and res.verdicts[0].authorized
 
+    def test_a_tag_passing_its_manager_keeps_its_state(self):
+        # the manager holds no coefficient: a visit leaves the tag as it
+        # was, and the claim of the registered path leaves out the visit
+        cfg = RunConfig.along(
+            "tracker", {"t1": ("r1", "r2")}, ["r1", "r2", "m"], params={"manager": "m"}
+        )
+        model, run = build_run(cfg)
+        model.visit("t1", "r1")
+        before = run.memory("t1").snapshot()
+        model.visit("t1", "m")
+        assert run.memory("t1").snapshot() == before
+        play(model, [("move", "t1", "r2"), ("claim", "t1")])
+        res = finalize(model, run)
+        assert not res.stalled and not res.anomalies
+        [verdict] = res.verdicts
+        assert verdict.sound and verdict.sorted and verdict.authorized
+        assert not verdict.complete
+
     def test_identity_ciphertext_rerandomized_each_hop(self):
         # c1 always encrypts the same identity element, yet its bytes must
         # change at every reader or the tag would be trivially linkable

@@ -665,6 +665,19 @@ class TestExecution:
         assert result.exit_code == EXIT_PARSE
         assert "bogus" in result.failures[0]
 
+    def test_parse_failure_after_protocol_reports_what_was_parsed(self, tmp_path):
+        text = (
+            "protocol tracker\nkind privacy\ngame tag-unlinkability\n"
+            "matrix priv hold AdvT\ntrials abc\n"
+        )
+        result = run_scenario(write(tmp_path, text))
+        assert result.exit_code == EXIT_PARSE
+        assert result.failures == ["case.scn:5: trials 'abc' is not an integer"]
+        assert result.report_lines()[:4] == [
+            "scenario case", "protocol=tracker", "kind=privacy", "exit=2"
+        ]
+        assert result.scenario.directives and result.validated_directives == []
+
     def test_missing_file_is_parse_error(self, tmp_path):
         assert run_scenario(tmp_path / "absent.scn").exit_code == EXIT_PARSE
 
@@ -767,6 +780,15 @@ class TestExecution:
         result = run_scenario(write(tmp_path, text))
         assert result.exit_code == EXIT_EXPECT
         assert any("below" in f for f in result.failures)
+
+    def test_privacy_advantage_above_its_maximum_fails(self, tmp_path):
+        text = (
+            "protocol rfchain\nkind privacy\nseed 7\ngame tag-unlinkability\n"
+            "distinguisher record-linking\ntrials 500\nexpect advantage_max 0.1\n"
+        )
+        result = run_scenario(write(tmp_path, text))
+        assert result.exit_code == EXIT_EXPECT
+        assert result.failures == ["advantage 1.0000 above 0.1"]
 
 
 class TestCorpus:
