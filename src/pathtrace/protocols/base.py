@@ -65,6 +65,7 @@ class RunConfig:
     mode: str = "default"
     adversary: AdvModel = AdvModel.ADV_T
     strategy: str = "null"
+    # (token, participant): the participant who operates the reader only describes it
     readers: list[tuple[str, str | None]] = field(default_factory=list)
     transits: list[str] = field(default_factory=list)
     tags: list[str] = field(default_factory=list)
@@ -110,26 +111,25 @@ class Run:
         self.rng = Random(config.seed)
         self.trace = tr.Trace()
         self.net = Network(config.adversary)
-        self.readers: dict[str, tr.Identifier] = {}
-        self.transits: dict[str, tr.Identifier] = {}
-        self.tags: dict[str, tr.Identifier] = {}
+        self.readers = dict.fromkeys(token for token, _ in config.readers)
+        self.transits = set(config.transits)
+        self.tags = set(config.tags)
         self.step_log: list[str] = []
         self.stalled = False
-        for token, participant in config.readers:
-            self.readers[token] = tr.reader(token, participant)
-        for token in config.transits:
-            self.transits[token] = tr.reader(token)
         for token in config.tags:
-            self.tags[token] = tr.tag(token)
             self.net.attach_tag(token, TagMemory(config.capacity_for(token)))
 
-    def reader_id(self, token: str) -> tr.Identifier:
-        if token in self.readers:
-            return self.readers[token]
-        return self.transits[token]
-
-    def tag_id(self, token: str) -> tr.Identifier:
-        return self.tags[token]
+    def declared_path(self, tag_token: str, reader_tokens: Iterable[str]) -> tuple[str, ...]:
+        """``reader_tokens`` as a tuple.  KeyError names ``tag_token`` when
+        it is not a declared tag, or else the first reader token that is
+        neither a declared reader nor a transit."""
+        if tag_token not in self.tags:
+            raise KeyError(tag_token)
+        path = tuple(reader_tokens)
+        for token in path:
+            if token not in self.readers and token not in self.transits:
+                raise KeyError(token)
+        return path
 
     def memory(self, token: str) -> TagMemory:
         return self.net.tag_memory(token)
@@ -160,9 +160,8 @@ class ProtocolModel:
         self.paths_of = self.registered_paths(self.config.tags, self.config.valid_paths)
         self.check_setup(self.config, self.paths_of)
         for tag_token, paths in self.paths_of.items():
-            tag_id = run.tag_id(tag_token)
             for path in paths:
-                self.trace.append(tr.ValidPath(tag_id, tuple(run.reader_id(t) for t in path)))
+                self.trace.append(tr.ValidPath(tag_token, run.declared_path(tag_token, path)))
 
     @classmethod
     def registered_paths(
@@ -225,10 +224,10 @@ class ProtocolModel:
 
     def visit(self, tag_token: str, reader_token: str) -> None:
         """Tag arrives at a reader.  Always records the Move; protocol step
-        logic runs only for protocol readers, not bare transit readers."""
-        tag_id = self.run.tag_id(tag_token)
-        reader_id = self.run.reader_id(reader_token)
-        self.trace.append(tr.Move(tag_id, reader_id))
+        logic runs only for protocol readers, not bare transit readers.  An
+        undeclared tag or reader raises KeyError and records nothing."""
+        self.run.declared_path(tag_token, (reader_token,))
+        self.trace.append(tr.Move(tag_token, reader_token))
         if reader_token in self.run.transits:
             self.run.record_step(f"transit {tag_token} {reader_token}")
             return
@@ -281,11 +280,9 @@ class ProtocolModel:
             self.net.log_anomaly(malformed)
         return parsed
 
-    def emit_claim(
-        self, tag_token: str, path_tokens: Iterable[str], claimant: tr.Identifier
-    ) -> None:
-        path = tuple(self.run.reader_id(t) for t in path_tokens)
-        self.trace.append(tr.PathClaim(self.run.tag_id(tag_token), path, claimant))
+    def emit_claim(self, tag_token: str, path_tokens: Iterable[str], claimant: str) -> None:
+        path = self.run.declared_path(tag_token, path_tokens)
+        self.trace.append(tr.PathClaim(tag_token, path, claimant))
 
 
 @dataclass

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from pathtrace import crypto
 from pathtrace.protocols.base import ProtocolModel, register_protocol
-from pathtrace.trace import backend
 
 DOC_BITS = 256
 
@@ -144,7 +143,7 @@ class Burbridge(ProtocolModel):
     def _process_claim(self, tag_token: str, verifier: str | None) -> bool:
         for path in self.paths_of[tag_token]:
             if (tag_token, path[-1]) in self._accepted:
-                self.emit_claim(tag_token, path, backend(self.verifier))
+                self.emit_claim(tag_token, path, self.verifier)
                 return True
         self.net.log_anomaly(f"burbridge controller: no completed journey for {tag_token}")
         return False

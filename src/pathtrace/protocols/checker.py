@@ -102,7 +102,7 @@ class Checker(PathPolyModel):
                 f"checker {reader_token} rejects {tag_token}: no prefix key matches"
             )
             return False
-        self.emit_claim(tag_token, match[0], self.run.reader_id(reader_token))
+        self.emit_claim(tag_token, match[0], reader_token)
         return True
 
     def _process_arrival(self, tag_token: str, reader_token: str) -> bool:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from pathtrace import crypto
 from pathtrace.protocols.base import ProtocolModel, register_protocol, weak_partial
-from pathtrace.trace import backend
 
 
 @register_protocol
@@ -140,5 +139,5 @@ class Ray(ProtocolModel):
             self.net.log_anomaly(f"ray owner: {tag_token} has unconsumed or foreign challenges")
             return False
         order = tuple(owner[v] for v in values)
-        self.emit_claim(tag_token, order, backend(self.verifier))
+        self.emit_claim(tag_token, order, self.verifier)
         return True

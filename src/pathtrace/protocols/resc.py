@@ -30,7 +30,6 @@ from pathtrace.protocols.base import (
     register_protocol,
     weak_partial,
 )
-from pathtrace.trace import backend
 
 KEY_BITS = 128
 INDEX_BITS = 20
@@ -210,5 +209,5 @@ class Resc(ProtocolModel):
                 self.net.log_anomaly(f"resc database: timestamps of {tag_token} out of order")
                 return False
             last_ts = ts
-        self.emit_claim(tag_token, path, backend(self.verifier))
+        self.emit_claim(tag_token, path, self.verifier)
         return True

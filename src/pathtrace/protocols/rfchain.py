@@ -36,7 +36,6 @@ from __future__ import annotations
 
 from pathtrace import crypto
 from pathtrace.protocols.base import ProtocolModel, register_protocol
-from pathtrace.trace import backend
 
 # Nominal on-tag sizes: an EPC identifier and one fixed-width signature
 # (the model blob embeds its message, so the byte length is larger).
@@ -265,5 +264,5 @@ class RfChain(ProtocolModel):
                     f"rfchain verifier: missing ledger record for step {i} of {tag_token}"
                 )
                 return False
-        self.emit_claim(tag_token, path, backend(self.verifier))
+        self.emit_claim(tag_token, path, self.verifier)
         return True

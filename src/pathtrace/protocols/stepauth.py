@@ -149,7 +149,7 @@ class StepAuth(ProtocolModel):
         mem.store("secret", written, nominal_bits=bits)
         if terminal is not None:
             claimed_tag, claimed_path = terminal
-            self.emit_claim(claimed_tag, claimed_path, self.run.reader_id(reader_token))
+            self.emit_claim(claimed_tag, claimed_path, reader_token)
         return True
 
     def _process_claim(self, tag_token: str, verifier: str | None) -> bool:
@@ -163,5 +163,5 @@ class StepAuth(ProtocolModel):
             self.net.log_anomaly(f"stepauth checkpoint: {tag_token} has not finished its path")
             return False
         claimed_tag, claimed_path = terminal
-        self.emit_claim(claimed_tag, claimed_path, self.run.reader_id(checkpoint))
+        self.emit_claim(claimed_tag, claimed_path, checkpoint)
         return True

@@ -310,5 +310,5 @@ class Tracker(PathPolyModel):
             # a non-registered path was taken; which one cannot be told
             self.net.log_anomaly(f"tracker manager rejects {tag_token}: unknown path evaluation")
             return False
-        self.emit_claim(tag_token, path, self.run.reader_id(self.verifier))
+        self.emit_claim(tag_token, path, self.verifier)
         return True

@@ -490,8 +490,6 @@ def _stringify(value: object) -> str:
         return value.hex()
     if isinstance(value, bool):
         return str(value).lower()
-    if isinstance(value, tr.Identifier):  # a tuple, but one token
-        return str(value)
     if isinstance(value, (list, tuple)):
         return ",".join(_stringify(v) for v in value)
     return str(value)

@@ -28,9 +28,9 @@ on the claim's first verdict, check or label, and kept for the rest.
 Nothing scales with trace length, with the tag's repeated Moves or with
 other tags.
 
-Everything the checkers hash or compare is a tuple, so that work runs in C:
-an :class:`Identifier` is the tuple ``(kind.value, value)``, and events,
-:class:`CheckResult` and :class:`Verdict` are named tuples.
+Everything the checkers hash or compare is a string or a tuple, so that
+work runs in C: a reader, a tag or a backend is the token that names it,
+and events, :class:`CheckResult` and :class:`Verdict` are named tuples.
 :func:`parse_trace` builds each event as a bare tuple of its class, without
 the named tuple's Python ``__new__``, and hands it to :meth:`Trace.append`,
 which keeps the index in one place.
@@ -41,101 +41,34 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left
 from collections import defaultdict
-from dataclasses import FrozenInstanceError
-from functools import lru_cache
-from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
-class IdKind(enum.Enum):
-    READER = "reader"
-    TAG = "tag"
-    PARTICIPANT = "participant"
-    BACKEND = "backend"
+def _token(value: str) -> str:
+    """``value``, when it is a non-empty token without whitespace."""
+    if not value or any(c.isspace() for c in value):
+        raise ValueError(f"identifier must be a non-empty token: {value!r}")
+    return value
 
 
-class Identifier(tuple):
-    """A named entity: the tuple ``(kind.value, value)``.
-
-    Equality and hashing are tuple equality and tuple hashing, done in C,
-    because identifiers key every set and dict the checkers build.  An
-    identifier equals the plain tuple ``(kind.value, value)`` and hashes
-    like it; identifiers of different kinds differ in the first item.
-
-    ``participant`` records which supply-chain party operates a reader.  It
-    is descriptive metadata kept outside the tuple, so it never takes part
-    in comparisons.  Identifiers are immutable: assigning to ``kind``,
-    ``value`` or ``participant`` raises ``FrozenInstanceError``.
-    """
-
-    kind: IdKind
-    participant: str | None
-
-    def __new__(cls, kind: IdKind, value: str, participant: str | None = None) -> Identifier:
-        if not value or any(c.isspace() for c in value):
-            raise ValueError(f"identifier must be a non-empty token: {value!r}")
-        self = tuple.__new__(cls, (kind.value, value))
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "participant", participant)
-        return self
-
-    value = property(itemgetter(1), doc="The token that names the entity.")
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        # tuple's own pickling would call __new__ with the bare tuple
-        return type(self), (self.kind, self[1], self.participant)
-
-    def __repr__(self) -> str:
-        return (
-            f"Identifier(kind={self.kind!r}, value={self[1]!r}, "
-            f"participant={self.participant!r})"
-        )
-
-    def __str__(self) -> str:
-        return self[1]
-
-
-# The constructors intern: one instance per argument tuple, so equal
-# identifiers are mostly the same object and compare by identity.  They
-# are frozen, so sharing them is safe; the caches grow with the number of
-# distinct tokens.  A bad token raises on every call (exceptions are not
-# cached).
-
-@lru_cache(maxsize=None)
-def reader(value: str, participant: str | None = None) -> Identifier:
-    return Identifier(IdKind.READER, value, participant)
-
-
-@lru_cache(maxsize=None)
-def tag(value: str) -> Identifier:
-    return Identifier(IdKind.TAG, value)
-
-
-@lru_cache(maxsize=None)
-def backend(value: str) -> Identifier:
-    return Identifier(IdKind.BACKEND, value)
+# a reader, a tag or a backend is the token that names it
+reader = tag = backend = _token
 
 
 class Move(NamedTuple):
-    tag: Identifier
-    reader: Identifier
+    tag: str
+    reader: str
 
 
 class ValidPath(NamedTuple):
-    tag: Identifier
-    path: tuple[Identifier, ...]
+    tag: str
+    path: tuple[str, ...]
 
 
 class PathClaim(NamedTuple):
-    tag: Identifier
-    path: tuple[Identifier, ...]
-    claimant: Identifier
+    tag: str
+    path: tuple[str, ...]
+    claimant: str
 
 
 Event = Move | ValidPath | PathClaim
@@ -152,10 +85,10 @@ class _TagIndex:
     __slots__ = ("steps", "step_at", "valid_at", "valid_paths")
 
     def __init__(self) -> None:
-        self.steps: list[Identifier] = []
+        self.steps: list[str] = []
         self.step_at: list[int] = []
         self.valid_at: list[int] = []
-        self.valid_paths: list[tuple[Identifier, ...]] = []
+        self.valid_paths: list[tuple[str, ...]] = []
 
 
 class Trace:
@@ -163,7 +96,7 @@ class Trace:
 
     def __init__(self, events: Iterable[Event] = ()) -> None:
         self._events: list[Event] = []
-        self._by_tag: defaultdict[Identifier, _TagIndex] = defaultdict(_TagIndex)
+        self._by_tag: defaultdict[str, _TagIndex] = defaultdict(_TagIndex)
         self._claim_at: list[int] = []  # the index of every PathClaim, in order
         self._resolved: dict[int, tuple] = {}  # claim index -> _resolve's answer
         for e in events:
@@ -210,24 +143,24 @@ class Trace:
         for i in self._claim_at:
             yield i, events[i]
 
-    def tags(self) -> list[Identifier]:
+    def tags(self) -> list[str]:
         """All tags mentioned, in first-appearance order."""
-        seen: dict[Identifier, None] = {}
+        seen: dict[str, None] = {}
         for e in self._events:
             seen.setdefault(e.tag, None)
         return list(seen)
 
 
-def collapse(readers: Sequence[Identifier]) -> tuple[Identifier, ...]:
+def collapse(readers: Sequence[str]) -> tuple[str, ...]:
     """Drop consecutive duplicates, keeping later revisits."""
-    out: list[Identifier] = []
+    out: list[str] = []
     for r in readers:
         if not out or out[-1] != r:
             out.append(r)
     return tuple(out)
 
 
-def physical_path(trace: Trace, tag: Identifier, upto: int | None = None) -> tuple[Identifier, ...]:
+def physical_path(trace: Trace, tag: str, upto: int | None = None) -> tuple[str, ...]:
     """The tag's physical path from Move events strictly before ``upto``.
 
     ``upto=None`` uses the whole trace.  Consecutive repeats collapse; an
@@ -244,7 +177,7 @@ def physical_path(trace: Trace, tag: Identifier, upto: int | None = None) -> tup
     return tuple(entry.steps[: bisect_left(entry.step_at, upto)])
 
 
-def is_subsequence(needle: Sequence[Identifier], hay: Sequence[Identifier]) -> bool:
+def is_subsequence(needle: Sequence[str], hay: Sequence[str]) -> bool:
     """True when ``needle`` appears in ``hay`` in order (gaps allowed)."""
     it = iter(hay)
     for x in needle:
@@ -263,7 +196,7 @@ class CheckResult(NamedTuple):
 
 def _resolve(
     trace: Trace, claim_index: int
-) -> tuple[PathClaim, tuple[Identifier, ...], set[Identifier], list[tuple[Identifier, ...]]]:
+) -> tuple[PathClaim, tuple[str, ...], set[str], list[tuple[str, ...]]]:
     """The claim at ``claim_index``, its tag's physical path before it, the
     set of that path's readers, and the tag's valid paths before it.  The
     trace keeps the answer: an append adds events only after the claim, so
@@ -289,7 +222,7 @@ def _resolve(
 # Each property helper returns the witness of a violation, or None when the
 # property holds.
 
-def _sound(phys_set: set[Identifier], claimed: Sequence[Identifier]) -> str | None:
+def _sound(phys_set: set[str], claimed: Sequence[str]) -> str | None:
     for r in claimed:
         if r not in phys_set:
             return f"claimed reader {r} never visited"
@@ -297,7 +230,7 @@ def _sound(phys_set: set[Identifier], claimed: Sequence[Identifier]) -> str | No
 
 
 def _complete(
-    phys: tuple[Identifier, ...], phys_set: set[Identifier], claimed: Sequence[Identifier]
+    phys: tuple[str, ...], phys_set: set[str], claimed: Sequence[str]
 ) -> str | None:
     claimed_set = set(claimed)
     if not claimed_set <= phys_set:
@@ -308,7 +241,7 @@ def _complete(
     return f"visited reader {missing} absent from claim"
 
 
-def _sorted(phys: tuple[Identifier, ...], claimed: Sequence[Identifier]) -> str | None:
+def _sorted(phys: tuple[str, ...], claimed: Sequence[str]) -> str | None:
     it = iter(phys)
     for i, r in enumerate(claimed):
         if r not in it:  # consumes the iterator up to and including a match
@@ -316,7 +249,7 @@ def _sorted(phys: tuple[Identifier, ...], claimed: Sequence[Identifier]) -> str 
     return None
 
 
-def _authorized(valid: Sequence[tuple[Identifier, ...]], claimed: Sequence[Identifier]) -> str | None:
+def _authorized(valid: Sequence[tuple[str, ...]], claimed: Sequence[str]) -> str | None:
     claim = tuple(claimed)
     n = len(claim)
     for path in valid:
@@ -441,9 +374,9 @@ class AttackLabel(enum.Enum):
 
 
 def classify(
-    physical: Sequence[Identifier],
-    claimed: Sequence[Identifier],
-    valid: Iterable[Sequence[Identifier]],
+    physical: Sequence[str],
+    claimed: Sequence[str],
+    valid: Iterable[Sequence[str]],
 ) -> frozenset[AttackLabel]:
     """Label the discrepancy between a claim and the physical path.
 
@@ -465,10 +398,10 @@ def classify(
 
 
 def _classify(
-    phys: tuple[Identifier, ...],
-    phys_set: set[Identifier],
-    claim: tuple[Identifier, ...],
-    valid_paths: Sequence[tuple[Identifier, ...]],
+    phys: tuple[str, ...],
+    phys_set: set[str],
+    claim: tuple[str, ...],
+    valid_paths: Sequence[tuple[str, ...]],
 ) -> frozenset[AttackLabel]:
     """``classify`` of an already collapsed physical path and the set of
     its readers, on tuples."""
@@ -516,9 +449,9 @@ def format_event(event: Event) -> str:
     if isinstance(event, Move):
         return f"MOVE {event.tag} {event.reader}"
     if isinstance(event, ValidPath):
-        return " ".join(["VALIDPATH", str(event.tag), *map(str, event.path)])
+        return " ".join(["VALIDPATH", event.tag, *event.path])
     if isinstance(event, PathClaim):
-        return " ".join(["CLAIM", str(event.tag), str(event.claimant), *map(str, event.path)])
+        return " ".join(["CLAIM", event.tag, event.claimant, *event.path])
     raise TypeError(f"not a trace event: {event!r}")
 
 
@@ -534,23 +467,16 @@ _KINDS = ("MOVE", "VALIDPATH", "CLAIM")
 
 
 def parse_trace(text: str) -> Trace:
-    """Parse a trace dump.  Claimant kind is inferred: a token that also
-    occurs as a reader anywhere in the dump parses as a reader, otherwise
-    as a backend.
+    """Parse a trace dump.
 
     Kinds are case-insensitive.  Blank lines are skipped, and so is any
-    line whose first token starts with ``#``.  Events are built as bare
-    tuples of their class, without the named tuple's Python ``__new__``,
-    and each one goes through :meth:`Trace.append`.
+    line whose first token starts with ``#``.  Events are built from the
+    split tokens as bare tuples of their class, without the named tuple's
+    Python ``__new__``, and each one goes through :meth:`Trace.append`.
     """
     trace = Trace()
     append = trace.append
     new = tuple.__new__
-    # (index, claimant token): a claim is appended without its claimant,
-    # which is set once every reader token is known, because the token
-    # may appear as a reader later
-    claimants: list[tuple[int, str]] = []
-    reader_tokens: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
         if not parts:
@@ -565,25 +491,13 @@ def parse_trace(text: str) -> Trace:
         if kind == "MOVE":
             if len(parts) != 3:
                 raise TraceParseError(f"line {lineno}: MOVE wants <tag> <reader>")
-            reader_tokens.add(parts[2])
-            append(new(Move, (tag(parts[1]), reader(parts[2]))))
+            append(new(Move, (parts[1], parts[2])))
         elif kind == "VALIDPATH":
             if len(parts) < 3:
                 raise TraceParseError(f"line {lineno}: VALIDPATH wants <tag> <r1> ...")
-            readers = parts[2:]
-            reader_tokens.update(readers)
-            append(new(ValidPath, (tag(parts[1]), tuple(map(reader, readers)))))
+            append(new(ValidPath, (parts[1], tuple(parts[2:]))))
         else:  # CLAIM
             if len(parts) < 4:
                 raise TraceParseError(f"line {lineno}: CLAIM wants <tag> <claimant> <r1> ...")
-            readers = parts[3:]
-            reader_tokens.update(readers)
-            index = append(new(PathClaim, (tag(parts[1]), tuple(map(reader, readers)), None)))
-            claimants.append((index, parts[2]))
-
-    events = trace._events
-    for index, token in claimants:
-        claimant = reader(token) if token in reader_tokens else backend(token)
-        claim = events[index]
-        events[index] = new(PathClaim, (claim.tag, claim.path, claimant))
+            append(new(PathClaim, (parts[1], tuple(parts[3:]), parts[2])))
     return trace

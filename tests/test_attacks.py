@@ -118,7 +118,7 @@ class TestRayOutOfOrder:
         run = o.run
         tag_id = run.trace.tags()[0]
         physical = tr.physical_path(run.trace, tag_id)
-        assert tuple(i.value for i in physical) == ("r1", "r2", "r3")
+        assert physical == ("r1", "r2", "r3")
         assert [r for r in o.evidence["claimed"]] == ["r3", "r1", "r2"]
 
     def test_single_step_path_has_no_surface(self):

@@ -254,6 +254,39 @@ class TestDeclarations:
         assert len(model.paths_of) == 2000
         assert sum(isinstance(e, tr.ValidPath) for e in run.trace) == 2000
 
+    @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
+    def test_a_readers_participant_takes_no_part(self, protocol):
+        plain = run_protocol(honest_config(protocol))
+        cfg = honest_config(protocol)
+        cfg.readers = [(token, f"p-{token}") for token, _ in cfg.readers]
+        assert run_protocol(cfg).report_lines() == plain.report_lines()
+
+    @pytest.mark.parametrize(
+        "step,token", [(("move", "t1", "zz"), "zz"), (("move", "tz", "r1"), "tz")], ids=["reader", "tag"]
+    )
+    def test_a_move_naming_an_undeclared_token_raises_key_error(self, step, token):
+        model, run = build_run(RunConfig.along("ray", {"t1": ("r1", "r2")}))
+        before = run.trace.events
+        with pytest.raises(KeyError, match=token):
+            play(model, [step])
+        assert run.trace.events == before
+
+    def test_a_claim_through_an_undeclared_reader_raises_key_error(self):
+        model, run = build_run(RunConfig.along("ray", {"t1": ("r1", "r2")}))
+        with pytest.raises(KeyError, match="zz"):
+            model.emit_claim("t1", ("r1", "zz"), model.verifier)
+        assert not list(run.trace.claims())
+
+    def test_a_path_through_an_undeclared_reader_raises_key_error(self):
+        cfg = RunConfig(
+            protocol="burbridge",
+            readers=[("r1", None), ("r2", None)],
+            tags=["t1"],
+            valid_paths=[("t1", ("r1", "zz"))],
+        )
+        with pytest.raises(KeyError, match="zz"):
+            build_run(cfg)
+
 
 class TestHonestRuns:
     @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
@@ -785,7 +818,7 @@ class TestKnownStates:
         assert model._check_on_site("t1", "r1", model._known["t1"])
         res = finalize(model, run)
         assert res.step_log[-1] == "claim t1 ok" and not res.anomalies
-        assert [tuple(i.value for i in c.path) for c in res.claims()] == [("r1",)] * 3
+        assert [c.path for c in res.claims()] == [("r1",)] * 3
         assert calls == []
 
     def test_each_tag_keeps_one_remembered_state(self):
@@ -921,7 +954,7 @@ class TestTracker:
 class TestChecker:
     def test_every_hop_claims_its_prefix(self):
         res = run_protocol(honest_config("checker"))
-        paths = [tuple(i.value for i in c.path) for c in res.claims()]
+        paths = [c.path for c in res.claims()]
         assert paths == [
             ("r1",),
             ("r1", "r2"),
@@ -988,7 +1021,7 @@ class TestChecker:
             "visit t1 r3 ok",
             "claim t1 rejected",
         ]
-        assert [tuple(i.value for i in c.path) for c in res.claims()] == [
+        assert [c.path for c in res.claims()] == [
             ("r1",),
             ("r1", "r2"),
             ("r1", "r2", "r3"),
@@ -1004,7 +1037,7 @@ class TestChecker:
         res = finalize(model, run)
         assert res.anomalies == []
         assert res.step_log == ["claim t1 ok"]
-        assert [tuple(i.value for i in c.path) for c in res.claims()] == [("r1", "r2", "r3")]
+        assert [c.path for c in res.claims()] == [("r1", "r2", "r3")]
 
     def test_state_for_no_tag_without_a_key_rejected(self):
         model, run = build_run(honest_config("checker"))
@@ -1035,7 +1068,7 @@ class TestChecker:
         assert res.anomalies == ["checker r1 rejects t2: no prefix key matches"]
         assert res.step_log[-2:] == ["claim t2 ok", "claim t2 rejected"]
         claim = res.claims()[-1]
-        assert (claim.tag.value, tuple(i.value for i in claim.path)) == ("t2", ("r1", "r2", "r3"))
+        assert (claim.tag, claim.path) == ("t2", ("r1", "r2", "r3"))
         assert not res.verdicts[-1].sound
 
     def test_honest_hop_makes_no_pow_call_of_its_own(self, monkeypatch):
@@ -1065,7 +1098,7 @@ class TestChecker:
         res = finalize(model, run)
         assert res.anomalies == []
         assert res.step_log == ["visit t2 r1 ok", "visit t2 r2 ok", "visit t2 r3 ok"]
-        assert [(c.tag.value, tuple(i.value for i in c.path)) for c in res.claims()] == [
+        assert [(c.tag, c.path) for c in res.claims()] == [
             ("t2", ("r1",)),
             ("t2", ("r1", "r2")),
             ("t2", ("r1", "r2", "r3")),
@@ -1144,7 +1177,7 @@ class TestCheckerMatch:
                 assert ok == (want is not None), (kind, reader_token)
                 assert len(claims) == claims_before + ok
                 if ok:
-                    claimed = tuple(i.value for i in claims[-1][1].path)
+                    claimed = claims[-1][1].path
                     assert claimed == want, (kind, reader_token)
                 outcomes.add((kind, want is not None))
         assert {kind for kind, hit in outcomes if hit} == {"honest", "other-path", "forged"}
@@ -1454,7 +1487,7 @@ class TestRfChain:
             "claim t1 ok",
             "claim t2 ok",
         ]
-        claimed = [(claim.tag.value, tuple(r.value for r in claim.path)) for claim in res.claims()]
+        claimed = [(claim.tag, claim.path) for claim in res.claims()]
         assert claimed == [
             ("t1", ("r1", "r2")),
             ("t1", ("r1", "r2", "r3")),
@@ -1472,7 +1505,7 @@ class TestRfChain:
         res = finalize(protocol, run)
         assert not res.anomalies
         assert len(protocol.ledger) == 4
-        assert [tuple(r.value for r in claim.path) for claim in res.claims()] == [
+        assert [claim.path for claim in res.claims()] == [
             ("r1", "r2", "r3")
         ]
 
@@ -1524,8 +1557,8 @@ class TestRfChain:
             protocol.claim(tag_token)
         res = finalize(protocol, run)
         assert not res.anomalies
-        assert [claim.tag.value for claim in res.claims()] == ["t2", "t1", "t2", "t3", "t1", "t1"]
-        assert all(tuple(r.value for r in claim.path) == ("r1", "r2", "r3") for claim in res.claims())
+        assert [claim.tag for claim in res.claims()] == ["t2", "t1", "t2", "t3", "t1", "t1"]
+        assert all(claim.path == ("r1", "r2", "r3") for claim in res.claims())
         assert all(v.sound and v.sorted for v in res.verdicts)
         # verifying reads the ledger and never changes it
         assert protocol.ledger.records() == records
@@ -1855,6 +1888,17 @@ class TestResc:
         assert res.anomalies == ["resc database: slot 2 of ta fails verification"]
         assert not res.verdicts
 
+    def test_a_filled_slot_refuses_a_second_deposit(self):
+        # AdvT replays slot 1 with the key read off the tag and a fresh nonce
+        model, run = build_run(RunConfig.along("resc", {"t1": ("r1", "r2")}))
+        model.visit("t1", "r1")
+        fields = read_snapshot(run.net.read_tag("t1"))
+        assert fields["sig1"] != b""
+        _, nonce, _ = crypto.split_length_prefixed(run.net.inject("r1", "t1", b"HELLO"))
+        replay = Resc.deposit(fields["tid"], 1, 999, fields["k1"], nonce)
+        assert run.net.inject("r1", "t1", replay) is None
+        assert run.memory("t1").load("sig1") == fields["sig1"]
+
 
 def bypass_config(mode: str, seed: int = 3) -> RunConfig:
     """Two colluding readers route t1 across t2's registered edges."""
@@ -1916,6 +1960,17 @@ class TestBurbridge:
         cfg.adversary = AdvModel.ADV_T
         with pytest.raises(CapabilityError):
             run_protocol(cfg)
+
+    def test_another_tags_document_is_refused(self):
+        cfg = RunConfig.along("burbridge", {"t1": ("r1", "r2"), "t2": ("r1", "r2")})
+        cfg.capacities = {"t1": 2048, "t2": 2048}
+        model, run = build_run(cfg)
+        play(model, [("move", "t1", "r1"), ("move", "t2", "r1")])
+        run.net.write_tag("t1", run.net.read_tag("t2"))
+        model.visit("t1", "r2")
+        res = finalize(model, run)
+        assert res.stalled and res.step_log[-1] == "visit t1 r2 failed"
+        assert res.anomalies == ["burbridge r2: document of t1 does not vouch for r1"]
 
     def test_controller_only_attributes(self):
         cfg = honest_config("burbridge")

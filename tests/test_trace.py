@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import copy
-import dataclasses
 import pickle
 import random
 
@@ -339,18 +338,16 @@ class TestSerialization:
         back = parse_trace(text)
         assert back.events == t.events
 
-    def test_claimant_kind_inference(self):
+    def test_claimant_token_read_as_written(self):
         t = parse_trace("MOVE t1 r1\nCLAIM t1 r1 r1\nCLAIM t1 verifier r1\n")
-        claims = [c for _, c in t.claims()]
-        assert claims[0].claimant.kind is tr.IdKind.READER
-        assert claims[1].claimant.kind is tr.IdKind.BACKEND
+        assert [c.claimant for _, c in t.claims()] == ["r1", "verifier"]
 
     def test_claimant_named_as_reader_only_later(self):
         t = parse_trace("MOVE t1 r1\nCLAIM t1 r2 r1\nMOVE t1 r2\n")
         (_, claim), = t.claims()
-        assert claim.claimant is reader("r2")
-        # as a reader of a later VALIDPATH or CLAIM too; each claim is set
-        # in place, and the appends it was parsed between still index it
+        assert claim.claimant == reader("r2")
+        # as a reader of a later VALIDPATH or CLAIM too; the appends each
+        # claim was parsed between still index it
         t = parse_trace(
             "MOVE t1 r1\nCLAIM t1 r2 r1\nCLAIM t1 r3 r1\nVALIDPATH t1 r1 r2\nCLAIM t1 b1 r3\n"
         )
@@ -374,7 +371,7 @@ class TestSerialization:
         # built as bare tuples, they are the named tuples append indexes
         t = parse_trace("VALIDPATH t1 r1 r2\nMOVE t1 r1\nCLAIM t1 b1 r1\nMOVE t1 r2\n")
         assert [type(e) for e in t] == [ValidPath, Move, PathClaim, Move]
-        assert t[2].claimant is B1 and t[2].path == path("r1") and t[1].reader is R["r1"]
+        assert t[2].claimant == B1 and t[2].path == path("r1") and t[1].reader == R["r1"]
         assert t[0] == ValidPath(T1, path("r1", "r2"))
         assert physical_path(t, T1) == path("r1", "r2")
         assert [i for i, _ in t.claims()] == [2]
@@ -383,13 +380,6 @@ class TestSerialization:
     def test_lower_case_keywords(self):
         t = parse_trace("validpath t1 r1 r2\nmove t1 r1\nMove t1 r2\nclaim t1 b1 r1 r2\n")
         assert dump_trace(t) == "VALIDPATH t1 r1 r2\nMOVE t1 r1\nMOVE t1 r2\nCLAIM t1 b1 r1 r2\n"
-
-    def test_parsed_identifiers_are_interned(self):
-        t = parse_trace("VALIDPATH t1 r1\nMOVE t1 r1\nCLAIM t1 r1 r1\nCLAIM t1 b1 r1\n")
-        valid, move, by_reader, by_backend = t.events
-        assert valid.tag is move.tag is T1
-        assert valid.path[0] is move.reader is by_reader.claimant is R["r1"]
-        assert by_backend.claimant is B1
 
     @pytest.mark.parametrize(
         "text,message",
@@ -501,11 +491,24 @@ class TestRecords:
             setattr(record, name, None)
         assert getattr(record, name) is before
 
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy] + [
+            lambda x, protocol=protocol: pickle.loads(pickle.dumps(x, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ],
+        ids=["copy", "deepcopy"] + [f"pickle{p}" for p in range(pickle.HIGHEST_PROTOCOL + 1)],
+    )
+    def test_copies_keep_every_field(self, clone):
+        for event in (Move(T1, R["r1"]), ValidPath(T1, path("r1", "r2")), PathClaim(T1, path("r1"), B1)):
+            back = clone(event)
+            assert type(back) is type(event)
+            assert back == event and hash(back) == hash(event) and repr(back) == repr(event)
+            with pytest.raises(AttributeError):
+                back.tag = "t2"
+
     def test_move_repr(self):
-        assert repr(Move(T1, R["r1"])) == (
-            "Move(tag=Identifier(kind=<IdKind.TAG: 'tag'>, value='t1', participant=None), "
-            "reader=Identifier(kind=<IdKind.READER: 'reader'>, value='r1', participant=None))"
-        )
+        assert repr(Move(T1, R["r1"])) == "Move(tag='t1', reader='r1')"
 
     def test_verdict_repr(self):
         t = Trace(moves(T1, "r1", "r2") + [PathClaim(T1, path("r1"), B1)])
@@ -549,70 +552,17 @@ class TestResolveOnce:
 
 
 class TestIdentifier:
-    def test_constructors_intern(self):
-        assert reader("a") is reader("a")
-        assert reader("a", "p1") is reader("a", "p1")
-        assert tag("a") is tag("a")
-        assert backend("a") is backend("a")
-
-    def test_participant_takes_no_part(self):
-        plain, operated = reader("a"), reader("a", "p1")
-        assert operated is not plain
-        assert operated == plain and hash(operated) == hash(plain)
-        direct = tr.Identifier(tr.IdKind.READER, "a")
-        assert direct == plain and hash(direct) == hash(plain)
-
-    def test_kind_distinguishes(self):
-        assert reader("a") != tag("a")
-        assert reader("a") != backend("a")
-        assert len({reader("a"), tag("a"), backend("a"), reader("a", "p1")}) == 3
-        assert reader("a") != "a"
+    @pytest.mark.parametrize("make", [reader, tag, backend])
+    def test_constructors_return_the_token(self, make):
+        ident = make("a")
+        assert type(ident) is str
+        assert ident == "a" and hash(ident) == hash("a")
 
     @pytest.mark.parametrize("make", [reader, tag, backend])
     def test_bad_token_raises_on_every_call(self, make):
         for _ in range(2):
             with pytest.raises(ValueError, match="non-empty token"):
                 make("bad token")
-
-    def test_frozen(self):
-        r = reader("a")
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            r.value = "b"
-        assert r.value == "a"
-
-    @pytest.mark.parametrize("name", ["kind", "value", "participant", "other"])
-    def test_no_field_can_be_assigned_or_deleted(self, name):
-        r = reader("a", "p1")
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(r, name, "b")
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            delattr(r, name)
-        assert (r.kind, r.value, r.participant) == (tr.IdKind.READER, "a", "p1")
-
-    @pytest.mark.parametrize("make", [reader, tag, backend])
-    def test_hash_is_the_kind_and_value_tuple_hash(self, make):
-        ident = make("a")
-        assert hash(ident) == hash((ident.kind.value, "a"))
-        assert ident == (ident.kind.value, "a")
-
-    @pytest.mark.parametrize(
-        "clone",
-        [copy.copy, copy.deepcopy] + [
-            lambda x, protocol=protocol: pickle.loads(pickle.dumps(x, protocol))
-            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
-        ],
-        ids=["copy", "deepcopy"] + [f"pickle{p}" for p in range(pickle.HIGHEST_PROTOCOL + 1)],
-    )
-    def test_copies_keep_every_field(self, clone):
-        for ident in (reader("a", "p1"), reader("a"), tag("t1"), backend("b1")):
-            back = clone(ident)
-            assert type(back) is tr.Identifier
-            assert (back.kind, back.value, back.participant) == (
-                ident.kind, ident.value, ident.participant
-            )
-            assert back == ident and hash(back) == hash(ident) and repr(back) == repr(ident)
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                back.participant = None
 
     @pytest.mark.parametrize(
         "clone",
@@ -629,10 +579,7 @@ class TestIdentifier:
         assert [tr.classify_claim(back, i) for i, _ in back.claims()] == [
             tr.classify_claim(t, i) for i, _ in t.claims()
         ]
-        claimants = [c.claimant for _, c in back.claims()]
-        assert [(c.kind, c.value) for c in claimants] == [
-            (tr.IdKind.READER, "r3"), (tr.IdKind.BACKEND, "v")
-        ]
+        assert [c.claimant for _, c in back.claims()] == ["r3", "v"]
         back.append(Move(T1, R["r2"]))
         assert physical_path(back, T1) == path("r1", "r3", "r2")
 
@@ -641,9 +588,3 @@ class TestIdentifier:
 
         assert _stringify(reader("a")) == "a"
         assert _stringify([reader("a"), tag("t1")]) == "a,t1"
-
-    def test_repr(self):
-        assert repr(reader("a", "p1")) == (
-            "Identifier(kind=<IdKind.READER: 'reader'>, value='a', participant='p1')"
-        )
-        assert repr(tag("t1")) == "Identifier(kind=<IdKind.TAG: 'tag'>, value='t1', participant=None)"
