@@ -368,6 +368,8 @@ def build_run(config: RunConfig) -> tuple[ProtocolModel, Run]:
     check_setting(config.protocol, "mode", config.mode)
     for key in config.params:
         check_setting(config.protocol, "param", key)
+    if config.strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy: {config.strategy}")
     # the network routes by bare token: one token names one party
     verifier = PROTOCOLS[config.protocol].verifier
     readers = [token for token, _ in config.readers]
@@ -381,8 +383,6 @@ def build_run(config: RunConfig) -> tuple[ProtocolModel, Run]:
             declared.add(token)
     run = Run(config)
     protocol = PROTOCOLS[config.protocol](run)
-    if config.strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy: {config.strategy}")
     run.net.strategy = STRATEGIES[config.strategy]
     protocol.setup()
     for token in protocol.compromisable():

@@ -22,9 +22,11 @@ attack labels of :class:`AttackLabel`.
 
 :class:`Trace` keeps each tag's collapsed physical path and its ValidPaths,
 and the index of every claim, up to date as events are appended.  It
-resolves each claim once: its tag's physical path before it (and that
-path's reader set) and valid paths before it are bisected out of the index
-on the claim's first verdict, check or label, and kept for the rest.
+judges each claim once, on its first verdict, check or label: its tag's
+physical path before it (and that path's reader set) and valid paths before
+it are bisected out of the index, one function finds the witness of each
+property's violation, and the trace keeps both.  The checks and the verdict
+read those witnesses, and every attack label but Reroute is read off them.
 Nothing scales with trace length, with the tag's repeated Moves or with
 other tags.
 
@@ -116,7 +118,7 @@ class Trace:
         elif cls is ValidPath:
             entry = self._by_tag[event.tag]
             entry.valid_at.append(index)
-            entry.valid_paths.append(event.path)
+            entry.valid_paths.append(tuple(event.path))
         elif cls is PathClaim:
             self._claim_at.append(index)
         else:
@@ -196,11 +198,12 @@ class CheckResult(NamedTuple):
 
 def _resolve(
     trace: Trace, claim_index: int
-) -> tuple[PathClaim, tuple[str, ...], set[str], list[tuple[str, ...]]]:
-    """The claim at ``claim_index``, its tag's physical path before it, the
-    set of that path's readers, and the tag's valid paths before it.  The
-    trace keeps the answer: an append adds events only after the claim, so
-    it never goes stale."""
+) -> tuple[tuple[str, ...], set[str], tuple[str, ...], list[tuple[str, ...]], tuple]:
+    """The claim at ``claim_index`` judged once: its tag's physical path
+    before it, the set of that path's readers, the claimed path, the tag's
+    valid paths before it, and :func:`_judge`'s four witnesses.  The trace
+    keeps the answer: an append adds events only after the claim, so it
+    never goes stale."""
     resolved = trace._resolved.get(claim_index)
     if resolved is None:
         if claim_index < 0:
@@ -215,75 +218,76 @@ def _resolve(
         entry = trace._by_tag.get(claim.tag)
         valid = entry.valid_paths[: bisect_left(entry.valid_at, claim_index)] if entry else []
         phys = physical_path(trace, claim.tag, claim_index)
-        resolved = trace._resolved[claim_index] = (claim, phys, set(phys), valid)
+        phys_set, claimed = set(phys), tuple(claim.path)
+        resolved = trace._resolved[claim_index] = (
+            phys, phys_set, claimed, valid, _judge(phys, phys_set, claimed, valid)
+        )
     return resolved
 
 
-# Each property helper returns the witness of a violation, or None when the
-# property holds.
+_PROPERTIES = ("sound", "complete", "sorted", "authorized")
 
-def _sound(phys_set: set[str], claimed: Sequence[str]) -> str | None:
-    for r in claimed:
+
+def _judge(
+    phys: tuple[str, ...],
+    phys_set: set[str],
+    claim: tuple[str, ...],
+    valid: Sequence[tuple[str, ...]],
+) -> tuple[str | None, str | None, str | None, str | None]:
+    """The witness of each property's violation, in the order of
+    ``_PROPERTIES``, or None where the property holds.  Each property is
+    judged on its own: a reader never visited is the witness of both
+    unsoundness and incompleteness."""
+    unsound = incomplete = None
+    for r in claim:
         if r not in phys_set:
-            return f"claimed reader {r} never visited"
-    return None
-
-
-def _complete(
-    phys: tuple[str, ...], phys_set: set[str], claimed: Sequence[str]
-) -> str | None:
-    claimed_set = set(claimed)
-    if not claimed_set <= phys_set:
-        return _sound(phys_set, claimed)
-    if len(claimed_set) == len(phys_set):
-        return None
-    missing = next(r for r in phys if r not in claimed_set)
-    return f"visited reader {missing} absent from claim"
-
-
-def _sorted(phys: tuple[str, ...], claimed: Sequence[str]) -> str | None:
+            unsound = incomplete = f"claimed reader {r} never visited"
+            break
+    else:
+        claim_set = set(claim)
+        if len(claim_set) != len(phys_set):
+            for r in phys:
+                if r not in claim_set:
+                    incomplete = f"visited reader {r} absent from claim"
+                    break
+    unsorted = None
     it = iter(phys)
-    for i, r in enumerate(claimed):
+    for i, r in enumerate(claim):
         if r not in it:  # consumes the iterator up to and including a match
-            return f"claimed step {i} ({r}) out of physical order"
-    return None
-
-
-def _authorized(valid: Sequence[tuple[str, ...]], claimed: Sequence[str]) -> str | None:
-    claim = tuple(claimed)
+            unsorted = f"claimed step {i} ({r}) out of physical order"
+            break
+    unauthorized = "no earlier ValidPath has the claim as a prefix"
     n = len(claim)
     for path in valid:
-        if tuple(path[:n]) == claim:
-            return None
-    return "no earlier ValidPath has the claim as a prefix"
+        if path[:n] == claim:
+            unauthorized = None
+            break
+    return unsound, incomplete, unsorted, unauthorized
 
 
-def _result(witness: str | None) -> CheckResult:
+def _check(trace: Trace, claim_index: int, prop: int) -> CheckResult:
+    witness = _resolve(trace, claim_index)[4][prop]
     return CheckResult(witness is None, witness)
 
 
 def check_sound(trace: Trace, claim_index: int) -> CheckResult:
     """Claimed readers are a subset of the physically visited readers."""
-    claim, _phys, phys_set, _valid = _resolve(trace, claim_index)
-    return _result(_sound(phys_set, claim.path))
+    return _check(trace, claim_index, 0)
 
 
 def check_complete(trace: Trace, claim_index: int) -> CheckResult:
     """Claimed and physical reader sets are equal."""
-    claim, phys, phys_set, _valid = _resolve(trace, claim_index)
-    return _result(_complete(phys, phys_set, claim.path))
+    return _check(trace, claim_index, 1)
 
 
 def check_sorted(trace: Trace, claim_index: int) -> CheckResult:
     """The claimed path is a subsequence of the physical path."""
-    claim, phys, _phys_set, _valid = _resolve(trace, claim_index)
-    return _result(_sorted(phys, claim.path))
+    return _check(trace, claim_index, 2)
 
 
 def check_authorized(trace: Trace, claim_index: int) -> CheckResult:
     """Some strictly earlier ValidPath for the tag has the claim as a prefix."""
-    claim, _phys, _phys_set, valid = _resolve(trace, claim_index)
-    return _result(_authorized(valid, claim.path))
+    return _check(trace, claim_index, 3)
 
 
 class Verdict(NamedTuple):
@@ -297,12 +301,7 @@ class Verdict(NamedTuple):
     witness: str | None = None
 
     def properties(self) -> dict[str, bool]:
-        return {
-            "sound": self.sound,
-            "complete": self.complete,
-            "sorted": self.sorted,
-            "authorized": self.authorized,
-        }
+        return dict(zip(_PROPERTIES, (self.sound, self.complete, self.sorted, self.authorized)))
 
 
 def verdict_for(trace: Trace, claim_index: int) -> Verdict:
@@ -311,32 +310,15 @@ def verdict_for(trace: Trace, claim_index: int) -> Verdict:
     ``witness`` carries the explanation of the first failing check, in the
     order sound, complete, sorted, authorized.
     """
-    claim, phys, phys_set, valid = _resolve(trace, claim_index)
-    claimed = claim.path
-    unsound = _sound(phys_set, claimed)
-    if unsound is None:
-        incomplete = _complete(phys, phys_set, claimed)
-        unsorted = _sorted(phys, claimed)
-    else:  # a reader never visited breaks completeness and order too
-        incomplete = unsorted = unsound
-    unauthorized = _authorized(valid, claimed)
-    if unsound is not None:
-        witness = f"sound: {unsound}"
-    elif incomplete is not None:
-        witness = f"complete: {incomplete}"
-    elif unsorted is not None:
-        witness = f"sorted: {unsorted}"
-    elif unauthorized is not None:
-        witness = f"authorized: {unauthorized}"
-    else:
-        witness = None
+    unsound, incomplete, unsorted, unauthorized = witnesses = _resolve(trace, claim_index)[4]
+    witness = None
+    for prop, w in zip(_PROPERTIES, witnesses):
+        if w is not None:
+            witness = f"{prop}: {w}"
+            break
     return Verdict(
-        claim_index,
-        unsound is None,
-        incomplete is None,
-        unsorted is None,
-        unauthorized is None,
-        witness,
+        claim_index, unsound is None, incomplete is None, unsorted is None,
+        unauthorized is None, witness,
     )
 
 
@@ -353,7 +335,7 @@ class SystemVerdict(NamedTuple):
 
 def evaluate_system(traces: Sequence[Trace]) -> SystemVerdict:
     """A property holds for the system iff it holds for all claims of all traces."""
-    holds = {"sound": True, "complete": True, "sorted": True, "authorized": True}
+    holds = dict.fromkeys(_PROPERTIES, True)
     counterexamples: dict[str, tuple[int, int]] = {}
     for ti, trace in enumerate(traces):
         for ci, _claim in trace.claims():
@@ -389,57 +371,52 @@ def classify(
                           valid path with at least one hole
     * Reroute           - the tag physically visited a reader that belongs to
                           no valid path and is absent from the claim
-    * OutOfOrder        - the claim lists exactly the first visited readers
-                          but in a different order
+    * OutOfOrder        - sound but unsorted, and the claim lists exactly the
+                          first visited readers in a different order
     * UnauthorizedPath  - no valid path has the claim as a prefix
     """
     phys = collapse(physical)
-    return _classify(phys, set(phys), tuple(claimed), [tuple(p) for p in valid])
+    phys_set = set(phys)
+    claim = tuple(claimed)
+    paths = [tuple(p) for p in valid]
+    return _labels(phys, phys_set, claim, paths, _judge(phys, phys_set, claim, paths))
 
 
-def _classify(
+def _labels(
     phys: tuple[str, ...],
     phys_set: set[str],
     claim: tuple[str, ...],
-    valid_paths: Sequence[tuple[str, ...]],
+    valid: Sequence[tuple[str, ...]],
+    witnesses: tuple[str | None, str | None, str | None, str | None],
 ) -> frozenset[AttackLabel]:
-    """``classify`` of an already collapsed physical path and the set of
-    its readers, on tuples."""
+    """``classify`` of a judged claim: every label but Reroute is read off
+    the witnesses of :func:`_judge`."""
+    unsound, incomplete, unsorted, unauthorized = witnesses
     labels: set[AttackLabel] = set()
-
-    claim_set = set(claim)
-    sound = claim_set <= phys_set
-
-    if not sound:
+    if unsound is not None:
         labels.add(AttackLabel.GHOST_STEP)
-    elif len(claim_set) < len(phys_set):
-        # sound but incomplete: the claim fits strictly inside some valid
-        # path, i.e. steps were skipped
-        if any(len(claim) < len(vp) and is_subsequence(claim, vp) for vp in valid_paths):
-            labels.add(AttackLabel.SKIP_STEP)
-
-    unclaimed = phys_set - claim_set
-    if unclaimed and not unclaimed <= {r for vp in valid_paths for r in vp}:
-        labels.add(AttackLabel.REROUTE)
-
-    if sound and not is_subsequence(claim, phys):
-        # the first len(claim) visited readers are the claim's as a multiset:
-        # equal counts of every claimed reader leave no room for another
-        head = phys[: len(claim)]
-        if all(head.count(r) == claim.count(r) for r in claim_set):
+    else:
+        if incomplete is not None:
+            # the claim fits strictly inside some valid path: steps were skipped
+            n = len(claim)
+            for path in valid:
+                if n < len(path) and is_subsequence(claim, path):
+                    labels.add(AttackLabel.SKIP_STEP)
+                    break
+        if unsorted is not None and sorted(phys[: len(claim)]) == sorted(claim):
+            # the first len(claim) visited readers are the claim's, reordered
             labels.add(AttackLabel.OUT_OF_ORDER)
-
-    n = len(claim)
-    if not any(vp[:n] == claim for vp in valid_paths):
+    if phys_set.difference(claim, *valid):
+        # a visited reader neither claimed nor on any valid path
+        labels.add(AttackLabel.REROUTE)
+    if unauthorized is not None:
         labels.add(AttackLabel.UNAUTHORIZED_PATH)
-
     return frozenset(labels)
 
 
 def classify_claim(trace: Trace, claim_index: int) -> frozenset[AttackLabel]:
     """Classify one in-trace claim against the movement that preceded it."""
-    claim, phys, phys_set, valid = _resolve(trace, claim_index)
-    return _classify(phys, phys_set, claim.path, valid)
+    return _labels(*_resolve(trace, claim_index))
 
 
 # --- line serialization ----------------------------------------------------

@@ -29,6 +29,7 @@ from pathtrace.protocols import (
     play,
     run_protocol,
 )
+from pathtrace.protocols import base as base_mod
 from pathtrace.protocols import checker as checker_mod
 from pathtrace.protocols import rfchain as rfchain_mod
 from pathtrace.protocols import tracker as tracker_mod
@@ -86,6 +87,21 @@ class TestParamKeys:
         with pytest.raises(ValueError) as err:
             build_run(cfg)
         assert str(err.value) == message
+
+
+class TestBuildRunRefusals:
+    def test_unknown_protocol_refused(self):
+        cfg = honest_config("ray")
+        cfg.protocol = "nosuch"
+        with pytest.raises(ValueError, match="^unknown protocol: nosuch$"):
+            build_run(cfg)
+
+    def test_unknown_strategy_refused_before_the_run_is_built(self, monkeypatch):
+        monkeypatch.setattr(base_mod, "Run", lambda config: pytest.fail("Run built"))
+        cfg = honest_config("ray")
+        cfg.strategy = "nosuch"
+        with pytest.raises(ValueError, match="^unknown strategy: nosuch$"):
+            build_run(cfg)
 
 
 class TestDuplicateTags:
@@ -1773,6 +1789,10 @@ class TestResc:
         assert SLOT_BITS == 128 + 20 + 23 + 512
         for n in range(1, 9):
             assert storage_bits(n) == n * (128 + 20 + 23 + 512)
+
+    def test_negative_path_length_refused(self):
+        with pytest.raises(ValueError, match="^path length cannot be negative$"):
+            storage_bits(-1)
 
     def test_path_its_slot_pointer_cannot_count_is_refused_before_setup(self, monkeypatch):
         monkeypatch.setattr(Resc, "setup", lambda self: pytest.fail("setup ran"))

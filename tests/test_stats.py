@@ -34,6 +34,11 @@ def test_binomial_acceptance_covers_mean():
     assert hi - lo < 6 * sd
 
 
+def test_binomial_acceptance_refuses_no_trials():
+    with pytest.raises(ValueError, match="^trials must be positive$"):
+        stats.binomial_acceptance(0, 0.5)
+
+
 def test_binomial_acceptance_simulation_coverage():
     # the interval should cover ~95% of sampled counts
     rng = random.Random(2)

@@ -162,6 +162,63 @@ class TestChecks:
         assert (v.sound, v.complete, v.sorted, v.authorized) == (True, False, True, True)
         assert v.witness.startswith("complete:")
 
+    @pytest.mark.parametrize(
+        "visited,valid,claimed,witnesses,verdict",
+        [
+            # a reader never visited also breaks completeness and order
+            (
+                ["r1", "r2"], [("r1", "rx")], ["r1", "rx"],
+                ["claimed reader rx never visited", "claimed reader rx never visited",
+                 "claimed step 1 (rx) out of physical order", None],
+                "sound: claimed reader rx never visited",
+            ),
+            (
+                ["r1", "r2", "r3"], [("r1", "r3")], ["r1", "r3"],
+                [None, "visited reader r2 absent from claim", None, None],
+                "complete: visited reader r2 absent from claim",
+            ),
+            (
+                ["r1", "r2"], [("r2", "r1")], ["r2", "r1"],
+                [None, None, "claimed step 1 (r1) out of physical order", None],
+                "sorted: claimed step 1 (r1) out of physical order",
+            ),
+            (
+                ["r1", "r2"], [("r1", "r3")], ["r1", "r2"],
+                [None, None, None, "no earlier ValidPath has the claim as a prefix"],
+                "authorized: no earlier ValidPath has the claim as a prefix",
+            ),
+            (
+                ["r1", "r2", "r3"], [("r1", "r2", "r3")], ["r2", "rx", "r1"],
+                ["claimed reader rx never visited", "claimed reader rx never visited",
+                 "claimed step 1 (rx) out of physical order",
+                 "no earlier ValidPath has the claim as a prefix"],
+                "sound: claimed reader rx never visited",
+            ),
+            (
+                [], [], ["r1"],
+                ["claimed reader r1 never visited", "claimed reader r1 never visited",
+                 "claimed step 0 (r1) out of physical order",
+                 "no earlier ValidPath has the claim as a prefix"],
+                "sound: claimed reader r1 never visited",
+            ),
+            (["r1", "r2", "r1"], [("r1", "r2", "r1")], ["r1", "r2", "r1"], [None] * 4, None),
+        ],
+        ids=["unsound", "incomplete", "unsorted", "unauthorized", "all-four", "never-moved",
+             "honest"],
+    )
+    def test_every_check_witness(self, visited, valid, claimed, witnesses, verdict):
+        t, i = self.make(visited, claimed, valid)
+        checks = [tr.check_sound, tr.check_complete, tr.check_sorted, tr.check_authorized]
+        assert [check(t, i) for check in checks] == [(w is None, w) for w in witnesses]
+        assert verdict_for(t, i).witness == verdict
+
+    @pytest.mark.parametrize("valid,claimed", [(list, tuple), (tuple, list)])
+    def test_paths_given_as_lists_are_judged_as_tuples(self, valid, claimed):
+        t = Trace([ValidPath(T1, valid(path("r1", "r2"))), *moves(T1, "r1", "r2")])
+        i = t.append(PathClaim(T1, claimed(path("r1", "r2")), B1))
+        assert verdict_for(t, i).witness is None
+        assert tr.classify_claim(t, i) == frozenset()
+
     def test_verdict_on_non_claim_raises(self):
         t = Trace(moves(T1, "r1"))
         with pytest.raises(ValueError):
@@ -322,6 +379,10 @@ class TestClassify:
 
 
 class TestSerialization:
+    def test_format_event_refuses_a_non_event(self):
+        with pytest.raises(TypeError, match="^not a trace event: \\('MOVE', 't1', 'r1'\\)$"):
+            tr.format_event(("MOVE", "t1", "r1"))
+
     def test_round_trip(self):
         t = Trace()
         t.append(ValidPath(T1, path("r1", "r2")))
@@ -528,27 +589,35 @@ class TestRecords:
 
 
 class TestResolveOnce:
-    """A claim is resolved once per trace: every judgment of it reads one
-    physical path lookup."""
+    """A claim is resolved and judged once per trace: every verdict, check
+    and label of it reads one physical path lookup and one judgement."""
 
     def test_one_physical_path_per_claim(self, monkeypatch):
         t = Trace([ValidPath(T1, path("r1", "r2")), *moves(T1, "r1", "r3")])
         t.append(PathClaim(T1, path("r2", "r1"), B1))
         calls = []
-        original = tr.physical_path
 
-        def spy(*args):
-            calls.append(args)
-            return original(*args)
+        def spy(name):
+            original = getattr(tr, name)
 
-        monkeypatch.setattr(tr, "physical_path", spy)
+            def counted(*args):
+                calls.append((name, args[:3]))
+                return original(*args)
+
+            monkeypatch.setattr(tr, name, counted)
+
+        spy("physical_path")
+        spy("_judge")
         judges = [
             verdict_for, tr.classify_claim,
             tr.check_sound, tr.check_complete, tr.check_sorted, tr.check_authorized,
         ]
         for judge in judges * 2:
             judge(t, 3)
-        assert calls == [(t, T1, 3)]
+        assert calls == [
+            ("physical_path", (t, T1, 3)),
+            ("_judge", (path("r1", "r3"), {"r1", "r3"}, path("r2", "r1"))),
+        ]
 
 
 class TestIdentifier:
