@@ -20,15 +20,14 @@ A claim is judged against the trace prefix strictly before it:
 Mismatched claims are classified against a set of valid paths into the
 attack labels of :class:`AttackLabel`.
 
-:class:`Trace` keeps each tag's collapsed physical path and its ValidPaths,
-and the index of every claim, up to date as events are appended.  It
-judges each claim once, on its first verdict, check or label: its tag's
-physical path before it (and that path's reader set) and valid paths before
-it are bisected out of the index, one function finds the witness of each
-property's violation, and the trace keeps both.  The checks and the verdict
-read those witnesses, and every attack label but Reroute is read off them.
-Nothing scales with trace length, with the tag's repeated Moves or with
-other tags.
+:class:`Trace` keeps each tag's collapsed physical path and its ValidPaths
+up to date as events are appended, and judges each claim as it is
+appended: the tag's index then holds exactly the prefix before the claim,
+one function finds the witness of each property's violation, and the trace
+keeps the witnesses beside the claim's physical path.  The checks and the
+verdict read those witnesses, and every attack label but Reroute is read
+off them.  Nothing scales with trace length, with the tag's repeated Moves
+or with other tags.
 
 Everything the checkers hash or compare is a string or a tuple, so that
 work runs in C: a reader, a tag or a backend is the token that names it,
@@ -41,6 +40,7 @@ which keeps the index in one place.
 from __future__ import annotations
 
 import enum
+import math
 from bisect import bisect_left
 from collections import defaultdict
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -84,12 +84,11 @@ class _TagIndex:
     Moves before any index collapse to a prefix of ``steps``.
     """
 
-    __slots__ = ("steps", "step_at", "valid_at", "valid_paths")
+    __slots__ = ("steps", "step_at", "valid_paths")
 
     def __init__(self) -> None:
         self.steps: list[str] = []
         self.step_at: list[int] = []
-        self.valid_at: list[int] = []
         self.valid_paths: list[tuple[str, ...]] = []
 
 
@@ -99,14 +98,15 @@ class Trace:
     def __init__(self, events: Iterable[Event] = ()) -> None:
         self._events: list[Event] = []
         self._by_tag: defaultdict[str, _TagIndex] = defaultdict(_TagIndex)
-        self._claim_at: list[int] = []  # the index of every PathClaim, in order
-        self._resolved: dict[int, tuple] = {}  # claim index -> _resolve's answer
+        self._resolved: dict[int, tuple] = {}  # claim index -> _resolve's answer, in order
         for e in events:
             self.append(e)
 
     def append(self, event: Event) -> int:
         """Append an event, returning its index.  An event is a Move, a
-        ValidPath or a PathClaim, of exactly that class."""
+        ValidPath or a PathClaim, of exactly that class.  A claim is judged
+        here, against its tag's index, which holds exactly the events before
+        it."""
         index = len(self._events)
         cls = event.__class__
         if cls is Move:
@@ -116,11 +116,13 @@ class Trace:
                 steps.append(event.reader)
                 entry.step_at.append(index)
         elif cls is ValidPath:
-            entry = self._by_tag[event.tag]
-            entry.valid_at.append(index)
-            entry.valid_paths.append(tuple(event.path))
+            self._by_tag[event.tag].valid_paths.append(tuple(event.path))
         elif cls is PathClaim:
-            self._claim_at.append(index)
+            entry = self._by_tag[event.tag]
+            phys, valid = tuple(entry.steps), tuple(entry.valid_paths)
+            phys_set, claimed = set(phys), tuple(event.path)
+            witnesses = _judge(phys, phys_set, claimed, valid)
+            self._resolved[index] = (phys, phys_set, claimed, valid, witnesses)
         else:
             raise TypeError(f"not a trace event: {event!r}")
         self._events.append(event)
@@ -142,7 +144,7 @@ class Trace:
     def claims(self) -> Iterator[tuple[int, PathClaim]]:
         """Yield (index, claim) for every PathClaim in order."""
         events = self._events
-        for i in self._claim_at:
+        for i in self._resolved:
             yield i, events[i]
 
     def tags(self) -> list[str]:
@@ -196,14 +198,10 @@ class CheckResult(NamedTuple):
         return self.ok
 
 
-def _resolve(
-    trace: Trace, claim_index: int
-) -> tuple[tuple[str, ...], set[str], tuple[str, ...], list[tuple[str, ...]], tuple]:
-    """The claim at ``claim_index`` judged once: its tag's physical path
-    before it, the set of that path's readers, the claimed path, the tag's
-    valid paths before it, and :func:`_judge`'s four witnesses.  The trace
-    keeps the answer: an append adds events only after the claim, so it
-    never goes stale."""
+def _resolve(trace: Trace, claim_index: int) -> tuple:
+    """The claim at ``claim_index`` as :meth:`Trace.append` judged it: its
+    tag's physical path before it, that path's reader set, the claimed path,
+    the tag's valid paths before it and :func:`_judge`'s four witnesses."""
     resolved = trace._resolved.get(claim_index)
     if resolved is None:
         if claim_index < 0:
@@ -212,16 +210,7 @@ def _resolve(
             raise ValueError(
                 f"claim index {claim_index} is past the end of a trace of {len(trace)} events"
             )
-        claim = trace[claim_index]
-        if not isinstance(claim, PathClaim):
-            raise ValueError(f"event {claim_index} is not a PathClaim: {claim!r}")
-        entry = trace._by_tag.get(claim.tag)
-        valid = entry.valid_paths[: bisect_left(entry.valid_at, claim_index)] if entry else []
-        phys = physical_path(trace, claim.tag, claim_index)
-        phys_set, claimed = set(phys), tuple(claim.path)
-        resolved = trace._resolved[claim_index] = (
-            phys, phys_set, claimed, valid, _judge(phys, phys_set, claimed, valid)
-        )
+        raise ValueError(f"event {claim_index} is not a PathClaim: {trace[claim_index]!r}")
     return resolved
 
 
@@ -305,7 +294,8 @@ class Verdict(NamedTuple):
 
 
 def verdict_for(trace: Trace, claim_index: int) -> Verdict:
-    """Run all four property checks on one claim.
+    """The four property checks of one claim, built as a bare tuple of
+    :class:`Verdict`.
 
     ``witness`` carries the explanation of the first failing check, in the
     order sound, complete, sorted, authorized.
@@ -316,10 +306,10 @@ def verdict_for(trace: Trace, claim_index: int) -> Verdict:
         if w is not None:
             witness = f"{prop}: {w}"
             break
-    return Verdict(
+    return tuple.__new__(Verdict, (
         claim_index, unsound is None, incomplete is None, unsorted is None,
         unauthorized is None, witness,
-    )
+    ))
 
 
 class SystemVerdict(NamedTuple):
@@ -382,6 +372,12 @@ def classify(
     return _labels(phys, phys_set, claim, paths, _judge(phys, phys_set, claim, paths))
 
 
+# every set _labels returns, at the mask whose bit k stands for the k-th AttackLabel
+_LABEL_SETS = tuple(
+    frozenset(label for k, label in enumerate(AttackLabel) if mask >> k & 1) for mask in range(32)
+)
+
+
 def _labels(
     phys: tuple[str, ...],
     phys_set: set[str],
@@ -390,28 +386,28 @@ def _labels(
     witnesses: tuple[str | None, str | None, str | None, str | None],
 ) -> frozenset[AttackLabel]:
     """``classify`` of a judged claim: every label but Reroute is read off
-    the witnesses of :func:`_judge`."""
+    the witnesses of :func:`_judge`.  The answer is one of ``_LABEL_SETS``."""
     unsound, incomplete, unsorted, unauthorized = witnesses
-    labels: set[AttackLabel] = set()
     if unsound is not None:
-        labels.add(AttackLabel.GHOST_STEP)
+        mask = 8  # GhostStep
     else:
+        mask = 0
         if incomplete is not None:
             # the claim fits strictly inside some valid path: steps were skipped
             n = len(claim)
             for path in valid:
                 if n < len(path) and is_subsequence(claim, path):
-                    labels.add(AttackLabel.SKIP_STEP)
+                    mask = 2  # SkipStep
                     break
         if unsorted is not None and sorted(phys[: len(claim)]) == sorted(claim):
             # the first len(claim) visited readers are the claim's, reordered
-            labels.add(AttackLabel.OUT_OF_ORDER)
+            mask |= 1  # OutOfOrder
     if phys_set.difference(claim, *valid):
         # a visited reader neither claimed nor on any valid path
-        labels.add(AttackLabel.REROUTE)
+        mask |= 4  # Reroute
     if unauthorized is not None:
-        labels.add(AttackLabel.UNAUTHORIZED_PATH)
-    return frozenset(labels)
+        mask |= 16  # UnauthorizedPath
+    return _LABEL_SETS[mask]
 
 
 def classify_claim(trace: Trace, claim_index: int) -> frozenset[AttackLabel]:
@@ -440,14 +436,20 @@ class TraceParseError(ValueError):
     pass
 
 
-_KINDS = ("MOVE", "VALIDPATH", "CLAIM")
+# kind -> (its event class, the fewest and most tokens of its line, its refusal)
+_KINDS = {
+    "MOVE": (Move, 3, 3, "MOVE wants <tag> <reader>"),
+    "VALIDPATH": (ValidPath, 3, math.inf, "VALIDPATH wants <tag> <r1> ..."),
+    "CLAIM": (PathClaim, 3, math.inf, "CLAIM wants <tag> <claimant> <r1> ..."),
+}
 
 
 def parse_trace(text: str) -> Trace:
     """Parse a trace dump.
 
     Kinds are case-insensitive.  Blank lines are skipped, and so is any
-    line whose first token starts with ``#``.  Events are built from the
+    line whose first token starts with ``#``.  A CLAIM may name no reader,
+    as :func:`dump_trace` writes an empty claim.  Events are built from the
     split tokens as bare tuples of their class, without the named tuple's
     Python ``__new__``, and each one goes through :meth:`Trace.append`.
     """
@@ -458,23 +460,21 @@ def parse_trace(text: str) -> Trace:
         parts = raw.split()
         if not parts:
             continue
-        kind = parts[0]
-        if kind not in _KINDS:
-            kind = kind.upper()
-            if kind not in _KINDS:
+        shape = _KINDS.get(parts[0])
+        if shape is None:
+            kind = parts[0].upper()
+            shape = _KINDS.get(kind)
+            if shape is None:
                 if kind.startswith("#"):
                     continue
                 raise TraceParseError(f"line {lineno}: unknown event {kind}")
-        if kind == "MOVE":
-            if len(parts) != 3:
-                raise TraceParseError(f"line {lineno}: MOVE wants <tag> <reader>")
+        cls, fewest, most, refusal = shape
+        if not fewest <= len(parts) <= most:
+            raise TraceParseError(f"line {lineno}: {refusal}")
+        if cls is Move:
             append(new(Move, (parts[1], parts[2])))
-        elif kind == "VALIDPATH":
-            if len(parts) < 3:
-                raise TraceParseError(f"line {lineno}: VALIDPATH wants <tag> <r1> ...")
+        elif cls is ValidPath:
             append(new(ValidPath, (parts[1], tuple(parts[2:]))))
-        else:  # CLAIM
-            if len(parts) < 4:
-                raise TraceParseError(f"line {lineno}: CLAIM wants <tag> <claimant> <r1> ...")
+        else:
             append(new(PathClaim, (parts[1], tuple(parts[3:]), parts[2])))
     return trace

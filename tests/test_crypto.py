@@ -374,6 +374,15 @@ def test_box_round_trip_and_wrong_key():
         c.pk_dec(priv_b, blob)
 
 
+def test_box_refuses_a_blob_shorter_than_its_kem_element():
+    rng = random.Random(14)
+    priv, pub = c.new_box_keypair("a", rng)
+    blob = c.pk_enc(pub, b"layered secret", rng)
+    for n in range(8):
+        with pytest.raises(c.AuthenticationError, match="^blob too short$"):
+            c.pk_dec(priv, blob[:n])
+
+
 def counted_pow(monkeypatch):
     """Shadow the builtin pow in ``crypto``; returns the list of its calls."""
     calls = []

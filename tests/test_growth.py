@@ -7,8 +7,9 @@ asserts that the count per unit at the larger size is at most 1.01 times
 that at the smaller.  No test reads the clock.
 
 Only work that makes a Python call per unit shows up here: a scan done in
-C (a slice, a set test) does not.  Making ``physical_path`` filter every
-earlier event through a predicate function fails both tests.
+C (a slice, a set test) does not.  Making the judge that ``Trace.append``
+runs on a claim filter every earlier event through a predicate function
+fails both tests.
 """
 
 from __future__ import annotations
@@ -57,9 +58,10 @@ CLAIM_SHAPES = [
 BYSTANDERS = 3  # unclaimed tags that walk beside each claimed one
 
 
-def audit_trace(rounds: int) -> Trace:
-    """``rounds`` copies of ``CLAIM_SHAPES``, each claimed tag beside
-    ``BYSTANDERS`` walking ones, the tags' events interleaved at random."""
+def audit_dump(rounds: int) -> str:
+    """The dump of ``rounds`` copies of ``CLAIM_SHAPES``, each claimed tag
+    beside ``BYSTANDERS`` walking ones, the tags' events interleaved at
+    random."""
     rng = random.Random(rounds)
     streams = []
     for r in range(rounds):
@@ -79,25 +81,29 @@ def audit_trace(rounds: int) -> Trace:
         trace.append(stream.pop(0))
         if not stream:
             streams.remove(stream)
-    return trace
+    return tr.dump_trace(trace)
 
 
-def calls_per_claim(trace: Trace) -> float:
-    indices = [i for i, _ in trace.claims()]
+def calls_per_event(text: str) -> float:
+    """Calls per event of what an auditor does with a dump: parse it, each
+    claim judged as it is appended, then ask every claim's verdict and
+    labels."""
 
-    def judge_all():
-        for i in indices:
+    def audit():
+        trace = tr.parse_trace(text)
+        for i, _ in trace.claims():
             tr.verdict_for(trace, i)
             tr.classify_claim(trace, i)
+        return trace
 
-    calls, _ = count_calls(judge_all)
-    return calls / len(indices)
+    calls, trace = count_calls(audit)
+    return calls / len(trace)
 
 
 def test_judging_a_claim_costs_the_same_on_a_longer_trace():
-    small, large = audit_trace(5), audit_trace(40)
-    assert 450 <= len(small) <= 550 and 3600 <= len(large) <= 4400
-    assert calls_per_claim(large) <= GROWTH * calls_per_claim(small)
+    small, large = audit_dump(5), audit_dump(40)
+    assert 450 <= small.count("\n") <= 550 and 3600 <= large.count("\n") <= 4400
+    assert calls_per_event(large) <= GROWTH * calls_per_event(small)
 
 
 READERS = ["r1", "r2", "r3", "r4", "r5", "r6"]

@@ -143,6 +143,15 @@ class TestKnowledge:
         assert decompose([pair, b"gamma"], known) is known
         assert list(known) == [pair, b"gamma"]
 
+    def test_decompose_keeps_a_blob_that_does_not_split_as_one_atom(self):
+        # the first prefix fits, the second runs past the end
+        blob = (3).to_bytes(4, "big") + b"abc" + (100).to_bytes(4, "big") + b"x"
+        assert list(decompose([blob])) == [blob]
+
+    def test_snapshot_with_a_non_utf8_field_name_reads_as_none(self):
+        assert network.read_snapshot(crypto.concat_length_prefixed(b"k", b"v")) == {"k": b"v"}
+        assert network.read_snapshot(crypto.concat_length_prefixed(b"\xff", b"v")) is None
+
     def test_atoms_order_stable(self):
         k = Knowledge()
         k.observe(b"one")
@@ -300,6 +309,11 @@ class TestNetwork:
     def test_request_without_handler(self):
         net = make_net()
         assert net.request("r1", "ghost", b"hello") is None
+
+    def test_inject_without_handler(self):
+        net = make_net()
+        assert net.inject("r1", "ghost", b"spoof") is None
+        assert lines(net) == [f"1 r1->ghost {b'spoof'.hex()} injected"]
 
     def test_transcripts_deterministic(self):
         def run():

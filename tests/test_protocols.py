@@ -1908,6 +1908,14 @@ class TestResc:
         assert res.anomalies == ["resc database: slot 2 of ta fails verification"]
         assert not res.verdicts
 
+    def test_a_deposit_with_no_pending_nonce_is_refused(self):
+        # AdvT sends a deposit under the right slot key without a HELLO first
+        model, run = build_run(RunConfig.along("resc", {"t1": ("r1", "r2")}))
+        fields = read_snapshot(run.net.read_tag("t1"))
+        deposit = Resc.deposit(fields["tid"], 1, 5, fields["k1"], bytes(8))
+        assert run.net.inject("r1", "t1", deposit) is None
+        assert run.memory("t1").load("sig1") == b""
+
     def test_a_filled_slot_refuses_a_second_deposit(self):
         # AdvT replays slot 1 with the key read off the tag and a fresh nonce
         model, run = build_run(RunConfig.along("resc", {"t1": ("r1", "r2")}))
@@ -1991,6 +1999,15 @@ class TestBurbridge:
         res = finalize(model, run)
         assert res.stalled and res.step_log[-1] == "visit t1 r2 failed"
         assert res.anomalies == ["burbridge r2: document of t1 does not vouch for r1"]
+
+    def test_a_signed_stage_that_is_not_utf8_vouches_for_nothing(self):
+        model, _run = build_run(honest_config("burbridge"))
+
+        def signed(stage: bytes):
+            return crypto.sign(model.chain_sk, crypto.concat_length_prefixed(b"t1", stage))
+
+        assert model._doc_stage("t1", signed(b"r1")) == "r1"
+        assert model._doc_stage("t1", signed(b"\xff")) is None
 
     def test_controller_only_attributes(self):
         cfg = honest_config("burbridge")

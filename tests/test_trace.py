@@ -9,6 +9,7 @@ import random
 import pytest
 
 from pathtrace import trace as tr
+from pathtrace.protocols import RunConfig, build_run, finalize
 from pathtrace.trace import (
     AttackLabel,
     Move,
@@ -221,8 +222,9 @@ class TestChecks:
 
     def test_verdict_on_non_claim_raises(self):
         t = Trace(moves(T1, "r1"))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             verdict_for(t, 0)
+        assert str(info.value) == "event 0 is not a PathClaim: Move(tag='t1', reader='r1')"
 
     @pytest.mark.parametrize(
         "judge",
@@ -448,8 +450,9 @@ class TestSerialization:
             ("MOVE t1\n", "line 1: MOVE wants <tag> <reader>"),
             ("# c\n\nMOVE t1 r1\nCLAIM t1 b1 r1\nvalidpath t1\n",
              "line 5: VALIDPATH wants <tag> <r1> ..."),
-            ("MOVE t1 r1\n\nCLAIM t1 b1\nTELEPORT t1 r1\n",
+            ("MOVE t1 r1\n\nCLAIM t1\nTELEPORT t1 r1\n",
              "line 3: CLAIM wants <tag> <claimant> <r1> ..."),
+            ("MOVE t1 r1\n\nCLAIM t1 b1\nTELEPORT t1 r1\n", "line 4: unknown event TELEPORT"),
             ("MOVE t1 r1\n  teleport t1 r1\nMOVE t1\n", "line 2: unknown event TELEPORT"),
             ("# a\n#MOVE t1 r1\n\n  # b\nMOVE t1 r1\nTeleport t1 r1\n",
              "line 6: unknown event TELEPORT"),
@@ -463,11 +466,30 @@ class TestSerialization:
 
     @pytest.mark.parametrize(
         "line",
-        ["MOVE t1", "VALIDPATH t1", "CLAIM t1 b1", "TELEPORT t1 r1"],
+        ["MOVE t1", "VALIDPATH t1", "CLAIM t1", "TELEPORT t1 r1"],
     )
     def test_malformed_lines_rejected(self, line):
         with pytest.raises(TraceParseError):
             parse_trace(line)
+
+    def test_claim_naming_no_reader_parses(self):
+        t = parse_trace("MOVE t1 r1\nCLAIM t1 b1\nclaim t1 b1 r1\n")
+        assert t.events[1] == PathClaim(T1, (), B1)
+        assert [i for i, _ in t.claims()] == [1, 2]
+        assert verdict_for(t, 1) == tr.Verdict(
+            1, True, False, True, False, "complete: visited reader r1 absent from claim"
+        )
+
+    def test_a_run_claiming_before_any_visit_round_trips(self):
+        model, world = build_run(RunConfig.along("rfchain", {"t1": ("r1", "r2")}))
+        model.claim("t1")
+        result = finalize(model, world)
+        text = dump_trace(result.trace)
+        assert text == "CLAIM t1 bc\n"
+        back = parse_trace(text)
+        assert back.events == result.trace.events == (PathClaim(T1, (), "bc"),)
+        assert [verdict_for(back, i) for i, _ in back.claims()] == result.verdicts
+        assert tr.classify_claim(back, 0) == tr.classify_claim(result.trace, 0)
 
     def test_random_round_trips(self):
         rng = random.Random(7)
@@ -588,36 +610,54 @@ class TestRecords:
         assert tr.CheckResult(True).witness is None
 
 
-class TestResolveOnce:
-    """A claim is resolved and judged once per trace: every verdict, check
-    and label of it reads one physical path lookup and one judgement."""
+class TestJudgedOnAppend:
+    """A claim is judged once, when it is appended: every verdict, check
+    and label of it asked later reads that judgement, and later Moves and
+    ValidPaths do not change it."""
 
-    def test_one_physical_path_per_claim(self, monkeypatch):
+    JUDGES = [
+        verdict_for, tr.classify_claim,
+        tr.check_sound, tr.check_complete, tr.check_sorted, tr.check_authorized,
+    ]
+
+    def test_judge_runs_once_per_claim_at_append(self, monkeypatch):
+        calls = []
+        original = tr._judge
+
+        def counted(*args):
+            calls.append(args[:3])
+            return original(*args)
+
+        monkeypatch.setattr(tr, "_judge", counted)
+        t = Trace([ValidPath(T1, path("r1", "r2")), *moves(T1, "r1", "r3")])
+        assert calls == []
+        t.append(PathClaim(T1, path("r2", "r1"), B1))
+        assert calls == [(path("r1", "r3"), {"r1", "r3"}, path("r2", "r1"))]
+        t.append(PathClaim(T1, path("r1"), B1))
+        assert len(calls) == 2
+        for judge in self.JUDGES * 2:
+            judge(t, 3)
+            judge(t, 4)
+        assert len(calls) == 2
+
+    def test_later_events_leave_the_judgement_unchanged(self):
         t = Trace([ValidPath(T1, path("r1", "r2")), *moves(T1, "r1", "r3")])
         t.append(PathClaim(T1, path("r2", "r1"), B1))
-        calls = []
+        before = [judge(t, 3) for judge in self.JUDGES]
+        for event in [*moves(T1, "r2", "r1", "r4"), ValidPath(T1, path("r2", "r1")),
+                      ValidPath(T1, path("r4"))]:
+            t.append(event)
+            assert [judge(t, 3) for judge in self.JUDGES] == before
+        assert before[0] == tr.Verdict(
+            3, False, False, False, False, "sound: claimed reader r2 never visited"
+        )
 
-        def spy(name):
-            original = getattr(tr, name)
-
-            def counted(*args):
-                calls.append((name, args[:3]))
-                return original(*args)
-
-            monkeypatch.setattr(tr, name, counted)
-
-        spy("physical_path")
-        spy("_judge")
-        judges = [
-            verdict_for, tr.classify_claim,
-            tr.check_sound, tr.check_complete, tr.check_sorted, tr.check_authorized,
-        ]
-        for judge in judges * 2:
-            judge(t, 3)
-        assert calls == [
-            ("physical_path", (t, T1, 3)),
-            ("_judge", (path("r1", "r3"), {"r1", "r3"}, path("r2", "r1"))),
-        ]
+    def test_labels_are_shared_sets(self):
+        t = Trace([ValidPath(T1, path("r1", "r2")), *moves(T1, "r1", "r3")])
+        t.append(PathClaim(T1, path("r2", "r1"), B1))
+        t.append(PathClaim(T1, path("r2", "r1"), B1))
+        assert tr.classify_claim(t, 3) is tr.classify_claim(t, 4)
+        assert any(tr.classify_claim(t, 3) is labels for labels in tr._LABEL_SETS)
 
 
 class TestIdentifier:

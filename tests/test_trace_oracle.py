@@ -123,7 +123,8 @@ def random_events(rng: random.Random) -> list:
     come from the small alphabet and from sticky moves; claims and valid
     paths land anywhere, including before a tag's first Move or ValidPath.
     A claim copies the head of the tag's visits or of its last valid path,
-    or is random, so that every property is seen holding and failing."""
+    or is random, so that every property is seen holding and failing; a
+    claim may name no reader."""
     events = []
     visited: dict[str, list[str]] = {name: [] for name in MULTI_TAGS}
     registered: dict[str, list[str]] = {name: [] for name in MULTI_TAGS}
@@ -140,8 +141,7 @@ def random_events(rng: random.Random) -> list:
             events.append(ValidPath(tag(name), tuple(reader(r) for r in registered[name])))
         else:
             source = rng.choice([visited[name], registered[name], []])
-            # the dump format has no empty claim
-            claimed = source[: rng.randint(1, 4)] or [rng.choice("abcd") for _ in range(rng.randint(1, 4))]
+            claimed = source[: rng.randint(0, 4)] or [rng.choice("abcd") for _ in range(rng.randint(0, 4))]
             events.append(PathClaim(tag(name), tuple(reader(r) for r in claimed), B1))
     return events
 
@@ -158,7 +158,7 @@ def three_builds(events: list) -> list[Trace]:
 def test_multi_tag_traces_agree_with_oracles():
     rng = random.Random(20240611)
     outcomes: set[tuple[str, bool]] = set()
-    early_claims = 0
+    early_claims = empty_claims = 0
     for _ in range(400):
         events = random_events(rng)
         for t in three_builds(events):
@@ -198,6 +198,8 @@ def test_multi_tag_traces_agree_with_oracles():
                 assert labels == oracle_classify(visits, claimed, valid), (events, idx)
                 outcomes.update(expected.items())
                 early_claims += not visits or not valid
+                empty_claims += not claimed
     assert len(outcomes) == 8, outcomes
     # the sample reaches claims made before the tag's first Move or ValidPath
     assert early_claims > 100
+    assert empty_claims > 50
