@@ -548,6 +548,9 @@ def _draws_fit(kw: dict[str, Any]) -> None:
         raise ValueError("trials must be at least 1")
     if kw["trials"] > MAX_TRIALS:
         raise ValueError(f"trials must be at most {MAX_TRIALS}")
+    for name in ("n_readers", "length"):
+        if kw[name] < 1:
+            raise ValueError(f"{name} must be at least 1")
     # each trial draws n_readers distinct coefficients from 1..q-1
     if kw["q"] <= kw["n_readers"]:
         raise ValueError(f"q must exceed n_readers ({kw['n_readers']})")

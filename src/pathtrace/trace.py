@@ -23,10 +23,10 @@ attack labels of :class:`AttackLabel`.
 :class:`Trace` keeps each tag's collapsed physical path and its ValidPaths
 up to date as events are appended, and judges each claim as it is
 appended: the tag's index then holds exactly the prefix before the claim,
-one function finds the witness of each property's violation, and the trace
-keeps the witnesses beside the claim's physical path.  The checks and the
-verdict read those witnesses, and every attack label but Reroute is read
-off them.  Nothing scales with trace length, with the tag's repeated Moves
+and one function works out the witness of each property's violation and,
+with them, the claim's attack labels.  The trace keeps only that answer,
+never a copy of the tag's path, and the checks, the verdict and the labels
+read it.  Nothing scales with trace length, with the tag's repeated Moves
 or with other tags.
 
 Everything the checkers hash or compare is a string or a tuple, so that
@@ -98,7 +98,7 @@ class Trace:
     def __init__(self, events: Iterable[Event] = ()) -> None:
         self._events: list[Event] = []
         self._by_tag: defaultdict[str, _TagIndex] = defaultdict(_TagIndex)
-        self._resolved: dict[int, tuple] = {}  # claim index -> _resolve's answer, in order
+        self._judged: dict[int, tuple] = {}  # claim index -> _judge's answer, in order
         for e in events:
             self.append(e)
 
@@ -119,10 +119,7 @@ class Trace:
             self._by_tag[event.tag].valid_paths.append(tuple(event.path))
         elif cls is PathClaim:
             entry = self._by_tag[event.tag]
-            phys, valid = tuple(entry.steps), tuple(entry.valid_paths)
-            phys_set, claimed = set(phys), tuple(event.path)
-            witnesses = _judge(phys, phys_set, claimed, valid)
-            self._resolved[index] = (phys, phys_set, claimed, valid, witnesses)
+            self._judged[index] = _judge(entry.steps, tuple(event.path), entry.valid_paths)
         else:
             raise TypeError(f"not a trace event: {event!r}")
         self._events.append(event)
@@ -144,7 +141,7 @@ class Trace:
     def claims(self) -> Iterator[tuple[int, PathClaim]]:
         """Yield (index, claim) for every PathClaim in order."""
         events = self._events
-        for i in self._resolved:
+        for i in self._judged:
             yield i, events[i]
 
     def tags(self) -> list[str]:
@@ -199,11 +196,10 @@ class CheckResult(NamedTuple):
 
 
 def _resolve(trace: Trace, claim_index: int) -> tuple:
-    """The claim at ``claim_index`` as :meth:`Trace.append` judged it: its
-    tag's physical path before it, that path's reader set, the claimed path,
-    the tag's valid paths before it and :func:`_judge`'s four witnesses."""
-    resolved = trace._resolved.get(claim_index)
-    if resolved is None:
+    """:func:`_judge`'s answer for the claim at ``claim_index``, as
+    :meth:`Trace.append` judged it."""
+    judged = trace._judged.get(claim_index)
+    if judged is None:
         if claim_index < 0:
             raise ValueError(f"claim index must be non-negative, got {claim_index}")
         if claim_index >= len(trace):
@@ -211,22 +207,37 @@ def _resolve(trace: Trace, claim_index: int) -> tuple:
                 f"claim index {claim_index} is past the end of a trace of {len(trace)} events"
             )
         raise ValueError(f"event {claim_index} is not a PathClaim: {trace[claim_index]!r}")
-    return resolved
+    return judged
 
 
 _PROPERTIES = ("sound", "complete", "sorted", "authorized")
 
 
+class AttackLabel(enum.Enum):
+    OUT_OF_ORDER = "OutOfOrder"
+    SKIP_STEP = "SkipStep"
+    REROUTE = "Reroute"
+    GHOST_STEP = "GhostStep"
+    UNAUTHORIZED_PATH = "UnauthorizedPath"
+
+
+# every label set _judge answers, at the mask whose bit k stands for the k-th AttackLabel
+_LABEL_SETS = tuple(
+    frozenset(label for k, label in enumerate(AttackLabel) if mask >> k & 1) for mask in range(32)
+)
+
+
 def _judge(
-    phys: tuple[str, ...],
-    phys_set: set[str],
+    phys: Sequence[str],
     claim: tuple[str, ...],
     valid: Sequence[tuple[str, ...]],
-) -> tuple[str | None, str | None, str | None, str | None]:
-    """The witness of each property's violation, in the order of
-    ``_PROPERTIES``, or None where the property holds.  Each property is
-    judged on its own: a reader never visited is the witness of both
-    unsoundness and incompleteness."""
+) -> tuple[str | None, str | None, str | None, str | None, frozenset[AttackLabel]]:
+    """A claim's whole answer: the witness of each property's violation, in
+    the order of ``_PROPERTIES`` or None where the property holds, then its
+    attack labels as one of ``_LABEL_SETS``.  Each property is judged on its
+    own: a reader never visited is the witness of both unsoundness and
+    incompleteness.  Every label but Reroute is read off the witnesses."""
+    phys_set = set(phys)
     unsound = incomplete = None
     for r in claim:
         if r not in phys_set:
@@ -251,11 +262,28 @@ def _judge(
         if path[:n] == claim:
             unauthorized = None
             break
-    return unsound, incomplete, unsorted, unauthorized
+    mask = 0 if unauthorized is None else 16  # UnauthorizedPath
+    if unsound is not None:
+        mask |= 8  # GhostStep
+    else:
+        if incomplete is not None:
+            # the claim fits strictly inside some valid path: steps were skipped
+            for path in valid:
+                if n < len(path) and is_subsequence(claim, path):
+                    mask |= 2  # SkipStep
+                    break
+        if unsorted is not None and sorted(phys[:n]) == sorted(claim):
+            # the first n visited readers are the claim's, reordered
+            mask |= 1  # OutOfOrder
+    # a complete claim names every visited reader, so only an incomplete
+    # one can leave one that is neither claimed nor on any valid path
+    if incomplete is not None and phys_set.difference(claim, *valid):
+        mask |= 4  # Reroute
+    return unsound, incomplete, unsorted, unauthorized, _LABEL_SETS[mask]
 
 
 def _check(trace: Trace, claim_index: int, prop: int) -> CheckResult:
-    witness = _resolve(trace, claim_index)[4][prop]
+    witness = _resolve(trace, claim_index)[prop]
     return CheckResult(witness is None, witness)
 
 
@@ -300,9 +328,9 @@ def verdict_for(trace: Trace, claim_index: int) -> Verdict:
     ``witness`` carries the explanation of the first failing check, in the
     order sound, complete, sorted, authorized.
     """
-    unsound, incomplete, unsorted, unauthorized = witnesses = _resolve(trace, claim_index)[4]
+    unsound, incomplete, unsorted, unauthorized, _ = judged = _resolve(trace, claim_index)
     witness = None
-    for prop, w in zip(_PROPERTIES, witnesses):
+    for prop, w in zip(_PROPERTIES, judged):
         if w is not None:
             witness = f"{prop}: {w}"
             break
@@ -337,14 +365,6 @@ def evaluate_system(traces: Sequence[Trace]) -> SystemVerdict:
     return SystemVerdict(holds=holds, counterexamples=counterexamples)
 
 
-class AttackLabel(enum.Enum):
-    OUT_OF_ORDER = "OutOfOrder"
-    SKIP_STEP = "SkipStep"
-    REROUTE = "Reroute"
-    GHOST_STEP = "GhostStep"
-    UNAUTHORIZED_PATH = "UnauthorizedPath"
-
-
 def classify(
     physical: Sequence[str],
     claimed: Sequence[str],
@@ -365,54 +385,12 @@ def classify(
                           first visited readers in a different order
     * UnauthorizedPath  - no valid path has the claim as a prefix
     """
-    phys = collapse(physical)
-    phys_set = set(phys)
-    claim = tuple(claimed)
-    paths = [tuple(p) for p in valid]
-    return _labels(phys, phys_set, claim, paths, _judge(phys, phys_set, claim, paths))
-
-
-# every set _labels returns, at the mask whose bit k stands for the k-th AttackLabel
-_LABEL_SETS = tuple(
-    frozenset(label for k, label in enumerate(AttackLabel) if mask >> k & 1) for mask in range(32)
-)
-
-
-def _labels(
-    phys: tuple[str, ...],
-    phys_set: set[str],
-    claim: tuple[str, ...],
-    valid: Sequence[tuple[str, ...]],
-    witnesses: tuple[str | None, str | None, str | None, str | None],
-) -> frozenset[AttackLabel]:
-    """``classify`` of a judged claim: every label but Reroute is read off
-    the witnesses of :func:`_judge`.  The answer is one of ``_LABEL_SETS``."""
-    unsound, incomplete, unsorted, unauthorized = witnesses
-    if unsound is not None:
-        mask = 8  # GhostStep
-    else:
-        mask = 0
-        if incomplete is not None:
-            # the claim fits strictly inside some valid path: steps were skipped
-            n = len(claim)
-            for path in valid:
-                if n < len(path) and is_subsequence(claim, path):
-                    mask = 2  # SkipStep
-                    break
-        if unsorted is not None and sorted(phys[: len(claim)]) == sorted(claim):
-            # the first len(claim) visited readers are the claim's, reordered
-            mask |= 1  # OutOfOrder
-    if phys_set.difference(claim, *valid):
-        # a visited reader neither claimed nor on any valid path
-        mask |= 4  # Reroute
-    if unauthorized is not None:
-        mask |= 16  # UnauthorizedPath
-    return _LABEL_SETS[mask]
+    return _judge(collapse(physical), tuple(claimed), [tuple(p) for p in valid])[4]
 
 
 def classify_claim(trace: Trace, claim_index: int) -> frozenset[AttackLabel]:
     """Classify one in-trace claim against the movement that preceded it."""
-    return _labels(*_resolve(trace, claim_index))
+    return _resolve(trace, claim_index)[4]
 
 
 # --- line serialization ----------------------------------------------------

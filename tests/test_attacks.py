@@ -14,6 +14,7 @@ from pathtrace import trace as tr
 from pathtrace.attacks import (
     ATTACKS,
     BoundedSearchError,
+    _insider_link,
     attack,
     attack_burbridge_bypass,
     attack_ray_impersonation,
@@ -21,12 +22,14 @@ from pathtrace.attacks import (
     attack_resc_key_disclosure,
     attack_rfchain_linking,
     attack_tracker_order_search,
+    link_record,
     probe_rfchain_length_extension,
     randbelow,
     tracker_collision_rate,
 )
 from pathtrace.network import STRATEGIES, AdvModel, CapabilityError
 from pathtrace.protocols.base import build_run
+from pathtrace.protocols.rfchain import step_input
 from pathtrace.stats import binomial_acceptance
 from pathtrace.trace import AttackLabel, classify_claim
 
@@ -83,6 +86,34 @@ class TestRfChainLinking:
         assert a.evidence["linked"] == b.evidence["linked"]
         assert a.summary_lines() == b.summary_lines()
         assert a.run.report_lines() == b.run.report_lines()
+
+
+class TestRfChainLinkingAlgebra:
+    """The linking steps on hand-built records: a step key k makes the
+    payload ``xor_stream(level, k)`` and the pseudo-identity
+    ``sym_enc(k, identity)``."""
+
+    IDENTITY = b"epc-t1"
+    KEY = crypto.hash_bytes(b"step key")
+    LEVEL = crypto.hash_bytes(b"level") * 2
+
+    def record(self):
+        payload = crypto.xor_stream(self.LEVEL, self.KEY)
+        return crypto.sym_enc(self.KEY, self.IDENTITY), payload
+
+    def test_levels_and_payloads_under_32_bytes_are_skipped(self):
+        pseudo, payload = self.record()
+        assert link_record(pseudo, payload, self.IDENTITY, [self.LEVEL]) == 1
+        assert link_record(pseudo, payload, self.IDENTITY, [self.LEVEL[:16], self.LEVEL]) == 2
+        assert link_record(pseudo, payload[:16], self.IDENTITY, [self.LEVEL]) is None
+
+    def test_insider_refuses_a_patched_payload_that_does_not_split(self):
+        secrets = {"f": b"f", "pwd": b"pwd", "r": b"r"}
+        key = crypto.hash_bytes(step_input(self.IDENTITY, b"f", b"pwd", b"r", 2))
+        pseudo, payload = crypto.sym_enc(key, self.IDENTITY), b"\x00"
+        assert crypto.split_fields(payload, 2) is None
+        assert _insider_link(pseudo, payload, self.IDENTITY, secrets, "default", 3) == 2
+        assert _insider_link(pseudo, payload, self.IDENTITY, secrets, "patched", 3) is None
 
 
 class TestRfChainLengthExtension:

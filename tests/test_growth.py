@@ -10,12 +10,16 @@ Only work that makes a Python call per unit shows up here: a scan done in
 C (a slice, a set test) does not.  Making the judge that ``Trace.append``
 runs on a claim filter every earlier event through a predicate function
 fails both tests.
+
+Memory is counted too, with ``tracemalloc``: what a trace keeps
+per claim does not grow with the path its tag has walked.
 """
 
 from __future__ import annotations
 
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -144,3 +148,27 @@ def test_an_honest_run_costs_the_same_per_tag_with_more_tags(protocol, mode):
     small = honest_run_calls(protocol, mode, 25) / 25
     large = honest_run_calls(protocol, mode, 100) / 100
     assert large <= GROWTH * small
+
+
+CLAIMS = 200
+
+
+def kept_per_claim(steps: int) -> float:
+    """Bytes a trace keeps per claim, over ``CLAIMS`` identical claims of
+    one tag that has one ValidPath and ``steps`` distinct Moves."""
+    trace = Trace([ValidPath("t", ("r0",)), *(Move("t", f"r{i}") for i in range(steps))])
+    claim = PathClaim("t", ("r0",), "v")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(CLAIMS):
+            trace.append(claim)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return kept / CLAIMS
+
+
+def test_a_claim_keeps_the_same_memory_on_a_longer_path():
+    short, long = kept_per_claim(10), kept_per_claim(1000)
+    assert max(short, long) <= 1.5 * min(short, long)

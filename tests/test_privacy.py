@@ -20,6 +20,8 @@ from pathtrace.privacy import (
     run_game,
 )
 from pathtrace.privacy import _atoms, _rfchain_record_world, _step_world, _tag_world
+from pathtrace.protocols.checker import Checker
+from pathtrace.protocols.ray import Ray
 from pathtrace.stats import wilson_interval
 
 ALL_PROTOCOLS = ["tracker", "checker", "stepauth", "rfchain", "ray", "resc", "burbridge"]
@@ -274,6 +276,12 @@ class TestChallengeWorlds:
             assert not dp, seed
             assert shared.paths["ta"] != shared.paths["tb"]
 
+    def test_stalled_world_is_refused(self, monkeypatch):
+        monkeypatch.setattr(Checker, "_process_arrival", lambda self, tag, reader: False)
+        game = PrivacyGame(kind=GameKind.TAG, protocol="checker")
+        with pytest.raises(RuntimeError, match="^challenge world for checker stalled$"):
+            _tag_world(game, 99)
+
     def test_rfchain_record_world(self):
         game = PrivacyGame(kind=GameKind.TAG, protocol="rfchain")
         world = _rfchain_record_world(game, 55)
@@ -284,6 +292,37 @@ class TestChallengeWorlds:
         parts = crypto.split_length_prefixed(world.view["snapshot"])
         fields = {parts[i].decode(): parts[i + 1] for i in range(0, len(parts), 2)}
         assert fields["id"] == b"epc-ta"
+
+
+class TestDistinguisherAnswers:
+    """Each distinguisher on windows built by hand: None where it cannot
+    decide, True where the windows confirm one tag."""
+
+    def test_xor_structure_is_undecided_without_a_32_byte_value(self):
+        guess = DISTINGUISHERS["xor-structure"]
+        view = {"pids": {t: Ray.pid(t) for t in ("r1", "r2", "r3")}}
+        value = Ray.pid("r1")
+        assert guess(view, (value,), (value,)) is True
+        assert guess(view, (b"short",), (value,)) is None
+        assert guess(view, (value,), (b"short",)) is None
+
+    def test_record_linking_is_undecided_without_a_snapshot(self):
+        record = (b"p" * 48, b"q" * 48)
+        assert DISTINGUISHERS["record-linking"]({}, record, record) is None
+
+    def test_record_algebra_links_equal_pseudo_identities(self):
+        guess = DISTINGUISHERS["record-algebra"]
+        assert guess({}, (b"p" * 48, b"short"), (b"p" * 48, b"other")) is True
+        assert guess({}, (b"p" * 48, b"short"), (b"q" * 48, b"other")) is None
+
+    def test_record_algebra_links_a_pair_whose_xor_key_confirms(self):
+        guess = DISTINGUISHERS["record-algebra"]
+        key = crypto.hash_bytes(b"step key")
+        payload2 = crypto.hash_bytes(b"second payload") * 2
+        payload1 = crypto.xor_bytes(payload2[:32], key) + payload2[32:]
+        pseudo1 = crypto.sym_enc(key, payload2[:16])
+        assert guess({}, (pseudo1, payload1), (b"q" * 48, payload2)) is True
+        assert guess({}, (b"p" * 48, payload1), (b"q" * 48, payload2)) is None
 
 
 class TestAdversaryView:

@@ -362,6 +362,10 @@ class TestParsing:
              "case.scn:3: q must exceed n_readers (4)"),
             ("protocol tracker\nkind attack\nattack tracker-order-search q=-5\n",
              "case.scn:3: q must exceed n_readers (4)"),
+            ("protocol tracker\nkind attack\nattack tracker-order-search trials=10 length=-1\n",
+             "case.scn:3: length must be at least 1"),
+            ("protocol tracker\nkind attack\nattack tracker-order-search trials=10 n_readers=-1\n",
+             "case.scn:3: n_readers must be at least 1"),
         ],
         ids=["attack-for-another-scheme", "protocol-after-attack", "unknown-keyword",
              "keyword-of-another-type", "bool-keyword-given-an-int", "mode-on-modeless-probe",
@@ -371,7 +375,7 @@ class TestParsing:
              "honest-steps-beyond-path", "observed-index-beyond-path",
              "observed-index-negative", "observed-index-on-one-reader-path",
              "path-len-zero", "decoys-negative", "trials-zero", "trials-above-bound",
-             "q-below-draws", "q-negative"],
+             "q-below-draws", "q-negative", "length-negative", "n-readers-negative"],
     )
     def test_refused_at_its_line(self, tmp_path, text, failure):
         path = write(tmp_path, text)
