@@ -7,11 +7,16 @@ sized for simulation rather than real security:
   length-extension on raw concatenation can be demonstrated;
 * MACs are HMAC-SHA256 (RFC 2104), computed over ``hashlib.sha256``
   directly rather than through the ``hmac`` module, whose per-call set-up
-  costs more than the two hashes; "signatures" are MACs with appendix
+  costs more than the two hashes; ``hash_bytes`` and ``mac`` call it
+  through one module-level name.  "Signatures" are MACs with appendix
   carrying the signer id, mirroring schemes where verification is
-  idealized;
+  idealized; a ``Signature`` is built as a bare tuple of its class,
+  without the named tuple's Python ``__new__``, as ``trace.parse_trace``
+  builds events;
 * symmetric encryption is a deterministic SIV-style construction (same key
-  and plaintext give the same ciphertext, which several protocols rely on);
+  and plaintext give the same ciphertext, which several protocols rely on)
+  over a counter-mode mask: ``expand_key`` hashes only the blocks past the
+  key that the wanted length reaches, and joins them once;
 * public-key encryption is a KEM built on the ElGamal group;
 * ElGamal itself is exponent-encoded over a prime-order subgroup, giving the
   multiplicative homomorphism and ciphertext exponentiation the polynomial
@@ -59,8 +64,11 @@ class AuthenticationError(CryptoError):
 DIGEST_LEN = 32
 
 
+_sha256 = hashlib.sha256
+
+
 def hash_bytes(data: bytes) -> bytes:
-    return hashlib.sha256(data).digest()
+    return _sha256(data).digest()
 
 
 def hash_int(data: bytes, modulus: int) -> int:
@@ -211,10 +219,10 @@ def mac(key: bytes, data: bytes) -> bytes:
     """HMAC-SHA256: sha256(k^opad || sha256(k^ipad || data)), with the key
     hashed when longer than a block and zero-padded to the block."""
     if len(key) > _HMAC_BLOCK:
-        key = hashlib.sha256(key).digest()
+        key = _sha256(key).digest()
     key = key.ljust(_HMAC_BLOCK, b"\0")
-    inner = hashlib.sha256(key.translate(_HMAC_IPAD) + data).digest()
-    return hashlib.sha256(key.translate(_HMAC_OPAD) + inner).digest()
+    inner = _sha256(key.translate(_HMAC_IPAD) + data).digest()
+    return _sha256(key.translate(_HMAC_OPAD) + inner).digest()
 
 
 def prf(key: bytes, data: bytes) -> bytes:
@@ -260,7 +268,7 @@ def new_signing_keypair(key_id: str, rng: Random) -> tuple[SigningKey, VerifyKey
 
 def sign(sk: SigningKey, message: bytes) -> Signature:
     tag = mac(sk.secret, concat_length_prefixed(b"sig", sk.key_id.encode(), message))
-    return Signature(sk.key_id, message, tag)
+    return tuple.__new__(Signature, (sk.key_id, message, tag))
 
 
 def verify(vk: VerifyKey, sig: Signature) -> bool:
@@ -277,7 +285,7 @@ def parse_signature(blob: bytes) -> Signature | None:
     if parts is None or parts[0] != b"SIG":
         return None
     try:
-        return Signature(parts[1].decode(), parts[2], parts[3])
+        return tuple.__new__(Signature, (parts[1].decode(), parts[2], parts[3]))
     except UnicodeDecodeError:
         return None
 
@@ -291,17 +299,19 @@ def xor_bytes(a: bytes, b: bytes) -> bytes:
 
 
 def expand_key(key: bytes, length: int) -> bytes:
-    """Stretch a key to a mask of the wanted length.
+    """Stretch a key to a mask of the wanted length: the key, then
+    ``hash_bytes(key + be32(c))`` for c = 0, 1, ..., cut to ``length``
+    bytes.  A negative length raises ValueError.
 
     The first block is the key itself, so recovering a mask prefix recovers
     the key; that mirrors schemes which XOR a raw hash against longer data.
     """
-    out = bytearray(key)
-    counter = 0
-    while len(out) < length:
-        out += hash_bytes(key + struct.pack(">I", counter))
-        counter += 1
-    return bytes(out[:length])
+    if length < 0:
+        raise ValueError(f"negative mask length {length}")
+    out = [key]
+    for counter in range(-((len(key) - length) // DIGEST_LEN)):
+        out.append(hash_bytes(key + _LENGTH.pack(counter)))
+    return b"".join(out)[:length]
 
 
 def xor_stream(data: bytes, key: bytes) -> bytes:

@@ -14,11 +14,14 @@ strategies a run may choose, and the methods ``read_tag``, ``write_tag``,
 * AdvR - additionally compromises readers, obtaining their secrets.
 
 Each network message - transmissions, tag reads and writes, compromises
-and injections - is written once, by ``Network._record``, to an
-append-only log of ``Message`` records; the same call feeds what the
-adversary saw into its knowledge; ``Message.line`` renders one record as
-a transcript line.  ``decompose`` is the one definition of what can be
-read out of a payload without a key.
+and injections - is written once, by ``Network.transmit`` or
+``Network._record``, to an append-only log of ``Message`` records; the
+same call feeds what the adversary saw into its knowledge and numbers the
+message; ``Message.line`` renders one record as a transcript line.  A
+``Message``, and the ``Envelope`` a strategy sees, is built as a bare
+tuple of its class, without the named tuple's Python ``__new__``, as
+``trace.parse_trace`` builds events.  ``decompose`` is the one definition
+of what can be read out of a payload without a key.
 
 Tag memory is modelled with nominal bit accounting so that protocol storage
 formulas and capacity violations are observable.
@@ -142,7 +145,7 @@ def decompose(blobs: Iterable[bytes], known: dict[bytes, None] | None = None) ->
         if len(parts) == 4 and parts[0] == b"SIG":
             stack += (parts[3], parts[2])
         elif len(parts) >= 2:
-            stack.extend(part for part in reversed(parts) if part)
+            stack.extend(filter(None, reversed(parts)))
     return seen
 
 
@@ -199,6 +202,10 @@ class Message(NamedTuple):
 
     def line(self) -> str:
         return f"{self.seq} {self.sender}->{self.receiver} {self.payload.hex()} {self.action}"
+
+
+# builds an Envelope or a Message without a call to its Python ``__new__``
+_new = tuple.__new__
 
 
 # A strategy sees each untrusted envelope and returns the payload to deliver,
@@ -273,11 +280,8 @@ class Network:
         """Append one message; what the adversary saw joins its knowledge."""
         if seen is not None:
             self.knowledge.observe(seen)
-        self.log.append(Message(self._next_seq(), sender, receiver, payload, action, seen))
-
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
+        self._seq = seq = self._seq + 1
+        self.log.append(_new(Message, (seq, sender, receiver, payload, action, seen)))
 
     # --- transmission ---------------------------------------------------
 
@@ -294,14 +298,14 @@ class Network:
         if trusted:
             self._record(sender, receiver, payload, "trusted")
             return payload
-        seq = self._next_seq()
+        self._seq = seq = self._seq + 1
         self.knowledge.observe(payload)
-        delivered = self.strategy(Envelope(seq, sender, receiver, payload), self)
+        delivered = self.strategy(_new(Envelope, (seq, sender, receiver, payload)), self)
         if delivered is None:
-            self.log.append(Message(seq, sender, receiver, payload, "dropped", payload))
+            self.log.append(_new(Message, (seq, sender, receiver, payload, "dropped", payload)))
             return None
         action = "delivered" if delivered == payload else "modified"
-        self.log.append(Message(seq, sender, receiver, delivered, action, payload))
+        self.log.append(_new(Message, (seq, sender, receiver, delivered, action, payload)))
         return delivered
 
     def request(self, sender: str, receiver: str, payload: bytes) -> bytes | None:

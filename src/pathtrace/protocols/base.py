@@ -132,10 +132,8 @@ class Run:
         return path
 
     def memory(self, token: str) -> TagMemory:
-        return self.net.tag_memory(token)
-
-    def record_step(self, text: str) -> None:
-        self.step_log.append(text)
+        """The tag's memory, looked up in the network's own map."""
+        return self.net._tags[token]
 
 
 class ProtocolModel:
@@ -227,14 +225,14 @@ class ProtocolModel:
         logic runs only for protocol readers, not bare transit readers.  An
         undeclared tag or reader raises KeyError and records nothing."""
         self.run.declared_path(tag_token, (reader_token,))
-        self.trace.append(tr.Move(tag_token, reader_token))
+        self.trace.append(tuple.__new__(tr.Move, (tag_token, reader_token)))
         if reader_token in self.run.transits:
-            self.run.record_step(f"transit {tag_token} {reader_token}")
+            self.run.step_log.append(f"transit {tag_token} {reader_token}")
             return
         ok = self._process_arrival(tag_token, reader_token)
         if not ok:
             self.run.stalled = True
-        self.run.record_step(f"visit {tag_token} {reader_token} {'ok' if ok else 'failed'}")
+        self.run.step_log.append(f"visit {tag_token} {reader_token} {'ok' if ok else 'failed'}")
 
     def claim(self, tag_token: str, verifier: str | None = None) -> None:
         """Scheme's verifier attempts a PathClaim for the tag.
@@ -246,7 +244,7 @@ class ProtocolModel:
         if self.verifier is not None and verifier not in (None, self.verifier):
             raise VerifierPolicyError(f"only {self.verifier} verifies {self.name} claims, not {verifier}")
         ok = self._process_claim(tag_token, verifier)
-        self.run.record_step(f"claim {tag_token} {'ok' if ok else 'rejected'}")
+        self.run.step_log.append(f"claim {tag_token} {'ok' if ok else 'rejected'}")
 
     # --- hooks ----------------------------------------------------------
 
@@ -353,9 +351,11 @@ def weak_partial(method: Callable, *args: object) -> Callable:
     """``partial(method, *args)`` holding the method's model weakly.  The
     network keeps what a model registers with it and the model keeps the
     network, so a strong reference back would leave every finished world
-    to the cyclic collector.  Whoever reaches the network holds the model."""
-    ref = weakref.WeakMethod(method)
-    return lambda *rest: ref()(*args, *rest)
+    to the cyclic collector.  Whoever reaches the network holds the model.
+    The method's function is kept beside a weak reference to the model, so
+    a call builds no bound method."""
+    func, ref = method.__func__, weakref.ref(method.__self__)
+    return lambda *rest: func(ref(), *args, *rest)
 
 
 def build_run(config: RunConfig) -> tuple[ProtocolModel, Run]:

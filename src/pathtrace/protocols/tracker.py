@@ -128,7 +128,7 @@ class PathPolyModel(ProtocolModel):
     def _pack(self, components: Sequence[int]) -> bytes:
         """The layout of the ciphertexts (c1, c2, c1, c2, ...) in ``components``."""
         pairs = zip(components[::2], components[1::2])
-        return _layout(len(self.STATE)).pack(*(n for c1, c2 in pairs for n in (16, c1, c2)))
+        return _layout(len(self.STATE)).pack(*[n for c1, c2 in pairs for n in (16, c1, c2)])
 
     def _store_state(self, tag_token: str, blob: bytes) -> None:
         """Write a state blob of the fixed layout into the tag's fields: per
@@ -161,8 +161,7 @@ class PathPolyModel(ProtocolModel):
         return tuple(crypto.Ciphertext(self.params, c1, c2) for c1, c2 in zip(c1s, c2s))
 
     def _state_blob(self, tag_token: str) -> bytes:
-        mem = self.run.memory(tag_token)
-        return crypto.concat_length_prefixed(*(mem.load(name) for name in self.STATE))
+        return crypto.concat_length_prefixed(*map(self.run.memory(tag_token).load, self.STATE))
 
     def _take(self, tag_token: str, arrived: bytes | None, malformed: str) -> State | None:
         """What arrived for the tag: the state the model last wrote to it

@@ -232,6 +232,43 @@ def test_expand_key_prefix_is_the_key():
     assert c.expand_key(key, 16) == key[:16]
 
 
+def counter_mode_mask(key: bytes, n: int) -> bytes:
+    """``expand_key``'s definition: the key, then sha256(key || be32(c)) for
+    c = 0, 1, ..., cut to n bytes."""
+    mask, counter = key, 0
+    while len(mask) < n:
+        mask += hashlib.sha256(key + counter.to_bytes(4, "big")).digest()
+        counter += 1
+    return mask[:n]
+
+
+MASK_KEY_LENGTHS = (0, 1, 16, 32, 33, 64)
+
+
+@pytest.mark.parametrize("key_len", MASK_KEY_LENGTHS)
+def test_expand_key_is_the_counter_mode_mask(key_len):
+    key = random.Random(key_len).randbytes(key_len)
+    for n in range(201):
+        mask = c.expand_key(key, n)
+        assert type(mask) is bytes and mask == counter_mode_mask(key, n), n
+
+
+@pytest.mark.parametrize("key_len", MASK_KEY_LENGTHS)
+def test_xor_stream_xors_the_counter_mode_mask(key_len):
+    rng = random.Random(1000 + key_len)
+    key = rng.randbytes(key_len)
+    for n in range(201):
+        data = rng.randbytes(n)
+        mask = counter_mode_mask(key, n)
+        assert c.xor_stream(data, key) == bytes(x ^ y for x, y in zip(data, mask)), n
+
+
+def test_expand_key_refuses_a_negative_length():
+    for n in (-1, -16, -32, -33):
+        with pytest.raises(ValueError):
+            c.expand_key(bytes(range(32)), n)
+
+
 def test_xor_stream_involution():
     rng = random.Random(8)
     for _ in range(50):

@@ -11,6 +11,9 @@ C (a slice, a set test) does not.  Making the judge that ``Trace.append``
 runs on a claim filter every earlier event through a predicate function
 fails both tests.
 
+The same gate holds for a network message, counted over request round
+trips, and for a round of a privacy game.
+
 Memory is counted too, with ``tracemalloc``: what a trace keeps
 per claim does not grow with the path its tag has walked.
 """
@@ -24,6 +27,8 @@ import tracemalloc
 import pytest
 
 from pathtrace import trace as tr
+from pathtrace.network import Network
+from pathtrace.privacy import GameKind, PrivacyGame, run_game
 from pathtrace.protocols import RunConfig, build_run, finalize
 from pathtrace.trace import Move, PathClaim, Trace, ValidPath
 
@@ -148,6 +153,45 @@ def test_an_honest_run_costs_the_same_per_tag_with_more_tags(protocol, mode):
     small = honest_run_calls(protocol, mode, 25) / 25
     large = honest_run_calls(protocol, mode, 100) / 100
     assert large <= GROWTH * small
+
+
+def calls_per_message(round_trips: int) -> float:
+    """Calls per logged message of ``round_trips`` requests to one handler
+    under the null strategy."""
+    net = Network()
+    net.register_handler("t", lambda payload, sender: payload)
+
+    def talk():
+        for i in range(round_trips):
+            net.request("r", "t", i.to_bytes(4, "big"))
+
+    calls, _ = count_calls(talk)
+    assert len(net.log) == 2 * round_trips
+    return calls / len(net.log)
+
+
+def test_a_message_costs_the_same_on_a_longer_log():
+    assert calls_per_message(4000) <= GROWTH * calls_per_message(500)
+
+
+def calls_per_round(trials: int) -> float:
+    """Calls per round of rounds ``trials + 1`` to ``2 * trials`` of one
+    privacy game over a pool of 4 worlds.  A game's rounds are those of a
+    shorter game of the same seed and then more, so the difference of the
+    two games' calls is what the later rounds cost, with every pool world
+    already built."""
+
+    def calls(rounds: int) -> int:
+        game = PrivacyGame(GameKind.TAG, "checker", "full-transcript", trials=rounds, seed=7, worlds=4)
+        count, result = count_calls(lambda: run_game(game))
+        assert result.trials == rounds
+        return count
+
+    return (calls(2 * trials) - calls(trials)) / trials
+
+
+def test_a_privacy_round_costs_the_same_in_a_longer_game():
+    assert calls_per_round(4000) <= GROWTH * calls_per_round(500)
 
 
 CLAIMS = 200

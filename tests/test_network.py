@@ -15,6 +15,7 @@ from pathtrace.attacks import ATTACKS
 from pathtrace.network import (
     AdvModel,
     CapabilityError,
+    Envelope,
     Knowledge,
     Message,
     Network,
@@ -373,6 +374,47 @@ class TestMessageLog:
             (3, "t2", "r9", "delivered"),
             (1, "r1", "t1", "delivered"),
         ]
+
+    def test_every_record_is_a_message_numbered_in_turn(self):
+        envelopes = []
+
+        def strategy(env, net):
+            envelopes.append(env)
+            return {b"drop": None, b"edit": b"edited"}.get(env.payload, env.payload)
+
+        net = make_net(strategy=strategy)
+        mem = TagMemory(capacity_bits=1024)
+        mem.store("id", b"t1")
+        net.attach_tag("t1", mem)
+        net.register_handler("t1", lambda payload, sender: b"ack")
+        net.transmit("issuer", "db", b"reg", trusted=True)
+        net.transmit("r1", "t1", b"ping")
+        snap = net.read_tag("t1")
+        net.transmit("t1", "r1", b"edit")
+        net.inject("r2", "t1", b"spoof")
+        net.transmit("r1", "t1", b"drop")
+        net.request("r1", "t1", b"hello")
+        assert lines(net) == [
+            f"1 issuer->db {b'reg'.hex()} trusted",
+            f"2 r1->t1 {b'ping'.hex()} delivered",
+            f"3 adv->t1 {snap.hex()} read_tag",
+            f"4 t1->r1 {b'edited'.hex()} modified",
+            f"5 r2->t1 {b'spoof'.hex()} injected",
+            f"6 t1->r2 {b'ack'.hex()} delivered",
+            f"7 r1->t1 {b'drop'.hex()} dropped",
+            f"8 r1->t1 {b'hello'.hex()} delivered",
+            f"9 t1->r1 {b'ack'.hex()} delivered",
+        ]
+        assert [m.seen for m in net.log] == [
+            None, b"ping", snap, b"edit", None, b"ack", b"drop", b"hello", b"ack"
+        ]
+        for message in net.log:
+            built = Message(*message)
+            assert type(message) is Message and message._fields == built._fields
+            assert message == built and message.line() == built.line()
+        assert all(type(env) is Envelope for env in envelopes)
+        assert [env.seq for env in envelopes] == [2, 4, 7, 8, 9]
+        assert envelopes[1] == Envelope(4, "t1", "r1", b"edit")
 
     def test_dropped_and_modified_keep_what_was_seen(self):
         net = make_net(strategy=lambda env, net: env.payload + b"!")
