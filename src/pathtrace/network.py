@@ -255,9 +255,6 @@ class Network:
     def attach_tag(self, token: str, memory: TagMemory) -> None:
         self._tags[token] = memory
 
-    def tag_memory(self, token: str) -> TagMemory:
-        return self._tags[token]
-
     def attach_secrets(self, token: str, provider: Callable[[], dict[str, bytes]]) -> None:
         self._secrets[token] = provider
 

@@ -439,7 +439,7 @@ class TestAdversaryContext:
         snap = net.read_tag("t1")
         assert net.knowledge.knows(b"t1-identity")
         net.write_tag("t1", snap)
-        assert net.tag_memory("t1").load("id") == b"t1-identity"
+        assert mem.load("id") == b"t1-identity"
 
     def test_write_respects_capacity(self):
         net = make_net()
